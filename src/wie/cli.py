@@ -17,7 +17,9 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .forcing import TransformabilityError, certify_transformable
 from .lab import bound_audit, branch_divergence, convergence_study, lemma_tech_profile
 from .ode import eigendecompose, regularized_spectrum
 from .spectral import SpectralField, minimizer_hat
+from .symbols import AdmissibilityError
 
 log = logging.getLogger("wie")
 
@@ -91,6 +94,21 @@ def _atomic_write(path: Path, data: bytes) -> None:
 # ---- Mode runners ----
 
 
+@dataclass(frozen=True)
+class RunOutcome:
+    """What every mode runner hands to the report writer.
+
+    header and rows become summary.csv; a run stopped before its study
+    leaves both empty.
+    """
+
+    results: dict
+    verdicts: dict
+    failures: list
+    header: tuple = ()
+    rows: Sequence = ()
+
+
 def _certify_ladder(cfg: ExperimentConfig, forcing, gram, epsilons):
     """One certificate per eps, or the failure entries that block the run."""
     certificates = []
@@ -134,7 +152,7 @@ def _run_study(cfg: ExperimentConfig, map_fn):
         results["transformability"] = certificates
         verdicts["transformability_certified"] = not failures
         if failures:
-            return results, verdicts, failures
+            return RunOutcome(results, verdicts, failures)
 
     report = convergence_study(
         problem,
@@ -153,7 +171,7 @@ def _run_study(cfg: ExperimentConfig, map_fn):
         (e.eps, e.sup_error, e.energy, e.audit_violations, e.failure) for e in report.entries
     ]
     header = ("epsilon", "sup_error", "energy", "audit_violations", "failure")
-    return results, verdicts, failures, header, rows
+    return RunOutcome(results, verdicts, failures, header, rows)
 
 
 def _run_lemma(cfg: ExperimentConfig, map_fn):
@@ -174,7 +192,7 @@ def _run_lemma(cfg: ExperimentConfig, map_fn):
     verdicts = {"all_members_completed": completed, "monotone_sup_decay": bool(monotone)}
     header = ("epsilon", "sup", "argmax", "failure")
     rows = [(e["epsilon"], e["sup"], e["argmax"], e["failure"]) for e in entries]
-    return results, verdicts, [], header, rows
+    return RunOutcome(results, verdicts, [], header, rows)
 
 
 def _run_branch(cfg: ExperimentConfig, map_fn):
@@ -189,17 +207,23 @@ def _run_branch(cfg: ExperimentConfig, map_fn):
         results["transformability"] = certificates
         verdicts["transformability_certified"] = not failures
         if failures:
-            return results, verdicts, failures
+            return RunOutcome(results, verdicts, failures)
 
-    res = branch_divergence(
-        problem,
-        cfg.epsilon,
-        cfg.delta,
-        cfg.horizons,
-        direction=cfg.direction,
-        spec=cfg.quadrature,
-        map_fn=map_fn,
-    )
+    try:
+        res = branch_divergence(
+            problem,
+            cfg.epsilon,
+            cfg.delta,
+            cfg.horizons,
+            direction=cfg.direction,
+            spec=cfg.quadrature,
+            map_fn=map_fn,
+        )
+    except AdmissibilityError as exc:
+        failures.append(
+            {"verdict": "admissibility violated", "epsilon": cfg.epsilon, "detail": str(exc)}
+        )
+        return RunOutcome(results, verdicts, failures)
     mu = float(eigendecompose(problem.matrix).values[cfg.direction])
     z = float(regularized_spectrum(mu, cfg.epsilon).disc_sqrt[0])
     results["branch"] = res.as_dict()
@@ -209,7 +233,7 @@ def _run_branch(cfg: ExperimentConfig, map_fn):
     )
     header = ("horizon", "numeric_energy", "log_energy", "closed_form_log")
     rows = list(zip(res.horizons, res.numeric_energies, res.log_energies, res.closed_form_log))
-    return results, verdicts, failures, header, rows
+    return RunOutcome(results, verdicts, failures, header, rows)
 
 
 def _run_audit(cfg: ExperimentConfig, map_fn):
@@ -218,13 +242,13 @@ def _run_audit(cfg: ExperimentConfig, map_fn):
     verdicts = {"zero_violations": res.clean}
     header = ("epsilon", "total_violations")
     rows = [(e.eps, e.total_violations) for e in res.entries]
-    return results, verdicts, [], header, rows
+    return RunOutcome(results, verdicts, [], header, rows)
 
 
 def _write_field(cfg: ExperimentConfig, out_dir: Path) -> list:
     """Dump the best-resolved minimizer trajectory for offline plotting."""
     eps = cfg.epsilon_ladder[-1]
-    m = minimizer_hat(cfg.spectral_problem, eps, cfg.quadrature)
+    m = minimizer_hat(cfg.spectral_problem, eps)
     times = cfg.field_times or tuple(np.linspace(0.0, cfg.horizon, 9))
     field = SpectralField.sample(m, cfg.spectral_problem.grid, times)
     _atomic_write(out_dir / FIELD_NAME, field.to_bytes())
@@ -259,12 +283,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> int:
     else:
         outcome = runner(cfg, map)
 
-    if len(outcome) == 3:
-        results, verdicts, failures = outcome
-        header, rows = (), []
-    else:
-        results, verdicts, failures, header, rows = outcome
-
+    verdicts = outcome.verdicts
+    failures = list(outcome.failures)
     for name, ok in verdicts.items():
         if not ok:
             failures.append({"verdict": name, "detail": "verdict failed"})
@@ -278,13 +298,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> int:
         "mode": cfg.mode,
         "problem_id": cfg.problem_id,
         "config": cfg.raw,
-        "results": results,
+        "results": outcome.results,
         "verdicts": verdicts,
         "failures": failures,
         "artifacts": sorted(written),
     }
     _atomic_write(out / REPORT_NAME, _dump_json(report))
-    _atomic_write(out / SUMMARY_NAME, _dump_csv(header, rows))
+    _atomic_write(out / SUMMARY_NAME, _dump_csv(outcome.header, outcome.rows))
 
     if failures:
         log.warning("%d failure(s); see %s", len(failures), out / REPORT_NAME)

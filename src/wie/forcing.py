@@ -11,6 +11,16 @@ Certification asks one question: does exp(-t/eps) times the squared norm
 have a finite half-line integral?  The declared growth envelope answers it
 a priori, and the certificate records the measured weighted norm together
 with a closed-form bound on the part beyond a finite horizon.
+
+Every profile kind also carries the two time integrals the modal solvers
+need, in closed form and vectorized over an array of rates: the Duhamel
+convolution int_0^t exp(lam (t-s)) g(s) ds and the shifted Laplace tail
+int_0^inf exp(-mu u) g(t+u) du.  Both are built from the Kummer function
+
+    K(a, z) = int_0^1 exp(z (1-th)) th^(a-1) dth = sum_j z^j / (a)_(j+1),
+
+whose first two members K(1, .) and K(2, .) are the phi1 and phi2 functions
+of exponential integrators (Hochbruck and Ostermann, Acta Numerica 2010).
 """
 
 from __future__ import annotations
@@ -21,7 +31,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, weighted_halfline
+from .quadrature import (
+    DEFAULT_SPEC,
+    DivergenceError,
+    QuadratureSpec,
+    _exp_guarded,
+    weighted_halfline,
+)
 
 __all__ = [
     "TimeProfile",
@@ -73,6 +89,75 @@ class TimeProfile:
             return float(out)
         return out
 
+    def duhamel(self, lam, t: float) -> np.ndarray:
+        """int_0^t exp(lam*(t-s)) g(s) ds for each rate in lam, in closed form.
+
+        Raises ExponentOverflowError when lam*t, or a growing profile's own
+        exponent, passes the overflow cap.
+        """
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        t = float(t)
+        if t < 0.0:
+            raise ValueError("upper limit must be nonnegative")
+        if t == 0.0:
+            return np.zeros(lam.shape)
+        _exp_guarded(lam.max() * t)  # refuse a growing rate before any closed form runs
+        if self.kind in ("constant", "exponential"):
+            r = self.rate if self.kind == "exponential" else 0.0
+            # (exp(lam t) - exp(r t)) / (lam - r) with the larger exponent factored out
+            top = _exp_guarded(np.maximum(lam, r) * t)
+            return self.amplitude * t * top * _phi(1, -np.abs(lam - r) * t)
+        if self.kind == "power":
+            a = self.degree + 1.0
+            return self.amplitude * t**a * _kummer(a, lam * t)
+        if self.kind == "sampled":
+            knots, g = self._knots(0.0, t)
+            h = np.diff(knots)
+            z = np.multiply.outer(lam, h)
+            # piece [k_i, k_i+1] contributes exp(lam (t - k_i+1)) h (g_a phi1 + (g_b - g_a) phi2)
+            decay = _exp_guarded(np.multiply.outer(lam, t - knots[1:]))
+            pieces = h * (g[:-1] * _phi(1, z) + np.diff(g) * _phi(2, z))
+            return (decay * pieces).sum(axis=1)
+        raise ValueError(f"unknown profile kind {self.kind!r}")
+
+    def shifted_tail(self, mu, t: float, growth_rate: float = 0.0) -> np.ndarray:
+        """int_0^inf exp(-mu*u) g(t+u) du for each rate in mu, in closed form.
+
+        Raises DivergenceError unless every rate exceeds both the declared
+        growth_rate and the profile's own exponential rate.
+        """
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        t = float(t)
+        if t < 0.0:
+            raise ValueError("shift must be nonnegative")
+        own = self.rate if self.kind == "exponential" else 0.0
+        if mu.size and float(mu.min()) <= max(growth_rate, own):
+            raise DivergenceError(
+                f"tail rate {float(mu.min()):.6g} does not dominate the growth rate "
+                f"{max(growth_rate, own):.6g}"
+            )
+        if self.kind in ("constant", "exponential"):
+            return self.amplitude * _exp_guarded(own * t) / (mu - own)
+        if self.kind == "power":
+            return self.amplitude * _power_tail(self.degree, mu, t)
+        if self.kind == "sampled":
+            knots, g = self._knots(t, math.inf)
+            h = np.diff(knots)
+            z = -np.multiply.outer(mu, h)
+            # piece [k_i, k_i+1] contributes exp(-mu (k_i - t)) h (g_b phi1 - (g_b - g_a) phi2)
+            damp = np.exp(-np.multiply.outer(mu, knots[:-1] - t))
+            pieces = h * (g[1:] * _phi(1, z) - np.diff(g) * _phi(2, z))
+            beyond = np.exp(-mu * (knots[-1] - t)) * g[-1] / mu
+            return (damp * pieces).sum(axis=1) + beyond
+        raise ValueError(f"unknown profile kind {self.kind!r}")
+
+    def _knots(self, lo: float, hi: float):
+        """Breakpoints of the clamped interpolant on [lo, hi] (hi may be inf), with values."""
+        ts = np.asarray(self.times)
+        inner = ts[(ts > lo) & (ts < hi)]
+        knots = np.concatenate(([lo], inner, [hi] if math.isfinite(hi) else []))
+        return knots, np.interp(knots, ts, np.asarray(self.values))
+
     def envelope(self):
         """(scale, degree, rate) with |g(t)| <= scale * (1+t)^degree * exp(rate*t)."""
         if self.kind == "constant":
@@ -85,6 +170,140 @@ class TimeProfile:
         if self.kind == "sampled":
             return float(np.max(np.abs(self.values))), 0.0, 0.0
         raise ValueError(f"unknown profile kind {self.kind!r}")
+
+
+# ---- Closed forms behind the kernels ----
+
+_SERIES_RADIUS = 0.5
+_SERIES_TERMS = 17  # the first omitted term is below 1e-19 inside the radius
+_ASYMPTOTIC_FROM = 40.0  # exp(-40) is below the double-precision ulp of the sum
+
+
+def _phi(k: int, z) -> np.ndarray:
+    """phi_k(z) = sum_j z^j/(j+k)! for k = 1, 2.
+
+    A Taylor series inside |z| < 1/2, so nearly equal rates do not cancel,
+    and expm1-based closed forms outside.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty(z.shape)
+    small = np.abs(z) < _SERIES_RADIUS
+    zs = z[small]
+    acc = np.zeros(zs.shape)
+    for j in range(_SERIES_TERMS - 1, -1, -1):
+        acc = acc * zs + 1.0 / math.factorial(j + k)
+    out[small] = acc
+    zl = z[~small]
+    out[~small] = np.expm1(zl) / zl if k == 1 else (np.expm1(zl) - zl) / (zl * zl)
+    return out
+
+
+def _kummer_series(a: float, z: np.ndarray) -> np.ndarray:
+    """sum_j z^j/(a)_(j+1); accurate where |z| <= a + 1, so terms shrink at once."""
+    term = np.full(z.shape, 1.0 / a)
+    total = term.copy()
+    j = 0
+    while np.any(np.abs(term) > 1e-17 * np.abs(total)):
+        j += 1
+        term = term * z / (a + j)
+        total = total + term
+    return total
+
+
+def _gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
+    """Scaled upper incomplete gamma exp(x) x^-a Gamma(a, x) for x > a + 1.
+
+    Legendre's continued fraction, evaluated by the modified Lentz method.
+    """
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = np.full(x.shape, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        d = np.where(np.abs(d) < tiny, tiny, d)
+        c = b + an / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        if np.all(np.abs(delta - 1.0) < 4e-16):
+            break
+    return h
+
+
+def _kummer(a: float, z) -> np.ndarray:
+    """K(a, z) = int_0^1 exp(z (1-th)) th^(a-1) dth for a >= 1 and any real z.
+
+    The series where it converges without cancellation; elsewhere a finite
+    sum for integer a, and for fractional a the incomplete-gamma continued
+    fraction (z > 0), the Kummer-transformed series exp(z) sum_j
+    (-z)^j/(j! (a+j)) (moderate z < 0) or the asymptotic expansion in 1/z.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty(z.shape)
+    series = (z >= -a) & (z <= a + 1.0)
+    out[series] = _kummer_series(a, z[series])
+    rest = ~series
+    if float(a).is_integer():
+        # (a-1)! (exp(z) - sum_{k<a} z^k/k!) / z^a, in powers of w = 1/z
+        n = int(a) - 1
+        zr = z[rest]
+        w = 1.0 / zr
+        acc = np.exp(zr) * w ** (n + 1)
+        for k in range(n + 1):
+            acc = acc - w ** (n + 1 - k) / math.factorial(k)
+        out[rest] = math.factorial(n) * acc
+        return out
+    pos = rest & (z > 0.0)
+    zp = z[pos]
+    out[pos] = np.exp(zp + math.lgamma(a) - a * np.log(zp)) - _gamma_cf(a, zp)
+    far = rest & (z < -(_ASYMPTOTIC_FROM + a))
+    x = -z[far]
+    term = 1.0 / x
+    total = term.copy()
+    k = 0
+    while np.any(np.abs(term) > 1e-17 * np.abs(total)):
+        k += 1
+        term = -term * (a - k) / x
+        total = total + term
+    out[far] = total
+    mid = rest & (z < 0.0) & ~far
+    x = -z[mid]
+    weight = np.exp(-x)  # Poisson weights exp(-x) x^j / j!
+    total = weight / a
+    j = 0
+    while x.size and (j <= x.max() or np.any(weight > 1e-17 * total)):
+        j += 1
+        weight = weight * x / j
+        total = total + weight / (a + j)
+    out[mid] = total
+    return out
+
+
+def _power_tail(degree: float, mu: np.ndarray, t: float) -> np.ndarray:
+    """int_0^inf exp(-mu u) (t+u)^degree du for positive rates mu."""
+    if float(degree).is_integer():
+        # sum_k n!/(n-k)! t^(n-k) / mu^(k+1)
+        n = int(degree)
+        total = np.zeros(mu.shape)
+        coef = 1.0
+        for k in range(n + 1):
+            total = total + coef * t ** (n - k) / mu ** (k + 1)
+            coef *= n - k
+        return total
+    a = degree + 1.0
+    x = mu * t
+    out = np.empty(mu.shape)
+    big = x > a + 1.0
+    out[big] = t**a * _gamma_cf(a, x[big])
+    xs, ms = x[~big], mu[~big]
+    # exp(x) Gamma(a, x) = exp(x) Gamma(a) - x^a K(a, x)
+    out[~big] = (np.exp(xs) * math.gamma(a) - xs**a * _kummer_series(a, xs)) / ms**a
+    return out
 
 
 def constant_profile(amplitude: float = 1.0) -> TimeProfile:

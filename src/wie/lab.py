@@ -311,7 +311,7 @@ def _check_ladder(ladder) -> list:
 
 
 def _ode_study(problem, ladder, horizon, norm, times, spec, map_fn):
-    reference = exact_solution(problem, spec)
+    reference = exact_solution(problem)
     ref_vals = [reference(t) for t in times]
     eigen = eigendecompose(problem.matrix)
     weights = 1.0 + np.abs(eigen.values)
@@ -339,14 +339,14 @@ def _ode_study(problem, ladder, horizon, norm, times, spec, map_fn):
 
 
 def _spectral_study(problem, ladder, horizon, norm, times, spec, map_fn):
-    reference = semigroup_solution(problem, spec)
+    reference = semigroup_solution(problem)
     ref_vals = [reference.value(t) for t in times]
     w = problem.grid.weights
     ell = problem.symbol_values
 
     def member(eps):
         try:
-            m = minimizer_hat(problem, eps, spec)
+            m = minimizer_hat(problem, eps)
             sup = 0.0
             for t, ref in zip(times, ref_vals):
                 diff = m.value(t) - ref

@@ -27,11 +27,10 @@ from .quadrature import (
     DEFAULT_SPEC,
     ENERGY_CEILING,
     QuadratureSpec,
-    convolution_integral,
-    laplace_tail_shifted,
-    weighted_halfline,
+    _exp_guarded,
     _laguerre_rule,
 )
+from .symbols import admissible_discriminant
 
 __all__ = [
     "OdeProblem",
@@ -129,17 +128,8 @@ class RegularizedSpectrum:
 
 
 def regularized_spectrum(values, eps: float) -> RegularizedSpectrum:
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     mu = np.atleast_1d(np.asarray(values, dtype=float))
-    disc = 1.0 + 4.0 * eps * mu
-    if np.any(disc <= 0.0):
-        worst = float(mu.min())
-        raise ValueError(
-            f"eigenvalue {worst:.6g} makes 1 + 4*eps*mu nonpositive at eps={eps:.6g}; "
-            "lower eps below the admissible threshold"
-        )
-    z = np.sqrt(disc)
+    z = np.sqrt(admissible_discriminant(mu, eps))
     slow = -2.0 * mu / (1.0 + z)
     fast = (1.0 + z) / (2.0 * eps)
     return RegularizedSpectrum(eps=eps, disc_sqrt=z, slow=slow, fast=fast)
@@ -176,6 +166,22 @@ class DecoupledForcing:
         out = g @ self.coeffs.T
         return out[0] if t_arr.ndim == 0 else out
 
+    def duhamel(self, lam, t: float) -> np.ndarray:
+        """Per mode, int_0^t exp(lam_i (t-s)) g_i(s) ds; each profile's kernel spans all modes."""
+        out = np.zeros(self.size)
+        if not self.is_zero:
+            for j, p in enumerate(self.profiles):
+                out = out + self.coeffs[:, j] * p.duhamel(lam, t)
+        return out
+
+    def tail(self, mu, t: float, growth_rate: float = 0.0) -> np.ndarray:
+        """Per mode, int_0^inf exp(-mu_i u) g_i(t+u) du, all modes at once."""
+        out = np.zeros(self.size)
+        if not self.is_zero:
+            for j, p in enumerate(self.profiles):
+                out = out + self.coeffs[:, j] * p.shifted_tail(mu, t, growth_rate)
+        return out
+
     def component(self, i: int) -> Callable:
         row = self.coeffs[i]
         profiles = self.profiles
@@ -195,22 +201,14 @@ def decoupled_forcing(
 def selection_initial(
     spectrum: RegularizedSpectrum,
     g: DecoupledForcing,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     growth_rate: float = 0.0,
 ) -> np.ndarray:
     """Fast-branch coefficients at time zero, one tail integral per mode.
 
     growth_rate bounds the amplitude growth of the scaled forcing so the
-    tail quadrature can refuse divergent inputs.
+    tail kernel can refuse divergent inputs.
     """
-    out = np.zeros(spectrum.fast.shape)
-    if g.is_zero:
-        return out
-    for i in range(out.shape[0]):
-        out[i] = laplace_tail_shifted(
-            g.component(i), float(spectrum.fast[i]), 0.0, spec, growth_rate=growth_rate
-        )
-    return out
+    return g.tail(spectrum.fast, 0.0, growth_rate)
 
 
 class SelectedOdeMinimizer:
@@ -230,9 +228,7 @@ class SelectedOdeMinimizer:
         growth = problem.forcing.declared_growth()
         self.growth_rate = growth.rate / 2.0  # envelope was for the squared norm
         self.g = decoupled_forcing(self.eigen, self.spectrum, problem.forcing)
-        self.fast_initial = selection_initial(
-            self.spectrum, self.g, spec, growth_rate=self.growth_rate
-        )
+        self.fast_initial = selection_initial(self.spectrum, self.g, self.growth_rate)
         self.slow_initial = self.eigen.project(problem.initial) - self.fast_initial
         self._modes_cache: dict = {}
 
@@ -242,23 +238,9 @@ class SelectedOdeMinimizer:
         hit = self._modes_cache.get(t)
         if hit is not None:
             return hit
-        n = self.problem.size
-        slow = np.empty(n)
-        fast = np.empty(n)
-        zero_g = self.g.is_zero
-        for i in range(n):
-            lam = float(self.spectrum.slow[i])
-            mu = float(self.spectrum.fast[i])
-            decay = math.exp(lam * t) if lam * t > -745.0 else 0.0
-            slow[i] = decay * self.slow_initial[i]
-            if zero_g:
-                fast[i] = 0.0
-            else:
-                gi = self.g.component(i)
-                slow[i] += convolution_integral(gi, lam, t, self.spec)
-                fast[i] = laplace_tail_shifted(
-                    gi, mu, t, self.spec, growth_rate=self.growth_rate
-                )
+        lam = self.spectrum.slow
+        slow = _exp_guarded(lam * t) * self.slow_initial + self.g.duhamel(lam, t)
+        fast = self.g.tail(self.spectrum.fast, t, self.growth_rate)
         out = (slow, fast)
         self._modes_cache[t] = out
         return out
@@ -289,9 +271,8 @@ def selected_minimizer(
 class ExactOdeSolution:
     """First-order flow y' = -A*y + f(t), y(0) given, via the eigenbasis."""
 
-    def __init__(self, problem: OdeProblem, spec: QuadratureSpec = DEFAULT_SPEC):
+    def __init__(self, problem: OdeProblem):
         self.problem = problem
-        self.spec = spec
         self.eigen = eigendecompose(problem.matrix)
         self.coeff0 = self.eigen.project(problem.initial)
         if problem.forcing.is_zero:
@@ -312,14 +293,8 @@ class ExactOdeSolution:
         with np.errstate(over="raise"):
             c = np.exp(-mu * t) * self.coeff0
         if self._proj is not None:
-            profiles = [p.profile for p in self.problem.forcing.parts]
-            for i in range(c.shape[0]):
-                row = self._proj[i]
-
-                def fi(s, row=row):
-                    return float(sum(a * p(s) for a, p in zip(row, profiles)))
-
-                c[i] += convolution_integral(fi, -float(mu[i]), t, self.spec)
+            for j, part in enumerate(self.problem.forcing.parts):
+                c = c + self._proj[:, j] * part.profile.duhamel(-mu, t)
         self._cache[t] = c
         return c
 
@@ -332,8 +307,8 @@ class ExactOdeSolution:
         return -self.problem.matrix @ y + self.problem.forcing.vector(float(t))
 
 
-def exact_solution(problem: OdeProblem, spec: QuadratureSpec = DEFAULT_SPEC) -> ExactOdeSolution:
-    return ExactOdeSolution(problem, spec)
+def exact_solution(problem: OdeProblem) -> ExactOdeSolution:
+    return ExactOdeSolution(problem)
 
 
 def energy_ode(

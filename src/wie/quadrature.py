@@ -69,6 +69,16 @@ class ExponentOverflowError(QuadratureError):
     """An exponent exceeded the overflow cap; work in log space instead."""
 
 
+def _exp_guarded(exponent) -> np.ndarray:
+    """exp() of an array, refusing exponents past the cap instead of overflowing."""
+    exponent = np.asarray(exponent, dtype=float)
+    if exponent.size and float(exponent.max()) > EXPONENT_CAP:
+        raise ExponentOverflowError(
+            "a mode grows past exp(700) at the requested time; shorten the horizon"
+        )
+    return np.exp(np.maximum(exponent, -745.0))
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Numerical policy for the weighted integrals.

@@ -26,11 +26,10 @@ from .quadrature import (
     ENERGY_CEILING,
     ExponentOverflowError,
     QuadratureSpec,
-    convolution_integral_batch,
-    laplace_tail_shifted_batch,
+    _exp_guarded,
     _laguerre_rule,
 )
-from .symbols import MultiplierSymbol
+from .symbols import MultiplierSymbol, admissible_discriminant
 
 __all__ = [
     "FrequencyGrid",
@@ -259,16 +258,8 @@ def root_data(
     lower_bound: Optional[float] = None,
     check: bool = True,
 ) -> RootData:
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    disc = admissible_discriminant(symbol_values, eps)
     ell = np.atleast_1d(np.asarray(symbol_values, dtype=float))
-    disc = 1.0 + 4.0 * eps * ell
-    bad = int(np.count_nonzero(disc <= 0.5))
-    if bad:
-        raise ValueError(
-            f"{bad} node(s) have 1 + 4*eps*symbol <= 1/2 at eps={eps:.6g}; "
-            "the root estimates fail there, lower eps"
-        )
     if lower_bound is None:
         lower_bound = min(0.0, float(ell.min()))
     elif lower_bound > 0.0:
@@ -299,20 +290,11 @@ def inequality_report(rd: RootData, tol: float = 1e-9) -> dict:
 # ---- Evolution and selection ----
 
 
-def _exp_guarded(exponent: np.ndarray) -> np.ndarray:
-    if exponent.size and float(exponent.max()) > 700.0:
-        raise ExponentOverflowError(
-            "a mode grows past exp(700) at the requested time; shorten the horizon"
-        )
-    return np.exp(np.maximum(exponent, -745.0))
-
-
 class SemigroupSolution:
     """First-order flow u_hat' = -symbol * u_hat + f_hat on the grid."""
 
-    def __init__(self, problem: SpectralProblem, spec: QuadratureSpec = DEFAULT_SPEC):
+    def __init__(self, problem: SpectralProblem):
         self.problem = problem
-        self.spec = spec
         self._cache: dict = {}
 
     def value(self, t: float) -> np.ndarray:
@@ -324,9 +306,7 @@ class SemigroupSolution:
         out = _exp_guarded(-p.symbol_values * t) * p.initial_hat
         if t > 0.0:
             for profile, H in p.forcing_parts:
-                out = out + H * convolution_integral_batch(
-                    profile, -p.symbol_values, t, self.spec
-                )
+                out = out + H * profile.duhamel(-p.symbol_values, t)
         self._cache[t] = out
         return out
 
@@ -337,8 +317,8 @@ class SemigroupSolution:
     __call__ = value
 
 
-def semigroup_solution(problem: SpectralProblem, spec: QuadratureSpec = DEFAULT_SPEC):
-    return SemigroupSolution(problem, spec)
+def semigroup_solution(problem: SpectralProblem):
+    return SemigroupSolution(problem)
 
 
 class SelectedSpectralMinimizer:
@@ -356,12 +336,11 @@ class SelectedSpectralMinimizer:
         self,
         problem: SpectralProblem,
         eps: float,
-        spec: QuadratureSpec = DEFAULT_SPEC,
+        *,
         lower_bound: Optional[float] = None,
     ):
         self.problem = problem
         self.eps = float(eps)
-        self.spec = spec
         self.roots = root_data(problem.symbol_values, eps, lower_bound=lower_bound)
         self.growth_rate = problem.amplitude_growth_rate
         tail0 = self._tail(0.0)
@@ -372,9 +351,7 @@ class SelectedSpectralMinimizer:
         p = self.problem
         out = np.zeros(p.grid.nodes.shape, dtype=complex)
         for profile, H in p.forcing_parts:
-            out = out + H * laplace_tail_shifted_batch(
-                profile, self.roots.fast, t, self.spec, growth_rate=self.growth_rate
-            )
+            out = out + H * profile.shifted_tail(self.roots.fast, t, self.growth_rate)
         return out / self.roots.disc_sqrt
 
     def _parts(self, t: float):
@@ -387,9 +364,7 @@ class SelectedSpectralMinimizer:
         conv = np.zeros(p.grid.nodes.shape, dtype=complex)
         if t > 0.0:
             for profile, H in p.forcing_parts:
-                conv = conv + H * convolution_integral_batch(
-                    profile, self.roots.slow, t, self.spec
-                )
+                conv = conv + H * profile.duhamel(self.roots.slow, t)
             conv = conv / self.roots.disc_sqrt
         out = (decayed, conv, self._tail(t))
         self._cache[t] = out
@@ -410,10 +385,10 @@ class SelectedSpectralMinimizer:
 def minimizer_hat(
     problem: SpectralProblem,
     eps: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    *,
     lower_bound: Optional[float] = None,
 ) -> SelectedSpectralMinimizer:
-    return SelectedSpectralMinimizer(problem, eps, spec, lower_bound=lower_bound)
+    return SelectedSpectralMinimizer(problem, eps, lower_bound=lower_bound)
 
 
 # ---- Norms, energies, bounds ----

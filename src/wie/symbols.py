@@ -27,6 +27,8 @@ __all__ = [
     "from_table",
     "build_symbol",
     "EpsilonPolicy",
+    "AdmissibilityError",
+    "admissible_discriminant",
     "audit_lower_bound",
 ]
 
@@ -190,6 +192,31 @@ class EpsilonPolicy:
 
     def threshold_for(self, symbol: MultiplierSymbol, grid) -> float:
         return self.epsilon_threshold(self.lower_bound(symbol, grid))
+
+
+class AdmissibilityError(ValueError):
+    """eps is too large for the symbol values or eigenvalues it meets."""
+
+
+def admissible_discriminant(values, eps: float) -> np.ndarray:
+    """1 + 4*eps*value per symbol value or eigenvalue, checked against one rule.
+
+    Every solver refuses a value whose discriminant is at most one half:
+    that is exactly where the root estimates start to fail.  The error
+    names the lowest offending value.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    vals = np.atleast_1d(np.asarray(values, dtype=float))
+    disc = 1.0 + 4.0 * eps * vals
+    bad = int(np.count_nonzero(disc <= 0.5))
+    if bad:
+        raise AdmissibilityError(
+            f"{bad} node(s) or eigenvalue(s) have 1 + 4*eps*symbol <= 1/2 at eps={eps:.6g}, "
+            f"the lowest value being {float(vals.min()):.6g}; the root estimates fail there, "
+            "lower eps"
+        )
+    return disc
 
 
 def audit_lower_bound(symbol: MultiplierSymbol, grid, bound: float):

@@ -1,6 +1,7 @@
 """Config validation and the command-line front end, run in-process."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,9 @@ def _spectral_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -195,6 +199,41 @@ class TestCliRun:
         entries = report["results"]["study"]["entries"]
         assert entries[0]["failure"] is not None
         assert entries[1]["failure"] is None
+
+    @pytest.mark.parametrize(
+        "case, code", [("certification_failure", 1), ("bound_audit_pass", 0)]
+    )
+    def test_report_bytes_match_golden(self, tmp_path, case, code):
+        # every runner returns one result type; the bytes it writes are pinned
+        golden = GOLDEN / case
+        out = tmp_path / "out"
+        assert cli.main(["run", str(golden / "config.json"), "--out-dir", str(out)]) == code
+        for name in ("report.json", "summary.csv"):
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_inadmissible_eps_refused_by_policy(self, tmp_path):
+        # A=[[-1]] at eps=0.15 has 1 + 4*eps*mu = 0.4: refused before any solve
+        cfg = _write(tmp_path, _ode_config(matrix=[["-1.0"]], initial=["1.0"], epsilon_ladder=["0.15"]))
+        assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+
+    def test_boundary_eps_refused_by_branch_solver(self, tmp_path):
+        # the policy cap admits 1 + 4*eps*mu = 1/2 exactly; the solver's rule refuses it
+        raw = {
+            "schema_version": 1,
+            "mode": "branch-divergence",
+            "matrix": [["-2.0"]],
+            "initial": ["1.0"],
+            "epsilon": "6.25e-2",
+            "delta": "1e-6",
+            "horizons": ["1.0", "2.0"],
+        }
+        cfg = _write(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out-dir", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        (failure,) = report["failures"]
+        assert failure["verdict"] == "admissibility violated"
+        assert "-2" in failure["detail"]
 
     def test_spectral_field_artifacts(self, tmp_path):
         raw = _spectral_config(

@@ -20,6 +20,7 @@ from wie.ode import (
     selection_initial,
     viscous_residual,
 )
+from wie.spectral import root_data
 
 
 def _problem(matrix, initial, forcing=None):
@@ -66,6 +67,15 @@ class TestRegularizedSpectrum:
     def test_inadmissible_eps_named(self):
         with pytest.raises(ValueError, match="-3"):
             regularized_spectrum(-3.0, 0.1)
+
+    def test_same_admissibility_rule_as_spectral_roots(self):
+        # A=[[-1]] at eps=0.15: 1 + 4*eps*mu = 0.4 lies in (0, 1/2], refused by both paths
+        with pytest.raises(ValueError, match="-1"):
+            regularized_spectrum(-1.0, 0.15)
+        with pytest.raises(ValueError, match="-1"):
+            root_data(np.array([-1.0]), 0.15)
+        with pytest.raises(ValueError, match="-1"):
+            selected_minimizer(_problem([[-1.0]], [1.0]), 0.15)
 
     @given(mu=st.floats(-2.0, 60.0), eps=st.floats(1e-5, 0.12))
     @settings(deadline=None, max_examples=120)

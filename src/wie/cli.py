@@ -27,6 +27,7 @@ from .config import SCHEMA, ConfigError, ExperimentConfig, parse_config
 from .forcing import TransformabilityError, certify_transformable
 from .lab import bound_audit, branch_divergence, convergence_study, lemma_tech_profile
 from .ode import eigendecompose, regularized_spectrum
+from .quadrature import QuadratureFailure
 from .spectral import SpectralField, minimizer_hat
 from .symbols import AdmissibilityError
 
@@ -227,6 +228,11 @@ def _run_branch(cfg: ExperimentConfig, map_fn):
     except AdmissibilityError as exc:
         failures.append(
             {"verdict": "admissibility violated", "epsilon": cfg.epsilon, "detail": str(exc)}
+        )
+        return RunOutcome(results, verdicts, failures)
+    except QuadratureFailure as exc:
+        failures.append(
+            {"verdict": "quadrature contract missed", "epsilon": cfg.epsilon, "detail": str(exc)}
         )
         return RunOutcome(results, verdicts, failures)
     mu = float(eigendecompose(problem.matrix).values[cfg.direction])

@@ -51,7 +51,6 @@ __all__ = [
     "TransformabilityError",
     "TransformabilityCertificate",
     "certify_transformable",
-    "forcing_hat",
 ]
 
 
@@ -527,10 +526,6 @@ class ForcingTerm:
         elif degree > 0.0:
             kind = "polynomial"
         return GrowthClass(kind, degree=2.0 * degree, rate=2.0 * rate, scale=float(scale_amp) ** 2)
-
-
-def forcing_hat(forcing: ForcingTerm, t, xi):
-    return forcing.hat(t, xi)
 
 
 # ---- Certification ----

@@ -215,8 +215,8 @@ class SelectedOdeMinimizer:
     """The unique finite-energy trajectory of the second-order system.
 
     Callable at any t >= 0; derivative() is analytic, not a difference
-    quotient.  Values are memoized per time so energy quadratures and
-    pointwise comparisons share evaluations.
+    quotient.  Every call evaluates afresh, and state(t) gives value and
+    derivative from one evaluation of the modes.
     """
 
     def __init__(self, problem: OdeProblem, eps: float, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -230,35 +230,33 @@ class SelectedOdeMinimizer:
         self.g = decoupled_forcing(self.eigen, self.spectrum, problem.forcing)
         self.fast_initial = selection_initial(self.spectrum, self.g, self.growth_rate)
         self.slow_initial = self.eigen.project(problem.initial) - self.fast_initial
-        self._modes_cache: dict = {}
 
     def _modes(self, t: float):
-        """Slow and fast coefficient vectors at time t, cached."""
+        """Slow and fast coefficient vectors at time t."""
         t = float(t)
-        hit = self._modes_cache.get(t)
-        if hit is not None:
-            return hit
         lam = self.spectrum.slow
         slow = _exp_guarded(lam * t) * self.slow_initial + self.g.duhamel(lam, t)
         fast = self.g.tail(self.spectrum.fast, t, self.growth_rate)
-        out = (slow, fast)
-        self._modes_cache[t] = out
-        return out
+        return slow, fast
 
     def __call__(self, t: float) -> np.ndarray:
         slow, fast = self._modes(t)
         return self.eigen.reconstruct(slow + fast)
 
-    def derivative(self, t: float) -> np.ndarray:
+    def state(self, t: float):
+        """(value, derivative) at t from one evaluation of the modes."""
         slow, fast = self._modes(t)
         gt = self.g(float(t))
         d = self.spectrum.slow * slow + gt + self.spectrum.fast * fast - gt
-        return self.eigen.reconstruct(d)
+        return self.eigen.reconstruct(slow + fast), self.eigen.reconstruct(d)
+
+    def derivative(self, t: float) -> np.ndarray:
+        return self.state(t)[1]
 
     def energy(self, ceiling: float = ENERGY_CEILING):
         return energy_ode(
-            self, self.derivative, self.problem.matrix, self.problem.forcing,
-            self.eps, self.spec, ceiling=ceiling,
+            self.state, self.problem.matrix, self.problem.forcing, self.eps, self.spec,
+            ceiling=ceiling,
         )
 
 
@@ -282,29 +280,27 @@ class ExactOdeSolution:
                 [np.asarray(p.space_vec, dtype=float) for p in problem.forcing.parts], axis=1
             )
             self._proj = self.eigen.vectors.T @ V
-        self._cache: dict = {}
 
     def _coeffs(self, t: float) -> np.ndarray:
         t = float(t)
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
         mu = self.eigen.values
         with np.errstate(over="raise"):
             c = np.exp(-mu * t) * self.coeff0
         if self._proj is not None:
             for j, part in enumerate(self.problem.forcing.parts):
                 c = c + self._proj[:, j] * part.profile.duhamel(-mu, t)
-        self._cache[t] = c
         return c
 
     def __call__(self, t: float) -> np.ndarray:
         return self.eigen.reconstruct(self._coeffs(t))
 
-    def derivative(self, t: float) -> np.ndarray:
-        # the flow satisfies its own equation exactly
+    def state(self, t: float):
+        """(value, derivative) at t; the flow satisfies its own equation exactly."""
         y = self(t)
-        return -self.problem.matrix @ y + self.problem.forcing.vector(float(t))
+        return y, -self.problem.matrix @ y + self.problem.forcing.vector(float(t))
+
+    def derivative(self, t: float) -> np.ndarray:
+        return self.state(t)[1]
 
 
 def exact_solution(problem: OdeProblem) -> ExactOdeSolution:
@@ -312,8 +308,7 @@ def exact_solution(problem: OdeProblem) -> ExactOdeSolution:
 
 
 def energy_ode(
-    y: Callable,
-    dy: Callable,
+    state: Callable,
     matrix,
     forcing: ForcingTerm,
     eps: float,
@@ -323,17 +318,17 @@ def energy_ode(
     """Weighted action of an arbitrary trajectory.
 
     integral exp(-t/eps) [ (eps/2)|y'|^2 + (1/2) y.Ay - f.y ] dt, sampled at
-    the substituted Gauss-Laguerre nodes.  Returns (value, crossed_at);
-    when the weighted integrand blows past `ceiling` the value is +inf and
-    crossed_at is the first offending time.
+    the substituted Gauss-Laguerre nodes, where state(t) gives the pair
+    (y(t), y'(t)).  Returns (value, crossed_at); when the weighted integrand
+    blows past `ceiling` the value is +inf and crossed_at is the first
+    offending time.
     """
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     tau, w = _laguerre_rule(spec.nodes)
     vals = np.empty(tau.shape)
     for k, tk in enumerate(tau):
         t = eps * float(tk)
-        yv = np.asarray(y(t), dtype=float)
-        dv = np.asarray(dy(t), dtype=float)
+        yv, dv = (np.asarray(v, dtype=float) for v in state(t))
         quad = 0.5 * eps * float(dv @ dv) + 0.5 * float(yv @ (A @ yv))
         if not forcing.is_zero:
             quad -= float(np.dot(forcing.vector(t), yv))

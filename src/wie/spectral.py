@@ -291,28 +291,31 @@ def inequality_report(rd: RootData, tol: float = 1e-9) -> dict:
 
 
 class SemigroupSolution:
-    """First-order flow u_hat' = -symbol * u_hat + f_hat on the grid."""
+    """First-order flow u_hat' = -symbol * u_hat + f_hat on the grid.
+
+    Every call evaluates afresh; nothing is kept per time.
+    """
 
     def __init__(self, problem: SpectralProblem):
         self.problem = problem
-        self._cache: dict = {}
 
     def value(self, t: float) -> np.ndarray:
         t = float(t)
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
         p = self.problem
         out = _exp_guarded(-p.symbol_values * t) * p.initial_hat
         if t > 0.0:
             for profile, H in p.forcing_parts:
                 out = out + H * profile.duhamel(-p.symbol_values, t)
-        self._cache[t] = out
         return out
 
-    def derivative(self, t: float) -> np.ndarray:
+    def state(self, t: float):
+        """(value, derivative) at t from one evaluation of the flow."""
         p = self.problem
-        return -p.symbol_values * self.value(t) + p.forcing_values(t)
+        u = self.value(t)
+        return u, -p.symbol_values * u + p.forcing_values(t)
+
+    def derivative(self, t: float) -> np.ndarray:
+        return self.state(t)[1]
 
     __call__ = value
 
@@ -327,9 +330,9 @@ class SelectedSpectralMinimizer:
     The initial tame-branch coefficient absorbs a forcing tail; the
     trajectory is that coefficient flowing on the tame branch, plus a
     causal convolution and an anticausal tail, both scaled by the
-    discriminant root.  At t = 0 the tail computations coincide with the
-    ones used for the initial correction, so value(0) reproduces the
-    initial data bit for bit.
+    discriminant root.  Every call evaluates afresh; only the tail at
+    t = 0 is kept, so value(0) reuses the very numbers of the initial
+    correction.
     """
 
     def __init__(
@@ -343,41 +346,43 @@ class SelectedSpectralMinimizer:
         self.eps = float(eps)
         self.roots = root_data(problem.symbol_values, eps, lower_bound=lower_bound)
         self.growth_rate = problem.amplitude_growth_rate
-        tail0 = self._tail(0.0)
-        self.slow_initial = problem.initial_hat - tail0
-        self._cache: dict = {0.0: (self.slow_initial, np.zeros_like(tail0), tail0)}
+        self.tail0 = self._tail(0.0)
+        self.slow_initial = problem.initial_hat - self.tail0
 
-    def _tail(self, t: float) -> np.ndarray:
+    def _forced(self, kernel: Callable) -> np.ndarray:
+        """sum of H * kernel(profile) over the forcing parts, over the discriminant root."""
         p = self.problem
         out = np.zeros(p.grid.nodes.shape, dtype=complex)
+        if not p.forcing_parts:
+            return out
         for profile, H in p.forcing_parts:
-            out = out + H * profile.shifted_tail(self.roots.fast, t, self.growth_rate)
+            out = out + H * kernel(profile)
         return out / self.roots.disc_sqrt
+
+    def _tail(self, t: float) -> np.ndarray:
+        return self._forced(lambda g: g.shifted_tail(self.roots.fast, t, self.growth_rate))
 
     def _parts(self, t: float):
         t = float(t)
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        p = self.problem
+        if t == 0.0:
+            return self.slow_initial, np.zeros_like(self.tail0), self.tail0
         decayed = _exp_guarded(self.roots.slow * t) * self.slow_initial
-        conv = np.zeros(p.grid.nodes.shape, dtype=complex)
-        if t > 0.0:
-            for profile, H in p.forcing_parts:
-                conv = conv + H * profile.duhamel(self.roots.slow, t)
-            conv = conv / self.roots.disc_sqrt
-        out = (decayed, conv, self._tail(t))
-        self._cache[t] = out
-        return out
+        conv = self._forced(lambda g: g.duhamel(self.roots.slow, t))
+        return decayed, conv, self._tail(t)
 
     def value(self, t: float) -> np.ndarray:
         decayed, conv, tail = self._parts(t)
         return decayed + conv + tail
 
-    def derivative(self, t: float) -> np.ndarray:
-        # boundary terms of the two time integrals cancel each other
+    def state(self, t: float):
+        """(value, derivative) at t from one evaluation of the three parts."""
         decayed, conv, tail = self._parts(t)
-        return self.roots.slow * (decayed + conv) + self.roots.fast * tail
+        slow = decayed + conv
+        # boundary terms of the two time integrals cancel each other
+        return slow + tail, self.roots.slow * slow + self.roots.fast * tail
+
+    def derivative(self, t: float) -> np.ndarray:
+        return self.state(t)[1]
 
     __call__ = value
 
@@ -407,8 +412,7 @@ def vl_norm(u_hat, weights, symbol_values) -> float:
 
 
 def energy_spectral(
-    value_fn: Callable,
-    deriv_fn: Callable,
+    state: Callable,
     problem: SpectralProblem,
     eps: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
@@ -417,8 +421,9 @@ def energy_spectral(
     """Weighted action evaluated with frequency-side norms.
 
     integral exp(-t/eps) [ (eps/2)||u'||^2 + (1/2)<symbol u, u> - Re<f, u> ]
-    over the half line, at the substituted Gauss-Laguerre nodes.  Returns
-    (value, crossed_at) like the finite-dimensional energy.
+    over the half line, at the substituted Gauss-Laguerre nodes.  state(t)
+    gives the trajectory and its derivative as one (value, derivative)
+    pair.  Returns (value, crossed_at) like the finite-dimensional energy.
     """
     w = problem.grid.weights
     ell = problem.symbol_values
@@ -426,8 +431,7 @@ def energy_spectral(
     vals = np.empty(tau.shape)
     for k, tk in enumerate(tau):
         t = eps * float(tk)
-        u = np.asarray(value_fn(t))
-        du = np.asarray(deriv_fn(t))
+        u, du = (np.asarray(v) for v in state(t))
         f = problem.forcing_values(t)
         quad = (
             0.5 * eps * float(np.sum(w * np.abs(du) ** 2))
@@ -441,8 +445,7 @@ def energy_spectral(
 
 
 def energy_physical(
-    value_fn: Callable,
-    deriv_fn: Callable,
+    state: Callable,
     problem: SpectralProblem,
     eps: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
@@ -464,9 +467,9 @@ def energy_physical(
     vals = np.empty(tau.shape)
     for k, tk in enumerate(tau):
         t = eps * float(tk)
-        u_hat = np.asarray(value_fn(t))
+        u_hat, du_hat = (np.asarray(v) for v in state(t))
         u = grid.to_physical(u_hat)
-        du = grid.to_physical(np.asarray(deriv_fn(t)))
+        du = grid.to_physical(du_hat)
         gen_u = grid.to_physical(ell * u_hat)
         f_phys = grid.to_physical(problem.forcing_values(t))
         quad = (

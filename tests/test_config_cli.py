@@ -203,7 +203,13 @@ class TestCliRun:
         assert entries[1]["failure"] is None
 
     @pytest.mark.parametrize(
-        "case, code", [("certification_failure", 1), ("bound_audit_pass", 0)]
+        "case, code",
+        [
+            ("certification_failure", 1),
+            ("bound_audit_pass", 0),
+            ("spectral_forced_small", 0),
+            ("ode_forced_small", 0),
+        ],
     )
     def test_report_bytes_match_golden(self, tmp_path, case, code):
         # every runner returns one result type; the bytes it writes are pinned
@@ -236,6 +242,54 @@ class TestCliRun:
         (failure,) = report["failures"]
         assert failure["verdict"] == "admissibility violated"
         assert "-2" in failure["detail"]
+
+    @pytest.mark.parametrize(
+        "quadrature, detail",
+        [
+            ({"max_panels": 8}, "exhausted its panel budget"),
+            ({"abs_tol": "1e-30", "rel_tol": "1e-20"}, "misses the contract"),
+        ],
+        ids=["panel-budget", "tight-contract"],
+    )
+    def test_branch_energy_missing_its_contract_is_a_failure_entry(
+        self, tmp_path, quadrature, detail
+    ):
+        raw = {
+            "schema_version": 1,
+            "mode": "branch-divergence",
+            "matrix": [["2.0", "1.0"], ["1.0", "2.0"]],
+            "initial": ["1.0", "-0.5"],
+            "epsilon": "0.1",
+            "delta": "1e-6",
+            "horizons": ["1.0", "2.0", "3.0"],
+            "quadrature": quadrature,
+        }
+        cfg = _write(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out-dir", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        (failure,) = report["failures"]
+        assert failure["verdict"] == "quadrature contract missed"
+        assert failure["epsilon"] == 0.1
+        assert failure["detail"].startswith("branch divergence at eps=0.1, T=")
+        assert detail in failure["detail"]
+        assert "branch" not in report["results"]
+
+    def test_branch_energies_meet_the_contract_by_default(self, tmp_path):
+        raw = {
+            "schema_version": 1,
+            "mode": "branch-divergence",
+            "matrix": [["2.0", "1.0"], ["1.0", "2.0"]],
+            "initial": ["1.0", "-0.5"],
+            "epsilon": "0.1",
+            "delta": "0.0",
+            "horizons": ["1.0", "3.0", "5.0"],
+        }
+        out = tmp_path / "out"
+        assert cli.main(["run", _write(tmp_path, raw), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == []
+        assert len(report["results"]["branch"]["numeric_energies"]) == 3
 
     @pytest.mark.parametrize("degree, code", [("-0.5", 0), ("-0.9", 1)])
     def test_lemma_rung_missing_its_contract_is_a_failure_entry(self, tmp_path, degree, code):

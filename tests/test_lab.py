@@ -19,7 +19,7 @@ from wie.lab import (
     lemma_tech_profile,
 )
 from wie.ode import OdeProblem
-from wie.quadrature import DEFAULT_SPEC
+from wie.quadrature import DEFAULT_SPEC, QuadratureFailure, QuadratureSpec
 
 
 def _scalar_problem(a, y0=1.0, forcing=None):
@@ -104,6 +104,31 @@ class TestBranchDivergence:
         e3, e4, e5 = result.numeric_energies
         assert e4 == pytest.approx(e3, rel=1e-8)
         assert e5 == pytest.approx(e4, rel=1e-8)
+
+    def test_zero_push_meets_contract_against_closed_form(self):
+        # unforced, delta = 0: |y|^2 = sum c_i^2 exp(2 lam_i t), integrated exactly
+        eps = 0.1
+        prob = OdeProblem(
+            matrix=np.array([[2.0, 1.0], [1.0, 2.0]]),
+            initial=np.array([1.0, -0.5]),
+            forcing=ForcingTerm.zero(),
+        )
+        mu = np.array([1.0, 3.0])
+        lam = -2.0 * mu / (1.0 + np.sqrt(1.0 + 4.0 * eps * mu))
+        c_sq = np.array([1.5**2 / 2.0, 0.5**2 / 2.0])
+        rate = 1.0 / eps - 2.0 * lam
+        result = branch_divergence(prob, eps, 0.0, [1.0, 3.0, 5.0])
+        for T, numeric in zip(result.horizons, result.numeric_energies):
+            exact = float(np.sum(c_sq * -np.expm1(-rate * T) / rate))
+            assert abs(numeric - exact) <= DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * exact
+
+    def test_missed_contract_raises_naming_eps_and_horizon(self):
+        prob = _scalar_problem(1.0)
+        tight = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-20)
+        with pytest.raises(QuadratureFailure, match=r"eps=0\.1, T=1: error estimate"):
+            branch_divergence(prob, 0.1, 1e-6, [1.0, 2.0], spec=tight)
+        with pytest.raises(QuadratureFailure, match=r"eps=0\.1, T=2: .*panel budget"):
+            branch_divergence(prob, 0.1, 1e-6, [1.0, 2.0], spec=QuadratureSpec(max_panels=8))
 
     def test_overflow_horizon_falls_back_to_closed_form(self):
         prob = _scalar_problem(1.0)

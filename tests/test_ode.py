@@ -11,6 +11,7 @@ from oracles import random_symmetric
 from wie.forcing import ForcingTerm, constant_profile, exponential_profile
 from wie.ode import (
     OdeProblem,
+    SelectedOdeMinimizer,
     decoupled_forcing,
     eigendecompose,
     energy_ode,
@@ -20,6 +21,7 @@ from wie.ode import (
     selection_initial,
     viscous_residual,
 )
+from wie.quadrature import DEFAULT_SPEC
 from wie.spectral import root_data
 
 
@@ -175,8 +177,33 @@ class TestSelectedMinimizer:
         m = selected_minimizer(prob, eps)
         e_min, _ = m.energy()
         flow = exact_solution(prob)
-        e_flow, _ = energy_ode(flow, flow.derivative, A, prob.forcing, eps)
+        e_flow, _ = energy_ode(flow.state, A, prob.forcing, eps)
         assert e_min <= e_flow + 1e-12
+
+    def test_one_evaluation_per_energy_node(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        A = random_symmetric(rng, 3)
+        forcing = ForcingTerm.from_vectors([(exponential_profile(1.0, -0.3), (0.5, 1.0, -1.0))])
+        m = selected_minimizer(_problem(A, rng.uniform(-1.0, 1.0, 3), forcing), 0.1)
+        times = []
+        modes = SelectedOdeMinimizer._modes
+        monkeypatch.setattr(
+            SelectedOdeMinimizer, "_modes", lambda self, t: times.append(t) or modes(self, t)
+        )
+        value, crossed = m.energy()
+        assert crossed is None and math.isfinite(value)
+        assert len(times) == len(set(times)) == DEFAULT_SPEC.nodes
+
+    def test_state_pairs_value_and_derivative(self):
+        rng = np.random.default_rng(31)
+        A = random_symmetric(rng, 3)
+        forcing = ForcingTerm.from_vectors([(exponential_profile(0.7, -1.2), (0.0, 1.0, 0.5))])
+        prob = _problem(A, rng.uniform(-1.0, 1.0, 3), forcing)
+        for y in (selected_minimizer(prob, 0.05), exact_solution(prob)):
+            for t in (0.0, 0.3, 1.1):
+                value, deriv = y.state(t)
+                np.testing.assert_array_equal(value, y(t))
+                np.testing.assert_array_equal(deriv, y.derivative(t))
 
 
 class TestExactSolution:
@@ -215,8 +242,7 @@ class TestEnergy:
         # int exp(-t/eps) (eps/2 + 1/2) exp(-2t) dt
         eps = 0.2
         val, crossed = energy_ode(
-            lambda t: np.array([math.exp(-t)]),
-            lambda t: np.array([-math.exp(-t)]),
+            lambda t: (np.array([math.exp(-t)]), np.array([-math.exp(-t)])),
             np.array([[1.0]]),
             ForcingTerm.zero(1),
             eps,
@@ -227,8 +253,7 @@ class TestEnergy:
 
     def test_divergent_path_reports_crossing(self):
         val, crossed = energy_ode(
-            lambda t: np.array([math.exp(30.0 * t)]),
-            lambda t: np.array([30.0 * math.exp(30.0 * t)]),
+            lambda t: (np.array([math.exp(30.0 * t)]), np.array([30.0 * math.exp(30.0 * t)])),
             np.array([[1.0]]),
             ForcingTerm.zero(1),
             0.5,

@@ -1,6 +1,7 @@
 """Frequency-side machinery: grids, roots with their estimate bundle, flows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from wie import symbols
 from wie.forcing import ForcingTerm, constant_profile, exponential_profile
-from wie.quadrature import ExponentOverflowError
+from wie.lab import convergence_study
+from wie.quadrature import DEFAULT_SPEC, ExponentOverflowError
 from wie.spectral import (
     FrequencyGrid,
+    SelectedSpectralMinimizer,
     SpectralField,
     SpectralProblem,
     apriori_bound,
@@ -245,8 +248,8 @@ class TestSelectedMinimizer:
         for eps in (0.1, 0.02):
             m = minimizer_hat(prob, eps)
             flow = semigroup_solution(prob)
-            j_min, crossed = energy_spectral(m.value, m.derivative, prob, eps)
-            j_flow, _ = energy_spectral(flow.value, flow.derivative, prob, eps)
+            j_min, crossed = energy_spectral(m.state, prob, eps)
+            j_flow, _ = energy_spectral(flow.state, prob, eps)
             assert crossed is None
             assert j_min <= j_flow + 1e-12
 
@@ -266,6 +269,49 @@ class TestSelectedMinimizer:
         assert gap(0.01) < 0.2 * gap(0.1)
 
 
+class TestStreaming:
+    def test_study_memory_stays_flat_in_times_and_rungs(self):
+        # nothing per time or per rung stays alive: a 4-rung study over 201
+        # times peaks below 64 complex arrays of the grid's length
+        n = 1 << 14
+        prob = _gaussian_problem(_grid(n=n, dx=0.125), symbol=symbols.fractional(0.5))
+        tracemalloc.start()
+        try:
+            report = convergence_study(prob, [1e-1, 1e-2, 1e-3, 1e-4], 1.0, time_points=201)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verdicts["all_members_completed"]
+        assert peak < 64 * 16 * n
+
+    @pytest.mark.parametrize("energy", [energy_spectral, energy_physical])
+    def test_one_evaluation_per_energy_node(self, energy, monkeypatch):
+        forcing = ForcingTerm.from_multipliers(
+            [(exponential_profile(0.5, -1.0), lambda xi: np.exp(-0.5 * xi**2))]
+        )
+        prob = _gaussian_problem(_grid(), forcing=forcing)
+        m = minimizer_hat(prob, 0.1)
+        times = []
+        parts = SelectedSpectralMinimizer._parts
+        monkeypatch.setattr(
+            SelectedSpectralMinimizer, "_parts", lambda self, t: times.append(t) or parts(self, t)
+        )
+        value, crossed = energy(m.state, prob, 0.1)
+        assert crossed is None and math.isfinite(value)
+        assert len(times) == len(set(times)) == DEFAULT_SPEC.nodes
+
+    def test_state_pairs_value_and_derivative(self):
+        forcing = ForcingTerm.from_multipliers(
+            [(exponential_profile(0.5, -1.0), lambda xi: np.exp(-0.5 * xi**2))]
+        )
+        prob = _gaussian_problem(_grid(), forcing=forcing)
+        for y in (minimizer_hat(prob, 0.1), semigroup_solution(prob)):
+            for t in (0.0, 0.3, 1.1):
+                value, deriv = y.state(t)
+                np.testing.assert_array_equal(value, y.value(t))
+                np.testing.assert_array_equal(deriv, y.derivative(t))
+
+
 class TestNormsAndBounds:
     def test_norm_literals(self):
         # 1*(1+0)*1 + 1*(1+1)*1 + 1*(1+4)*0.25 = 4.25
@@ -281,8 +327,8 @@ class TestNormsAndBounds:
         prob = _gaussian_problem(g, forcing=fc)
         eps = 0.05
         m = minimizer_hat(prob, eps)
-        j_spec, _ = energy_spectral(m.value, m.derivative, prob, eps)
-        j_phys, _ = energy_physical(m.value, m.derivative, prob, eps)
+        j_spec, _ = energy_spectral(m.state, prob, eps)
+        j_phys, _ = energy_physical(m.state, prob, eps)
         assert j_phys == pytest.approx(j_spec, rel=1e-10)
 
     def test_apriori_bound_values(self):

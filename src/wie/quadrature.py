@@ -70,13 +70,18 @@ class ExponentOverflowError(QuadratureError):
 
 
 def _exp_guarded(exponent) -> np.ndarray:
-    """exp() of an array, refusing exponents past the cap instead of overflowing."""
+    """exp() of an array, refusing exponents past the cap instead of overflowing.
+
+    The argument is consumed: a float array is clamped and exponentiated in
+    place and returned, so callers pass a temporary they no longer need.
+    """
     exponent = np.asarray(exponent, dtype=float)
     if exponent.size and float(exponent.max()) > EXPONENT_CAP:
         raise ExponentOverflowError(
             "a mode grows past exp(700) at the requested time; shorten the horizon"
         )
-    return np.exp(np.maximum(exponent, -745.0))
+    np.maximum(exponent, -745.0, out=exponent)
+    return np.exp(exponent, out=exponent)
 
 
 @dataclass(frozen=True)

@@ -293,7 +293,8 @@ def inequality_report(rd: RootData, tol: float = 1e-9) -> dict:
 class SemigroupSolution:
     """First-order flow u_hat' = -symbol * u_hat + f_hat on the grid.
 
-    Every call evaluates afresh; nothing is kept per time.
+    Every call evaluates afresh; nothing is kept per time.  The returned
+    arrays are new, and the forcing terms are added into them in place.
     """
 
     def __init__(self, problem: SpectralProblem):
@@ -302,17 +303,20 @@ class SemigroupSolution:
     def value(self, t: float) -> np.ndarray:
         t = float(t)
         p = self.problem
-        out = _exp_guarded(-p.symbol_values * t) * p.initial_hat
+        out = _exp_guarded(p.symbol_values * -t) * p.initial_hat
         if t > 0.0:
             for profile, H in p.forcing_parts:
-                out = out + H * profile.duhamel(-p.symbol_values, t)
+                out += H * profile.duhamel(-p.symbol_values, t)
         return out
 
     def state(self, t: float):
         """(value, derivative) at t from one evaluation of the flow."""
         p = self.problem
         u = self.value(t)
-        return u, -p.symbol_values * u + p.forcing_values(t)
+        du = -p.symbol_values * u
+        if p.forcing_parts:
+            du += p.forcing_values(t)
+        return u, du
 
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]
@@ -332,7 +336,10 @@ class SelectedSpectralMinimizer:
     causal convolution and an anticausal tail, both scaled by the
     discriminant root.  Every call evaluates afresh; only the tail at
     t = 0 is kept, so value(0) reuses the very numbers of the initial
-    correction.
+    correction.  An unforced problem has no convolution and no tail
+    (tail0 is None); value adds +0.0 in their place, and state adds
+    nothing, so its zeros may keep a negative sign.  The returned arrays
+    are new; every further step runs in place on them.
     """
 
     def __init__(
@@ -347,39 +354,61 @@ class SelectedSpectralMinimizer:
         self.roots = root_data(problem.symbol_values, eps, lower_bound=lower_bound)
         self.growth_rate = problem.amplitude_growth_rate
         self.tail0 = self._tail(0.0)
-        self.slow_initial = problem.initial_hat - self.tail0
+        self.slow_initial = problem.initial_hat
+        if self.tail0 is not None:
+            self.slow_initial = self.slow_initial - self.tail0
 
-    def _forced(self, kernel: Callable) -> np.ndarray:
-        """sum of H * kernel(profile) over the forcing parts, over the discriminant root."""
+    def _forced(self, kernel: Callable) -> Optional[np.ndarray]:
+        """sum of H * kernel(profile) over the forcing parts, over the discriminant root.
+
+        None for an unforced problem.
+        """
         p = self.problem
-        out = np.zeros(p.grid.nodes.shape, dtype=complex)
         if not p.forcing_parts:
-            return out
+            return None
+        out = np.zeros(p.grid.nodes.shape, dtype=complex)
         for profile, H in p.forcing_parts:
-            out = out + H * kernel(profile)
-        return out / self.roots.disc_sqrt
+            out += H * kernel(profile)
+        out /= self.roots.disc_sqrt
+        return out
 
-    def _tail(self, t: float) -> np.ndarray:
+    def _tail(self, t: float) -> Optional[np.ndarray]:
         return self._forced(lambda g: g.shifted_tail(self.roots.fast, t, self.growth_rate))
 
     def _parts(self, t: float):
+        """(decayed, convolution, tail) at t as new arrays; the last two None when unforced."""
         t = float(t)
         if t == 0.0:
-            return self.slow_initial, np.zeros_like(self.tail0), self.tail0
+            tail = None if self.tail0 is None else self.tail0.copy()
+            return self.slow_initial.copy(), None, tail
         decayed = _exp_guarded(self.roots.slow * t) * self.slow_initial
         conv = self._forced(lambda g: g.duhamel(self.roots.slow, t))
         return decayed, conv, self._tail(t)
 
     def value(self, t: float) -> np.ndarray:
-        decayed, conv, tail = self._parts(t)
-        return decayed + conv + tail
+        out, conv, tail = self._parts(t)
+        if tail is None:
+            # adding the zero parts turned every -0.0 into +0.0; field dumps keep that
+            out += 0.0
+            return out
+        if conv is not None:
+            out += conv
+        out += tail
+        return out
 
     def state(self, t: float):
         """(value, derivative) at t from one evaluation of the three parts."""
-        decayed, conv, tail = self._parts(t)
-        slow = decayed + conv
+        slow, conv, tail = self._parts(t)
+        if conv is not None:
+            slow += conv
+        if tail is None:
+            return slow, self.roots.slow * slow
+        value = slow + tail
         # boundary terms of the two time integrals cancel each other
-        return slow + tail, self.roots.slow * slow + self.roots.fast * tail
+        slow *= self.roots.slow
+        tail *= self.roots.fast
+        slow += tail
+        return value, slow
 
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]
@@ -399,16 +428,24 @@ def minimizer_hat(
 # ---- Norms, energies, bounds ----
 
 
+def _weighted_sq_sum(u, weights, work: Optional[np.ndarray] = None) -> float:
+    """sum(weights * |u|^2), reduced in one real work array (new unless given)."""
+    work = np.abs(u, out=work, dtype=float)
+    np.square(work, out=work)
+    work *= weights
+    return float(np.sum(work))
+
+
 def l2_norm(u_hat, weights) -> float:
-    u_hat = np.asarray(u_hat)
-    return math.sqrt(float(np.sum(np.asarray(weights) * np.abs(u_hat) ** 2)))
+    return math.sqrt(_weighted_sq_sum(np.asarray(u_hat), np.asarray(weights)))
 
 
 def vl_norm(u_hat, weights, symbol_values) -> float:
     """Graph norm of the generator: sqrt(sum w (1+|symbol|) |u_hat|^2)."""
-    u_hat = np.asarray(u_hat)
-    w = np.asarray(weights) * (1.0 + np.abs(np.asarray(symbol_values)))
-    return math.sqrt(float(np.sum(w * np.abs(u_hat) ** 2)))
+    w = np.abs(np.asarray(symbol_values, dtype=float))
+    w += 1.0
+    w *= np.asarray(weights)
+    return math.sqrt(_weighted_sq_sum(np.asarray(u_hat), w))
 
 
 def energy_spectral(
@@ -426,18 +463,17 @@ def energy_spectral(
     pair.  Returns (value, crossed_at) like the finite-dimensional energy.
     """
     w = problem.grid.weights
-    ell = problem.symbol_values
+    w_ell = w * problem.symbol_values
+    work = np.empty(w.shape)
     tau, gl_w = _laguerre_rule(spec.nodes)
     vals = np.empty(tau.shape)
     for k, tk in enumerate(tau):
         t = eps * float(tk)
         u, du = (np.asarray(v) for v in state(t))
-        f = problem.forcing_values(t)
-        quad = (
-            0.5 * eps * float(np.sum(w * np.abs(du) ** 2))
-            + 0.5 * float(np.sum(w * ell * np.abs(u) ** 2))
-            - float(np.real(np.sum(w * f * np.conj(u))))
-        )
+        quad = 0.5 * eps * _weighted_sq_sum(du, w, work) + 0.5 * _weighted_sq_sum(u, w_ell, work)
+        if problem.forcing_parts:
+            f = problem.forcing_values(t)
+            quad = quad - float(np.real(np.sum(w * f * np.conj(u))))
         if not math.isfinite(quad) or abs(quad) * math.exp(-float(tk)) > ceiling:
             return math.inf, t
         vals[k] = quad
@@ -546,12 +582,14 @@ class SpectralField:
     @classmethod
     def sample(cls, solution, grid: FrequencyGrid, times):
         times = np.asarray(times, dtype=float)
-        vals = np.stack([np.asarray(solution.value(float(t)), dtype=complex) for t in times])
+        vals = np.empty(times.shape + grid.nodes.shape, dtype=complex)
+        for row, t in zip(vals, times):
+            row[...] = solution.value(float(t))
         return cls(times=times, grid=grid, values=vals)
 
     def to_bytes(self) -> bytes:
         # little-endian complex128 = interleaved f64 (re, im), row-major
-        return np.ascontiguousarray(self.values.astype("<c16")).tobytes()
+        return np.ascontiguousarray(self.values, dtype="<c16").tobytes()
 
     def meta(self) -> dict:
         return {

@@ -33,44 +33,31 @@ __all__ = [
 ]
 
 
-def _normalize_points(xi, dim: int):
-    """Coerce a point or batch of points to the batch shape, noting scalars.
-
-    Batch shape is (M,) for dim 1 and (M, dim) otherwise; a single point in
-    dim > 1 arrives as a length-dim vector.
-    """
+def _normalize_points(xi):
+    """Coerce a frequency or 1-d batch of frequencies to a batch, noting scalars."""
     arr = np.asarray(xi, dtype=float)
-    if dim == 1:
-        if arr.ndim == 0:
-            return arr.reshape(1), True
-        if arr.ndim == 1:
-            return arr, False
-        raise ValueError(f"expected scalar or 1-d batch for dim 1, got shape {arr.shape}")
+    if arr.ndim == 0:
+        return arr.reshape(1), True
     if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise ValueError(f"point has {arr.shape[0]} coordinates, symbol lives in dim {dim}")
-        return arr.reshape(1, dim), True
-    if arr.ndim == 2 and arr.shape[1] == dim:
         return arr, False
-    raise ValueError(f"expected (M, {dim}) batch, got shape {arr.shape}")
+    raise ValueError(f"expected a scalar or 1-d batch of frequencies, got shape {arr.shape}")
 
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
-    """A real frequency multiplier together with its bookkeeping.
+    """A real one-dimensional frequency multiplier with its bookkeeping.
 
-    func receives points in batch shape, (M,) in one dimension and (M, dim)
-    otherwise, and must return (M,) real values.  Calling the symbol accepts
-    scalars, single points and batches, and mirrors the input arity back.
+    func receives an (M,) batch of frequencies and must return (M,) real
+    values.  Calling the symbol accepts a scalar or a batch and mirrors the
+    input arity back.
     """
 
     name: str
-    dim: int
     func: Callable = field(repr=False)
     params: dict = field(default_factory=dict)
 
     def __call__(self, xi):
-        pts, scalar = _normalize_points(xi, self.dim)
+        pts, scalar = _normalize_points(xi)
         vals = np.asarray(self.func(pts), dtype=float)
         if vals.shape != (pts.shape[0],):
             raise ValueError(
@@ -81,38 +68,30 @@ class MultiplierSymbol:
         return vals
 
 
-def classical(dim: int = 1) -> MultiplierSymbol:
-    """Squared frequency magnitude, the local diffusion multiplier."""
-    if dim == 1:
-        f = lambda p: p * p
-    else:
-        f = lambda p: (p * p).sum(axis=1)
-    return MultiplierSymbol("classical", dim, f)
+def classical() -> MultiplierSymbol:
+    """Squared frequency, the local diffusion multiplier."""
+    return MultiplierSymbol("classical", lambda p: p * p)
 
 
-def fractional(s: float, dim: int = 1) -> MultiplierSymbol:
+def fractional(s: float) -> MultiplierSymbol:
     """(|xi|^2)^s for an order s strictly between 0 and 1."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {s}")
-    if dim == 1:
-        f = lambda p: (p * p) ** s
-    else:
-        f = lambda p: ((p * p).sum(axis=1)) ** s
-    return MultiplierSymbol("fractional", dim, f, params={"order": s})
+    return MultiplierSymbol("fractional", lambda p: (p * p) ** s, params={"order": s})
 
 
-def zeroth_order(mass: float, kernel_hat: Callable, dim: int = 1) -> MultiplierSymbol:
+def zeroth_order(mass: float, kernel_hat: Callable) -> MultiplierSymbol:
     """mass - kernel_hat(xi), the bounded jump-generator shape.
 
     mass is an independent knob; it is not forced to equal kernel_hat(0),
     so truncated or unnormalized kernels are representable as-is.
     """
     f = lambda p: mass - np.asarray(kernel_hat(p), dtype=float)
-    return MultiplierSymbol("zeroth_order", dim, f, params={"mass": mass})
+    return MultiplierSymbol("zeroth_order", f, params={"mass": mass})
 
 
-def custom(fn: Callable, dim: int = 1, name: str = "custom") -> MultiplierSymbol:
-    return MultiplierSymbol(name, dim, lambda p: np.asarray(fn(p), dtype=float))
+def custom(fn: Callable, name: str = "custom") -> MultiplierSymbol:
+    return MultiplierSymbol(name, lambda p: np.asarray(fn(p), dtype=float))
 
 
 def from_table(xi_points, values, name: str = "table") -> MultiplierSymbol:
@@ -130,14 +109,14 @@ def from_table(xi_points, values, name: str = "table") -> MultiplierSymbol:
     x, v = x[order], v[order]
     if np.any(np.diff(x) == 0.0):
         raise ValueError("table points must be distinct")
-    return MultiplierSymbol(name, 1, lambda p: np.interp(p, x, v), params={"samples": x.size})
+    return MultiplierSymbol(name, lambda p: np.interp(p, x, v), params={"samples": x.size})
 
 
 _BUILDERS = {
-    "classical": lambda p: classical(dim=p.get("dim", 1)),
-    "fractional": lambda p: fractional(p["order"], dim=p.get("dim", 1)),
-    "zeroth_order": lambda p: zeroth_order(p["mass"], p["kernel_hat"], dim=p.get("dim", 1)),
-    "custom": lambda p: custom(p["fn"], dim=p.get("dim", 1), name=p.get("name", "custom")),
+    "classical": lambda p: classical(),
+    "fractional": lambda p: fractional(p["order"]),
+    "zeroth_order": lambda p: zeroth_order(p["mass"], p["kernel_hat"]),
+    "custom": lambda p: custom(p["fn"], name=p.get("name", "custom")),
     "table": lambda p: from_table(p["xi_points"], p["values"], name=p.get("name", "table")),
 }
 

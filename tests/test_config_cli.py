@@ -209,14 +209,19 @@ class TestCliRun:
             ("bound_audit_pass", 0),
             ("spectral_forced_small", 0),
             ("ode_forced_small", 0),
+            ("spectral_unforced_field", 0),
+            ("spectral_signed_zeros", 0),
         ],
     )
     def test_report_bytes_match_golden(self, tmp_path, case, code):
-        # every runner returns one result type; the bytes it writes are pinned
+        # every runner returns one result type; the bytes it writes are pinned,
+        # the field dump too where the golden has one
         golden = GOLDEN / case
         out = tmp_path / "out"
         assert cli.main(["run", str(golden / "config.json"), "--out-dir", str(out)]) == code
-        for name in ("report.json", "summary.csv"):
+        names = ["report.json", "summary.csv"]
+        names += [n for n in ("field.bin", "field_meta.json") if (golden / n).exists()]
+        for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
     def test_inadmissible_eps_refused_by_policy(self, tmp_path):

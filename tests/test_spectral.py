@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wie import symbols
 from wie.forcing import ForcingTerm, constant_profile, exponential_profile
 from wie.lab import convergence_study
-from wie.quadrature import DEFAULT_SPEC, ExponentOverflowError
+from wie.quadrature import DEFAULT_SPEC, ExponentOverflowError, _laguerre_rule
 from wie.spectral import (
     FrequencyGrid,
     SelectedSpectralMinimizer,
@@ -310,6 +310,46 @@ class TestStreaming:
                 value, deriv = y.state(t)
                 np.testing.assert_array_equal(value, y.value(t))
                 np.testing.assert_array_equal(deriv, y.derivative(t))
+
+
+class TestTemporaries:
+    """Hot paths allocate what they return plus at most a few work arrays.
+
+    Each figure is the tracemalloc peak of one call above the memory traced
+    before it, in units of one complex array of the grid's length.
+    """
+
+    N = 1 << 14
+
+    @pytest.fixture(scope="class")
+    def minimizer(self):
+        prob = _gaussian_problem(_grid(n=self.N, dx=0.125), symbol=symbols.fractional(0.5))
+        return prob, minimizer_hat(prob, 1e-2)
+
+    def _arrays_made_by(self, call):
+        _laguerre_rule(DEFAULT_SPEC.nodes)  # the cached rule is not a temporary
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return (peak - before) / (16 * self.N)
+
+    def test_state_builds_its_two_arrays_in_place(self, minimizer):
+        _prob, m = minimizer
+        assert self._arrays_made_by(lambda: m.state(0.3)) < 3.0
+
+    def test_l2_norm_reduces_in_one_real_array(self, minimizer):
+        prob, m = minimizer
+        u = m.value(0.3)
+        assert self._arrays_made_by(lambda: l2_norm(u, prob.grid.weights)) < 0.75
+
+    def test_energy_holds_one_state_and_its_work_arrays(self, minimizer):
+        prob, m = minimizer
+        assert self._arrays_made_by(lambda: energy_spectral(m.state, prob, 1e-2)) < 7.0
 
 
 class TestNormsAndBounds:

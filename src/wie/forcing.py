@@ -305,6 +305,18 @@ def _power_tail(degree: float, mu: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _exponential_form(profiles) -> Optional[tuple]:
+    """(amplitudes, rates) when every profile is a * exp(r t), a constant having r = 0.
+
+    None when any profile is a power or a sampled one.
+    """
+    if any(g.kind not in ("constant", "exponential") for g in profiles):
+        return None
+    amplitudes = [float(g.amplitude) for g in profiles]
+    rates = [float(g.rate) if g.kind == "exponential" else 0.0 for g in profiles]
+    return amplitudes, rates
+
+
 def constant_profile(amplitude: float = 1.0) -> TimeProfile:
     return TimeProfile("constant", amplitude=amplitude)
 

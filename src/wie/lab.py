@@ -26,7 +26,6 @@ from .ode import (
 from .quadrature import DEFAULT_SPEC, QuadratureFailure, QuadratureSpec, finite_interval
 from .spectral import (
     SpectralProblem,
-    energy_spectral,
     inequality_report,
     l2_norm,
     minimizer_hat,
@@ -314,20 +313,28 @@ def fit_rate(epsilons: Sequence[float], errors: Sequence[float]):
 
 @dataclass(frozen=True, eq=False)
 class LadderEntry:
+    """One rung; energy_source is "exact" or "gauss_laguerre", None on a failed rung."""
+
     eps: float
     sup_error: float
     energy: float
     audit_violations: int
     failure: Optional[str] = None
+    energy_source: Optional[str] = None
 
     def as_dict(self) -> dict:
         return {
             "eps": self.eps,
             "sup_error": self.sup_error,
             "energy": self.energy,
+            "energy_source": self.energy_source,
             "audit_violations": self.audit_violations,
             "failure": self.failure,
         }
+
+    @classmethod
+    def failed(cls, eps: float, exc: Exception) -> "LadderEntry":
+        return cls(eps, math.nan, math.nan, -1, failure=str(exc))
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,39 +388,66 @@ def _ode_study(problem, ladder, horizon, norm, times, spec, map_fn):
                 else:
                     val = float(np.linalg.norm(diff))
                 sup = max(sup, val)
-            energy, _crossed = m.energy()
+            energy, _crossed, source = m.energy()
             report = inequality_report(root_data(eigen.values, eps, check=False))
             violations = sum(v["violations"] for v in report.values())
-            return LadderEntry(eps, sup, energy, violations)
+            return LadderEntry(eps, sup, energy, violations, energy_source=source)
         except Exception as exc:
-            return LadderEntry(eps, math.nan, math.nan, -1, failure=str(exc))
+            return LadderEntry.failed(eps, exc)
 
     return list(map_fn(member, ladder))
 
 
 def _spectral_study(problem, ladder, horizon, norm, times, spec, map_fn):
+    """The rungs side by side: one reference evaluation per time serves every rung.
+
+    Each rung holds its root arrays for the whole sweep, a few real arrays
+    of the grid's length, and nothing per time.
+    """
     reference = semigroup_solution(problem)
     w = problem.grid.weights
     if norm == "sup_vl":
         # the graph-norm weights of vl_norm, formed once per study
         w = w * (1.0 + np.abs(problem.symbol_values))
 
-    def member(eps):
+    def build(eps):
         try:
-            m = minimizer_hat(problem, eps)
-            sup = 0.0
-            for t in times:
-                diff = m.value(t)
-                diff -= reference.value(t)
-                sup = max(sup, l2_norm(diff, w))
-            energy, _crossed = energy_spectral(m.state, problem, eps, spec)
-            # minimizer_hat checks the root bundle at tol 1e-9 and raises on any violation
-            violations = 0
-            return LadderEntry(eps, sup, energy, violations)
+            return minimizer_hat(problem, eps)
         except Exception as exc:
-            return LadderEntry(eps, math.nan, math.nan, -1, failure=str(exc))
+            return LadderEntry.failed(eps, exc)
 
-    return list(map_fn(member, ladder))
+    rungs = list(map_fn(build, ladder))
+    sups = [0.0] * len(rungs)
+    for t in times:
+        live = [i for i, m in enumerate(rungs) if not isinstance(m, LadderEntry)]
+        if not live:
+            break
+        try:
+            ref = reference.value(t)
+        except Exception as exc:
+            for i in live:
+                rungs[i] = LadderEntry.failed(ladder[i], exc)
+            break
+        for i in live:
+            try:
+                diff = rungs[i].value(t)
+                diff -= ref
+                sups[i] = max(sups[i], l2_norm(diff, w))
+            except Exception as exc:
+                rungs[i] = LadderEntry.failed(ladder[i], exc)
+
+    def finish(i):
+        m = rungs[i]
+        if isinstance(m, LadderEntry):
+            return m
+        try:
+            energy, _crossed, source = m.energy(spec)
+        except Exception as exc:
+            return LadderEntry.failed(ladder[i], exc)
+        # minimizer_hat checks the root bundle at tol 1e-9 and raises on any violation
+        return LadderEntry(ladder[i], sups[i], energy, 0, energy_source=source)
+
+    return list(map_fn(finish, range(len(rungs))))
 
 
 def convergence_study(

@@ -22,13 +22,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .forcing import ForcingTerm
+from .forcing import ForcingTerm, _exponential_form
 from .quadrature import (
     DEFAULT_SPEC,
     ENERGY_CEILING,
     QuadratureSpec,
     _exp_guarded,
     _laguerre_rule,
+    _modal_energy,
 )
 from .symbols import admissible_discriminant
 
@@ -135,6 +136,14 @@ def regularized_spectrum(values, eps: float) -> RegularizedSpectrum:
     return RegularizedSpectrum(eps=eps, disc_sqrt=z, slow=slow, fast=fast)
 
 
+def _project_parts(eigen: EigenData, forcing: ForcingTerm) -> np.ndarray:
+    """Eigenbasis coordinates of the parts' space vectors, one column per part."""
+    if forcing.is_zero:
+        return np.zeros((eigen.values.size, 0))
+    V = np.stack([np.asarray(p.space_vec, dtype=float) for p in forcing.parts], axis=1)
+    return eigen.vectors.T @ V
+
+
 class DecoupledForcing:
     """Eigenbasis forcing coefficients scaled by 1/sqrt(1 + 4*eps*mu).
 
@@ -146,11 +155,7 @@ class DecoupledForcing:
     def __init__(self, eigen: EigenData, spectrum: RegularizedSpectrum, forcing: ForcingTerm):
         self.size = eigen.values.shape[0]
         self.profiles = [p.profile for p in forcing.parts]
-        if forcing.is_zero:
-            self.coeffs = np.zeros((self.size, 0))
-        else:
-            V = np.stack([np.asarray(p.space_vec, dtype=float) for p in forcing.parts], axis=1)
-            self.coeffs = (eigen.vectors.T @ V) / spectrum.disc_sqrt[:, None]
+        self.coeffs = _project_parts(eigen, forcing) / spectrum.disc_sqrt[:, None]
 
     @property
     def is_zero(self) -> bool:
@@ -246,18 +251,35 @@ class SelectedOdeMinimizer:
     def state(self, t: float):
         """(value, derivative) at t from one evaluation of the modes."""
         slow, fast = self._modes(t)
-        gt = self.g(float(t))
-        d = self.spectrum.slow * slow + gt + self.spectrum.fast * fast - gt
+        d = self.spectrum.slow * slow + self.spectrum.fast * fast
         return self.eigen.reconstruct(slow + fast), self.eigen.reconstruct(d)
 
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]
 
     def energy(self, ceiling: float = ENERGY_CEILING):
-        return energy_ode(
-            self.state, self.problem.matrix, self.problem.forcing, self.eps, self.spec,
-            ceiling=ceiling,
+        """(value, crossed_at, source) of the weighted energy.
+
+        Unforced, constant and exponential forcing give every eigenmode a
+        closed form (source "exact"); power and sampled parts, or a closed
+        form that diverges, take energy_ode at the Gauss-Laguerre nodes of
+        spec (source "gauss_laguerre"), which reports where it crossed.
+        """
+        forcing = self.problem.forcing
+        form = _exponential_form([part.profile for part in forcing.parts])
+        if form is not None:
+            amps, rates = form
+            amplitudes = _project_parts(self.eigen, forcing) * np.asarray(amps)
+            value = _modal_energy(
+                self.eigen.values, self.spectrum.slow, np.ones(self.problem.size),
+                self.eigen.project(self.problem.initial), amplitudes, rates, self.eps,
+            )
+            if value is not None:
+                return value, None, "exact"
+        value, crossed = energy_ode(
+            self.state, self.problem.matrix, forcing, self.eps, self.spec, ceiling=ceiling
         )
+        return value, crossed, "gauss_laguerre"
 
 
 def selected_minimizer(
@@ -273,22 +295,15 @@ class ExactOdeSolution:
         self.problem = problem
         self.eigen = eigendecompose(problem.matrix)
         self.coeff0 = self.eigen.project(problem.initial)
-        if problem.forcing.is_zero:
-            self._proj = None
-        else:
-            V = np.stack(
-                [np.asarray(p.space_vec, dtype=float) for p in problem.forcing.parts], axis=1
-            )
-            self._proj = self.eigen.vectors.T @ V
+        self._proj = _project_parts(self.eigen, problem.forcing)
 
     def _coeffs(self, t: float) -> np.ndarray:
         t = float(t)
         mu = self.eigen.values
         with np.errstate(over="raise"):
             c = np.exp(-mu * t) * self.coeff0
-        if self._proj is not None:
-            for j, part in enumerate(self.problem.forcing.parts):
-                c = c + self._proj[:, j] * part.profile.duhamel(-mu, t)
+        for j, part in enumerate(self.problem.forcing.parts):
+            c = c + self._proj[:, j] * part.profile.duhamel(-mu, t)
         return c
 
     def __call__(self, t: float) -> np.ndarray:

@@ -453,6 +453,76 @@ def weighted_energy(
     return eps * float((w * vals).sum()), None
 
 
+def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):
+    """Weighted energy of the selected modes in closed form, or None where it has none.
+
+    Mode i with symbol value ell_i and slow root s_i is driven by
+    f_i = sum_k b_ik exp(r_k t), b = amplitudes of shape (modes x parts), a
+    constant part having r = 0.  Its selected trajectory is
+
+        u = c0 exp(s t) + sum_k beta_k D(r_k, s, t),   u' = s u + sum_k beta_k exp(r_k t),
+
+    with beta_k = b_k / (eps (f - r_k)), f the fast root, and
+    D(r, s, t) = (exp(r t) - exp(s t)) / (r - s).  With p = 1/eps the
+    weighted integrals are rational in the rates:
+
+        int exp(-p t) exp((a + b) t)     = 1 / (p - a - b)
+        int exp(-p t) exp(a t) D(r, s)   = 1 / ((p - a - r)(p - a - s))
+        int exp(-p t) D(r1, s) D(r2, s)  = (2p - r1 - r2 - 2s)
+                                           / ((p - r1 - r2)(p - r1 - s)(p - r2 - s)(p - 2s))
+
+    None of them subtracts nearby exponentials, so r = s needs no special
+    case.  Returns sum_i weights_i int exp(-t/eps) [(eps/2)|u'|^2 +
+    (ell/2)|u|^2 - Re(conj(f) u)] dt, or None when a denominator is not
+    positive (the energy diverges) or the sum is not finite.
+    """
+    p = 1.0 / eps
+    s = np.asarray(slow, dtype=float)
+    ell = np.asarray(ell, dtype=float)
+    c0 = np.asarray(c0)
+    rates = [float(r) for r in part_rates]
+    gap_ss = p - 2.0 * s
+    if gap_ss.size and float(gap_ss.min()) <= 0.0:
+        return None
+    # int exp(-p t) |c0 exp(s t)|^2: all of int |u|^2 when unforced, where u' = s u
+    sq = np.abs(c0)
+    np.square(sq, out=sq)
+    sq /= gap_ss
+    if not rates:
+        sq *= eps * s * s + ell
+        sq *= weights
+        value = 0.5 * float(np.sum(sq))
+        return value if math.isfinite(value) else None
+    gap_rr = [[p - rj - rk for rk in rates] for rj in rates]
+    if min(min(row) for row in gap_rr) <= 0.0:
+        return None
+    gap_rs = [(p - s) - r for r in rates]  # f - r_k, per mode
+    if min(float(g.min()) for g in gap_rs) <= 0.0:
+        return None
+    b = [np.asarray(amplitudes)[:, k] for k in range(len(rates))]
+    beta = [bk / (eps * g) for bk, g in zip(b, gap_rs)]
+    # A = int |u|^2, B_k = int exp(r_k t) u, C = int |sum beta_k exp(r_k t)|^2
+    A = sq
+    B = []
+    C = 0.0
+    for j, rj in enumerate(rates):
+        A = A + 2.0 * np.real(np.conj(c0) * beta[j]) / (gap_rs[j] * gap_ss)
+        inner = c0
+        for k, rk in enumerate(rates):
+            pair = np.real(np.conj(beta[j]) * beta[k])
+            A = A + pair * (2.0 * p - rj - rk - 2.0 * s) / (
+                gap_rr[j][k] * gap_rs[j] * gap_rs[k] * gap_ss
+            )
+            C = C + pair / gap_rr[j][k]
+            inner = inner + beta[k] / gap_rr[j][k]
+        B.append(inner / gap_rs[j])
+    cross = sum(np.real(beta[k] * np.conj(B[k])) for k in range(len(rates)))
+    drive = sum(np.real(np.conj(b[k]) * B[k]) for k in range(len(rates)))
+    per_mode = 0.5 * eps * (s * s * A + 2.0 * s * cross + C) + 0.5 * ell * A - drive
+    value = float(np.sum(weights * per_mode))
+    return value if math.isfinite(value) else None
+
+
 def poincare_sides(
     norm_sq: Callable,
     deriv_norm_sq: Callable,

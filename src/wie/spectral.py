@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .forcing import ForcingTerm
+from .forcing import ForcingTerm, _exponential_form
 from .quadrature import (
     DEFAULT_SPEC,
     ENERGY_CEILING,
@@ -28,6 +28,7 @@ from .quadrature import (
     QuadratureSpec,
     _exp_guarded,
     _laguerre_rule,
+    _modal_energy,
 )
 from .symbols import MultiplierSymbol, admissible_discriminant
 
@@ -412,6 +413,29 @@ class SelectedSpectralMinimizer:
 
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]
+
+    def energy(self, spec: QuadratureSpec = DEFAULT_SPEC, ceiling: float = ENERGY_CEILING):
+        """(value, crossed_at, source) of the weighted energy.
+
+        Unforced, constant and exponential forcing give every node a closed
+        form (source "exact"); power and sampled parts, or a closed form
+        that diverges, take energy_spectral at the Gauss-Laguerre nodes of
+        spec (source "gauss_laguerre"), which reports where it crossed.
+        """
+        p = self.problem
+        form = _exponential_form([profile for profile, _H in p.forcing_parts])
+        if form is not None:
+            amps, rates = form
+            columns = [a * H for a, (_g, H) in zip(amps, p.forcing_parts)]
+            amplitudes = np.stack(columns, axis=1) if columns else np.empty((p.grid.nodes.size, 0))
+            value = _modal_energy(
+                p.symbol_values, self.roots.slow, p.grid.weights, p.initial_hat,
+                amplitudes, rates, self.eps,
+            )
+            if value is not None:
+                return value, None, "exact"
+        value, crossed = energy_spectral(self.state, p, self.eps, spec, ceiling)
+        return value, crossed, "gauss_laguerre"
 
     __call__ = value
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
-from wie import symbols
-from wie.forcing import ForcingTerm, constant_profile
+from wie import spectral, symbols
+from wie.forcing import ForcingTerm, constant_profile, exponential_profile, power_profile
 from wie.lab import (
     bound_audit,
     branch_divergence,
@@ -19,7 +19,29 @@ from wie.lab import (
     lemma_tech_profile,
 )
 from wie.ode import OdeProblem
-from wie.quadrature import DEFAULT_SPEC, QuadratureFailure, QuadratureSpec
+from wie.quadrature import DEFAULT_SPEC, ExponentOverflowError, QuadratureFailure, QuadratureSpec
+from wie.spectral import (
+    FrequencyGrid,
+    SemigroupSolution,
+    SpectralProblem,
+    energy_spectral,
+    minimizer_hat,
+)
+
+
+def _spectral_problem(symbol=None, forcing=None, n=64):
+    grid = FrequencyGrid.uniform_fft(n, 0.25)
+    kwargs = {} if forcing is None else {"forcing": forcing}
+    return SpectralProblem(
+        grid=grid,
+        symbol=symbol if symbol is not None else symbols.fractional(0.5),
+        initial_hat=np.exp(-0.5 * grid.nodes**2).astype(complex),
+        **kwargs,
+    )
+
+
+def _gaussian_forcing(profile):
+    return ForcingTerm.from_multipliers([(profile, lambda xi: np.exp(-0.5 * xi**2))])
 
 
 def _scalar_problem(a, y0=1.0, forcing=None):
@@ -218,6 +240,87 @@ class TestConvergenceStudy:
             convergence_study(prob, [0.1], 1.0, norm="energy")
         with pytest.raises(TypeError, match="unsupported problem"):
             convergence_study(object(), [0.1], 1.0)
+
+
+class TestSpectralStudy:
+    LADDER = [1e-1, 1e-2, 1e-3, 1e-4]
+
+    def test_one_reference_evaluation_per_time(self, monkeypatch):
+        calls = []
+        value = SemigroupSolution.value
+        monkeypatch.setattr(
+            SemigroupSolution, "value", lambda self, t: calls.append(t) or value(self, t)
+        )
+        report = convergence_study(_spectral_problem(), self.LADDER, 1.0, time_points=201)
+        assert report.verdicts["all_members_completed"]
+        assert len(calls) == len(set(calls)) == 201
+
+    def test_pool_map_matches_serial(self):
+        prob = _spectral_problem(forcing=_gaussian_forcing(exponential_profile(0.5, -1.0)))
+        serial = convergence_study(prob, self.LADDER, 1.0, norm="sup_vl")
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = convergence_study(prob, self.LADDER, 1.0, norm="sup_vl", map_fn=pool.map)
+        assert serial.verdicts["all_members_completed"]
+        for a, b in zip(serial.entries, pooled.entries):
+            assert a.as_dict() == b.as_dict()
+
+    def test_rungs_match_one_rung_at_a_time(self):
+        # side by side, each rung gives the very floats it gives alone
+        prob = _spectral_problem(forcing=_gaussian_forcing(exponential_profile(0.5, -1.0)))
+        together = convergence_study(prob, self.LADDER, 1.0)
+        for entry, eps in zip(together.entries, self.LADDER):
+            (alone,) = convergence_study(prob, [eps], 1.0).entries
+            assert entry.as_dict() == alone.as_dict()
+            assert entry.energy_source == "exact"
+
+    def test_failing_rung_is_recorded_while_the_others_complete(self):
+        # symbol xi^2 - 1 dips to -1: 1 + 4*eps*(-1) <= 1/2 refuses eps = 0.2 only
+        prob = _spectral_problem(symbol=symbols.custom(lambda xi: xi * xi - 1.0))
+        report = convergence_study(prob, [0.2, 0.01, 0.001], 1.0)
+        first, *rest = report.entries
+        assert "1 + 4*eps*symbol <= 1/2" in first.failure
+        assert math.isnan(first.sup_error) and first.energy_source is None
+        for entry in rest:
+            assert entry.failure is None and entry.energy_source == "exact"
+            assert entry.sup_error > 0.0
+        assert not report.verdicts["all_members_completed"]
+
+    def test_rung_failing_mid_sweep_leaves_the_others(self, monkeypatch):
+        value = spectral.SelectedSpectralMinimizer.value
+
+        def flaky(self, t):
+            if self.eps == 1e-2 and t > 0.5:
+                raise ExponentOverflowError("rung gave up")
+            return value(self, t)
+
+        monkeypatch.setattr(spectral.SelectedSpectralMinimizer, "value", flaky)
+        report = convergence_study(_spectral_problem(), self.LADDER, 1.0)
+        failed = [e for e in report.entries if e.failure is not None]
+        assert [e.eps for e in failed] == [1e-2]
+        assert failed[0].failure == "rung gave up"
+        assert sum(e.failure is None for e in report.entries) == 3
+
+    def test_reference_failure_fails_every_live_rung(self, monkeypatch):
+        value = SemigroupSolution.value
+
+        def flaky(self, t):
+            if t > 0.5:
+                raise ExponentOverflowError("reference gave up")
+            return value(self, t)
+
+        monkeypatch.setattr(SemigroupSolution, "value", flaky)
+        prob = _spectral_problem(symbol=symbols.custom(lambda xi: xi * xi - 1.0))
+        report = convergence_study(prob, [0.2, 0.01, 0.001], 1.0)
+        assert "1 + 4*eps*symbol <= 1/2" in report.entries[0].failure
+        assert [e.failure for e in report.entries[1:]] == ["reference gave up"] * 2
+
+    def test_power_profile_study_reports_gauss_laguerre(self):
+        prob = _spectral_problem(forcing=_gaussian_forcing(power_profile(0.5, 1.0)))
+        report = convergence_study(prob, [1e-1, 1e-2], 1.0)
+        for entry in report.entries:
+            assert entry.energy_source == "gauss_laguerre"
+            want, _ = energy_spectral(minimizer_hat(prob, entry.eps).state, prob, entry.eps)
+            assert entry.energy == want
 
 
 class TestBoundAudit:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_symmetric
-from wie.forcing import ForcingTerm, constant_profile, exponential_profile
+from wie.forcing import ForcingTerm, constant_profile, exponential_profile, power_profile
 from wie.ode import (
     OdeProblem,
     SelectedOdeMinimizer,
@@ -175,7 +175,8 @@ class TestSelectedMinimizer:
         prob = _problem(A, y0)
         eps = 0.1
         m = selected_minimizer(prob, eps)
-        e_min, _ = m.energy()
+        e_min, _, source = m.energy()
+        assert source == "exact"
         flow = exact_solution(prob)
         e_flow, _ = energy_ode(flow.state, A, prob.forcing, eps)
         assert e_min <= e_flow + 1e-12
@@ -190,7 +191,7 @@ class TestSelectedMinimizer:
         monkeypatch.setattr(
             SelectedOdeMinimizer, "_modes", lambda self, t: times.append(t) or modes(self, t)
         )
-        value, crossed = m.energy()
+        value, crossed = energy_ode(m.state, A, forcing, 0.1)
         assert crossed is None and math.isfinite(value)
         assert len(times) == len(set(times)) == DEFAULT_SPEC.nodes
 
@@ -204,6 +205,35 @@ class TestSelectedMinimizer:
                 value, deriv = y.state(t)
                 np.testing.assert_array_equal(value, y(t))
                 np.testing.assert_array_equal(deriv, y.derivative(t))
+
+
+class TestExactEnergy:
+    def test_closed_form_matches_gauss_laguerre_within_contract(self):
+        rng = np.random.default_rng(37)
+        A = random_symmetric(rng, 4)
+        forcing = ForcingTerm.from_vectors(
+            [
+                (exponential_profile(1.0, -0.3), tuple(rng.uniform(-1.0, 1.0, 4))),
+                (exponential_profile(0.7, 0.4), tuple(rng.uniform(-1.0, 1.0, 4))),
+                (constant_profile(-0.2), tuple(rng.uniform(-1.0, 1.0, 4))),
+            ]
+        )
+        prob = _problem(A, rng.uniform(-1.0, 1.0, 4), forcing)
+        for eps in (0.1, 0.01, 0.001):
+            m = selected_minimizer(prob, eps)
+            value, crossed, source = m.energy()
+            gl, _ = energy_ode(m.state, A, forcing, eps)
+            assert (crossed, source) == (None, "exact")
+            assert abs(value - gl) <= DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * abs(gl)
+
+    def test_power_part_takes_gauss_laguerre(self):
+        rng = np.random.default_rng(41)
+        A = random_symmetric(rng, 3)
+        forcing = ForcingTerm.from_vectors([(power_profile(0.5, 2.0), (1.0, 0.0, -0.5))])
+        m = selected_minimizer(_problem(A, rng.uniform(-1.0, 1.0, 3), forcing), 0.05)
+        value, crossed, source = m.energy()
+        assert source == "gauss_laguerre"
+        assert (value, crossed) == energy_ode(m.state, A, forcing, 0.05)
 
 
 class TestExactSolution:

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from wie import symbols
-from wie.forcing import ForcingTerm, constant_profile, exponential_profile
+from wie.forcing import (
+    ForcingTerm,
+    constant_profile,
+    exponential_profile,
+    power_profile,
+    sampled_profile,
+)
 from wie.lab import convergence_study
 from wie.quadrature import DEFAULT_SPEC, ExponentOverflowError, _laguerre_rule
 from wie.spectral import (
@@ -350,6 +357,143 @@ class TestTemporaries:
     def test_energy_holds_one_state_and_its_work_arrays(self, minimizer):
         prob, m = minimizer
         assert self._arrays_made_by(lambda: energy_spectral(m.state, prob, 1e-2)) < 7.0
+
+
+def _one_node_problem(ell, c0, parts):
+    """A single frequency node whose symbol value is ell; parts are (profile, complex H)."""
+    grid = FrequencyGrid.explicit([float(ell)], [1.0])
+    forcing = ForcingTerm.from_multipliers(
+        [(g, lambda xi, h=complex(h): np.full(np.shape(xi), h)) for g, h in parts]
+    )
+    return SpectralProblem(
+        grid=grid,
+        symbol=symbols.custom(lambda xi: xi),
+        initial_hat=np.array([complex(c0)]),
+        forcing=forcing,
+    )
+
+
+def _quad_energy(m, prob, eps):
+    """int exp(-t/eps) [(eps/2)|u'|^2 + (ell/2)|u|^2 - Re(conj(f) u)] dt by adaptive quad.
+
+    Integrated in tau = t/eps up to where the weight has beaten the fastest
+    growth of u by exp(-120), so nothing squared overflows; returns (value,
+    error estimate, scale), the scale being the integral of the terms'
+    magnitudes.
+    """
+    ell = float(prob.symbol_values[0])
+    rates = [float(m.roots.slow[0])] + [g.rate for g, _H in prob.forcing_parts]
+    decay = 1.0 - 2.0 * eps * max(max(rates), 0.0)
+    horizon = 120.0 / decay
+
+    def terms(tau):
+        t = eps * tau
+        u, du = (complex(v[0]) for v in m.state(t))
+        f = complex(prob.forcing_values(t)[0])
+        return (
+            0.5 * eps * abs(du) ** 2,
+            0.5 * ell * abs(u) ** 2,
+            -(f.conjugate() * u).real,
+        )
+
+    opts = dict(limit=400, epsabs=1e-15, epsrel=1e-13)
+    value, err = quad(lambda tau: math.exp(-tau) * sum(terms(tau)), 0.0, horizon, **opts)
+    scale, _ = quad(
+        lambda tau: math.exp(-tau) * sum(abs(x) for x in terms(tau)), 0.0, horizon, **opts
+    )
+    return eps * value, eps * err, eps * scale
+
+
+_complex = st.builds(
+    complex, st.floats(-2.0, 2.0, allow_nan=False), st.floats(-2.0, 2.0, allow_nan=False)
+)
+
+
+class TestExactEnergy:
+    """The closed-form modal energy against adaptive quadrature of the trajectory."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        eps=st.floats(1e-3, 0.5),
+        # ell in units of the admissibility edge -1/(8 eps); near -1 the symbol is negative
+        # and the slow root positive
+        edge=st.one_of(st.floats(-0.999999, 40.0), st.floats(-0.999999, -0.99)),
+        rate_kind=st.sampled_from(["free", "resonant", "near"]),
+        free_rate=st.floats(-5.0, 0.4),
+        offset=st.floats(1e-12, 1e-6),
+        second_rate=st.floats(-5.0, 0.4),
+        c0=_complex,
+        h1=_complex,
+        h2=_complex,
+    )
+    def test_closed_form_matches_quad(
+        self, eps, edge, rate_kind, free_rate, offset, second_rate, c0, h1, h2
+    ):
+        ell = edge / (8.0 * eps)
+        slow = float(root_data([ell], eps).slow[0])
+        # part rates stay below p/2 = 1/(2 eps), where the forcing energy diverges
+        rate = {
+            "free": free_rate / eps,
+            "resonant": slow,
+            "near": slow + offset * max(abs(slow), 1.0),
+        }[rate_kind]
+        parts = [(exponential_profile(1.0, rate), h1), (exponential_profile(0.5, second_rate), h2)]
+        prob = _one_node_problem(ell, c0, parts)
+        m = minimizer_hat(prob, eps)
+        value, crossed, source = m.energy()
+        assert (crossed, source) == (None, "exact")
+        want, err, scale = _quad_energy(m, prob, eps)
+        assert abs(value - want) <= 1e-10 * scale + 2.0 * err + 1e-15
+
+    def test_resonance_has_no_special_case(self):
+        # r = s exactly: the Duhamel term is t exp(s t) and the formulas need no limit
+        eps, ell = 0.05, 2.0
+        slow = float(root_data([ell], eps).slow[0])
+        prob = _one_node_problem(ell, 1.0 - 0.5j, [(exponential_profile(1.0, slow), 0.3 + 1.0j)])
+        m = minimizer_hat(prob, eps)
+        value, crossed, source = m.energy()
+        want, err, scale = _quad_energy(m, prob, eps)
+        assert (crossed, source) == (None, "exact")
+        assert abs(value - want) <= 1e-12 * scale + 2.0 * err
+
+    def test_matches_gauss_laguerre_within_contract(self):
+        forcing = ForcingTerm.from_multipliers(
+            [
+                (exponential_profile(0.5, -1.0), lambda xi: np.exp(-0.5 * xi**2)),
+                (constant_profile(0.2), lambda xi: 1j * xi * np.exp(-(xi**2))),
+            ]
+        )
+        prob = _gaussian_problem(_grid(), symbol=symbols.fractional(0.5), forcing=forcing)
+        for eps in (1e-1, 1e-2, 1e-3):
+            m = minimizer_hat(prob, eps)
+            value, _, source = m.energy()
+            gl, _ = energy_spectral(m.state, prob, eps)
+            assert source == "exact"
+            assert abs(value - gl) <= DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * abs(gl)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [power_profile(0.5, 1.5), sampled_profile([0.0, 0.5, 2.0], [1.0, -0.5, 0.25])],
+        ids=["power", "sampled"],
+    )
+    def test_power_and_sampled_parts_take_gauss_laguerre(self, profile):
+        prob = _gaussian_problem(
+            _grid(), forcing=ForcingTerm.from_multipliers([(profile, lambda xi: np.exp(-(xi**2)))])
+        )
+        m = minimizer_hat(prob, 0.05)
+        value, crossed, source = m.energy()
+        assert source == "gauss_laguerre"
+        assert (value, crossed) == energy_spectral(m.state, prob, 0.05)
+
+    def test_divergent_closed_form_falls_back_and_reports_crossing(self):
+        # a forcing rate past 1/(2 eps), still below the fast root, makes the energy diverge
+        eps = 0.1
+        rate = 0.9 * float(root_data([1.0], eps).fast[0])
+        prob = _one_node_problem(1.0, 1.0, [(exponential_profile(1.0, rate), 1.0)])
+        m = minimizer_hat(prob, eps)
+        value, crossed, source = m.energy()
+        assert source == "gauss_laguerre"
+        assert value == math.inf and crossed is not None
 
 
 class TestNormsAndBounds:

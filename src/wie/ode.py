@@ -148,8 +148,8 @@ class DecoupledForcing:
     """Eigenbasis forcing coefficients scaled by 1/sqrt(1 + 4*eps*mu).
 
     For separable forcing the i-th component is a fixed linear combination
-    of the time profiles, so scalar evaluation never touches the full
-    vector field.
+    of the time profiles, so each profile's kernel runs over all modes at
+    once and never touches the full vector field.
     """
 
     def __init__(self, eigen: EigenData, spectrum: RegularizedSpectrum, forcing: ForcingTerm):
@@ -160,16 +160,6 @@ class DecoupledForcing:
     @property
     def is_zero(self) -> bool:
         return self.coeffs.shape[1] == 0 or not np.any(self.coeffs)
-
-    def __call__(self, t):
-        """All components at once: (size,) for scalar t, (M, size) for arrays."""
-        t_arr = np.asarray(t, dtype=float)
-        if not self.profiles:
-            shape = (self.size,) if t_arr.ndim == 0 else (t_arr.shape[0], self.size)
-            return np.zeros(shape)
-        g = np.stack([np.asarray(p(t_arr), dtype=float).reshape(-1) for p in self.profiles], axis=1)
-        out = g @ self.coeffs.T
-        return out[0] if t_arr.ndim == 0 else out
 
     def duhamel(self, lam, t: float) -> np.ndarray:
         """Per mode, int_0^t exp(lam_i (t-s)) g_i(s) ds; each profile's kernel spans all modes."""
@@ -186,15 +176,6 @@ class DecoupledForcing:
             for j, p in enumerate(self.profiles):
                 out = out + self.coeffs[:, j] * p.shifted_tail(mu, t, growth_rate)
         return out
-
-    def component(self, i: int) -> Callable:
-        row = self.coeffs[i]
-        profiles = self.profiles
-
-        def gi(t):
-            return float(sum(c * p(t) for c, p in zip(row, profiles)))
-
-        return gi
 
 
 def decoupled_forcing(
@@ -257,13 +238,15 @@ class SelectedOdeMinimizer:
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]
 
-    def energy(self, ceiling: float = ENERGY_CEILING):
+    def energy(self):
         """(value, crossed_at, source) of the weighted energy.
 
         Unforced, constant and exponential forcing give every eigenmode a
-        closed form (source "exact"); power and sampled parts, or a closed
-        form that diverges, take energy_ode at the Gauss-Laguerre nodes of
-        spec (source "gauss_laguerre"), which reports where it crossed.
+        closed form (source "exact").  When that diverges the value is +inf
+        and crossed_at is where the weighted integrand first passed the
+        ceiling at the Gauss-Laguerre nodes of spec, None if it never did
+        there.  Power and sampled parts, or a closed form that is not
+        finite, take energy_ode at those nodes (source "gauss_laguerre").
         """
         forcing = self.problem.forcing
         form = _exponential_form([part.profile for part in forcing.parts])
@@ -274,12 +257,15 @@ class SelectedOdeMinimizer:
                 self.eigen.values, self.spectrum.slow, np.ones(self.problem.size),
                 self.eigen.project(self.problem.initial), amplitudes, rates, self.eps,
             )
+            if value == math.inf:
+                return value, self._energy_ode()[1], "exact"
             if value is not None:
                 return value, None, "exact"
-        value, crossed = energy_ode(
-            self.state, self.problem.matrix, forcing, self.eps, self.spec, ceiling=ceiling
-        )
+        value, crossed = self._energy_ode()
         return value, crossed, "gauss_laguerre"
+
+    def _energy_ode(self):
+        return energy_ode(self.state, self.problem.matrix, self.problem.forcing, self.eps, self.spec)
 
 
 def selected_minimizer(

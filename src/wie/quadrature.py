@@ -454,7 +454,7 @@ def weighted_energy(
 
 
 def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):
-    """Weighted energy of the selected modes in closed form, or None where it has none.
+    """Weighted energy of the selected modes in closed form, +inf, or None where it has none.
 
     Mode i with symbol value ell_i and slow root s_i is driven by
     f_i = sum_k b_ik exp(r_k t), b = amplitudes of shape (modes x parts), a
@@ -473,17 +473,26 @@ def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):
 
     None of them subtracts nearby exponentials, so r = s needs no special
     case.  Returns sum_i weights_i int exp(-t/eps) [(eps/2)|u'|^2 +
-    (ell/2)|u|^2 - Re(conj(f) u)] dt, or None when a denominator is not
-    positive (the energy diverges) or the sum is not finite.
+    (ell/2)|u|^2 - Re(conj(f) u)] dt.  The energy diverges, and the value is
+    +inf, when the parts at some rate r >= p/2 leave a nonzero amplitude on
+    some mode; such parts that cancel on every mode are dropped.  None when
+    a slow root is not below p/2 (admissibility keeps it there) or the sum
+    is not finite.
     """
     p = 1.0 / eps
     s = np.asarray(slow, dtype=float)
     ell = np.asarray(ell, dtype=float)
     c0 = np.asarray(c0)
-    rates = [float(r) for r in part_rates]
     gap_ss = p - 2.0 * s
     if gap_ss.size and float(gap_ss.min()) <= 0.0:
         return None
+    rates = [float(r) for r in part_rates]
+    b = np.asarray(amplitudes)
+    for r in {r for r in rates if p - 2.0 * r <= 0.0}:
+        if np.any(sum(b[:, k] for k, rk in enumerate(rates) if rk == r)):
+            return math.inf
+    kept = [k for k, r in enumerate(rates) if p - 2.0 * r > 0.0]
+    rates = [rates[k] for k in kept]
     # int exp(-p t) |c0 exp(s t)|^2: all of int |u|^2 when unforced, where u' = s u
     sq = np.abs(c0)
     np.square(sq, out=sq)
@@ -493,13 +502,10 @@ def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):
         sq *= weights
         value = 0.5 * float(np.sum(sq))
         return value if math.isfinite(value) else None
+    # every kept rate is below p/2 < f, so no denominator below vanishes
     gap_rr = [[p - rj - rk for rk in rates] for rj in rates]
-    if min(min(row) for row in gap_rr) <= 0.0:
-        return None
     gap_rs = [(p - s) - r for r in rates]  # f - r_k, per mode
-    if min(float(g.min()) for g in gap_rs) <= 0.0:
-        return None
-    b = [np.asarray(amplitudes)[:, k] for k in range(len(rates))]
+    b = [b[:, k] for k in kept]
     beta = [bk / (eps * g) for bk, g in zip(b, gap_rs)]
     # A = int |u|^2, B_k = int exp(r_k t) u, C = int |sum beta_k exp(r_k t)|^2
     A = sq

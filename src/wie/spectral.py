@@ -414,13 +414,15 @@ class SelectedSpectralMinimizer:
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]
 
-    def energy(self, spec: QuadratureSpec = DEFAULT_SPEC, ceiling: float = ENERGY_CEILING):
+    def energy(self, spec: QuadratureSpec = DEFAULT_SPEC):
         """(value, crossed_at, source) of the weighted energy.
 
         Unforced, constant and exponential forcing give every node a closed
-        form (source "exact"); power and sampled parts, or a closed form
-        that diverges, take energy_spectral at the Gauss-Laguerre nodes of
-        spec (source "gauss_laguerre"), which reports where it crossed.
+        form (source "exact").  When that diverges the value is +inf and
+        crossed_at is where the weighted integrand first passed the ceiling
+        at the Gauss-Laguerre nodes of spec, None if it never did there.
+        Power and sampled parts, or a closed form that is not finite, take
+        energy_spectral at those nodes (source "gauss_laguerre").
         """
         p = self.problem
         form = _exponential_form([profile for profile, _H in p.forcing_parts])
@@ -432,9 +434,11 @@ class SelectedSpectralMinimizer:
                 p.symbol_values, self.roots.slow, p.grid.weights, p.initial_hat,
                 amplitudes, rates, self.eps,
             )
+            if value == math.inf:
+                return value, energy_spectral(self.state, p, self.eps, spec)[1], "exact"
             if value is not None:
                 return value, None, "exact"
-        value, crossed = energy_spectral(self.state, p, self.eps, spec, ceiling)
+        value, crossed = energy_spectral(self.state, p, self.eps, spec)
         return value, crossed, "gauss_laguerre"
 
     __call__ = value

@@ -116,9 +116,8 @@ class TestDecoupledForcing:
         )
         g = decoupled_forcing(eigen, sp, forcing)
         direct = eigen.project(forcing.vector(t)) / sp.disc_sqrt
-        np.testing.assert_allclose(g(t), direct, atol=1e-13)
-        for i in range(2):
-            assert g.component(i)(t) == pytest.approx(direct[i], abs=1e-13)
+        profiles = np.array([p(t) for p in g.profiles])
+        np.testing.assert_allclose(g.coeffs @ profiles, direct, atol=1e-13)
 
 
 class TestSelectionInitial:
@@ -137,7 +136,7 @@ class TestSelectionInitial:
         forcing = ForcingTerm.from_vectors([(constant_profile(1.0), (0.3, -0.7))])
         g = decoupled_forcing(eigen, sp, forcing)
         got = selection_initial(sp, g)
-        want = g(0.0) / sp.fast
+        want = eigen.project(forcing.vector(0.0)) / sp.disc_sqrt / sp.fast
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -234,6 +233,18 @@ class TestExactEnergy:
         value, crossed, source = m.energy()
         assert source == "gauss_laguerre"
         assert (value, crossed) == energy_ode(m.state, A, forcing, 0.05)
+
+
+    @pytest.mark.parametrize("crosses", [False, True], ids=["at_edge", "past_edge"])
+    def test_divergent_closed_form_is_inf(self, crosses):
+        # rate 1/(2 eps) diverges unseen by the nodes; 0.9 of the fast root crosses the ceiling
+        A, eps = np.array([[1.0]]), 0.1
+        rate = 0.9 * float(regularized_spectrum(1.0, eps).fast[0]) if crosses else 5.0
+        forcing = ForcingTerm.from_vectors([(exponential_profile(1.0, rate), (1.0,))])
+        m = selected_minimizer(_problem(A, [1.0], forcing), eps)
+        gl, gl_crossed = energy_ode(m.state, A, forcing, eps)
+        assert (gl == math.inf) == crosses == (gl_crossed is not None)
+        assert m.energy() == (math.inf, gl_crossed, "exact")
 
 
 class TestExactSolution:

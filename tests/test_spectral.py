@@ -485,15 +485,34 @@ class TestExactEnergy:
         assert source == "gauss_laguerre"
         assert (value, crossed) == energy_spectral(m.state, prob, 0.05)
 
-    def test_divergent_closed_form_falls_back_and_reports_crossing(self):
+    def test_divergent_closed_form_is_inf_and_reports_crossing(self):
         # a forcing rate past 1/(2 eps), still below the fast root, makes the energy diverge
         eps = 0.1
         rate = 0.9 * float(root_data([1.0], eps).fast[0])
         prob = _one_node_problem(1.0, 1.0, [(exponential_profile(1.0, rate), 1.0)])
         m = minimizer_hat(prob, eps)
         value, crossed, source = m.energy()
-        assert source == "gauss_laguerre"
-        assert value == math.inf and crossed is not None
+        assert (value, crossed) == energy_spectral(m.state, prob, eps)
+        assert value == math.inf and crossed is not None and source == "exact"
+
+    def test_divergence_the_nodes_miss_is_still_inf(self):
+        # at rate 1/(2 eps) the weighted integrand stays bounded at every node, so the
+        # Gauss-Laguerre sum is finite although the energy diverges
+        eps = 0.1
+        prob = _one_node_problem(1.0, 1.0, [(exponential_profile(1.0, 5.0), 1.0)])
+        m = minimizer_hat(prob, eps)
+        gl, gl_crossed = energy_spectral(m.state, prob, eps)
+        assert math.isfinite(gl) and gl_crossed is None
+        assert m.energy() == (math.inf, None, "exact")
+
+    def test_parts_cancelling_past_the_edge_are_dropped(self):
+        eps = 0.1
+        tame = (exponential_profile(1.0, -1.0), 0.5)
+        cancelling = [(exponential_profile(1.0, 6.0), 1.0), (exponential_profile(2.0, 6.0), -0.5)]
+        with_parts = minimizer_hat(_one_node_problem(1.0, 1.0, [tame, *cancelling]), eps)
+        without = minimizer_hat(_one_node_problem(1.0, 1.0, [tame]), eps)
+        assert with_parts.energy() == without.energy()
+        assert without.energy()[2] == "exact"
 
 
 class TestNormsAndBounds:

@@ -64,8 +64,37 @@ def _jsonable(x):
 
 
 def _dump_json(obj) -> bytes:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    """json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) and a newline.
+
+    The layout is written here rather than by json, so that a list of
+    plain finite floats (the frequencies of a field) is joined from
+    float.__repr__ in one pass instead of element by element.
+    """
+    return (_encode(obj, "\n") + "\n").encode("utf-8")
+
+
+def _encode(x, pad: str) -> str:
+    """JSON text of x, its inner lines indented by pad plus two spaces."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = sorted({str(k): v for k, v in x.items()}.items())
+        return "{" + inner + ("," + inner).join(
+            json.dumps(k) + ": " + _encode(v, inner) for k, v in items
+        ) + pad + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        if all(type(v) is float for v in x) and all(map(math.isfinite, x)):
+            body = map(float.__repr__, x)
+        else:
+            body = (_encode(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    return json.dumps(_jsonable(x), allow_nan=False)
 
 
 def _csv_cell(x) -> str:
@@ -163,7 +192,6 @@ def _run_study(cfg: ExperimentConfig, map_fn):
         time_points=cfg.time_points,
         spec=cfg.quadrature,
         problem_id=cfg.problem_id,
-        map_fn=map_fn,
     )
     results["study"] = report.as_dict()
     verdicts.update(report.verdicts)

@@ -88,13 +88,16 @@ class TimeProfile:
             return float(out)
         return out
 
-    def duhamel(self, lam, t: float) -> np.ndarray:
+    def duhamel(self, lam, t) -> np.ndarray:
         """int_0^t exp(lam*(t-s)) g(s) ds for each rate in lam, in closed form.
 
-        Raises ExponentOverflowError when lam*t, or a growing profile's own
-        exponent, passes the overflow cap.
+        A 1-D array t gives one row per time, each row equal bit for bit
+        to the call at that time.  Raises ExponentOverflowError when lam*t,
+        or a growing profile's own exponent, passes the overflow cap.
         """
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        if _is_times(t):
+            return self._duhamel_rows(lam, _time_array(t))
         t = float(t)
         if t < 0.0:
             raise ValueError("upper limit must be nonnegative")
@@ -119,15 +122,43 @@ class TimeProfile:
             return (decay * pieces).sum(axis=1)
         raise ValueError(f"unknown profile kind {self.kind!r}")
 
-    def shifted_tail(self, mu, t: float, growth_rate: float = 0.0) -> np.ndarray:
+    def _duhamel_rows(self, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """duhamel at each time of t, one row per time; rows at t = 0 are zero."""
+        if t.size and float(t.min()) < 0.0:
+            raise ValueError("upper limit must be nonnegative")
+        out = np.zeros((t.size, lam.size))
+        live = t > 0.0
+        if not live.any():
+            return out
+        _exp_guarded(lam.max() * float(t.max()))  # the largest lam*t of any row
+        if self.kind in ("constant", "exponential"):
+            r = self.rate if self.kind == "exponential" else 0.0
+            tc = t[live, None]
+            top = _exp_guarded(np.maximum(lam, r) * tc)
+            out[live] = self.amplitude * tc * top * _phi(1, -np.abs(lam - r) * tc)
+            return out
+        # the series and continued fractions run until every entry of a call has
+        # converged, so a block call could move a row's last bits: go row by row
+        for k in np.flatnonzero(live):
+            out[k] = self.duhamel(lam, float(t[k]))
+        return out
+
+    def shifted_tail(self, mu, t, growth_rate: float = 0.0) -> np.ndarray:
         """int_0^inf exp(-mu*u) g(t+u) du for each rate in mu, in closed form.
 
-        Raises DivergenceError unless every rate exceeds both the declared
-        growth_rate and the profile's own exponential rate.
+        A 1-D array t gives one row per time, each row equal bit for bit
+        to the call at that time.  Raises DivergenceError unless every rate
+        exceeds both the declared growth_rate and the profile's own
+        exponential rate.
         """
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        t = float(t)
-        if t < 0.0:
+        rows = _is_times(t)
+        if rows:
+            t = _time_array(t)
+            low = float(t.min(initial=0.0))
+        else:
+            t = low = float(t)
+        if low < 0.0:
             raise ValueError("shift must be nonnegative")
         own = self.rate if self.kind == "exponential" else 0.0
         if mu.size and float(mu.min()) <= max(growth_rate, own):
@@ -135,6 +166,13 @@ class TimeProfile:
                 f"tail rate {float(mu.min()):.6g} does not dominate the growth rate "
                 f"{max(growth_rate, own):.6g}"
             )
+        if rows:
+            if self.kind in ("constant", "exponential"):
+                return (self.amplitude * _exp_guarded(own * t))[:, None] / (mu - own)
+            out = np.empty((t.size, mu.size))
+            for k, tk in enumerate(t):
+                out[k] = self.shifted_tail(mu, float(tk), growth_rate)
+            return out
         if self.kind in ("constant", "exponential"):
             return self.amplitude * _exp_guarded(own * t) / (mu - own)
         if self.kind == "power":
@@ -172,6 +210,19 @@ class TimeProfile:
 
 
 # ---- Closed forms behind the kernels ----
+
+
+def _is_times(t) -> bool:
+    """Whether t holds many times rather than one; a float answers without numpy."""
+    return not isinstance(t, (float, int)) and np.ndim(t) > 0
+
+
+def _time_array(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
+    return t
+
 
 _SERIES_RADIUS = 0.5
 _SERIES_TERMS = 17  # the first omitted term is below 1e-19 inside the radius

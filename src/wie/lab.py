@@ -226,7 +226,7 @@ def branch_divergence(
 
     def weighted_sq(t: float) -> float:
         # exp(-t/eps) |y(t)|^2, the weight split and folded in before squaring
-        y = math.exp(-half_rate * t) * m(t)
+        y = math.exp(-half_rate * t) * m.value(t)
         if delta != 0.0:
             bump = delta * (math.exp((mu - half_rate) * t) - math.exp((lam - half_rate) * t))
             y = y + bump * w
@@ -368,41 +368,85 @@ def _check_ladder(ladder) -> list:
     return ladder
 
 
-def _ode_study(problem, ladder, horizon, norm, times, spec, map_fn):
-    # one state vector per time is small, and re-evaluating the flow in every
-    # rung costs more than the whole selected trajectory does
+def _run_rungs(ladder, build, sweep, finish) -> list:
+    """The rung bookkeeping of both studies: build, sweep side by side, finish.
+
+    build(eps) makes a rung.  sweep(live), given the built rungs by index,
+    returns per index the rung's sup error over the time grid, or the
+    exception that stopped it.  finish(eps, rung, sup) makes the rung's
+    LadderEntry.  A rung that raises anywhere becomes a failure entry, and
+    the other rungs go on.
+    """
+    entries = [None] * len(ladder)
+    live = {}
+    for i, eps in enumerate(ladder):
+        try:
+            live[i] = build(eps)
+        except Exception as exc:
+            entries[i] = LadderEntry.failed(eps, exc)
+    sups = sweep(live) if live else {}
+    for i, m in live.items():
+        outcome = sups[i]
+        if not isinstance(outcome, Exception):
+            try:
+                entries[i] = finish(ladder[i], m, outcome)
+                continue
+            except Exception as exc:
+                outcome = exc
+        entries[i] = LadderEntry.failed(ladder[i], outcome)
+    return entries
+
+
+def _ode_study(problem, ladder, norm, times, spec):
+    """The rungs side by side: the reference and each rung evaluated once on the whole grid.
+
+    A (times x modes) block is small, so each trajectory gives all its
+    states from one evaluation of its modes, and the norms are then taken
+    row by row.
+    """
     reference = exact_solution(problem)
-    ref_vals = [reference(t) for t in times]
     eigen = eigendecompose(problem.matrix)
     weights = 1.0 + np.abs(eigen.values)
 
-    def member(eps):
+    def sup_distance(diffs) -> float:
+        sup = 0.0
+        for diff in diffs:
+            if norm == "sup_vl":
+                c = eigen.project(diff)
+                val = math.sqrt(float(np.sum(weights * c * c)))
+            else:
+                val = float(np.linalg.norm(diff))
+            sup = max(sup, val)
+        return sup
+
+    def sweep(live):
         try:
-            m = selected_minimizer(problem, eps, spec)
-            sup = 0.0
-            for t, ref in zip(times, ref_vals):
-                diff = m(t) - ref
-                if norm == "sup_vl":
-                    c = eigen.project(diff)
-                    val = math.sqrt(float(np.sum(weights * c * c)))
-                else:
-                    val = float(np.linalg.norm(diff))
-                sup = max(sup, val)
-            energy, _crossed, source = m.energy()
-            report = inequality_report(root_data(eigen.values, eps, check=False))
-            violations = sum(v["violations"] for v in report.values())
-            return LadderEntry(eps, sup, energy, violations, energy_source=source)
+            ref = reference.values(times)
         except Exception as exc:
-            return LadderEntry.failed(eps, exc)
+            return dict.fromkeys(live, exc)
+        sups = {}
+        for i, m in live.items():
+            try:
+                sups[i] = sup_distance(m.values(times) - ref)
+            except Exception as exc:
+                sups[i] = exc
+        return sups
 
-    return list(map_fn(member, ladder))
+    def finish(eps, m, sup):
+        energy, _crossed, source = m.energy()
+        report = inequality_report(root_data(eigen.values, eps, check=False))
+        violations = sum(v["violations"] for v in report.values())
+        return LadderEntry(eps, sup, energy, violations, energy_source=source)
+
+    return _run_rungs(ladder, lambda eps: selected_minimizer(problem, eps, spec), sweep, finish)
 
 
-def _spectral_study(problem, ladder, horizon, norm, times, spec):
+def _spectral_study(problem, ladder, norm, times, spec):
     """The rungs side by side: one reference evaluation per time serves every rung.
 
     Each rung holds its root arrays for the whole sweep, a few real arrays
-    of the grid's length, and nothing per time.  It runs serially: the
+    of the grid's length, and nothing per time: a (times x nodes) block
+    would be as large as the whole sampled field.  It runs serially: the
     rungs share the sweep, and building a rung or its closed-form energy
     takes about a millisecond.
     """
@@ -412,44 +456,33 @@ def _spectral_study(problem, ladder, horizon, norm, times, spec):
         # the graph-norm weights of vl_norm, formed once per study
         w = w * (1.0 + np.abs(problem.symbol_values))
 
-    def build(eps):
-        try:
-            return minimizer_hat(problem, eps)
-        except Exception as exc:
-            return LadderEntry.failed(eps, exc)
-
-    rungs = [build(eps) for eps in ladder]
-    sups = [0.0] * len(rungs)
-    for t in times:
-        live = [i for i, m in enumerate(rungs) if not isinstance(m, LadderEntry)]
-        if not live:
-            break
-        try:
-            ref = reference.value(t)
-        except Exception as exc:
-            for i in live:
-                rungs[i] = LadderEntry.failed(ladder[i], exc)
-            break
-        for i in live:
+    def sweep(live):
+        sups = dict.fromkeys(live, 0.0)
+        for t in times:
+            running = [i for i in live if not isinstance(sups[i], Exception)]
+            if not running:
+                break
             try:
-                diff = rungs[i].value(t)
-                diff -= ref
-                sups[i] = max(sups[i], l2_norm(diff, w))
+                ref = reference.value(t)
             except Exception as exc:
-                rungs[i] = LadderEntry.failed(ladder[i], exc)
+                for i in running:
+                    sups[i] = exc
+                break
+            for i in running:
+                try:
+                    diff = live[i].value(t)
+                    diff -= ref
+                    sups[i] = max(sups[i], l2_norm(diff, w))
+                except Exception as exc:
+                    sups[i] = exc
+        return sups
 
-    def finish(i):
-        m = rungs[i]
-        if isinstance(m, LadderEntry):
-            return m
-        try:
-            energy, _crossed, source = m.energy(spec)
-        except Exception as exc:
-            return LadderEntry.failed(ladder[i], exc)
+    def finish(eps, m, sup):
+        energy, _crossed, source = m.energy(spec)
         # minimizer_hat checks the root bundle at tol 1e-9 and raises on any violation
-        return LadderEntry(ladder[i], sups[i], energy, 0, energy_source=source)
+        return LadderEntry(eps, sup, energy, 0, energy_source=source)
 
-    return [finish(i) for i in range(len(rungs))]
+    return _run_rungs(ladder, lambda eps: minimizer_hat(problem, eps), sweep, finish)
 
 
 def convergence_study(
@@ -460,7 +493,6 @@ def convergence_study(
     time_points: int = 201,
     spec: QuadratureSpec = DEFAULT_SPEC,
     problem_id: str = "study",
-    map_fn: Callable = map,
 ) -> ConvergenceReport:
     """Shrink eps along the ladder and compare against the first-order flow.
 
@@ -468,8 +500,9 @@ def convergence_study(
     reference over a dense grid on [0, horizon], its weighted energy, and
     the root-estimate violation count.  A failing rung is recorded and the
     study continues.  The fitted log-log rate is a diagnostic; the verdict
-    that matters is monotone decay of the error.  map_fn runs the rungs of
-    an ODE study; a spectral study runs its rungs side by side, serially.
+    that matters is monotone decay of the error.  Both kinds of study run
+    their rungs side by side, serially, against one evaluation of the
+    reference.
     """
     ladder = _check_ladder(ladder)
     if horizon <= 0.0:
@@ -478,9 +511,9 @@ def convergence_study(
         raise ValueError(f"unknown norm {norm!r}")
     times = np.linspace(0.0, float(horizon), time_points)
     if isinstance(problem, OdeProblem):
-        entries = _ode_study(problem, ladder, horizon, norm, times, spec, map_fn)
+        entries = _ode_study(problem, ladder, norm, times, spec)
     elif isinstance(problem, SpectralProblem):
-        entries = _spectral_study(problem, ladder, horizon, norm, times, spec)
+        entries = _spectral_study(problem, ladder, norm, times, spec)
     else:
         raise TypeError(f"unsupported problem type {type(problem).__name__}")
     ok = [e for e in entries if e.failure is None]

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .forcing import ForcingTerm, _exponential_form
+from .forcing import ForcingTerm, _exponential_form, _time_array
 from .quadrature import (
     DEFAULT_SPEC,
     ENERGY_CEILING,
@@ -136,6 +136,23 @@ def regularized_spectrum(values, eps: float) -> RegularizedSpectrum:
     return RegularizedSpectrum(eps=eps, disc_sqrt=z, slow=slow, fast=fast)
 
 
+def _times(t):
+    """(t, tc): a float twice, or a 1-D array of times and its column to broadcast over modes."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        return t, t[:, None]
+    t = float(t)
+    return t, t
+
+
+def _reconstruct_rows(eigen: EigenData, coeffs: np.ndarray) -> np.ndarray:
+    # one matrix-vector product per row, as value() makes it: a single matrix
+    # product over all rows sums in another order and moves the last bits
+    out = np.empty(coeffs.shape)
+    for k, c in enumerate(coeffs):
+        out[k] = eigen.reconstruct(c)
+    return out
+
+
 def _project_parts(eigen: EigenData, forcing: ForcingTerm) -> np.ndarray:
     """Eigenbasis coordinates of the parts' space vectors, one column per part."""
     if forcing.is_zero:
@@ -161,17 +178,20 @@ class DecoupledForcing:
     def is_zero(self) -> bool:
         return self.coeffs.shape[1] == 0 or not np.any(self.coeffs)
 
-    def duhamel(self, lam, t: float) -> np.ndarray:
-        """Per mode, int_0^t exp(lam_i (t-s)) g_i(s) ds; each profile's kernel spans all modes."""
-        out = np.zeros(self.size)
+    def duhamel(self, lam, t) -> np.ndarray:
+        """Per mode, int_0^t exp(lam_i (t-s)) g_i(s) ds; each profile's kernel spans all modes.
+
+        A 1-D array t gives one row per time.
+        """
+        out = np.zeros(np.shape(t) + (self.size,))
         if not self.is_zero:
             for j, p in enumerate(self.profiles):
                 out = out + self.coeffs[:, j] * p.duhamel(lam, t)
         return out
 
-    def tail(self, mu, t: float, growth_rate: float = 0.0) -> np.ndarray:
-        """Per mode, int_0^inf exp(-mu_i u) g_i(t+u) du, all modes at once."""
-        out = np.zeros(self.size)
+    def tail(self, mu, t, growth_rate: float = 0.0) -> np.ndarray:
+        """Per mode, int_0^inf exp(-mu_i u) g_i(t+u) du, all modes at once; rows as duhamel."""
+        out = np.zeros(np.shape(t) + (self.size,))
         if not self.is_zero:
             for j, p in enumerate(self.profiles):
                 out = out + self.coeffs[:, j] * p.shifted_tail(mu, t, growth_rate)
@@ -200,9 +220,11 @@ def selection_initial(
 class SelectedOdeMinimizer:
     """The unique finite-energy trajectory of the second-order system.
 
-    Callable at any t >= 0; derivative() is analytic, not a difference
-    quotient.  Every call evaluates afresh, and state(t) gives value and
-    derivative from one evaluation of the modes.
+    value(t) (also the call) gives the state at any t >= 0, and
+    values(times) the states at a whole time grid from one evaluation of
+    the modes.  derivative() is analytic, not a difference quotient.
+    Every call evaluates afresh, and state(t) gives value and derivative
+    from one evaluation of the modes.
     """
 
     def __init__(self, problem: OdeProblem, eps: float, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -217,17 +239,22 @@ class SelectedOdeMinimizer:
         self.fast_initial = selection_initial(self.spectrum, self.g, self.growth_rate)
         self.slow_initial = self.eigen.project(problem.initial) - self.fast_initial
 
-    def _modes(self, t: float):
-        """Slow and fast coefficient vectors at time t."""
-        t = float(t)
+    def _modes(self, t):
+        """Slow and fast coefficient vectors at time t; a 1-D t gives one row per time."""
+        t, tc = _times(t)
         lam = self.spectrum.slow
-        slow = _exp_guarded(lam * t) * self.slow_initial + self.g.duhamel(lam, t)
+        slow = _exp_guarded(lam * tc) * self.slow_initial + self.g.duhamel(lam, t)
         fast = self.g.tail(self.spectrum.fast, t, self.growth_rate)
         return slow, fast
 
-    def __call__(self, t: float) -> np.ndarray:
+    def value(self, t: float) -> np.ndarray:
         slow, fast = self._modes(t)
         return self.eigen.reconstruct(slow + fast)
+
+    def values(self, times) -> np.ndarray:
+        """The states at a 1-D array of times, one row each, row k bit for bit value(times[k])."""
+        slow, fast = self._modes(_time_array(times))
+        return _reconstruct_rows(self.eigen, slow + fast)
 
     def state(self, t: float):
         """(value, derivative) at t from one evaluation of the modes."""
@@ -237,6 +264,8 @@ class SelectedOdeMinimizer:
 
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]
+
+    __call__ = value
 
     def energy(self):
         """(value, crossed_at, source) of the weighted energy.
@@ -275,7 +304,10 @@ def selected_minimizer(
 
 
 class ExactOdeSolution:
-    """First-order flow y' = -A*y + f(t), y(0) given, via the eigenbasis."""
+    """First-order flow y' = -A*y + f(t), y(0) given, via the eigenbasis.
+
+    value(t) (also the call) and values(times) as on SelectedOdeMinimizer.
+    """
 
     def __init__(self, problem: OdeProblem):
         self.problem = problem
@@ -283,25 +315,32 @@ class ExactOdeSolution:
         self.coeff0 = self.eigen.project(problem.initial)
         self._proj = _project_parts(self.eigen, problem.forcing)
 
-    def _coeffs(self, t: float) -> np.ndarray:
-        t = float(t)
+    def _coeffs(self, t) -> np.ndarray:
+        """Eigen-coefficients at time t, one row per time of a 1-D t."""
+        t, tc = _times(t)
         mu = self.eigen.values
         with np.errstate(over="raise"):
-            c = np.exp(-mu * t) * self.coeff0
+            c = np.exp(-mu * tc) * self.coeff0
         for j, part in enumerate(self.problem.forcing.parts):
             c = c + self._proj[:, j] * part.profile.duhamel(-mu, t)
         return c
 
-    def __call__(self, t: float) -> np.ndarray:
+    def value(self, t: float) -> np.ndarray:
         return self.eigen.reconstruct(self._coeffs(t))
+
+    def values(self, times) -> np.ndarray:
+        """The states at a 1-D array of times, one row each, row k bit for bit value(times[k])."""
+        return _reconstruct_rows(self.eigen, self._coeffs(_time_array(times)))
 
     def state(self, t: float):
         """(value, derivative) at t; the flow satisfies its own equation exactly."""
-        y = self(t)
+        y = self.value(t)
         return y, -self.problem.matrix @ y + self.problem.forcing.vector(float(t))
 
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]
+
+    __call__ = value
 
 
 def exact_solution(problem: OdeProblem) -> ExactOdeSolution:
@@ -347,9 +386,9 @@ def viscous_residual(minimizer: SelectedOdeMinimizer, t: float, h: float = 1e-3)
     """
     if t < h:
         raise ValueError("need t >= h for the centered stencil")
-    y_m = minimizer(t - h)
-    y_0 = minimizer(t)
-    y_p = minimizer(t + h)
+    y_m = minimizer.value(t - h)
+    y_0 = minimizer.value(t)
+    y_p = minimizer.value(t + h)
     d2 = (y_p - 2.0 * y_0 + y_m) / (h * h)
     d1 = (y_p - y_m) / (2.0 * h)
     A = minimizer.problem.matrix

@@ -114,6 +114,23 @@ class TestValidateConfig:
             parse_config(str(tmp_path / "absent.json"))
 
 
+class TestDumpJson:
+    def test_bytes_are_json_dumps_with_indent_two(self):
+        obj = {
+            "frequencies": [float(x) for x in np.linspace(-3.0, 3.0, 7)] + [-0.0, 1e-320],
+            "mixed": [1.0, math.inf, -math.nan, None, 2, True, "x", np.float64(0.1)],
+            "array": np.array([0.5, math.inf]),
+            "ints": np.arange(3),
+            "empty": [[], {}, ()],
+            "nested": {"b": [{"é": -math.inf}], 3: (1.5, 2.5), "a": {"z": np.bool_(False)}},
+            "text": "quote \" and unicode \u00e9",
+        }
+        want = json.dumps(cli._jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+        assert cli._dump_json(obj) == (want + "\n").encode("utf-8")
+        with pytest.raises(TypeError):
+            cli._dump_json({"z": [1j]})
+
+
 class TestCliRun:
     def test_run_writes_reports(self, tmp_path):
         cfg = _write(tmp_path, _ode_config())

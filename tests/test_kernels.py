@@ -331,3 +331,53 @@ def test_error_parity_with_quadrature(p):
 def test_tail_refuses_rate_below_profile_growth():
     with pytest.raises(DivergenceError):
         exponential_profile(1.0, 3.0).shifted_tail(np.array([10.0, 2.5]), 0.0)
+
+
+# ---- Block evaluation over a time grid ----
+
+BLOCK_PROFILES = [
+    constant_profile(-0.7),
+    exponential_profile(1.3, -0.4),
+    exponential_profile(-2.0, 0.9),
+    power_profile(0.5, 0.5),
+    power_profile(-1.5, 2.0),
+    sampled_profile([0.0, 0.2, 0.5, 0.55, 1.3], [1.0, -2.0, 0.5, 3.0, 0.0]),
+]
+BLOCK_IDS = ["constant", "exponential", "exponential-growing", "power", "power-integer", "sampled"]
+# t = 0 rows, the sample kinks, a time past the last sample and a dense grid
+BLOCK_TIMES = np.concatenate(([0.0, 0.0, 1e-9, 0.2, 0.55, 2.0], np.linspace(0.0, 1.5, 61)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("p", BLOCK_PROFILES, ids=BLOCK_IDS)
+def test_block_rows_are_the_scalar_calls_bit_for_bit(p):
+    rng = np.random.default_rng(41)
+    lam = np.concatenate((-rng.uniform(0.0, 60.0, 7), [0.3, 0.0]))
+    mu = rng.uniform(1.5, 200.0, 9)
+    duhamel = p.duhamel(lam, BLOCK_TIMES)
+    tail = p.shifted_tail(mu, BLOCK_TIMES, 1.0)
+    assert duhamel.shape == tail.shape == (BLOCK_TIMES.size, 9)
+    for k, t in enumerate(BLOCK_TIMES):
+        np.testing.assert_array_equal(_bits(duhamel[k]), _bits(p.duhamel(lam, float(t))))
+        np.testing.assert_array_equal(_bits(tail[k]), _bits(p.shifted_tail(mu, float(t), 1.0)))
+    # t = 0 rows are +0.0, as the scalar call gives them, whatever the amplitude's sign
+    np.testing.assert_array_equal(_bits(duhamel[:2]), 0)
+
+
+@pytest.mark.parametrize("p", BLOCK_PROFILES, ids=BLOCK_IDS)
+def test_block_refuses_what_some_row_refuses(p):
+    times = np.array([0.0, 1.0, 2.5])
+    with pytest.raises(ExponentOverflowError):
+        p.duhamel(np.array([1.0, 300.0]), times)  # only the last row passes the cap
+    with pytest.raises(ValueError, match="nonnegative"):
+        p.duhamel(np.array([1.0]), np.array([0.5, -1.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        p.shifted_tail(np.array([5.0]), np.array([0.5, -1.0]))
+    with pytest.raises(DivergenceError):
+        p.shifted_tail(np.array([5.0, 2.0]), times, growth_rate=2.0)
+    with pytest.raises(ValueError, match="1-D"):
+        p.duhamel(np.array([1.0]), np.zeros((2, 2)))
+    assert p.duhamel(np.array([1.0, 2.0]), np.array([])).shape == (0, 2)

@@ -1,7 +1,6 @@
 """Desk-scale studies: lemma sweeps, branch divergence, ladders, audits."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +17,14 @@ from wie.lab import (
     fit_rate,
     lemma_tech_profile,
 )
-from wie.ode import OdeProblem
+from wie.ode import (
+    ExactOdeSolution,
+    OdeProblem,
+    SelectedOdeMinimizer,
+    eigendecompose,
+    exact_solution,
+    selected_minimizer,
+)
 from wie.quadrature import DEFAULT_SPEC, ExponentOverflowError, QuadratureFailure, QuadratureSpec
 from wie.spectral import (
     FrequencyGrid,
@@ -216,20 +222,6 @@ class TestConvergenceStudy:
         assert second.failure is None
         assert not report.verdicts["all_members_completed"]
 
-    def test_pool_map_matches_serial(self):
-        prob = OdeProblem(
-            matrix=np.array([[2.0, 1.0], [1.0, 2.0]]),
-            initial=np.array([1.0, -0.5]),
-            forcing=ForcingTerm.zero(),
-        )
-        serial = convergence_study(prob, [0.1, 0.05, 0.01], 1.0)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            pooled = convergence_study(prob, [0.1, 0.05, 0.01], 1.0, map_fn=pool.map)
-        for a, b in zip(serial.entries, pooled.entries):
-            assert a.eps == b.eps
-            assert a.sup_error == b.sup_error
-            assert a.energy == b.energy
-
     def test_validation(self):
         prob = _scalar_problem(1.0)
         with pytest.raises(ValueError, match="decrease strictly"):
@@ -254,15 +246,6 @@ class TestSpectralStudy:
         report = convergence_study(_spectral_problem(), self.LADDER, 1.0, time_points=201)
         assert report.verdicts["all_members_completed"]
         assert len(calls) == len(set(calls)) == 201
-
-    def test_pool_map_matches_serial(self):
-        prob = _spectral_problem(forcing=_gaussian_forcing(exponential_profile(0.5, -1.0)))
-        serial = convergence_study(prob, self.LADDER, 1.0, norm="sup_vl")
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            pooled = convergence_study(prob, self.LADDER, 1.0, norm="sup_vl", map_fn=pool.map)
-        assert serial.verdicts["all_members_completed"]
-        for a, b in zip(serial.entries, pooled.entries):
-            assert a.as_dict() == b.as_dict()
 
     def test_rungs_match_one_rung_at_a_time(self):
         # side by side, each rung gives the very floats it gives alone
@@ -321,6 +304,90 @@ class TestSpectralStudy:
             assert entry.energy_source == "gauss_laguerre"
             want, _ = energy_spectral(minimizer_hat(prob, entry.eps).state, prob, entry.eps)
             assert entry.energy == want
+
+
+class TestOdeStudy:
+    LADDER = [1e-1, 1e-2, 1e-3, 1e-4]
+
+    def _problem(self, shift=0.0):
+        rng = np.random.default_rng(47)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        matrix = q @ np.diag(rng.uniform(0.2, 2.5, 4) - shift) @ q.T
+        forcing = ForcingTerm.from_vectors(
+            [
+                (exponential_profile(1.0, -0.3), rng.standard_normal(4)),
+                (exponential_profile(0.7, -1.2), rng.standard_normal(4)),
+            ]
+        )
+        return OdeProblem(0.5 * (matrix + matrix.T), rng.standard_normal(4), forcing)
+
+    def test_one_reference_evaluation_per_study(self, monkeypatch):
+        calls = []
+        coeffs = ExactOdeSolution._coeffs
+        monkeypatch.setattr(
+            ExactOdeSolution, "_coeffs", lambda self, t: calls.append(t) or coeffs(self, t)
+        )
+        report = convergence_study(self._problem(), self.LADDER, 1.0, time_points=201)
+        assert report.verdicts["all_members_completed"]
+        (times,) = calls
+        np.testing.assert_array_equal(times, np.linspace(0.0, 1.0, 201))
+
+    @pytest.mark.parametrize("norm", ["sup_uniform", "sup_vl"])
+    def test_rungs_match_one_rung_at_a_time(self, norm):
+        # side by side on the whole grid, each rung gives the very floats of a
+        # time-by-time sweep of that rung alone
+        prob = self._problem()
+        times = np.linspace(0.0, 1.0, 201)
+        flow = exact_solution(prob)
+        eigen = eigendecompose(prob.matrix)
+        weights = 1.0 + np.abs(eigen.values)
+        together = convergence_study(prob, self.LADDER, 1.0, norm=norm)
+        for entry, eps in zip(together.entries, self.LADDER):
+            (alone,) = convergence_study(prob, [eps], 1.0, norm=norm).entries
+            assert entry.as_dict() == alone.as_dict()
+            assert entry.energy_source == "exact"
+            m = selected_minimizer(prob, eps)
+            sup = 0.0
+            for t in times:
+                diff = m.value(float(t)) - flow.value(float(t))
+                if norm == "sup_vl":
+                    c = eigen.project(diff)
+                    sup = max(sup, math.sqrt(float(np.sum(weights * c * c))))
+                else:
+                    sup = max(sup, float(np.linalg.norm(diff)))
+            assert entry.sup_error == sup
+
+    def test_rung_failing_mid_sweep_leaves_the_others(self, monkeypatch):
+        modes = SelectedOdeMinimizer._modes
+
+        def flaky(self, t):
+            if self.eps == 1e-2 and np.max(t) > 0.5:
+                raise ExponentOverflowError("rung gave up")
+            return modes(self, t)
+
+        monkeypatch.setattr(SelectedOdeMinimizer, "_modes", flaky)
+        report = convergence_study(self._problem(), self.LADDER, 1.0)
+        failed = [e for e in report.entries if e.failure is not None]
+        assert [e.eps for e in failed] == [1e-2]
+        assert failed[0].failure == "rung gave up"
+        assert math.isnan(failed[0].sup_error) and failed[0].energy_source is None
+        assert sum(e.failure is None for e in report.entries) == 3
+        assert not report.verdicts["all_members_completed"]
+
+    def test_reference_failure_fails_every_live_rung(self, monkeypatch):
+        coeffs = ExactOdeSolution._coeffs
+
+        def flaky(self, t):
+            if np.max(t) > 0.5:
+                raise ExponentOverflowError("reference gave up")
+            return coeffs(self, t)
+
+        monkeypatch.setattr(ExactOdeSolution, "_coeffs", flaky)
+        # eigenvalues down to -1.05 refuse eps = 0.2 at build: 1 + 4*eps*mu <= 1/2
+        prob = self._problem(shift=1.7)
+        report = convergence_study(prob, [0.2, 0.01, 0.001], 1.0)
+        assert "1 + 4*eps*symbol <= 1/2" in report.entries[0].failure
+        assert [e.failure for e in report.entries[1:]] == ["reference gave up"] * 2
 
 
 class TestBoundAudit:

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_symmetric
-from wie.forcing import ForcingTerm, constant_profile, exponential_profile, power_profile
+from wie.forcing import (
+    ForcingTerm,
+    constant_profile,
+    exponential_profile,
+    power_profile,
+    sampled_profile,
+)
 from wie.ode import (
     OdeProblem,
     SelectedOdeMinimizer,
@@ -204,6 +210,37 @@ class TestSelectedMinimizer:
                 value, deriv = y.state(t)
                 np.testing.assert_array_equal(value, y(t))
                 np.testing.assert_array_equal(deriv, y.derivative(t))
+
+
+class TestTimeBlocks:
+    TIMES = np.concatenate(([0.0, 1e-9], np.linspace(0.0, 2.0, 41)))
+
+    def _problem(self):
+        rng = np.random.default_rng(43)
+        A = random_symmetric(rng, 5)
+        forcing = ForcingTerm.from_vectors(
+            [
+                (exponential_profile(0.7, -1.2), tuple(rng.uniform(-1.0, 1.0, 5))),
+                (power_profile(0.5, 0.5), tuple(rng.uniform(-1.0, 1.0, 5))),
+                (sampled_profile([0.0, 0.3, 0.7, 1.5], [1.0, -1.0, 2.0, 0.0]),
+                 tuple(rng.uniform(-1.0, 1.0, 5))),
+            ]
+        )
+        return _problem(A, rng.uniform(-1.0, 1.0, 5), forcing)
+
+    def test_values_rows_are_value_bit_for_bit(self):
+        prob = self._problem()
+        for y in (exact_solution(prob), *(selected_minimizer(prob, e) for e in (1e-1, 1e-3))):
+            block = y.values(self.TIMES)
+            assert block.shape == (self.TIMES.size, 5)
+            rows = np.stack([y.value(float(t)) for t in self.TIMES])
+            np.testing.assert_array_equal(block.view(np.uint64), rows.view(np.uint64))
+
+    def test_call_is_value(self):
+        prob = self._problem()
+        for y in (exact_solution(prob), selected_minimizer(prob, 0.05)):
+            assert type(y).__call__ is type(y).value
+            assert y.values([]).shape == (0, 5)
 
 
 class TestExactEnergy:

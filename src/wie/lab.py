@@ -23,15 +23,21 @@ from .ode import (
     exact_solution,
     selected_minimizer,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureFailure, QuadratureSpec, finite_interval
+from .quadrature import (
+    DEFAULT_SPEC,
+    EXPONENT_CAP,
+    QuadratureFailure,
+    QuadratureSpec,
+    _exp_guarded,
+    finite_interval,
+)
 from .spectral import (
+    SelectedSpectralMinimizer,
     SpectralProblem,
     inequality_report,
-    l2_norm,
     minimizer_hat,
     root_data,
     root_margins,
-    semigroup_solution,
 )
 from .symbols import MultiplierSymbol
 
@@ -441,38 +447,112 @@ def _ode_study(problem, ladder, norm, times, spec):
     return _run_rungs(ladder, lambda eps: selected_minimizer(problem, eps, spec), sweep, finish)
 
 
-def _spectral_study(problem, ladder, norm, times, spec):
-    """The rungs side by side: one reference evaluation per time serves every rung.
+class _SpectralGap:
+    """Squared distances of the rungs to the first-order flow, from real kernels.
 
-    Each rung holds its root arrays for the whole sweep, a few real arrays
-    of the grid's length, and nothing per time: a (times x nodes) block
-    would be as large as the whole sampled field.  It runs serially: the
-    rungs share the sweep, and building a rung or its closed-form energy
-    takes about a millisecond.
+    Per node, with slow and fast roots s and f and discriminant root z,
+
+        u_eps(t) - u_0(t) = a(t) c0 - exp(s t) tail0 + sum_j b_j(t) H_j,
+        a(t)   = exp(-ell t) expm1(delta t),  delta = s + ell = eps s^2,
+        b_j(t) = (duhamel_j(s, t) + tail_j(f, t))/z - duhamel_j(-ell, t),
+
+    with tail0 = sum_j H_j tail_j(f, 0)/z the rung's initial correction.
+    delta = eps s^2 has no cancellation, so a small gap is never the
+    difference of two nearly equal exponentials, and no complex array is
+    formed.  flow(t) forms exp(-ell t) once for every rung.  Once
+    max(ell) t passes the exponent cap, exp(-ell t) may be denormal and
+    expm1(delta t) may overflow, so a(t) is taken as -exp(s t)
+    expm1(-delta t) instead, which costs every rung a second exponential.
     """
-    reference = semigroup_solution(problem)
+
+    def __init__(self, problem: SpectralProblem, weights: np.ndarray):
+        self.problem = problem
+        self.weights = weights
+        # unforced, the squared gap is |root a|^2
+        self.root = np.sqrt(weights) * np.abs(problem.initial_hat)
+        self.highest = float(problem.symbol_values.max())
+        self.decay = np.empty(weights.shape)
+        self.grow = np.empty(weights.shape)
+        self.work = np.empty(weights.shape)
+
+    def flow(self, t: float) -> tuple:
+        """(exp(-ell t), or None past the cap, and each part's duhamel(-ell, t))."""
+        ell = self.problem.symbol_values
+        decay = _exp_guarded(np.multiply(ell, -t, out=self.decay))
+        if self.highest * t > EXPONENT_CAP:
+            decay = None
+        return decay, [g.duhamel(-ell, t) for g, _H in self.problem.forcing_parts]
+
+    def gap_sq(self, m: SelectedSpectralMinimizer, t: float, flow: tuple) -> float:
+        s = m.roots.slow
+        decay, duhamels = flow
+        a = np.square(s, out=self.work)
+        a *= m.eps * t
+        parts = self.problem.forcing_parts
+        if decay is not None:
+            _exp_guarded(float(s.max()) * t)  # the largest exponent of exp(s t)
+            np.expm1(a, out=a)
+            a *= decay
+            grow = decay + a if parts else None
+        else:
+            grow = _exp_guarded(np.multiply(s, t, out=self.grow))
+            np.negative(a, out=a)
+            np.expm1(a, out=a)
+            a *= grow
+            np.negative(a, out=a)
+        if not parts:
+            a *= self.root
+            return float(np.dot(a, a))
+        # every kernel of the rung before any is combined, in the order value(t) takes them
+        convs = [g.duhamel(s, t) for g, _H in parts]
+        tails = [g.shifted_tail(m.roots.fast, t, m.growth_rate) for g, _H in parts]
+        c0 = self.problem.initial_hat
+        re = c0.real * a - grow * m.tail0.real
+        im = c0.imag * a - grow * m.tail0.imag
+        for (_g, H), b, tail, duhamel in zip(parts, convs, tails, duhamels):
+            b += tail
+            b /= m.roots.disc_sqrt
+            b -= duhamel
+            re += H.real * b
+            im += H.imag * b
+        re *= re
+        im *= im
+        re += im
+        return float(np.dot(self.weights, re))
+
+
+def _spectral_study(problem, ladder, norm, times, spec):
+    """The rungs side by side: per time, the flow's terms once, then each rung's gap.
+
+    No trajectory value is formed: the distances come from the real kernels
+    of _SpectralGap.  Each rung is its minimizer, which holds its roots and
+    its t = 0 tail and nothing per time: a (times x nodes) block would be
+    as large as the whole sampled field.  It runs serially: building a
+    rung or its closed-form energy takes about a millisecond.
+    """
     w = problem.grid.weights
     if norm == "sup_vl":
         # the graph-norm weights of vl_norm, formed once per study
         w = w * (1.0 + np.abs(problem.symbol_values))
 
     def sweep(live):
+        # built per sweep, so its work arrays are freed before the energies
+        gap = _SpectralGap(problem, w)
         sups = dict.fromkeys(live, 0.0)
         for t in times:
+            t = float(t)
             running = [i for i in live if not isinstance(sups[i], Exception)]
             if not running:
                 break
             try:
-                ref = reference.value(t)
+                flow = gap.flow(t)
             except Exception as exc:
                 for i in running:
                     sups[i] = exc
                 break
             for i in running:
                 try:
-                    diff = live[i].value(t)
-                    diff -= ref
-                    sups[i] = max(sups[i], l2_norm(diff, w))
+                    sups[i] = max(sups[i], math.sqrt(gap.gap_sq(live[i], t, flow)))
                 except Exception as exc:
                     sups[i] = exc
         return sups

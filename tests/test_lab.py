@@ -1,15 +1,25 @@
 """Desk-scale studies: lemma sweeps, branch divergence, ladders, audits."""
 
 import math
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
-from wie import spectral, symbols
-from wie.forcing import ForcingTerm, constant_profile, exponential_profile, power_profile
+from oracles import decimal_sup_distance
+from wie import lab, symbols
+from wie.config import parse_config
+from wie.forcing import (
+    ForcingTerm,
+    constant_profile,
+    exponential_profile,
+    power_profile,
+    sampled_profile,
+)
 from wie.lab import (
     bound_audit,
     branch_divergence,
@@ -28,10 +38,11 @@ from wie.ode import (
 from wie.quadrature import DEFAULT_SPEC, ExponentOverflowError, QuadratureFailure, QuadratureSpec
 from wie.spectral import (
     FrequencyGrid,
-    SemigroupSolution,
     SpectralProblem,
     energy_spectral,
+    l2_norm,
     minimizer_hat,
+    semigroup_solution,
 )
 
 
@@ -239,9 +250,9 @@ class TestSpectralStudy:
 
     def test_one_reference_evaluation_per_time(self, monkeypatch):
         calls = []
-        value = SemigroupSolution.value
+        flow = lab._SpectralGap.flow
         monkeypatch.setattr(
-            SemigroupSolution, "value", lambda self, t: calls.append(t) or value(self, t)
+            lab._SpectralGap, "flow", lambda self, t: calls.append(t) or flow(self, t)
         )
         report = convergence_study(_spectral_problem(), self.LADDER, 1.0, time_points=201)
         assert report.verdicts["all_members_completed"]
@@ -269,14 +280,14 @@ class TestSpectralStudy:
         assert not report.verdicts["all_members_completed"]
 
     def test_rung_failing_mid_sweep_leaves_the_others(self, monkeypatch):
-        value = spectral.SelectedSpectralMinimizer.value
+        gap_sq = lab._SpectralGap.gap_sq
 
-        def flaky(self, t):
-            if self.eps == 1e-2 and t > 0.5:
+        def flaky(self, m, t, flow):
+            if m.eps == 1e-2 and t > 0.5:
                 raise ExponentOverflowError("rung gave up")
-            return value(self, t)
+            return gap_sq(self, m, t, flow)
 
-        monkeypatch.setattr(spectral.SelectedSpectralMinimizer, "value", flaky)
+        monkeypatch.setattr(lab._SpectralGap, "gap_sq", flaky)
         report = convergence_study(_spectral_problem(), self.LADDER, 1.0)
         failed = [e for e in report.entries if e.failure is not None]
         assert [e.eps for e in failed] == [1e-2]
@@ -284,18 +295,54 @@ class TestSpectralStudy:
         assert sum(e.failure is None for e in report.entries) == 3
 
     def test_reference_failure_fails_every_live_rung(self, monkeypatch):
-        value = SemigroupSolution.value
+        flow = lab._SpectralGap.flow
 
         def flaky(self, t):
             if t > 0.5:
                 raise ExponentOverflowError("reference gave up")
-            return value(self, t)
+            return flow(self, t)
 
-        monkeypatch.setattr(SemigroupSolution, "value", flaky)
+        monkeypatch.setattr(lab._SpectralGap, "flow", flaky)
         prob = _spectral_problem(symbol=symbols.custom(lambda xi: xi * xi - 1.0))
         report = convergence_study(prob, [0.2, 0.01, 0.001], 1.0)
         assert "1 + 4*eps*symbol <= 1/2" in report.entries[0].failure
         assert [e.failure for e in report.entries[1:]] == ["reference gave up"] * 2
+
+    def test_rung_growing_past_the_cap_fails_alone(self):
+        # the symbol dips to -650, so exp(-ell t) stays under exp(700) up to T = 1;
+        # near the admissibility edge the slow root is about 752 and the rung's own
+        # exp(s t) passes the cap near t = 0.93, while at eps = 1e-5 it stays near 654.
+        # Tiny data keep every norm finite.
+        grid = FrequencyGrid.uniform_fft(64, 0.25)
+        prob = SpectralProblem(
+            grid=grid,
+            symbol=symbols.custom(lambda xi: xi * xi - 650.0),
+            initial_hat=1e-300 * np.exp(-0.5 * grid.nodes**2).astype(complex),
+        )
+        ladder = [1.8e-4, 1e-5]
+        report = convergence_study(prob, ladder, 1.0)
+        edge, inner = report.entries
+        assert edge.failure == (
+            "a mode grows past exp(700) at the requested time; shorten the horizon"
+        )
+        assert inner.failure is None and 0.0 < inner.sup_error < math.inf
+        # it fails at the first time where the rung's value(t) refuses, the flow's not
+        times = np.linspace(0.0, 1.0, 201)
+        gap = lab._SpectralGap(prob, grid.weights)
+        rung = minimizer_hat(prob, ladder[0])
+        flow = semigroup_solution(prob)
+
+        def first_refusal(fn):
+            for t in times:
+                try:
+                    fn(float(t))
+                except ExponentOverflowError:
+                    return float(t)
+
+        first = first_refusal(lambda t: gap.gap_sq(rung, t, gap.flow(t)))
+        assert 0.9 < first < 1.0
+        assert first == first_refusal(rung.value)
+        assert first_refusal(flow.value) is None
 
     def test_power_profile_study_reports_gauss_laguerre(self):
         prob = _spectral_problem(forcing=_gaussian_forcing(power_profile(0.5, 1.0)))
@@ -304,6 +351,99 @@ class TestSpectralStudy:
             assert entry.energy_source == "gauss_laguerre"
             want, _ = energy_spectral(minimizer_hat(prob, entry.eps).state, prob, entry.eps)
             assert entry.energy == want
+
+
+_AMPLITUDES = st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 1e-3)
+
+
+@st.composite
+def _profiles(draw):
+    kind = draw(st.sampled_from(["constant", "exponential", "power", "sampled"]))
+    if kind == "constant":
+        return constant_profile(draw(_AMPLITUDES))
+    if kind == "exponential":
+        return exponential_profile(draw(_AMPLITUDES), draw(st.floats(-3.0, 3.0)))
+    if kind == "power":
+        return power_profile(draw(_AMPLITUDES), draw(st.floats(0.0, 3.0)))
+    times = sorted(draw(st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3, unique=True)))
+    assume(min(b - a for a, b in zip(times, times[1:])) > 1e-3)
+    return sampled_profile(times, draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
+
+
+@given(
+    n=st.sampled_from([8, 16, 32]),
+    dx=st.floats(0.05, 1.0),
+    order=st.one_of(st.none(), st.floats(0.1, 0.9)),
+    eps=st.floats(1e-5, 0.2),
+    profiles=st.lists(_profiles(), min_size=0, max_size=2),
+    widths=st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
+    norm=st.sampled_from(["sup_uniform", "sup_vl"]),
+)
+# a classical symbol on a fine grid: ell t passes the exponent cap, and delta t
+# reaches 5700, past where expm1 overflows; unforced and forced
+@example(
+    n=32, dx=0.05, order=None, eps=0.2, profiles=[], widths=[0.3, 1.0, 1.0], norm="sup_uniform"
+)
+@example(
+    n=32,
+    dx=0.05,
+    order=None,
+    eps=0.2,
+    profiles=[exponential_profile(0.5, -1.0)],
+    widths=[0.3, 1.0, 1.0],
+    norm="sup_vl",
+)
+@settings(deadline=None, max_examples=60)
+def test_spectral_gap_matches_the_difference_of_values(n, dx, order, eps, profiles, widths, norm):
+    # the real-kernel distance against the norm of value(t) differences, to within
+    # the rounding of that route: 1e-13 of the two trajectories' norms
+    grid = FrequencyGrid.uniform_fft(n, dx)
+    xi = grid.nodes
+    forcing = ForcingTerm.from_multipliers(
+        [(g, lambda xi, v=v: np.exp(-0.5 * v * xi**2)) for g, v in zip(profiles, widths[1:])]
+    )
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbols.classical() if order is None else symbols.fractional(order),
+        initial_hat=(1.0 - 0.5j) * np.exp(-0.5 * widths[0] * xi**2),
+        forcing=forcing,
+    )
+    w = grid.weights
+    if norm == "sup_vl":
+        w = w * (1.0 + np.abs(prob.symbol_values))
+    gap = lab._SpectralGap(prob, w)
+    rung = minimizer_hat(prob, eps)
+    flow = semigroup_solution(prob)
+    for t in np.linspace(0.0, 1.5, 7):
+        t = float(t)
+        got = math.sqrt(gap.gap_sq(rung, t, gap.flow(t)))
+        selected, first_order = rung.value(t), flow.value(t)
+        want = l2_norm(selected - first_order, w)
+        scale = l2_norm(selected, w) + l2_norm(first_order, w)
+        assert abs(got - want) <= 1e-13 * scale
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "case, rel",
+    [
+        ("spectral_forced_small", 1e-14),
+        ("spectral_unforced_field", 1e-15),
+        ("spectral_signed_zeros", 1e-15),
+    ],
+)
+def test_sup_error_matches_the_decimal_oracle(case, rel):
+    cfg = parse_config(_GOLDEN / case / "config.json")
+    prob = cfg.spectral_problem
+    report = convergence_study(
+        prob, cfg.epsilon_ladder, cfg.horizon, norm=cfg.norm, time_points=cfg.time_points
+    )
+    times = np.linspace(0.0, cfg.horizon, cfg.time_points)
+    for entry in report.entries:
+        want = decimal_sup_distance(prob, entry.eps, times, norm=cfg.norm)
+        assert abs(Decimal(entry.sup_error) - want) <= Decimal(rel) * want, entry.eps
 
 
 class TestOdeStudy:

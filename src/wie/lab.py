@@ -12,6 +12,7 @@ the report writer can serialize them without knowing their internals.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -447,78 +448,103 @@ def _ode_study(problem, ladder, norm, times, spec):
     return _run_rungs(ladder, lambda eps: selected_minimizer(problem, eps, spec), sweep, finish)
 
 
+# a rung on the distinct symbol values (_SpectralGap.rung); tails0 holds each tail_j(f, 0)/z
+_Rung = namedtuple("_Rung", "eps slow fast disc_sqrt slow_sq slow_max growth_rate tails0")
+
+
 class _SpectralGap:
     """Squared distances of the rungs to the first-order flow, from real kernels.
 
     Per node, with slow and fast roots s and f and discriminant root z,
 
-        u_eps(t) - u_0(t) = a(t) c0 - exp(s t) tail0 + sum_j b_j(t) H_j,
+        u_eps(t) - u_0(t) = a(t) c0 + sum_j b_j(t) H_j,
         a(t)   = exp(-ell t) expm1(delta t),  delta = s + ell = eps s^2,
-        b_j(t) = (duhamel_j(s, t) + tail_j(f, t))/z - duhamel_j(-ell, t),
+        b_j(t) = (duhamel_j(s, t) + tail_j(f, t))/z - duhamel_j(-ell, t) - exp(s t) tail0_j,
 
-    with tail0 = sum_j H_j tail_j(f, 0)/z the rung's initial correction.
-    delta = eps s^2 has no cancellation, so a small gap is never the
-    difference of two nearly equal exponentials, and no complex array is
-    formed.  flow(t) forms exp(-ell t) once for every rung.  Once
-    max(ell) t passes the exponent cap, exp(-ell t) may be denormal and
-    expm1(delta t) may overflow, so a(t) is taken as -exp(s t)
-    expm1(-delta t) instead, which costs every rung a second exponential.
+    with tail0_j = tail_j(f, 0)/z from the rung's initial correction.  delta
+    has no cancellation.  Past the exponent cap exp(-ell t) may be denormal
+    and expm1(delta t) overflow, so a(t) is then -exp(s t) expm1(-delta t).
+    Each kernel runs once per distinct symbol value u, and the nodes of u
+    fold into an upper triangle R_u (_fold): their sum of
+    w |a c0 + sum_j b_j H_j|^2 is |R_u (a, b_1, ..., b_J)|^2.
     """
 
     def __init__(self, problem: SpectralProblem, weights: np.ndarray):
         self.problem = problem
-        self.weights = weights
-        # unforced, the squared gap is |root a|^2
-        self.root = np.sqrt(weights) * np.abs(problem.initial_hat)
-        self.highest = float(problem.symbol_values.max())
-        self.decay = np.empty(weights.shape)
-        self.grow = np.empty(weights.shape)
-        self.work = np.empty(weights.shape)
+        values = problem.symbol_values
+        ell, self.first, sizes = np.unique(values, return_index=True, return_counts=True)
+        self.ell, self.highest = ell, float(ell[-1])
+        columns = [problem.initial_hat] + [H for _g, H in problem.forcing_parts]
+        self.factor = _fold(weights, columns, np.argsort(values, kind="stable"), sizes)
+        self.decay, self.grow, self.alpha = (np.empty(ell.shape) for _ in range(3))
+
+    def rung(self, m: SelectedSpectralMinimizer) -> _Rung:
+        """The rung's roots and its t = 0 tails on the distinct values, once per sweep."""
+        r, parts = m.roots, self.problem.forcing_parts
+        slow, fast, z = r.slow[self.first], r.fast[self.first], r.disc_sqrt[self.first]
+        tails0 = [g.shifted_tail(fast, 0.0, m.growth_rate) / z for g, _H in parts]
+        return _Rung(m.eps, slow, fast, z, slow * slow, float(slow.max()), m.growth_rate, tails0)
 
     def flow(self, t: float) -> tuple:
         """(exp(-ell t), or None past the cap, and each part's duhamel(-ell, t))."""
-        ell = self.problem.symbol_values
-        decay = _exp_guarded(np.multiply(ell, -t, out=self.decay))
+        decay = _exp_guarded(np.multiply(self.ell, -t, out=self.decay))
         if self.highest * t > EXPONENT_CAP:
             decay = None
-        return decay, [g.duhamel(-ell, t) for g, _H in self.problem.forcing_parts]
+        return decay, [g.duhamel(-self.ell, t) for g, _H in self.problem.forcing_parts]
 
-    def gap_sq(self, m: SelectedSpectralMinimizer, t: float, flow: tuple) -> float:
-        s = m.roots.slow
+    def gap_sq(self, m: _Rung, t: float, flow: tuple) -> float:
         decay, duhamels = flow
-        a = np.square(s, out=self.work)
-        a *= m.eps * t
+        a = np.multiply(m.slow_sq, m.eps * t, out=self.alpha)
         parts = self.problem.forcing_parts
         if decay is not None:
-            _exp_guarded(float(s.max()) * t)  # the largest exponent of exp(s t)
+            _exp_guarded(m.slow_max * t)  # the largest exponent of exp(s t)
             np.expm1(a, out=a)
             a *= decay
             grow = decay + a if parts else None
         else:
-            grow = _exp_guarded(np.multiply(s, t, out=self.grow))
+            grow = _exp_guarded(np.multiply(m.slow, t, out=self.grow))
             np.negative(a, out=a)
             np.expm1(a, out=a)
             a *= grow
             np.negative(a, out=a)
-        if not parts:
-            a *= self.root
-            return float(np.dot(a, a))
         # every kernel of the rung before any is combined, in the order value(t) takes them
-        convs = [g.duhamel(s, t) for g, _H in parts]
-        tails = [g.shifted_tail(m.roots.fast, t, m.growth_rate) for g, _H in parts]
-        c0 = self.problem.initial_hat
-        re = c0.real * a - grow * m.tail0.real
-        im = c0.imag * a - grow * m.tail0.imag
-        for (_g, H), b, tail, duhamel in zip(parts, convs, tails, duhamels):
+        convs = [g.duhamel(m.slow, t) for g, _H in parts]
+        tails = [g.shifted_tail(m.fast, t, m.growth_rate) for g, _H in parts]
+        x = [a]
+        for b, tail, duhamel, tail0 in zip(convs, tails, duhamels, m.tails0):
             b += tail
-            b /= m.roots.disc_sqrt
+            b /= m.disc_sqrt
             b -= duhamel
-            re += H.real * b
-            im += H.imag * b
-        re *= re
-        im *= im
-        re += im
-        return float(np.dot(self.weights, re))
+            b -= grow * tail0
+            x.append(b)
+        # y_i = sum_{k >= i} R_ik x_k, formed in place of x_i, which no later row reads
+        total = 0.0
+        for i, (row, y) in enumerate(zip(self.factor, x)):
+            y *= row[i]
+            for r, xk in zip(row[i + 1 :], x[i + 1 :]):
+                y += r * xk
+            total += float(np.dot(y, y))
+        return total
+
+
+def _fold(weights, columns, order, sizes) -> np.ndarray:
+    """R[i, k, u]: the triangle of a QR of the rows sqrt(w) [Re c0, Re H_1, ...] and
+    sqrt(w) [Im c0, Im H_1, ...] of the nodes of value u, one batched QR per multiplicity.
+
+    Never the Gram matrix: its squares lose a gap where a c0 and b H nearly
+    cancel, and underflow on tiny data.
+    """
+    width = len(columns)
+    rows = np.stack([np.stack([c.real, c.imag], axis=-1) for c in columns], axis=-1)
+    rows *= np.sqrt(weights)[:, None, None]
+    starts = np.cumsum(sizes) - sizes
+    factor = np.zeros((sizes.size, width, width))
+    for size in np.flatnonzero(np.bincount(sizes)):
+        groups = np.flatnonzero(sizes == size)
+        block = rows[order[starts[groups][:, None] + np.arange(size)]]
+        r = np.linalg.qr(block.reshape(groups.size, 2 * size, width), mode="r")
+        factor[groups, : r.shape[1]] = r
+    return np.ascontiguousarray(factor.transpose(1, 2, 0))
 
 
 def _spectral_study(problem, ladder, norm, times, spec):
@@ -539,6 +565,12 @@ def _spectral_study(problem, ladder, norm, times, spec):
         # built per sweep, so its work arrays are freed before the energies
         gap = _SpectralGap(problem, w)
         sups = dict.fromkeys(live, 0.0)
+        rungs = {}
+        for i, m in live.items():
+            try:
+                rungs[i] = gap.rung(m)
+            except Exception as exc:
+                sups[i] = exc
         for t in times:
             t = float(t)
             running = [i for i in live if not isinstance(sups[i], Exception)]
@@ -552,7 +584,7 @@ def _spectral_study(problem, ladder, norm, times, spec):
                 break
             for i in running:
                 try:
-                    sups[i] = max(sups[i], math.sqrt(gap.gap_sq(live[i], t, flow)))
+                    sups[i] = max(sups[i], math.sqrt(gap.gap_sq(rungs[i], t, flow)))
                 except Exception as exc:
                     sups[i] = exc
         return sups

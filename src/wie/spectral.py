@@ -624,7 +624,7 @@ class SpectralField:
             "layout": "row-major, time index outermost",
             "dtype": "complex128 as interleaved float64 (re, im), little-endian",
             "shape": [int(self.values.shape[0]), int(self.values.shape[1])],
-            "times": [float(t) for t in self.times],
-            "frequencies": [float(x) for x in self.grid.nodes],
+            "times": self.times.tolist(),
+            "frequencies": self.grid.nodes.tolist(),
             "transform_convention": "unitary, angular frequency",
         }

@@ -330,6 +330,7 @@ class TestSpectralStudy:
         times = np.linspace(0.0, 1.0, 201)
         gap = lab._SpectralGap(prob, grid.weights)
         rung = minimizer_hat(prob, ladder[0])
+        folded = gap.rung(rung)
         flow = semigroup_solution(prob)
 
         def first_refusal(fn):
@@ -339,7 +340,7 @@ class TestSpectralStudy:
                 except ExponentOverflowError:
                     return float(t)
 
-        first = first_refusal(lambda t: gap.gap_sq(rung, t, gap.flow(t)))
+        first = first_refusal(lambda t: gap.gap_sq(folded, t, gap.flow(t)))
         assert 0.9 < first < 1.0
         assert first == first_refusal(rung.value)
         assert first_refusal(flow.value) is None
@@ -370,6 +371,25 @@ def _profiles(draw):
     return sampled_profile(times, draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
 
 
+def _assert_gap_matches_the_difference_of_values(prob, eps, norm):
+    # the real-kernel distance against the norm of value(t) differences, to within
+    # the rounding of that route: 1e-13 of the two trajectories' norms
+    w = prob.grid.weights
+    if norm == "sup_vl":
+        w = w * (1.0 + np.abs(prob.symbol_values))
+    gap = lab._SpectralGap(prob, w)
+    rung = minimizer_hat(prob, eps)
+    folded = gap.rung(rung)
+    flow = semigroup_solution(prob)
+    for t in np.linspace(0.0, 1.5, 7):
+        t = float(t)
+        got = math.sqrt(gap.gap_sq(folded, t, gap.flow(t)))
+        selected, first_order = rung.value(t), flow.value(t)
+        want = l2_norm(selected - first_order, w)
+        scale = l2_norm(selected, w) + l2_norm(first_order, w)
+        assert abs(got - want) <= 1e-13 * scale
+
+
 @given(
     n=st.sampled_from([8, 16, 32]),
     dx=st.floats(0.05, 1.0),
@@ -395,8 +415,6 @@ def _profiles(draw):
 )
 @settings(deadline=None, max_examples=60)
 def test_spectral_gap_matches_the_difference_of_values(n, dx, order, eps, profiles, widths, norm):
-    # the real-kernel distance against the norm of value(t) differences, to within
-    # the rounding of that route: 1e-13 of the two trajectories' norms
     grid = FrequencyGrid.uniform_fft(n, dx)
     xi = grid.nodes
     forcing = ForcingTerm.from_multipliers(
@@ -408,19 +426,83 @@ def test_spectral_gap_matches_the_difference_of_values(n, dx, order, eps, profil
         initial_hat=(1.0 - 0.5j) * np.exp(-0.5 * widths[0] * xi**2),
         forcing=forcing,
     )
-    w = grid.weights
-    if norm == "sup_vl":
-        w = w * (1.0 + np.abs(prob.symbol_values))
-    gap = lab._SpectralGap(prob, w)
-    rung = minimizer_hat(prob, eps)
-    flow = semigroup_solution(prob)
-    for t in np.linspace(0.0, 1.5, 7):
-        t = float(t)
-        got = math.sqrt(gap.gap_sq(rung, t, gap.flow(t)))
-        selected, first_order = rung.value(t), flow.value(t)
-        want = l2_norm(selected - first_order, w)
-        scale = l2_norm(selected, w) + l2_norm(first_order, w)
-        assert abs(got - want) <= 1e-13 * scale
+    _assert_gap_matches_the_difference_of_values(prob, eps, norm)
+
+
+@st.composite
+def _uneven_grids(draw):
+    """(symbol, nodes, weights): values repeating 1 to 4 times, one value, or none repeating."""
+    kind = draw(st.sampled_from(["repeats", "constant", "odd"]))
+    if kind == "repeats":
+        # floor(|xi|) is constant on [k, k + 1), so a level's nodes share its value
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+        offsets = st.lists(st.floats(0.0, 0.95), min_size=4, max_size=4, unique=True)
+        nodes = [
+            sign * (level + offset)
+            for level, size in enumerate(sizes)
+            for sign, offset in zip([1.0, -1.0, 1.0, -1.0], draw(offsets)[:size])
+        ]
+        scale = draw(st.floats(0.1, 3.0))
+        symbol = symbols.custom(lambda xi: scale * np.floor(np.abs(xi)))
+    elif kind == "constant":
+        nodes = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
+        value = draw(st.floats(0.0, 3.0))
+        symbol = symbols.custom(lambda xi: np.full(np.shape(xi), value))
+    else:
+        nodes = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12, unique=True))
+        symbol = symbols.custom(lambda xi: np.exp(0.5 * xi))  # not even: no value repeats
+    weights = draw(st.lists(st.floats(0.05, 2.0), min_size=len(nodes), max_size=len(nodes)))
+    return symbol, nodes, weights
+
+
+@given(
+    grid=_uneven_grids(),
+    eps=st.floats(1e-5, 0.2),
+    profiles=st.lists(_profiles(), min_size=0, max_size=2),
+    phases=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    norm=st.sampled_from(["sup_uniform", "sup_vl"]),
+)
+@settings(deadline=None, max_examples=60)
+def test_folded_gap_matches_the_difference_of_values_on_uneven_grids(
+    grid, eps, profiles, phases, norm
+):
+    # nodes of one value fold into one small triangle; the data differ between
+    # those nodes and are not symmetric in xi
+    symbol, nodes, weights = grid
+    grid = FrequencyGrid.explicit(nodes, weights)
+    xi = grid.nodes
+    forcing = ForcingTerm.from_multipliers(
+        [
+            (g, lambda xi, k=k: np.exp(-0.5 * xi**2 + 1j * k * xi) * (1.0 + 0.3 * xi))
+            for g, k in zip(profiles, phases[1:])
+        ]
+    )
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbol,
+        initial_hat=(1.0 - 0.5j + xi) * np.exp(-0.25 * xi**2 + 1j * phases[0] * xi),
+        forcing=forcing,
+    )
+    _assert_gap_matches_the_difference_of_values(prob, eps, norm)
+
+
+def test_a_large_group_folds_into_one_small_triangle():
+    # the 2048 negative nodes share the value 1; the others are distinct
+    grid = FrequencyGrid.uniform_fft(4096, 0.25)
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbols.custom(lambda xi: np.where(xi < 0.0, 1.0, xi * xi + 2.0)),
+        initial_hat=(1.0 + 0.5j * grid.nodes) * np.exp(-0.5 * grid.nodes**2),
+        forcing=_gaussian_forcing(exponential_profile(0.5, -1.0)),
+    )
+    distinct = np.unique(prob.symbol_values).size
+    assert distinct == 2049
+    gap = lab._SpectralGap(prob, grid.weights)
+    assert gap.factor.size <= distinct * 2**2
+    rung = minimizer_hat(prob, 1e-2)
+    want = l2_norm(rung.value(0.5) - semigroup_solution(prob).value(0.5), grid.weights)
+    got = math.sqrt(gap.gap_sq(gap.rung(rung), 0.5, gap.flow(0.5)))
+    assert abs(got - want) <= 1e-13 * want
 
 
 _GOLDEN = Path(__file__).parent / "golden"

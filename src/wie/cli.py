@@ -66,9 +66,9 @@ def _jsonable(x):
 def _dump_json(obj) -> bytes:
     """json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) and a newline.
 
-    The layout is written here rather than by json, so that a list of
-    plain finite floats (the frequencies of a field) is joined from
-    float.__repr__ in one pass instead of element by element.
+    The layout is written here rather than by json, so that a 1-D array of
+    finite floats (the frequencies of a field) is checked in one numpy
+    call and joined from float.__repr__ in one pass, not element by element.
     """
     return (_encode(obj, "\n") + "\n").encode("utf-8")
 
@@ -76,6 +76,9 @@ def _dump_json(obj) -> bytes:
 def _encode(x, pad: str) -> str:
     """JSON text of x, its inner lines indented by pad plus two spaces."""
     if isinstance(x, np.ndarray):
+        if x.ndim == 1 and x.size and x.dtype == float and np.isfinite(x).all():
+            inner = pad + "  "
+            return "[" + inner + ("," + inner).join(map(float.__repr__, x.tolist())) + pad + "]"
         x = x.tolist()
     if isinstance(x, dict):
         if not x:
@@ -89,11 +92,7 @@ def _encode(x, pad: str) -> str:
         if not x:
             return "[]"
         inner = pad + "  "
-        if all(type(v) is float for v in x) and all(map(math.isfinite, x)):
-            body = map(float.__repr__, x)
-        else:
-            body = (_encode(v, inner) for v in x)
-        return "[" + inner + ("," + inner).join(body) + pad + "]"
+        return "[" + inner + ("," + inner).join(_encode(v, inner) for v in x) + pad + "]"
     return json.dumps(_jsonable(x), allow_nan=False)
 
 

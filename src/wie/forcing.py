@@ -21,6 +21,9 @@ int_0^inf exp(-mu u) g(t+u) du.  Both are built from the Kummer function
 
 whose first two members K(1, .) and K(2, .) are the phi1 and phi2 functions
 of exponential integrators (Hochbruck and Ostermann, Acta Numerica 2010).
+For constant and exponential profiles the spectral sweep needs only the
+first and second divided differences of x -> exp(x t), over arrays of
+rates (_ExpDifference, _ExpSecondDifference).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .quadrature import (
     DivergenceError,
     QuadratureSpec,
     _exp_guarded,
+    _refuse_past_cap,
     weighted_halfline,
 )
 
@@ -161,11 +165,7 @@ class TimeProfile:
         if low < 0.0:
             raise ValueError("shift must be nonnegative")
         own = self.rate if self.kind == "exponential" else 0.0
-        if mu.size and float(mu.min()) <= max(growth_rate, own):
-            raise DivergenceError(
-                f"tail rate {float(mu.min()):.6g} does not dominate the growth rate "
-                f"{max(growth_rate, own):.6g}"
-            )
+        _refuse_slow_tail(mu, max(growth_rate, own))
         if rows:
             if self.kind in ("constant", "exponential"):
                 return (self.amplitude * _exp_guarded(own * t))[:, None] / (mu - own)
@@ -229,6 +229,12 @@ _SERIES_TERMS = 17  # the first omitted term is below 1e-19 inside the radius
 _ASYMPTOTIC_FROM = 40.0  # exp(-40) is below the double-precision ulp of the sum
 
 
+# the Horner coefficients 1/(j+k)! of phi_k, highest power first
+_PHI_COEFFS = {
+    k: [1.0 / math.factorial(j + k) for j in range(_SERIES_TERMS - 1, -1, -1)] for k in (1, 2)
+}
+
+
 def _phi(k: int, z) -> np.ndarray:
     """phi_k(z) = sum_j z^j/(j+k)! for k = 1, 2.
 
@@ -240,12 +246,165 @@ def _phi(k: int, z) -> np.ndarray:
     small = np.abs(z) < _SERIES_RADIUS
     zs = z[small]
     acc = np.zeros(zs.shape)
-    for j in range(_SERIES_TERMS - 1, -1, -1):
-        acc = acc * zs + 1.0 / math.factorial(j + k)
+    for c in _PHI_COEFFS[k]:
+        acc = acc * zs + c
     out[small] = acc
     zl = z[~small]
     out[~small] = np.expm1(zl) / zl if k == 1 else (np.expm1(zl) - zl) / (zl * zl)
     return out
+
+
+def _refuse_slow_tail(mu: np.ndarray, bound: float) -> None:
+    """Raise DivergenceError unless every tail rate in mu exceeds bound."""
+    if mu.size and float(mu.min()) <= bound:
+        raise DivergenceError(
+            f"tail rate {float(mu.min()):.6g} does not dominate the growth rate {bound:.6g}"
+        )
+
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+
+class _ExpDifference:
+    """D[x, r](t) = (exp(x t) - exp(r t))/(x - r) for a rate array x and one rate r.
+
+    The first divided difference of x -> exp(x t), as exp(max(x, r) t)
+    expm1(-|gap| t)/(-|gap|), so nearly equal rates do not cancel; it is
+    t exp(x t) where x = r.  gap is x - r, which the caller forms without
+    the subtraction's cancellation.  The rates are built once; each call
+    takes one time t > 0 and exp(x t), which the caller has at hand, and
+    raises ExponentOverflowError when max(x, r) t passes the cap.
+    """
+
+    def __init__(self, x, r: float, gap):
+        self.rate = float(r)
+        self.top_max = max(float(np.max(x, initial=-math.inf)), self.rate)
+        gap = -np.abs(gap)
+        self.flat = np.flatnonzero(gap == 0.0)
+        self.gap = gap
+        self.gap[self.flat] = -1.0  # any stand-in: the flat entries are set to t
+        self.least = float(-self.gap.max(initial=-math.inf))
+
+    def __call__(self, t: float, exp_x: np.ndarray) -> np.ndarray:
+        _refuse_past_cap(self.top_max * t)
+        q = np.multiply(self.gap, t)
+        np.expm1(q, out=q)
+        q /= self.gap
+        if self.flat.size:
+            q[self.flat] = t
+        if self.least * t < _SMALLEST_NORMAL:
+            # a subnormal gap t keeps too few digits; phi1 is 1 there
+            q[np.abs(self.gap) * t < _SMALLEST_NORMAL] = t
+        q *= np.maximum(exp_x, math.exp(self.rate * t))  # exp(max(x, r) t)
+        return q
+
+
+_DIFFERENCE_RADIUS = 0.5  # the Taylor series serves rates whose spread times t is below this
+# about their midpoint the rates lie within spread/2 of it; at spread t = 1/2 the
+# terms past the 12th add at most 1.1e-17 of the sum
+_DIFFERENCE_TERMS = 12
+_DIFFERENCE_POWERS = np.arange(_DIFFERENCE_TERMS + 1.0, 1.0, -1.0)[:, None]  # highest first
+
+
+class _ExpSecondDifference:
+    """weight (D[x1, x2] - D[x0, x2]) = weight delta E[x0, x1, x2], where x1 = x0 + delta.
+
+    E is the second divided difference of x -> exp(x t) and D the first
+    (_ExpDifference).  x0 and delta >= 0 are arrays, passed apart so that a
+    small delta keeps its digits; x2 is one rate.  Everything independent
+    of t is built here: which rate lies between the other two, and the
+    Taylor coefficients in order of spread.  Each call takes one time
+    t > 0, the undivided difference e01 = exp(x1 t) - exp(x0 t), and
+    d12 = D[x1, x2] and d02 = D[x0, x2].
+
+    As in McCurdy, Ng and Parlett (Math. Comp. 43, 1984), rates whose
+    spread times t is below 1/2 take the Taylor series about their
+    midpoint c,
+
+        E = t^2 exp(c t) sum_k h_k(x - c) t^k/(k+2)!,
+
+    h_k the complete homogeneous symmetric polynomial of degree k, and
+    the others nested first differences with the extreme pair of rates in
+    the denominator, which cancel by at most a small factor there:
+    (e01 - delta d02)/(x1 - x2) when x2 <= x0, (delta d12 - e01)/(x2 - x0)
+    when x2 >= x1, and d12 - d02 when x2 lies between.
+    """
+
+    def __init__(self, x0, delta, x2: float, weight: float):
+        x0 = np.asarray(x0, dtype=float)
+        delta = np.asarray(delta, dtype=float)
+        off = x2 - x0  # and x1 - x2 = delta - off
+        lo, hi = np.minimum(off, 0.0), np.maximum(off, delta)
+        spread = hi - lo
+        # every per-rate row in one allocation, large enough to be mapped on its own,
+        # so that the rungs' kernels leave no holes in the heap
+        rows = np.empty((_DIFFERENCE_TERMS + 4, x0.size))
+        self.table, self.center, nested = rows[:-4], rows[-4], rows[-3:]
+        self.c01, self.c12, self.c02 = _nested_coefficients(off, delta, spread, weight, nested)
+        self.order = np.argsort(spread, kind="stable")
+        self.spread = spread[self.order]
+        np.add(x0[self.order], 0.5 * (lo + hi)[self.order], out=self.center)
+        y0 = x0[self.order] - self.center
+        delta = delta[self.order]
+        _taylor_table(y0, y0 + delta, x2 - self.center, weight * delta, self.table)
+
+    def __call__(self, t: float, e01, d12, d02) -> np.ndarray:
+        out = self.c01 * e01
+        part = self.c12 * d12
+        out += part
+        out += np.multiply(self.c02, d02, out=part)
+        # the rates with spread * t below the radius are a prefix of the spread order
+        n = int(self.spread.searchsorted(_DIFFERENCE_RADIUS / t))
+        if n:
+            # summed from the highest power down
+            series = np.add.reduce(self.table[:, :n] * t**_DIFFERENCE_POWERS)
+            # c is below max(x1, x2), whose exponent D[x1, x2] has checked against the cap
+            series *= np.exp(np.multiply(self.center[:n], t))
+            out[self.order[:n]] = series
+        return out
+
+
+def _nested_coefficients(off, delta, spread, weight, coefficients) -> np.ndarray:
+    """Fill the rows c01, c12, c02 of weight delta E = c01 e01 + c12 d12 + c02 d02.
+
+    Which pair of first differences they weigh depends on where x2 lies.
+    """
+    below = off <= 0.0
+    above = ~below & (off >= delta)
+    coefficients[...] = 0.0
+    c01, c12, c02 = coefficients
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = weight / spread  # the extreme pair: delta - off below, off above
+        np.copyto(c01, inv, where=below)
+        np.negative(inv, out=c01, where=above)
+        inv *= delta
+        np.copyto(c12, inv, where=above)
+        np.negative(inv, out=c02, where=below)
+    between = ~below & ~above
+    c12[between] = weight
+    c02[between] = -weight
+    # rates too close for 1/spread: the series serves them at every time
+    coefficients[~np.isfinite(coefficients)] = 0.0
+    return coefficients
+
+
+def _taylor_table(y0, y1, y2, scale, table) -> np.ndarray:
+    """Fill row K-1-k of table with scale h_k(y0, y1, y2)/(k+2)!, the highest power first.
+
+    h_k(y0), h_k(y0, y1) and h_k(y0, y1, y2) are built one rate at a time;
+    the rows run from the highest power down, so that the smallest terms
+    are summed first.
+    """
+    h0, h01, h = np.ones(y0.shape), np.zeros(y0.shape), np.zeros(y0.shape)
+    for k in range(_DIFFERENCE_TERMS):
+        if k:
+            h0 *= y0
+        h01 *= y1
+        h01 += h0
+        h *= y2
+        h += h01
+        np.multiply(h, scale / math.factorial(k + 2), out=table[-1 - k])
+    return table
 
 
 def _kummer_series(a: float, z: np.ndarray) -> np.ndarray:

@@ -18,6 +18,12 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .forcing import (
+    _ExpDifference,
+    _ExpSecondDifference,
+    _exponential_form,
+    _refuse_slow_tail,
+)
 from .ode import (
     OdeProblem,
     eigendecompose,
@@ -30,6 +36,7 @@ from .quadrature import (
     QuadratureFailure,
     QuadratureSpec,
     _exp_guarded,
+    _refuse_past_cap,
     finite_interval,
 )
 from .spectral import (
@@ -448,8 +455,38 @@ def _ode_study(problem, ladder, norm, times, spec):
     return _run_rungs(ladder, lambda eps: selected_minimizer(problem, eps, spec), sweep, finish)
 
 
-# a rung on the distinct symbol values (_SpectralGap.rung); tails0 holds each tail_j(f, 0)/z
-_Rung = namedtuple("_Rung", "eps slow fast disc_sqrt slow_sq slow_max growth_rate tails0")
+# a rung on the distinct symbol values (_SpectralGap.rung); parts holds per forcing part
+# its _ExponentialGap, or for a power or sampled part its tail_j(f, 0)/z
+_Rung = namedtuple("_Rung", "eps slow fast disc_sqrt slow_sq slow_max growth_rate parts")
+
+
+class _ExponentialGap:
+    """b(t) of one part A exp(r t) on one rung, from one first and one second difference.
+
+    With f - s = z/eps and f + s = 1/eps, the generic route's terms collapse:
+
+        b(t) = A D[s, r] (s + r)/(f - r) + A (D[s, r] - D[-ell, r]),
+
+    D the first divided difference of x -> exp(x t) and the last term
+    A delta E[-ell, s, r] (forcing._ExpSecondDifference).  Both are O(eps)
+    with no cancellation.  Everything independent of t is built here; the
+    rung refuses a tail rate f at or below the growth rate as
+    shifted_tail(f, 0) did.
+    """
+
+    def __init__(self, amplitude, rate, ell, slow, fast, delta, growth_rate):
+        _refuse_slow_tail(fast, max(growth_rate, rate))
+        self.kappa = amplitude * (slow + rate) / (fast - rate)
+        # s - r = delta - (ell + r), which keeps the digits of a small delta
+        self.first = _ExpDifference(slow, rate, gap=delta - (ell + rate))
+        self.second = _ExpSecondDifference(-ell, delta, rate, amplitude)
+
+    def __call__(self, t: float, a, grow, flow) -> np.ndarray:
+        """b at t > 0 from a = exp(s t) - exp(-ell t), grow = exp(s t) and the flow's D[-ell, r]."""
+        first = self.first(t, grow)
+        b = self.second(t, a, first, flow)
+        b += np.multiply(self.kappa, first, out=first)
+        return b
 
 
 class _SpectralGap:
@@ -459,13 +496,17 @@ class _SpectralGap:
 
         u_eps(t) - u_0(t) = a(t) c0 + sum_j b_j(t) H_j,
         a(t)   = exp(-ell t) expm1(delta t),  delta = s + ell = eps s^2,
+
+    delta has no cancellation.  Past the exponent cap exp(-ell t) may be
+    denormal and expm1(delta t) overflow, so a(t) is then
+    -exp(s t) expm1(-delta t).  A constant or exponential part takes b_j
+    from _ExponentialGap; a power or sampled part from its generic kernels,
+
         b_j(t) = (duhamel_j(s, t) + tail_j(f, t))/z - duhamel_j(-ell, t) - exp(s t) tail0_j,
 
-    with tail0_j = tail_j(f, 0)/z from the rung's initial correction.  delta
-    has no cancellation.  Past the exponent cap exp(-ell t) may be denormal
-    and expm1(delta t) overflow, so a(t) is then -exp(s t) expm1(-delta t).
-    Each kernel runs once per distinct symbol value u, and the nodes of u
-    fold into an upper triangle R_u (_fold): their sum of
+    with tail0_j = tail_j(f, 0)/z from the rung's initial correction.  Each
+    kernel runs once per distinct symbol value u, and the nodes of u fold
+    into an upper triangle R_u (_fold): their sum of
     w |a c0 + sum_j b_j H_j|^2 is |R_u (a, b_1, ..., b_J)|^2.
     """
 
@@ -477,45 +518,71 @@ class _SpectralGap:
         columns = [problem.initial_hat] + [H for _g, H in problem.forcing_parts]
         self.factor = _fold(weights, columns, np.argsort(values, kind="stable"), sizes)
         self.decay, self.grow, self.alpha = (np.empty(ell.shape) for _ in range(3))
+        forms = [_exponential_form([g]) for g, _H in problem.forcing_parts]
+        # (amplitude, rate) of each constant or exponential part, None for the others
+        self.forms = [None if f is None else (f[0][0], f[1][0]) for f in forms]
+        # the flow's D[-ell, r], its rate arrays formed once per study
+        self.flows = [
+            None if f is None else _ExpDifference(-ell, f[1], gap=-(ell + f[1]))
+            for f in self.forms
+        ]
+        self.generic = any(form is None for form in self.forms)
 
     def rung(self, m: SelectedSpectralMinimizer) -> _Rung:
-        """The rung's roots and its t = 0 tails on the distinct values, once per sweep."""
-        r, parts = m.roots, self.problem.forcing_parts
+        """The rung's roots and each part's t-independent terms on the distinct values."""
+        r = m.roots
         slow, fast, z = r.slow[self.first], r.fast[self.first], r.disc_sqrt[self.first]
-        tails0 = [g.shifted_tail(fast, 0.0, m.growth_rate) / z for g, _H in parts]
-        return _Rung(m.eps, slow, fast, z, slow * slow, float(slow.max()), m.growth_rate, tails0)
+        slow_sq = slow * slow
+        parts = [
+            g.shifted_tail(fast, 0.0, m.growth_rate) / z
+            if form is None
+            else _ExponentialGap(*form, self.ell, slow, fast, m.eps * slow_sq, m.growth_rate)
+            for (g, _H), form in zip(self.problem.forcing_parts, self.forms)
+        ]
+        if not self.generic:
+            fast = z = None  # only the generic route reads them per time
+        return _Rung(m.eps, slow, fast, z, slow_sq, float(slow.max()), m.growth_rate, parts)
 
     def flow(self, t: float) -> tuple:
-        """(exp(-ell t), or None past the cap, and each part's duhamel(-ell, t))."""
+        """(exp(-ell t), or None past the cap, and each part's flow term at t).
+
+        The flow term is D[-ell, r] for a constant or exponential part and
+        duhamel(-ell, t) for the others.
+        """
         decay = _exp_guarded(np.multiply(self.ell, -t, out=self.decay))
         if self.highest * t > EXPONENT_CAP:
             decay = None
-        return decay, [g.duhamel(-self.ell, t) for g, _H in self.problem.forcing_parts]
+        # past the cap the clamped exp(-ell t) still gives each D[-ell, r] its exp(max(-ell, r) t)
+        terms = [
+            g.duhamel(-self.ell, t) if d is None else d(t, self.decay)
+            for (g, _H), d in zip(self.problem.forcing_parts, self.flows)
+        ]
+        return decay, terms
 
     def gap_sq(self, m: _Rung, t: float, flow: tuple) -> float:
-        decay, duhamels = flow
+        decay, terms = flow
         a = np.multiply(m.slow_sq, m.eps * t, out=self.alpha)
-        parts = self.problem.forcing_parts
         if decay is not None:
-            _exp_guarded(m.slow_max * t)  # the largest exponent of exp(s t)
+            _refuse_past_cap(m.slow_max * t)  # the largest exponent of exp(s t)
             np.expm1(a, out=a)
             a *= decay
-            grow = decay + a if parts else None
+            grow = decay + a if self.problem.forcing_parts else None
         else:
             grow = _exp_guarded(np.multiply(m.slow, t, out=self.grow))
             np.negative(a, out=a)
             np.expm1(a, out=a)
             a *= grow
             np.negative(a, out=a)
-        # every kernel of the rung before any is combined, in the order value(t) takes them
-        convs = [g.duhamel(m.slow, t) for g, _H in parts]
-        tails = [g.shifted_tail(m.fast, t, m.growth_rate) for g, _H in parts]
         x = [a]
-        for b, tail, duhamel, tail0 in zip(convs, tails, duhamels, m.tails0):
-            b += tail
+        for (g, _H), part, term in zip(self.problem.forcing_parts, m.parts, terms):
+            if isinstance(part, _ExponentialGap):
+                x.append(part(t, a, grow, term) if t > 0.0 else np.zeros(a.shape))
+                continue
+            b = g.duhamel(m.slow, t)
+            b += g.shifted_tail(m.fast, t, m.growth_rate)
             b /= m.disc_sqrt
-            b -= duhamel
-            b -= grow * tail0
+            b -= term
+            b -= grow * part
             x.append(b)
         # y_i = sum_{k >= i} R_ik x_k, formed in place of x_i, which no later row reads
         total = 0.0

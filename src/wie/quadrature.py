@@ -69,6 +69,14 @@ class ExponentOverflowError(QuadratureError):
     """An exponent exceeded the overflow cap; work in log space instead."""
 
 
+def _refuse_past_cap(exponent: float) -> None:
+    """Raise ExponentOverflowError when the largest exponent of a kernel passes the cap."""
+    if exponent > EXPONENT_CAP:
+        raise ExponentOverflowError(
+            "a mode grows past exp(700) at the requested time; shorten the horizon"
+        )
+
+
 def _exp_guarded(exponent) -> np.ndarray:
     """exp() of an array, refusing exponents past the cap instead of overflowing.
 
@@ -76,10 +84,8 @@ def _exp_guarded(exponent) -> np.ndarray:
     place and returned, so callers pass a temporary they no longer need.
     """
     exponent = np.asarray(exponent, dtype=float)
-    if exponent.size and float(exponent.max()) > EXPONENT_CAP:
-        raise ExponentOverflowError(
-            "a mode grows past exp(700) at the requested time; shorten the horizon"
-        )
+    if exponent.size:
+        _refuse_past_cap(float(exponent.max()))
     np.maximum(exponent, -745.0, out=exponent)
     return np.exp(exponent, out=exponent)
 

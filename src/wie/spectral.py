@@ -620,11 +620,12 @@ class SpectralField:
         return np.ascontiguousarray(self.values, dtype="<c16").tobytes()
 
     def meta(self) -> dict:
+        """The layout of to_bytes; the frequencies stay an array for the report writer."""
         return {
             "layout": "row-major, time index outermost",
             "dtype": "complex128 as interleaved float64 (re, im), little-endian",
             "shape": [int(self.values.shape[0]), int(self.values.shape[1])],
             "times": self.times.tolist(),
-            "frequencies": self.grid.nodes.tolist(),
+            "frequencies": self.grid.nodes,
             "transform_convention": "unitary, angular frequency",
         }

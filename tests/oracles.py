@@ -121,3 +121,33 @@ def decimal_sup_distance(problem, eps, times, norm="sup_vl", digits=40):
                 total += weights[i] * (re * re + im * im)
             sup = max(sup, total.sqrt())
         return sup
+
+
+def decimal_exp_differences(x0, delta, x2, t, digits=60):
+    """Divided differences of x -> exp(x t) at x0, x1 = x0 + delta and x2, in decimal.
+
+    Returns (e01, d12, d02, d12 - d02): the undivided difference
+    exp(x1 t) - exp(x0 t), and the first divided differences
+    dij = (exp(xi t) - exp(xj t))/(xi - xj), which is t exp(xi t) where the
+    rates are equal.  Every input double is taken exactly, and x1 and the
+    gaps between the rates are formed exactly.  Each of the two nested
+    differences loses about as many digits as the smallest gap's exponent,
+    so those are added to `digits`.
+    """
+    from decimal import Decimal, localcontext
+
+    x0, delta, x2, t = (Decimal(float(v)) for v in (x0, delta, x2, t))
+    with localcontext() as ctx:
+        ctx.prec = 2000  # the exact sums of any doubles
+        x1 = x0 + delta
+        gaps = [abs(g) for g in (delta, x2 - x0, x2 - x1) if g]
+    with localcontext() as ctx:
+        ctx.prec = digits + 2 * max([0] + [-g.adjusted() for g in gaps])
+
+        def first(a, b):
+            if a == b:
+                return t * (a * t).exp()
+            return ((a * t).exp() - (b * t).exp()) / (a - b)
+
+        d12, d02 = first(x1, x2), first(x0, x2)
+        return (x1 * t).exp() - (x0 * t).exp(), d12, d02, d12 - d02

@@ -120,6 +120,7 @@ class TestDumpJson:
             "frequencies": [float(x) for x in np.linspace(-3.0, 3.0, 7)] + [-0.0, 1e-320],
             "mixed": [1.0, math.inf, -math.nan, None, 2, True, "x", np.float64(0.1)],
             "array": np.array([0.5, math.inf]),
+            "nodes": np.array([-1.5, -0.0, 0.0, 1e-320, 0.1, 2.5e300]),
             "ints": np.arange(3),
             "empty": [[], {}, ()],
             "nested": {"b": [{"é": -math.inf}], 3: (1.5, 2.5), "a": {"z": np.bool_(False)}},

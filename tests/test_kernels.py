@@ -10,17 +10,21 @@ sample nodes and large tail arguments.
 
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
 import wie.cli as cli
+from oracles import decimal_exp_differences
 from wie.config import parse_config
 from wie.forcing import (
     TimeProfile,
+    _ExpDifference,
+    _ExpSecondDifference,
     constant_profile,
     exponential_profile,
     power_profile,
@@ -381,3 +385,72 @@ def test_block_refuses_what_some_row_refuses(p):
     with pytest.raises(ValueError, match="1-D"):
         p.duhamel(np.array([1.0]), np.zeros((2, 2)))
     assert p.duhamel(np.array([1.0, 2.0]), np.array([])).shape == (0, 2)
+
+
+@st.composite
+def _rate_triples(draw):
+    """(x0, delta, x2, t) with x1 = x0 + delta: x2 below, at or above both, or between.
+
+    The spread of the three rates is 0, 1e-12 to 1e-6, on either side of
+    the Taylor radius 1/2 (in units of 1/t), or far past it.
+    """
+    t = draw(st.floats(1e-2, 4.0))
+    x0 = draw(st.floats(-20.0, 5.0))
+    scale = draw(st.sampled_from(["equal", "close", "radius", "far"]))
+    spread = {
+        "equal": lambda: 0.0,
+        "close": lambda: 10.0 ** draw(st.floats(-12.0, -6.0)),
+        "radius": lambda: draw(st.floats(0.25, 1.0)) / t,
+        "far": lambda: draw(st.floats(1.0, 40.0)) / t,
+    }[scale]()
+    place = draw(st.sampled_from(["below", "at x0", "between", "at x1", "above"]))
+    frac = draw(st.sampled_from([0.0, 1.0])) or 10.0 ** draw(st.floats(-15.0, 0.0))
+    if place == "below":
+        return x0, frac * spread, x0 - (1.0 - frac) * spread, t
+    if place == "at x0":
+        return x0, spread, x0, t
+    if place == "between":
+        return x0, spread, x0 + frac * spread, t
+    if place == "at x1":
+        x2 = x0 + spread  # resonance: x1 = x2
+        return x0, x2 - x0, x2, t
+    return x0, frac * spread, x0 + spread, t
+
+
+@given(triple=_rate_triples(), weight=st.floats(-2.0, -0.1) | st.just(0.0) | st.floats(0.1, 2.0))
+@example(triple=(-1.0, 0.0, -1.0, 0.7), weight=1.0)  # three equal rates
+@example(triple=(-1.0, 0.25, -0.75, 2.0), weight=1.0)  # x2 = x1, spread t at the radius
+@example(triple=(-3.0, 1e-12, -3.0 - 1e-12, 1.0), weight=0.5)  # 1e-12 apart
+@settings(deadline=None, max_examples=300)
+def test_second_difference_matches_the_decimal_oracle(triple, weight):
+    # D[x1, x2] - D[x0, x2] = delta E[x0, x1, x2] from exactly rounded first differences,
+    # within 8 ulps of the exponent's own conditioning; without the Taylor series, or
+    # with the direct difference everywhere, rates 1e-12 apart miss by 1e-4 or more
+    x0, delta, x2, t = triple
+    e01, d12, d02, want = decimal_exp_differences(x0, delta, x2, t)
+    kernel = _ExpSecondDifference(np.array([x0]), np.array([delta]), x2, weight)
+    got = kernel(t, *(np.array([float(v)]) for v in (e01, d12, d02)))
+    want *= Decimal(weight)
+    tol = Decimal(8 * 2.0**-52 * (1.0 + t * max(abs(x0), abs(x0 + delta), abs(x2))))
+    assert abs(Decimal(float(got[0])) - want) <= tol * abs(want)
+    # the first difference as the spectral sweep forms it, with x1 - x2 from delta
+    x1 = np.array([x0 + delta])
+    first = _ExpDifference(x1, x2, gap=np.array([delta - (x2 - x0)]))
+    assert abs(Decimal(float(first(t, np.exp(x1 * t))[0])) - d12) <= tol * d12
+
+
+def test_second_difference_takes_many_rates_at_once():
+    # one call on arrays gives each rate triple's own value, in every branch
+    rng = np.random.default_rng(7)
+    x0 = rng.uniform(-10.0, 2.0, 64)
+    delta = np.where(rng.uniform(size=64) < 0.3, 0.0, 10.0 ** rng.uniform(-9.0, 0.5, 64))
+    x2 = -1.0
+    kernel = _ExpSecondDifference(x0, delta, x2, 0.5)
+    for t in (0.05, 0.8, 3.0):
+        first = [decimal_exp_differences(*v, x2, t) for v in zip(x0, delta)]
+        e01, d12, d02 = (np.array([float(d[k]) for d in first]) for k in range(3))
+        got = kernel(t, e01, d12, d02)
+        for g, d, a, b in zip(got, first, x0, delta):
+            want = Decimal(0.5) * d[3]
+            tol = Decimal(8 * 2.0**-52 * (1.0 + t * max(abs(a), abs(a + b), abs(x2))))
+            assert abs(Decimal(float(g)) - want) <= tol * abs(want)

@@ -15,6 +15,7 @@ from wie import lab, symbols
 from wie.config import parse_config
 from wie.forcing import (
     ForcingTerm,
+    TimeProfile,
     constant_profile,
     exponential_profile,
     power_profile,
@@ -35,7 +36,13 @@ from wie.ode import (
     exact_solution,
     selected_minimizer,
 )
-from wie.quadrature import DEFAULT_SPEC, ExponentOverflowError, QuadratureFailure, QuadratureSpec
+from wie.quadrature import (
+    DEFAULT_SPEC,
+    DivergenceError,
+    ExponentOverflowError,
+    QuadratureFailure,
+    QuadratureSpec,
+)
 from wie.spectral import (
     FrequencyGrid,
     SpectralProblem,
@@ -266,6 +273,41 @@ class TestSpectralStudy:
             (alone,) = convergence_study(prob, [eps], 1.0).entries
             assert entry.as_dict() == alone.as_dict()
             assert entry.energy_source == "exact"
+
+    @pytest.mark.parametrize("profile", [constant_profile(0.7), exponential_profile(0.5, -1.0)])
+    def test_exponential_part_sweeps_without_generic_kernels(self, monkeypatch, profile):
+        # the tail and Duhamel kernels run in each rung's initial correction and never
+        # in the sweep: b_j comes from one first and one second divided difference
+        prob = _spectral_problem(forcing=_gaussian_forcing(profile))
+        rungs = [minimizer_hat(prob, eps) for eps in self.LADDER]
+        calls = []
+        for name in ("shifted_tail", "duhamel"):
+            kernel = getattr(TimeProfile, name)
+            monkeypatch.setattr(
+                TimeProfile,
+                name,
+                lambda self, *args, _k=kernel, **kw: calls.append(_k) or _k(self, *args, **kw),
+            )
+        gap = lab._SpectralGap(prob, prob.grid.weights)
+        folded = [gap.rung(m) for m in rungs]
+        for t in np.linspace(0.0, 1.0, 11):
+            flow = gap.flow(float(t))
+            for rung in folded:
+                assert gap.gap_sq(rung, float(t), flow) >= 0.0
+        assert calls == []
+
+    def test_rung_refuses_a_tail_rate_below_the_growth_rate(self):
+        # as the generic route's shifted_tail(f, 0) did, with the same message
+        profile = exponential_profile(0.5, -1.0)
+        prob = _spectral_problem(forcing=_gaussian_forcing(profile))
+        m = minimizer_hat(prob, 1e-2)
+        m.growth_rate = 1e3  # above every fast root
+        gap = lab._SpectralGap(prob, prob.grid.weights)
+        with pytest.raises(DivergenceError) as got:
+            gap.rung(m)
+        with pytest.raises(DivergenceError) as want:
+            profile.shifted_tail(m.roots.fast, 0.0, m.growth_rate)
+        assert str(got.value) == str(want.value)
 
     def test_failing_rung_is_recorded_while_the_others_complete(self):
         # symbol xi^2 - 1 dips to -1: 1 + 4*eps*(-1) <= 1/2 refuses eps = 0.2 only
@@ -511,7 +553,7 @@ _GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize(
     "case, rel",
     [
-        ("spectral_forced_small", 1e-14),
+        ("spectral_forced_small", 1e-15),
         ("spectral_unforced_field", 1e-15),
         ("spectral_signed_zeros", 1e-15),
     ],
@@ -519,9 +561,10 @@ _GOLDEN = Path(__file__).parent / "golden"
 def test_sup_error_matches_the_decimal_oracle(case, rel):
     cfg = parse_config(_GOLDEN / case / "config.json")
     prob = cfg.spectral_problem
-    report = convergence_study(
-        prob, cfg.epsilon_ladder, cfg.horizon, norm=cfg.norm, time_points=cfg.time_points
-    )
+    # a forced case also runs eps 1e-3 and 1e-4, where O(1) kernel terms that cancel
+    # down to O(eps) would show
+    ladder = list(cfg.epsilon_ladder) + ([1e-3, 1e-4] if prob.forcing_parts else [])
+    report = convergence_study(prob, ladder, cfg.horizon, norm=cfg.norm, time_points=cfg.time_points)
     times = np.linspace(0.0, cfg.horizon, cfg.time_points)
     for entry in report.entries:
         want = decimal_sup_distance(prob, entry.eps, times, norm=cfg.norm)

@@ -561,7 +561,7 @@ class TestSpectralField:
         meta = field.meta()
         assert meta["shape"] == [3, 64]
         assert meta["times"] == [0.0, 0.1, 0.2]
-        assert meta["frequencies"] == [float(x) for x in g.nodes]
+        assert meta["frequencies"].tolist() == [float(x) for x in g.nodes]
 
     def test_problem_rejects_bad_inputs(self):
         g = _grid()

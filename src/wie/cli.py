@@ -64,36 +64,8 @@ def _jsonable(x):
 
 
 def _dump_json(obj) -> bytes:
-    """json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) and a newline.
-
-    The layout is written here rather than by json, so that a 1-D array of
-    finite floats (the frequencies of a field) is checked in one numpy
-    call and joined from float.__repr__ in one pass, not element by element.
-    """
-    return (_encode(obj, "\n") + "\n").encode("utf-8")
-
-
-def _encode(x, pad: str) -> str:
-    """JSON text of x, its inner lines indented by pad plus two spaces."""
-    if isinstance(x, np.ndarray):
-        if x.ndim == 1 and x.size and x.dtype == float and np.isfinite(x).all():
-            inner = pad + "  "
-            return "[" + inner + ("," + inner).join(map(float.__repr__, x.tolist())) + pad + "]"
-        x = x.tolist()
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = pad + "  "
-        items = sorted({str(k): v for k, v in x.items()}.items())
-        return "{" + inner + ("," + inner).join(
-            json.dumps(k) + ": " + _encode(v, inner) for k, v in items
-        ) + pad + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join(_encode(v, inner) for v in x) + pad + "]"
-    return json.dumps(_jsonable(x), allow_nan=False)
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode("utf-8")
 
 
 def _csv_cell(x) -> str:
@@ -113,11 +85,19 @@ def _dump_csv(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    # full payload is in memory already, so the temp file is complete or absent
+def _atomic_write(path: Path, data) -> None:
+    """Replace path with any bytes-like data, whole or not at all.
+
+    The payload is in memory already, so the temp file is complete or
+    absent; a failed write or rename removes it and re-raises.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---- Mode runners ----

@@ -718,10 +718,13 @@ class ForcingTerm:
         profiles = [p.profile for p in self.parts]
 
         def value(t):
-            g = np.stack([np.asarray(p(t), dtype=float) for p in profiles])
-            out = np.einsum("it,ij,jt->t", g.reshape(len(profiles), -1), G,
-                            g.reshape(len(profiles), -1))
-            return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
+            g = [np.asarray(p(t), dtype=float) for p in profiles]
+            # pair by pair in one fixed order: a time gives the same bits alone or in an array
+            out = np.zeros(np.shape(t))
+            for i, gi in enumerate(g):
+                for j, gj in enumerate(g):
+                    out += G[i, j] * gi * gj
+            return float(out) if np.ndim(t) == 0 else out
 
         return value
 
@@ -810,7 +813,7 @@ def certify_transformable(
     if forcing.is_zero:
         return TransformabilityCertificate(eps, 0.0, 0.0, 0.0, growth)
     norm_sq = forcing.norm_sq_profile(gram=gram)
-    weighted = weighted_halfline(norm_sq, eps, spec)
+    weighted = weighted_halfline(norm_sq, eps, spec, batched=True)
     target = tail_fraction * max(weighted, growth.scale * eps, 1e-300)
     T = max(1.0, 2.0 * growth.degree / (1.0 / eps - growth.rate))
     for _ in range(200):

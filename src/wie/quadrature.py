@@ -140,8 +140,11 @@ def _legendre_rule(n: int):
     return x, w
 
 
-def _eval_nodes(phi: Callable, ts: np.ndarray) -> np.ndarray:
-    vals = np.asarray([phi(float(t)) for t in ts])
+def _eval_nodes(phi: Callable, ts: np.ndarray, batched: bool = False) -> np.ndarray:
+    if batched:
+        vals = np.asarray(phi(ts), dtype=float)
+    else:
+        vals = np.asarray([phi(float(t)) for t in ts])
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand returned a non-finite value")
     return vals
@@ -264,19 +267,23 @@ def _halfline_adaptive(phi: Callable, eps: float, spec: QuadratureSpec):
     return eps * acc
 
 
-def weighted_halfline(phi: Callable, eps: float, spec: QuadratureSpec = DEFAULT_SPEC):
+def weighted_halfline(
+    phi: Callable, eps: float, spec: QuadratureSpec = DEFAULT_SPEC, batched: bool = False
+):
     """integral_0^inf exp(-t/eps) phi(t) dt.
 
     The substitution t = eps*tau turns this into eps * integral exp(-tau)
     phi(eps*tau) d tau, evaluated by Gauss-Laguerre; panels take over when
-    the sampled integrand varies too wildly for the fixed rule.
+    the sampled integrand varies too wildly for the fixed rule.  A batched
+    phi takes all the rule's nodes in one call and must give each node the
+    bits a scalar call gives, since the panels still call it per point.
     """
     if eps <= 0.0:
         raise ValueError("weight scale eps must be positive")
     if spec.method == "adaptive":
         return _halfline_adaptive(phi, eps, spec)
     tau, w = _laguerre_rule(spec.nodes)
-    vals = _eval_nodes(phi, eps * tau)
+    vals = _eval_nodes(phi, eps * tau, batched)
     if _needs_fallback(vals, w, spec.variation_limit):
         return _halfline_adaptive(phi, eps, spec)
     return eps * (w * vals).sum()

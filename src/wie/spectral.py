@@ -615,17 +615,31 @@ class SpectralField:
             row[...] = solution.value(float(t))
         return cls(times=times, grid=grid, values=vals)
 
-    def to_bytes(self) -> bytes:
-        # little-endian complex128 = interleaved f64 (re, im), row-major
-        return np.ascontiguousarray(self.values, dtype="<c16").tobytes()
+    def to_bytes(self) -> memoryview:
+        """The stored bytes as a view of the sampled array, not a copy.
+
+        Little-endian complex128 is interleaved float64 (re, im), row-major;
+        on a little-endian machine the sampled array already is that layout.
+        """
+        return memoryview(np.ascontiguousarray(self.values, dtype="<c16")).cast("B")
 
     def meta(self) -> dict:
-        """The layout of to_bytes; the frequencies stay an array for the report writer."""
+        """The layout of to_bytes, and the grid in the config's own form.
+
+        A uniform FFT grid is given by n, dx and x0 (its nodes are
+        2 pi fftfreq(n, dx)); an explicit grid echoes its nodes and weights.
+        """
+        g = self.grid
+        if g.kind == "uniform_fft":
+            grid = {"kind": g.kind, "n": g.n, "dx": g.dx, "x0": float(g.x[0])}
+        else:
+            grid = {"kind": g.kind, "nodes": g.nodes.tolist(), "weights": g.weights.tolist()}
         return {
+            "meta_version": 2,
             "layout": "row-major, time index outermost",
             "dtype": "complex128 as interleaved float64 (re, im), little-endian",
             "shape": [int(self.values.shape[0]), int(self.values.shape[1])],
             "times": self.times.tolist(),
-            "frequencies": self.grid.nodes,
+            "frequency_grid": grid,
             "transform_convention": "unitary, angular frequency",
         }

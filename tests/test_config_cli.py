@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import wie.cli as cli
 from wie.config import ConfigError, parse_config, validate_config
 from wie.quadrature import DEFAULT_SPEC
+from wie.spectral import FrequencyGrid
 
 
 def _ode_config(**overrides):
@@ -178,6 +180,20 @@ class TestCliRun:
             cli.main(["run", cfg, "--out-dir", str(out)])
         assert (out / "report.json").read_bytes() == before
         assert list(out.glob("*.tmp")) == []
+
+    def test_failed_rename_leaves_no_temp_file_and_the_previous_report(self, tmp_path, monkeypatch):
+        cfg = _write(tmp_path, _ode_config())
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out-dir", str(out)]) == 0
+        before = (out / "report.json").read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert cli.main(["run", cfg, "--out-dir", str(out)]) == 3
+        assert list(out.glob("*.tmp")) == []
+        assert (out / "report.json").read_bytes() == before
 
     def test_untransformable_forcing_exits_one(self, tmp_path):
         raw = _ode_config(
@@ -391,3 +407,49 @@ class TestCliRun:
         cfg = _write(tmp_path, _ode_config())
         assert cli.main(["run", cfg, "--threads", "zero"]) == 2
         assert cli.main(["run", cfg, "--threads", "0"]) == 2
+
+
+def _field_config(grid, times):
+    output = {"write_field": True, "field_times": [repr(float(t)) for t in times]}
+    return _spectral_config(frequency_grid=grid, output=output)
+
+
+class TestFieldDump:
+    @pytest.mark.parametrize("case", ["spectral_unforced_field", "spectral_signed_zeros"])
+    def test_meta_grid_rebuilds_the_run_grid_bit_for_bit(self, case):
+        meta = json.loads((GOLDEN / case / "field_meta.json").read_text())
+        assert meta["meta_version"] == 2
+        block = meta["frequency_grid"]
+        assert block["kind"] == "uniform_fft"
+        rebuilt = FrequencyGrid.uniform_fft(block["n"], block["dx"], block["x0"])
+        grid = parse_config(str(GOLDEN / case / "config.json")).spectral_problem.grid
+        for name in ("nodes", "weights", "x"):
+            assert getattr(rebuilt, name).tobytes() == getattr(grid, name).tobytes(), name
+
+    def test_explicit_grid_echoes_its_nodes_and_weights(self, tmp_path):
+        nodes = [float(x) for x in np.linspace(-3.0, 3.0, 7)] + [-0.0, 1e-320]
+        weights = [0.5 + 0.125 * k for k in range(len(nodes))]
+        raw = _field_config({"kind": "explicit", "nodes": nodes, "weights": weights}, [0.0, 1.0])
+        out = tmp_path / "out"
+        assert cli.main(["run", _write(tmp_path, raw), "--out-dir", str(out)]) == 0
+        block = json.loads((out / "field_meta.json").read_text())["frequency_grid"]
+        assert block == {"kind": "explicit", "nodes": nodes, "weights": weights}
+        # == takes -0.0 for 0.0; the bytes keep the sign and the subnormal
+        assert np.array(block["nodes"]).tobytes() == np.array(nodes).tobytes()
+
+    def test_dump_holds_no_second_copy_of_the_field(self, tmp_path):
+        # 25 times x 256 nodes: a bytes copy of the sampled array, or the 256
+        # frequencies written as a JSON list of floats, each adds more than a
+        # third of its size to the peak; the minimizer and its rows add less
+        n, times = 256, np.linspace(0.0, 1.0, 25)
+        cfg = validate_config(_field_config({"kind": "uniform_fft", "n": n, "dx": "0.125"}, times))
+        nbytes = 16 * n * len(times)
+        cli._write_field(cfg, tmp_path)  # warm-up: caches built on first use do not count
+        tracemalloc.start()
+        try:
+            cli._write_field(cfg, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "field.bin").stat().st_size == nbytes
+        assert peak - nbytes < nbytes / 3

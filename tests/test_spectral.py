@@ -558,10 +558,12 @@ class TestSpectralField:
         assert len(blob) == 16 * len(times) * g.n
         back = np.frombuffer(blob, dtype="<c16").reshape(len(times), g.n)
         assert np.array_equal(back, field.values)
+        assert np.shares_memory(back, field.values)  # a view, not a copy
         meta = field.meta()
+        assert meta["meta_version"] == 2
         assert meta["shape"] == [3, 64]
         assert meta["times"] == [0.0, 0.1, 0.2]
-        assert meta["frequencies"].tolist() == [float(x) for x in g.nodes]
+        assert meta["frequency_grid"] == {"kind": "uniform_fft", "n": 64, "dx": 0.25, "x0": -8.0}
 
     def test_problem_rejects_bad_inputs(self):
         g = _grid()

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from wie import ForcingTerm, OdeProblem, branch_divergence, regularized_spectrum
+from wie import ForcingTerm, OdeProblem, branch_divergence
+from wie.spectral import root_data
 
 
 def main() -> int:
@@ -31,7 +32,7 @@ def main() -> int:
         forcing=ForcingTerm.zero(),
     )
     result = branch_divergence(problem, args.eps, args.delta, args.horizons)
-    z = float(regularized_spectrum(np.array([args.mu]), args.eps).disc_sqrt[0])
+    z = float(root_data(np.array([args.mu]), args.eps, check=False).disc_sqrt[0])
 
     print(f"# mu={args.mu} eps={args.eps} delta={args.delta}   Z/eps = {z / args.eps:.6f}")
     print(f"{'T':>6} {'energy':>14} {'log_energy':>12} {'closed_log':>12}")

@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -26,9 +25,9 @@ import numpy as np
 from .config import SCHEMA, ConfigError, ExperimentConfig, parse_config
 from .forcing import TransformabilityError, certify_transformable
 from .lab import bound_audit, branch_divergence, convergence_study, lemma_tech_profile
-from .ode import eigendecompose, regularized_spectrum
+from .ode import eigendecompose
 from .quadrature import QuadratureFailure
-from .spectral import SpectralField, minimizer_hat
+from .spectral import SpectralField, minimizer_hat, root_data
 from .symbols import AdmissibilityError
 
 log = logging.getLogger("wie")
@@ -141,7 +140,7 @@ def _certify_ladder(cfg: ExperimentConfig, forcing, gram, epsilons):
     return certificates, failures
 
 
-def _run_study(cfg: ExperimentConfig, map_fn):
+def _run_study(cfg: ExperimentConfig):
     problem = cfg.ode_problem if cfg.mode == "ode" else cfg.spectral_problem
     forcing = problem.forcing
     results: dict = {}
@@ -182,7 +181,7 @@ def _run_study(cfg: ExperimentConfig, map_fn):
     return RunOutcome(results, verdicts, failures, header, rows)
 
 
-def _run_lemma(cfg: ExperimentConfig, map_fn):
+def _run_lemma(cfg: ExperimentConfig):
     def member(eps):
         try:
             prof = lemma_tech_profile(
@@ -192,7 +191,7 @@ def _run_lemma(cfg: ExperimentConfig, map_fn):
         except Exception as exc:
             return {"epsilon": eps, "sup": None, "argmax": None, "failure": str(exc)}
 
-    entries = list(map_fn(member, cfg.epsilon_ladder))
+    entries = [member(eps) for eps in cfg.epsilon_ladder]
     failures = [
         {"verdict": "lemma-tech rung failed", "epsilon": e["epsilon"], "detail": e["failure"]}
         for e in entries
@@ -208,7 +207,7 @@ def _run_lemma(cfg: ExperimentConfig, map_fn):
     return RunOutcome(results, verdicts, failures, header, rows)
 
 
-def _run_branch(cfg: ExperimentConfig, map_fn):
+def _run_branch(cfg: ExperimentConfig):
     problem = cfg.ode_problem
     forcing = problem.forcing
     failures: list = []
@@ -230,7 +229,6 @@ def _run_branch(cfg: ExperimentConfig, map_fn):
             cfg.horizons,
             direction=cfg.direction,
             spec=cfg.quadrature,
-            map_fn=map_fn,
         )
     except AdmissibilityError as exc:
         failures.append(
@@ -243,7 +241,7 @@ def _run_branch(cfg: ExperimentConfig, map_fn):
         )
         return RunOutcome(results, verdicts, failures)
     mu = float(eigendecompose(problem.matrix).values[cfg.direction])
-    z = float(regularized_spectrum(mu, cfg.epsilon).disc_sqrt[0])
+    z = float(root_data(mu, cfg.epsilon, check=False).disc_sqrt[0])
     results["branch"] = res.as_dict()
     results["divergence_rate"] = z / cfg.epsilon
     verdicts["log_energy_table_present"] = len(res.log_energies) == len(cfg.horizons) and all(
@@ -254,7 +252,7 @@ def _run_branch(cfg: ExperimentConfig, map_fn):
     return RunOutcome(results, verdicts, failures, header, rows)
 
 
-def _run_audit(cfg: ExperimentConfig, map_fn):
+def _run_audit(cfg: ExperimentConfig):
     res = bound_audit(cfg.symbol, cfg.epsilon_ladder, cfg.audit_grid, tol=cfg.audit_tol)
     results = {"audit": res.as_dict()}
     verdicts = {"zero_violations": res.clean}
@@ -285,7 +283,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> int:
+def run_experiment(cfg: ExperimentConfig, out_dir=".") -> int:
     """Run one config, write report.json and summary.csv, return exit code.
 
     Exit 0 means every verdict passed and nothing failed; any other outcome
@@ -293,13 +291,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", threads: int = 1) -> int:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[cfg.mode]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcome = runner(cfg, pool.map)
-    else:
-        outcome = runner(cfg, map)
+    outcome = _RUNNERS[cfg.mode](cfg)
 
     verdicts = outcome.verdicts
     failures = list(outcome.failures)
@@ -347,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", default=None, help="report directory (env WIE_OUT_DIR)")
-        p.add_argument("--threads", default=None, help="worker threads, 1 = serial (env WIE_THREADS)")
+        p.add_argument("--threads", default=None, help="accepted and ignored: runs are serial")
         p.add_argument("--log-level", default=None, help="debug|info|warning|error (env WIE_LOG_LEVEL)")
 
     run_p = sub.add_parser("run", help="execute a config and write reports")
@@ -386,17 +378,19 @@ def main(argv=None) -> int:
         return 0
 
     out_dir = args.out_dir or _env("OUT_DIR", ".")
-    try:
-        threads = int(args.threads if args.threads is not None else _env("THREADS", "1"))
-    except ValueError:
-        print("invalid: --threads must be an integer", file=sys.stderr)
-        return 2
-    if threads < 1:
-        print("invalid: --threads must be at least 1", file=sys.stderr)
-        return 2
+    # runs are serial and ignore --threads, but still refuse a value that is not a count
+    if args.threads is not None:
+        try:
+            threads = int(args.threads)
+        except ValueError:
+            print("invalid: --threads must be an integer", file=sys.stderr)
+            return 2
+        if threads < 1:
+            print("invalid: --threads must be at least 1", file=sys.stderr)
+            return 2
 
     try:
-        return run_experiment(cfg, out_dir=out_dir, threads=threads)
+        return run_experiment(cfg, out_dir=out_dir)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

@@ -211,7 +211,6 @@ def branch_divergence(
     horizons: Sequence[float],
     direction: int = 0,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    map_fn: Callable = map,
 ) -> BranchDivergenceResult:
     """Push the fast-branch initial coefficient off the selected value.
 
@@ -274,7 +273,7 @@ def branch_divergence(
             )
         return float(val), (math.log(val) if val > 0.0 else -math.inf), lead_log
 
-    rows = list(map_fn(member, horizons))
+    rows = [member(T) for T in horizons]
     numeric = [r[0] for r in rows]
     logs = [r[1] for r in rows]
     closed = [r[2] for r in rows]

@@ -17,8 +17,8 @@ Duhamel convolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,17 +31,14 @@ from .quadrature import (
     _laguerre_rule,
     _modal_energy,
 )
-from .symbols import admissible_discriminant
+from .spectral import RootData, root_data
 
 __all__ = [
     "OdeProblem",
     "EigenData",
     "eigendecompose",
-    "RegularizedSpectrum",
-    "regularized_spectrum",
     "DecoupledForcing",
     "decoupled_forcing",
-    "selection_initial",
     "SelectedOdeMinimizer",
     "selected_minimizer",
     "ExactOdeSolution",
@@ -113,29 +110,6 @@ def eigendecompose(matrix) -> EigenData:
     return EigenData(values=vals, vectors=vecs)
 
 
-@dataclass(frozen=True, eq=False)
-class RegularizedSpectrum:
-    """Characteristic roots of eps*r^2 = r + mu per eigenvalue.
-
-    disc_sqrt is sqrt(1 + 4*eps*mu).  slow is the tame root, written as
-    -2*mu/(1 + disc_sqrt) so it stays accurate when eps*mu is tiny; fast is
-    the root of size 1/eps.  slow + fast = 1/eps and slow*fast = -mu/eps.
-    """
-
-    eps: float
-    disc_sqrt: np.ndarray
-    slow: np.ndarray
-    fast: np.ndarray
-
-
-def regularized_spectrum(values, eps: float) -> RegularizedSpectrum:
-    mu = np.atleast_1d(np.asarray(values, dtype=float))
-    z = np.sqrt(admissible_discriminant(mu, eps))
-    slow = -2.0 * mu / (1.0 + z)
-    fast = (1.0 + z) / (2.0 * eps)
-    return RegularizedSpectrum(eps=eps, disc_sqrt=z, slow=slow, fast=fast)
-
-
 def _times(t):
     """(t, tc): a float twice, or a 1-D array of times and its column to broadcast over modes."""
     if isinstance(t, np.ndarray) and t.ndim:
@@ -169,7 +143,7 @@ class DecoupledForcing:
     once and never touches the full vector field.
     """
 
-    def __init__(self, eigen: EigenData, spectrum: RegularizedSpectrum, forcing: ForcingTerm):
+    def __init__(self, eigen: EigenData, spectrum: RootData, forcing: ForcingTerm):
         self.size = eigen.values.shape[0]
         self.profiles = [p.profile for p in forcing.parts]
         self.coeffs = _project_parts(eigen, forcing) / spectrum.disc_sqrt[:, None]
@@ -199,22 +173,9 @@ class DecoupledForcing:
 
 
 def decoupled_forcing(
-    eigen: EigenData, spectrum: RegularizedSpectrum, forcing: ForcingTerm
+    eigen: EigenData, spectrum: RootData, forcing: ForcingTerm
 ) -> DecoupledForcing:
     return DecoupledForcing(eigen, spectrum, forcing)
-
-
-def selection_initial(
-    spectrum: RegularizedSpectrum,
-    g: DecoupledForcing,
-    growth_rate: float = 0.0,
-) -> np.ndarray:
-    """Fast-branch coefficients at time zero, one tail integral per mode.
-
-    growth_rate bounds the amplitude growth of the scaled forcing so the
-    tail kernel can refuse divergent inputs.
-    """
-    return g.tail(spectrum.fast, 0.0, growth_rate)
 
 
 class SelectedOdeMinimizer:
@@ -232,11 +193,12 @@ class SelectedOdeMinimizer:
         self.eps = float(eps)
         self.spec = spec
         self.eigen = eigendecompose(problem.matrix)
-        self.spectrum = regularized_spectrum(self.eigen.values, eps)
+        self.spectrum = root_data(self.eigen.values, eps, check=False)
         growth = problem.forcing.declared_growth()
         self.growth_rate = growth.rate / 2.0  # envelope was for the squared norm
         self.g = decoupled_forcing(self.eigen, self.spectrum, problem.forcing)
-        self.fast_initial = selection_initial(self.spectrum, self.g, self.growth_rate)
+        # fast-branch coefficients at time zero, one tail integral per mode
+        self.fast_initial = self.g.tail(self.spectrum.fast, 0.0, self.growth_rate)
         self.slow_initial = self.eigen.project(problem.initial) - self.fast_initial
 
     def _modes(self, t):

@@ -28,12 +28,10 @@ __all__ = [
     "DivergenceError",
     "ExponentOverflowError",
     "weighted_halfline",
-    "laplace_tail",
     "laplace_tail_shifted",
     "convolution_integral",
     "convolution_integral_batch",
     "laplace_tail_shifted_batch",
-    "weighted_energy",
     "poincare_sides",
     "finite_interval",
     "DEFAULT_SPEC",
@@ -304,21 +302,6 @@ def laplace_tail_shifted(
     return weighted_halfline(lambda u: phi(t0 + u), 1.0 / mu, spec)
 
 
-def laplace_tail(
-    phi: Callable,
-    mu: float,
-    t0: float = 0.0,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    growth_rate: float = 0.0,
-):
-    """integral_t0^inf exp(-mu*s) phi(s) ds for mu above the growth rate."""
-    shifted = laplace_tail_shifted(phi, mu, t0, spec, growth_rate)
-    damp = math.exp(-min(mu * t0, EXPONENT_CAP)) if mu * t0 > -EXPONENT_CAP else math.inf
-    if mu * t0 > EXPONENT_CAP:
-        damp = 0.0
-    return damp * shifted
-
-
 def convolution_integral(
     phi: Callable,
     lam: float,
@@ -434,36 +417,6 @@ def laplace_tail_shifted_batch(
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand returned a non-finite value")
     return (vals * w[None, :]).sum(axis=1) / mu
-
-
-def weighted_energy(
-    phi: Callable,
-    eps: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    ceiling: float = ENERGY_CEILING,
-):
-    """Weighted half-line integral that reports divergence instead of failing.
-
-    Returns (value, crossed_at).  When the weighted integrand exp(-t/eps)
-    phi(t) exceeds `ceiling` or stops being finite, the value is +inf and
-    crossed_at records the time where that first happened.
-    """
-    tau, w = _laguerre_rule(spec.nodes)
-    vals = np.empty(tau.shape)
-    for i, tk in enumerate(tau):
-        t = eps * float(tk)
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = float(phi(t))
-        weighted = math.exp(-float(tk)) * v if math.isfinite(v) else math.inf
-        if not math.isfinite(v) or abs(weighted) > ceiling:
-            return math.inf, t
-        vals[i] = v
-    if _needs_fallback(vals, w, spec.variation_limit):
-        try:
-            return _halfline_adaptive(phi, eps, spec), None
-        except QuadratureError:
-            return math.inf, None
-    return eps * float((w * vals).sum()), None
 
 
 def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):

@@ -191,11 +191,14 @@ class SpectralProblem:
 class RootData:
     """Per-node roots of eps*r^2 = r + symbol, with guarantees checked.
 
-    slow is written as -2*symbol/(1 + disc_sqrt) and fast as
-    (1 + disc_sqrt)/(2*eps); the two satisfy slow + fast = 1/eps and
-    slow*fast = -symbol/eps.  Construction through root_data() verifies the
-    whole inequality bundle and raises on any violation, so downstream code
-    can lean on the estimates without rechecking.
+    The symbol values are frequency-node values on the spectral path and
+    eigenvalues on the ODE path.  slow is written as
+    -2*symbol/(1 + disc_sqrt), so it stays accurate when eps*symbol is
+    tiny, and fast as (1 + disc_sqrt)/(2*eps); the two satisfy
+    slow + fast = 1/eps and slow*fast = -symbol/eps.  Construction through
+    root_data() verifies the whole inequality bundle and raises on any
+    violation, unless check=False, so downstream code can lean on the
+    estimates without rechecking.
     """
 
     eps: float

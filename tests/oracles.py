@@ -4,10 +4,27 @@ The boundary-value oracle discretizes the second-order equation directly
 and solves one banded linear system.  It never touches the package's
 closed-form machinery, so agreement between the two routes is a genuine
 cross-check rather than the same formula evaluated twice.
+
+laplace_tail and weighted_energy are quadratures of the package's
+solver era that only the tests still call; they live here, built on the
+package's Gauss-Laguerre helpers.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from wie.quadrature import (
+    DEFAULT_SPEC,
+    ENERGY_CEILING,
+    EXPONENT_CAP,
+    QuadratureError,
+    _halfline_adaptive,
+    _laguerre_rule,
+    _needs_fallback,
+    laplace_tail_shifted,
+)
 
 
 def bvp_grid_solve(matrix, initial, forcing_fn, eps, window, h):
@@ -151,3 +168,48 @@ def decimal_exp_differences(x0, delta, x2, t, digits=60):
 
         d12, d02 = first(x1, x2), first(x0, x2)
         return (x1 * t).exp() - (x0 * t).exp(), d12, d02, d12 - d02
+
+
+def laplace_tail(
+    phi,
+    mu: float,
+    t0: float = 0.0,
+    spec=DEFAULT_SPEC,
+    growth_rate: float = 0.0,
+):
+    """integral_t0^inf exp(-mu*s) phi(s) ds for mu above the growth rate."""
+    shifted = laplace_tail_shifted(phi, mu, t0, spec, growth_rate)
+    damp = math.exp(-min(mu * t0, EXPONENT_CAP)) if mu * t0 > -EXPONENT_CAP else math.inf
+    if mu * t0 > EXPONENT_CAP:
+        damp = 0.0
+    return damp * shifted
+
+
+def weighted_energy(
+    phi,
+    eps: float,
+    spec=DEFAULT_SPEC,
+    ceiling: float = ENERGY_CEILING,
+):
+    """Weighted half-line integral that reports divergence instead of failing.
+
+    Returns (value, crossed_at).  When the weighted integrand exp(-t/eps)
+    phi(t) exceeds `ceiling` or stops being finite, the value is +inf and
+    crossed_at records the time where that first happened.
+    """
+    tau, w = _laguerre_rule(spec.nodes)
+    vals = np.empty(tau.shape)
+    for i, tk in enumerate(tau):
+        t = eps * float(tk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = float(phi(t))
+        weighted = math.exp(-float(tk)) * v if math.isfinite(v) else math.inf
+        if not math.isfinite(v) or abs(weighted) > ceiling:
+            return math.inf, t
+        vals[i] = v
+    if _needs_fallback(vals, w, spec.variation_limit):
+        try:
+            return _halfline_adaptive(phi, eps, spec), None
+        except QuadratureError:
+            return math.inf, None
+    return eps * float((w * vals).sum()), None

@@ -408,6 +408,12 @@ class TestCliRun:
         assert cli.main(["run", cfg, "--threads", "zero"]) == 2
         assert cli.main(["run", cfg, "--threads", "0"]) == 2
 
+    def test_thread_environment_is_ignored(self, tmp_path, monkeypatch):
+        # runs are serial; a stale WIE_THREADS must not fail a run that gave no flag
+        cfg = _write(tmp_path, _ode_config())
+        monkeypatch.setenv("WIE_THREADS", "x")
+        assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+
 
 def _field_config(grid, times):
     output = {"write_field": True, "field_times": [repr(float(t)) for t in times]}

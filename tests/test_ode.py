@@ -22,13 +22,11 @@ from wie.ode import (
     eigendecompose,
     energy_ode,
     exact_solution,
-    regularized_spectrum,
     selected_minimizer,
-    selection_initial,
     viscous_residual,
 )
 from wie.quadrature import DEFAULT_SPEC
-from wie.spectral import root_data
+from wie.spectral import RootData, root_data
 
 
 def _problem(matrix, initial, forcing=None):
@@ -62,24 +60,24 @@ class TestEigendecompose:
 
 class TestRegularizedSpectrum:
     def test_positive_eigenvalue_roots(self):
-        sp = regularized_spectrum(3.0, 0.1)
+        sp = root_data(3.0, 0.1, check=False)
         assert sp.slow[0] == pytest.approx(-2.416198487095663, rel=1e-14)
         assert sp.fast[0] == pytest.approx(12.416198487095663, rel=1e-14)
 
     def test_negative_eigenvalue_roots(self):
         # below zero the slow branch grows, but stays the small root
-        sp = regularized_spectrum(-1.0, 0.1)
+        sp = root_data(-1.0, 0.1, check=False)
         assert sp.slow[0] == pytest.approx(1.1270166537925831, rel=1e-13)
         assert sp.fast[0] == pytest.approx(8.872983346207417, rel=1e-13)
 
     def test_inadmissible_eps_named(self):
         with pytest.raises(ValueError, match="-3"):
-            regularized_spectrum(-3.0, 0.1)
+            root_data(-3.0, 0.1, check=False)
 
     def test_same_admissibility_rule_as_spectral_roots(self):
         # A=[[-1]] at eps=0.15: 1 + 4*eps*mu = 0.4 lies in (0, 1/2], refused by both paths
         with pytest.raises(ValueError, match="-1"):
-            regularized_spectrum(-1.0, 0.15)
+            root_data(-1.0, 0.15, check=False)
         with pytest.raises(ValueError, match="-1"):
             root_data(np.array([-1.0]), 0.15)
         with pytest.raises(ValueError, match="-1"):
@@ -90,7 +88,7 @@ class TestRegularizedSpectrum:
     def test_vieta_identities(self, mu, eps):
         if 1.0 + 4.0 * eps * mu <= 0.5:
             return
-        sp = regularized_spectrum(mu, eps)
+        sp = root_data(mu, eps, check=False)
         lam, fast = float(sp.slow[0]), float(sp.fast[0])
         assert lam + fast == pytest.approx(1.0 / eps, rel=1e-12)
         # products run through intermediates of size mu/eps and eps*fast^2,
@@ -102,8 +100,18 @@ class TestRegularizedSpectrum:
 
     def test_tiny_eps_no_cancellation(self):
         # slow root tends to -mu without losing digits to 1 - sqrt(1+x)
-        sp = regularized_spectrum(2.0, 1e-12)
+        sp = root_data(2.0, 1e-12, check=False)
         assert sp.slow[0] == pytest.approx(-2.0, rel=1e-10)
+
+    def test_minimizer_spectrum_is_the_root_data(self):
+        # the ODE path builds its roots with the spectral path's one constructor
+        rng = np.random.default_rng(5)
+        A, eps = random_symmetric(rng, 4), 0.05
+        m = SelectedOdeMinimizer(_problem(A, rng.uniform(-1.0, 1.0, 4)), eps)
+        want = root_data(m.eigen.values, eps, check=False)
+        assert isinstance(m.spectrum, RootData)
+        for name in ("slow", "fast", "disc_sqrt"):
+            np.testing.assert_array_equal(getattr(m.spectrum, name), getattr(want, name))
 
 
 class TestDecoupledForcing:
@@ -113,7 +121,7 @@ class TestDecoupledForcing:
         A = np.array([[2.0, 1.0], [1.0, 2.0]])
         eigen = eigendecompose(A)
         eps = 0.1
-        sp = regularized_spectrum(eigen.values, eps)
+        sp = root_data(eigen.values, eps, check=False)
         forcing = ForcingTerm.from_vectors(
             [
                 (exponential_profile(1.0, -0.5), (1.0, 0.0)),
@@ -129,19 +137,19 @@ class TestDecoupledForcing:
 class TestSelectionInitial:
     def test_zero_forcing_selects_zero(self):
         eigen = eigendecompose(np.array([[1.0]]))
-        sp = regularized_spectrum(eigen.values, 0.1)
+        sp = root_data(eigen.values, 0.1, check=False)
         g = decoupled_forcing(eigen, sp, ForcingTerm.zero(1))
-        np.testing.assert_array_equal(selection_initial(sp, g), np.zeros(1))
+        np.testing.assert_array_equal(g.tail(sp.fast, 0.0), np.zeros(1))
 
     def test_constant_forcing_closed_form(self):
         # g_i constant c: the tail integral is c / fast_rate
         A = np.array([[2.0, 1.0], [1.0, 2.0]])
         eigen = eigendecompose(A)
         eps = 0.05
-        sp = regularized_spectrum(eigen.values, eps)
+        sp = root_data(eigen.values, eps, check=False)
         forcing = ForcingTerm.from_vectors([(constant_profile(1.0), (0.3, -0.7))])
         g = decoupled_forcing(eigen, sp, forcing)
-        got = selection_initial(sp, g)
+        got = g.tail(sp.fast, 0.0)
         want = eigen.project(forcing.vector(0.0)) / sp.disc_sqrt / sp.fast
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -276,7 +284,7 @@ class TestExactEnergy:
     def test_divergent_closed_form_is_inf(self, crosses):
         # rate 1/(2 eps) diverges unseen by the nodes; 0.9 of the fast root crosses the ceiling
         A, eps = np.array([[1.0]]), 0.1
-        rate = 0.9 * float(regularized_spectrum(1.0, eps).fast[0]) if crosses else 5.0
+        rate = 0.9 * float(root_data(1.0, eps, check=False).fast[0]) if crosses else 5.0
         forcing = ForcingTerm.from_vectors([(exponential_profile(1.0, rate), (1.0,))])
         m = selected_minimizer(_problem(A, [1.0], forcing), eps)
         gl, gl_crossed = energy_ode(m.state, A, forcing, eps)

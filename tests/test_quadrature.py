@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import laplace_tail, weighted_energy
 from wie.quadrature import (
     DEFAULT_SPEC,
     DivergenceError,
@@ -16,11 +17,9 @@ from wie.quadrature import (
     convolution_integral,
     convolution_integral_batch,
     finite_interval,
-    laplace_tail,
     laplace_tail_shifted,
     laplace_tail_shifted_batch,
     poincare_sides,
-    weighted_energy,
     weighted_halfline,
 )
 

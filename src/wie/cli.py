@@ -25,10 +25,9 @@ import numpy as np
 from .config import SCHEMA, ConfigError, ExperimentConfig, parse_config
 from .forcing import TransformabilityError, certify_transformable
 from .lab import bound_audit, branch_divergence, convergence_study, lemma_tech_profile
-from .ode import eigendecompose
 from .quadrature import QuadratureFailure
-from .spectral import SpectralField, minimizer_hat, root_data
-from .symbols import AdmissibilityError
+from .spectral import SpectralField, minimizer_hat
+from .symbols import AdmissibilityError, admissible_discriminant
 
 log = logging.getLogger("wie")
 
@@ -240,8 +239,8 @@ def _run_branch(cfg: ExperimentConfig):
             {"verdict": "quadrature contract missed", "epsilon": cfg.epsilon, "detail": str(exc)}
         )
         return RunOutcome(results, verdicts, failures)
-    mu = float(eigendecompose(problem.matrix).values[cfg.direction])
-    z = float(root_data(mu, cfg.epsilon, check=False).disc_sqrt[0])
+    mu = problem.eigen.values[cfg.direction]
+    z = math.sqrt(float(admissible_discriminant(mu, cfg.epsilon)[0]))
     results["branch"] = res.as_dict()
     results["divergence_rate"] = z / cfg.epsilon
     verdicts["log_energy_table_present"] = len(res.log_energies) == len(cfg.horizons) and all(

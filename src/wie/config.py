@@ -23,7 +23,7 @@ from .forcing import (
     power_profile,
     sampled_profile,
 )
-from .ode import OdeProblem, eigendecompose
+from .ode import OdeProblem
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .spectral import FrequencyGrid, SpectralProblem
 from .symbols import EpsilonPolicy, MultiplierSymbol, build_symbol
@@ -608,7 +608,6 @@ def validate_config(raw: Any) -> ExperimentConfig:
         if "forcing" in root:
             forcing = _forcing(c, root["forcing"], "forcing", space="vector")
         problem = None
-        eigen = None
         if matrix is not None and initial is not None:
             try:
                 problem = OdeProblem(
@@ -616,15 +615,14 @@ def validate_config(raw: Any) -> ExperimentConfig:
                     initial=np.asarray(initial, dtype=float),
                     forcing=forcing if forcing is not None else ForcingTerm.zero(),
                 )
-                eigen = eigendecompose(problem.matrix)
             except ValueError as exc:
                 c.fail("matrix", str(exc))
         fields["ode_problem"] = problem
 
         if mode == "ode":
             ladder = _ladder(c, root.get("epsilon_ladder"), "epsilon_ladder") if "epsilon_ladder" in root else None
-            if ladder is not None and eigen is not None:
-                bound = min(0.0, float(eigen.values[0]) - policy.margin)
+            if ladder is not None and problem is not None:
+                bound = min(0.0, float(problem.eigen.values[0]) - policy.margin)
                 _check_policy(c, "epsilon_ladder", ladder, root.get("epsilon_ladder"), policy, bound)
             fields["epsilon_ladder"] = ladder or ()
             _study_tail(c, root, fields, default_norm="sup_uniform")
@@ -633,8 +631,8 @@ def validate_config(raw: Any) -> ExperimentConfig:
             if eps is not None:
                 if eps <= 0.0:
                     c.fail("epsilon", f"eps must be positive, got {eps}")
-                elif eigen is not None:
-                    bound = min(0.0, float(eigen.values[0]) - policy.margin)
+                elif problem is not None:
+                    bound = min(0.0, float(problem.eigen.values[0]) - policy.margin)
                     _check_policy(c, "epsilon", (eps,), root.get("epsilon"), policy, bound)
             delta = _number(c, root.get("delta"), "delta") if "delta" in root else None
             horizons = _vector(c, root.get("horizons"), "horizons") if "horizons" in root else None
@@ -648,8 +646,8 @@ def validate_config(raw: Any) -> ExperimentConfig:
             direction = 0
             if "direction" in root:
                 direction = _integer(c, root["direction"], "direction")
-                if direction is not None and problem is not None and not 0 <= direction < problem.size:
-                    c.fail("direction", f"must lie in [0, {problem.size})")
+                if direction is not None and matrix is not None and not 0 <= direction < len(matrix):
+                    c.fail("direction", f"must lie in [0, {len(matrix)})")
             fields.update(
                 epsilon=eps, delta=delta, horizons=horizons or (), direction=direction or 0
             )

@@ -171,6 +171,10 @@ class SpectralProblem:
         )
         object.__setattr__(self, "forcing_parts", parts)
 
+    @property
+    def weights(self) -> np.ndarray:
+        return self.grid.weights
+
     def forcing_values(self, t: float) -> np.ndarray:
         """f_hat(t, .) on the grid nodes."""
         out = np.zeros(self.grid.nodes.shape, dtype=complex)
@@ -294,23 +298,32 @@ def inequality_report(rd: RootData, tol: float = 1e-9) -> dict:
 # ---- Evolution and selection ----
 
 
+def _times(t):
+    """(t, tc): a float twice, or a 1-D array of times and its column to broadcast over nodes."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        return t, t[:, None]
+    t = float(t)
+    return t, t
+
+
 class SemigroupSolution:
     """First-order flow u_hat' = -symbol * u_hat + f_hat on the grid.
 
     Every call evaluates afresh; nothing is kept per time.  The returned
     arrays are new, and the forcing terms are added into them in place.
+    value() also takes a 1-D array of times and returns one row per time,
+    row k bit for bit value(t[k]).
     """
 
     def __init__(self, problem: SpectralProblem):
         self.problem = problem
 
-    def value(self, t: float) -> np.ndarray:
-        t = float(t)
+    def value(self, t) -> np.ndarray:
+        t, tc = _times(t)
         p = self.problem
-        out = _exp_guarded(p.symbol_values * -t) * p.initial_hat
-        if t > 0.0:
-            for profile, H in p.forcing_parts:
-                out += H * profile.duhamel(-p.symbol_values, t)
+        out = _exp_guarded(p.symbol_values * -tc) * p.initial_hat
+        for profile, H in p.forcing_parts:
+            out += H * profile.duhamel(-p.symbol_values, t)
         return out
 
     def state(self, t: float):
@@ -332,6 +345,18 @@ def semigroup_solution(problem: SpectralProblem):
     return SemigroupSolution(problem)
 
 
+def _over(H, z) -> np.ndarray:
+    """H / z, each float component of H divided by z.
+
+    numpy divides a complex array by a real one as a product with 1/z, so
+    the real parts of complex data would part from real data in the last
+    bit; this way real data (the eigenbasis view of a system) and the real
+    parts of complex data give the same bits.
+    """
+    pairs = H.view(float).reshape(H.shape + (-1,))
+    return (pairs / z[:, None]).view(H.dtype).reshape(H.shape)
+
+
 class SelectedSpectralMinimizer:
     """The finite-energy trajectory of eps*u'' = u' + symbol*u - f per node.
 
@@ -339,11 +364,12 @@ class SelectedSpectralMinimizer:
     trajectory is that coefficient flowing on the tame branch, plus a
     causal convolution and an anticausal tail, both scaled by the
     discriminant root.  Every call evaluates afresh; only the tail at
-    t = 0 is kept, so value(0) reuses the very numbers of the initial
-    correction.  An unforced problem has no convolution and no tail
-    (tail0 is None); value adds +0.0 in their place, and state adds
-    nothing, so its zeros may keep a negative sign.  The returned arrays
-    are new; every further step runs in place on them.
+    t = 0 is kept, for the initial correction.  An unforced problem has no
+    convolution and no tail (tail0 is None); value adds +0.0 in their
+    place, and state adds nothing, so its zeros may keep a negative sign.
+    The returned arrays are new; every further step runs in place on them,
+    in the dtype of the data.  value() also takes a 1-D array of times and
+    returns one row per time, row k bit for bit value(t[k]).
     """
 
     def __init__(
@@ -362,34 +388,30 @@ class SelectedSpectralMinimizer:
         if self.tail0 is not None:
             self.slow_initial = self.slow_initial - self.tail0
 
-    def _forced(self, kernel: Callable) -> Optional[np.ndarray]:
-        """sum of H * kernel(profile) over the forcing parts, over the discriminant root.
+    def _forced(self, kernel: Callable, t) -> Optional[np.ndarray]:
+        """sum of H/z * kernel(profile) over the forcing parts, z the discriminant root.
 
         None for an unforced problem.
         """
         p = self.problem
         if not p.forcing_parts:
             return None
-        out = np.zeros(p.grid.nodes.shape, dtype=complex)
+        out = np.zeros(np.shape(t) + p.symbol_values.shape, dtype=p.forcing_parts[0][1].dtype)
         for profile, H in p.forcing_parts:
-            out += H * kernel(profile)
-        out /= self.roots.disc_sqrt
+            out += _over(H, self.roots.disc_sqrt) * kernel(profile)
         return out
 
-    def _tail(self, t: float) -> Optional[np.ndarray]:
-        return self._forced(lambda g: g.shifted_tail(self.roots.fast, t, self.growth_rate))
+    def _tail(self, t) -> Optional[np.ndarray]:
+        return self._forced(lambda g: g.shifted_tail(self.roots.fast, t, self.growth_rate), t)
 
-    def _parts(self, t: float):
+    def _parts(self, t):
         """(decayed, convolution, tail) at t as new arrays; the last two None when unforced."""
-        t = float(t)
-        if t == 0.0:
-            tail = None if self.tail0 is None else self.tail0.copy()
-            return self.slow_initial.copy(), None, tail
-        decayed = _exp_guarded(self.roots.slow * t) * self.slow_initial
-        conv = self._forced(lambda g: g.duhamel(self.roots.slow, t))
+        t, tc = _times(t)
+        decayed = _exp_guarded(self.roots.slow * tc) * self.slow_initial
+        conv = self._forced(lambda g: g.duhamel(self.roots.slow, t), t)
         return decayed, conv, self._tail(t)
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t) -> np.ndarray:
         out, conv, tail = self._parts(t)
         if tail is None:
             # adding the zero parts turned every -0.0 into +0.0; field dumps keep that
@@ -432,9 +454,9 @@ class SelectedSpectralMinimizer:
         if form is not None:
             amps, rates = form
             columns = [a * H for a, (_g, H) in zip(amps, p.forcing_parts)]
-            amplitudes = np.stack(columns, axis=1) if columns else np.empty((p.grid.nodes.size, 0))
+            amplitudes = np.stack(columns, axis=1) if columns else np.empty((p.symbol_values.size, 0))
             value = _modal_energy(
-                p.symbol_values, self.roots.slow, p.grid.weights, p.initial_hat,
+                p.symbol_values, self.roots.slow, p.weights, p.initial_hat,
                 amplitudes, rates, self.eps,
             )
             if value == math.inf:
@@ -493,7 +515,7 @@ def energy_spectral(
     gives the trajectory and its derivative as one (value, derivative)
     pair.  Returns (value, crossed_at) like the finite-dimensional energy.
     """
-    w = problem.grid.weights
+    w = problem.weights
     w_ell = w * problem.symbol_values
     work = np.empty(w.shape)
     tau, gl_w = _laguerre_rule(spec.nodes)

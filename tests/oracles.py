@@ -7,7 +7,9 @@ cross-check rather than the same formula evaluated twice.
 
 laplace_tail and weighted_energy are quadratures of the package's
 solver era that only the tests still call; they live here, built on the
-package's Gauss-Laguerre helpers.
+package's Gauss-Laguerre helpers.  energy_ode is the weighted action of a
+system trajectory summed in the system's own coordinates, independent of
+the eigenbasis the solvers work in.
 """
 
 import math
@@ -89,50 +91,52 @@ def random_symmetric(rng, n, lo=0.2, hi=2.5):
 def decimal_sup_distance(problem, eps, times, norm="sup_vl", digits=40):
     """sup_t ||u_eps(t) - u_0(t)|| in `digits`-digit decimal arithmetic.
 
-    For unforced problems and for one exponential part a*exp(r t) H.  Every
-    input double (symbol values, weights, data, eps, times) is taken
+    For any number of constant or exponential parts a_k exp(r_k t) H_k, on
+    a SpectralProblem or on the eigenbasis view of an OdeProblem (its
+    `_modal`: eigenvalues as symbol values, unit weights, real data).
+    Every input double (symbol values, weights, data, eps, times) is taken
     exactly, and the roots and exponentials are evaluated at `digits`
     digits, so the result is the exact sup distance of the discretized
     problem to far below double precision.  Per node, with s the selected
     root of eps s^2 = s + ell,
 
-        u_eps = e^{st} c0 + P (e^{rt} - e^{st}),      P = a H / (ell + r - eps r^2),
-        u_0   = e^{-ell t} c0 + Q (e^{rt} - e^{-ell t}),  Q = a H / (ell + r).
+        u_eps = e^{st} c0 + sum_k P_k (e^{r_k t} - e^{st}),      P_k = a_k H_k / (ell + r_k - eps r_k^2),
+        u_0   = e^{-ell t} c0 + sum_k Q_k (e^{r_k t} - e^{-ell t}),  Q_k = a_k H_k / (ell + r_k).
     """
     from decimal import Decimal, localcontext
 
     parts = problem.forcing_parts
-    if len(parts) > 1 or any(g.kind not in ("constant", "exponential") for g, _H in parts):
-        raise ValueError("the decimal oracle covers no forcing or one exponential part")
+    if any(g.kind not in ("constant", "exponential") for g, _H in parts):
+        raise ValueError("the decimal oracle covers constant and exponential parts only")
     with localcontext() as ctx:
         ctx.prec = digits
         D = Decimal
         e = D(float(eps))
         ells = [D(float(v)) for v in problem.symbol_values]
-        weights = [D(float(v)) for v in problem.grid.weights]
+        weights = [D(float(v)) for v in problem.weights]
         if norm == "sup_vl":
             weights = [w * (1 + abs(ell)) for w, ell in zip(weights, ells)]
         c0 = [(D(float(v.real)), D(float(v.imag))) for v in problem.initial_hat]
         slow = [-2 * ell / (1 + (1 + 4 * e * ell).sqrt()) for ell in ells]
-        if parts:
-            [(g, H)] = parts
+        forms = []  # per part (r, [(P_i, Q_i) per node], [H_i per node])
+        for g, H in parts:
             amp = D(float(g.amplitude))
             r = D(float(g.rate)) if g.kind == "exponential" else D(0)
-            h = [(D(float(v.real)), D(float(v.imag))) for v in H]
-            p = [amp / (ell + r - e * r * r) for ell in ells]
-            q = [amp / (ell + r) for ell in ells]
+            pq = [(amp / (ell + r - e * r * r), amp / (ell + r)) for ell in ells]
+            forms.append((r, pq, [(D(float(v.real)), D(float(v.imag))) for v in H]))
         sup = D(0)
         for t in times:
             t = D(float(t))
-            grow = (r * t).exp() if parts else None
+            grows = [(r * t).exp() for r, _pq, _h in forms]
             total = D(0)
             for i, ell in enumerate(ells):
                 selected = (slow[i] * t).exp()
                 flow = (-ell * t).exp()
                 a = selected - flow
                 re, im = a * c0[i][0], a * c0[i][1]
-                if parts:
-                    b = p[i] * (grow - selected) - q[i] * (grow - flow)
+                for grow, (_r, pq, h) in zip(grows, forms):
+                    p, q = pq[i]
+                    b = p * (grow - selected) - q * (grow - flow)
                     re += b * h[i][0]
                     im += b * h[i][1]
                 total += weights[i] * (re * re + im * im)
@@ -212,4 +216,28 @@ def weighted_energy(
             return _halfline_adaptive(phi, eps, spec), None
         except QuadratureError:
             return math.inf, None
+    return eps * float((w * vals).sum()), None
+
+
+def energy_ode(state, matrix, forcing, eps, spec=DEFAULT_SPEC, ceiling=ENERGY_CEILING):
+    """Weighted action of an arbitrary trajectory of a system.
+
+    integral exp(-t/eps) [ (eps/2)|y'|^2 + (1/2) y.Ay - f.y ] dt, sampled at
+    the substituted Gauss-Laguerre nodes, where state(t) gives the pair
+    (y(t), y'(t)).  Returns (value, crossed_at); when the weighted integrand
+    blows past `ceiling` the value is +inf and crossed_at is the first
+    offending time.
+    """
+    A = np.atleast_2d(np.asarray(matrix, dtype=float))
+    tau, w = _laguerre_rule(spec.nodes)
+    vals = np.empty(tau.shape)
+    for k, tk in enumerate(tau):
+        t = eps * float(tk)
+        yv, dv = (np.asarray(v, dtype=float) for v in state(t))
+        quad = 0.5 * eps * float(dv @ dv) + 0.5 * float(yv @ (A @ yv))
+        if not forcing.is_zero:
+            quad -= float(np.dot(forcing.vector(t), yv))
+        if not math.isfinite(quad) or abs(quad) * math.exp(-float(tk)) > ceiling:
+            return math.inf, t
+        vals[k] = quad
     return eps * float((w * vals).sum()), None

@@ -67,6 +67,23 @@ class TestValidateConfig:
             cfg.ode_problem.matrix, [[2.0, 1.0], [1.0, 2.0]]
         )
 
+    def test_asymmetric_matrix_and_bad_direction_both_reported(self):
+        raw = {
+            "schema_version": 1,
+            "mode": "branch-divergence",
+            "matrix": [["2.0", "1.0"], ["0.0", "2.0"]],
+            "initial": ["1.0", "-0.5"],
+            "epsilon": "0.1",
+            "delta": "1e-6",
+            "horizons": ["1.0", "2.0"],
+            "direction": 2,
+        }
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        text = "\n".join(err.value.violations)
+        assert "not symmetric" in text
+        assert "must lie in [0, 2)" in text
+
     def test_numbers_accepted_as_strings_or_literals(self):
         for horizon in ("1.0", 1.0, 1):
             cfg = validate_config(_ode_config(horizon=horizon))

@@ -1,6 +1,7 @@
 """Desk-scale studies: lemma sweeps, branch divergence, ladders, audits."""
 
 import math
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from scipy.special import erfcx
 
 from oracles import decimal_sup_distance
 from wie import lab, symbols
-from wie.config import parse_config
+from wie.config import parse_config, validate_config
 from wie.forcing import (
     ForcingTerm,
     TimeProfile,
@@ -28,14 +29,7 @@ from wie.lab import (
     fit_rate,
     lemma_tech_profile,
 )
-from wie.ode import (
-    ExactOdeSolution,
-    OdeProblem,
-    SelectedOdeMinimizer,
-    eigendecompose,
-    exact_solution,
-    selected_minimizer,
-)
+from wie.ode import OdeProblem, exact_solution, selected_minimizer
 from wie.quadrature import (
     DEFAULT_SPEC,
     DivergenceError,
@@ -45,12 +39,17 @@ from wie.quadrature import (
 )
 from wie.spectral import (
     FrequencyGrid,
+    SelectedSpectralMinimizer,
+    SemigroupSolution,
     SpectralProblem,
     energy_spectral,
     l2_norm,
     minimizer_hat,
     semigroup_solution,
 )
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's recipes)
 
 
 def _spectral_problem(symbol=None, forcing=None, n=64):
@@ -588,9 +587,9 @@ class TestOdeStudy:
 
     def test_one_reference_evaluation_per_study(self, monkeypatch):
         calls = []
-        coeffs = ExactOdeSolution._coeffs
+        value = SemigroupSolution.value
         monkeypatch.setattr(
-            ExactOdeSolution, "_coeffs", lambda self, t: calls.append(t) or coeffs(self, t)
+            SemigroupSolution, "value", lambda self, t: calls.append(t) or value(self, t)
         )
         report = convergence_study(self._problem(), self.LADDER, 1.0, time_points=201)
         assert report.verdicts["all_members_completed"]
@@ -600,37 +599,32 @@ class TestOdeStudy:
     @pytest.mark.parametrize("norm", ["sup_uniform", "sup_vl"])
     def test_rungs_match_one_rung_at_a_time(self, norm):
         # side by side on the whole grid, each rung gives the very floats of a
-        # time-by-time sweep of that rung alone
+        # time-by-time sweep of that rung alone, in modal coordinates
         prob = self._problem()
         times = np.linspace(0.0, 1.0, 201)
-        flow = exact_solution(prob)
-        eigen = eigendecompose(prob.matrix)
-        weights = 1.0 + np.abs(eigen.values)
+        flow = exact_solution(prob)._solver
+        weights = np.ones(4) if norm == "sup_uniform" else 1.0 + np.abs(prob.eigen.values)
         together = convergence_study(prob, self.LADDER, 1.0, norm=norm)
         for entry, eps in zip(together.entries, self.LADDER):
             (alone,) = convergence_study(prob, [eps], 1.0, norm=norm).entries
             assert entry.as_dict() == alone.as_dict()
             assert entry.energy_source == "exact"
-            m = selected_minimizer(prob, eps)
+            m = selected_minimizer(prob, eps)._solver
             sup = 0.0
             for t in times:
                 diff = m.value(float(t)) - flow.value(float(t))
-                if norm == "sup_vl":
-                    c = eigen.project(diff)
-                    sup = max(sup, math.sqrt(float(np.sum(weights * c * c))))
-                else:
-                    sup = max(sup, float(np.linalg.norm(diff)))
+                sup = max(sup, math.sqrt(float(np.sum(diff * diff * weights))))
             assert entry.sup_error == sup
 
     def test_rung_failing_mid_sweep_leaves_the_others(self, monkeypatch):
-        modes = SelectedOdeMinimizer._modes
+        value = SelectedSpectralMinimizer.value
 
         def flaky(self, t):
             if self.eps == 1e-2 and np.max(t) > 0.5:
                 raise ExponentOverflowError("rung gave up")
-            return modes(self, t)
+            return value(self, t)
 
-        monkeypatch.setattr(SelectedOdeMinimizer, "_modes", flaky)
+        monkeypatch.setattr(SelectedSpectralMinimizer, "value", flaky)
         report = convergence_study(self._problem(), self.LADDER, 1.0)
         failed = [e for e in report.entries if e.failure is not None]
         assert [e.eps for e in failed] == [1e-2]
@@ -640,19 +634,63 @@ class TestOdeStudy:
         assert not report.verdicts["all_members_completed"]
 
     def test_reference_failure_fails_every_live_rung(self, monkeypatch):
-        coeffs = ExactOdeSolution._coeffs
+        value = SemigroupSolution.value
 
         def flaky(self, t):
             if np.max(t) > 0.5:
                 raise ExponentOverflowError("reference gave up")
-            return coeffs(self, t)
+            return value(self, t)
 
-        monkeypatch.setattr(ExactOdeSolution, "_coeffs", flaky)
+        monkeypatch.setattr(SemigroupSolution, "value", flaky)
         # eigenvalues down to -1.05 refuse eps = 0.2 at build: 1 + 4*eps*mu <= 1/2
         prob = self._problem(shift=1.7)
         report = convergence_study(prob, [0.2, 0.01, 0.001], 1.0)
         assert "1 + 4*eps*symbol <= 1/2" in report.entries[0].failure
         assert [e.failure for e in report.entries[1:]] == ["reference gave up"] * 2
+
+
+def _ode_forced_workload() -> OdeProblem:
+    # the benchmark's ode-forced recipe at seed 1, read back from its config as `wie run` does
+    return validate_config(workloads.ode_forced(1)).ode_problem
+
+
+def _double_eigenvalue_problem() -> OdeProblem:
+    # a rotated system whose eigenvalue 1.3 is double, with two exponential parts
+    q, _ = np.linalg.qr(np.random.default_rng(53).standard_normal((4, 4)))
+    matrix = q @ np.diag([0.4, 1.3, 1.3, 2.2]) @ q.T
+    forcing = ForcingTerm.from_vectors(
+        [
+            (exponential_profile(1.0, -0.3), (0.5, 1.0, -1.0, 0.25)),
+            (exponential_profile(0.7, -1.2), (-0.25, 0.0, 0.75, 1.0)),
+        ]
+    )
+    return OdeProblem(0.5 * (matrix + matrix.T), np.array([1.0, -0.5, 0.25, 0.75]), forcing)
+
+
+def _golden_ode_case():
+    cfg = parse_config(_GOLDEN / "ode_forced_small" / "config.json")
+    return cfg.ode_problem, cfg.epsilon_ladder, cfg.time_points
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(_golden_ode_case, id="golden"),
+        pytest.param(lambda: (_ode_forced_workload(), [1e-1, 1e-2, 1e-3, 1e-4], 201), id="workload"),
+        pytest.param(lambda: (_double_eigenvalue_problem(), [1e-1, 1e-2, 1e-3, 1e-4], 201), id="double"),
+    ],
+)
+@pytest.mark.parametrize("norm", ["sup_uniform", "sup_vl"])
+def test_ode_sup_error_matches_the_decimal_oracle(case, norm):
+    # the study's modal distances against the eigenbasis view in decimal; the floor is the
+    # cancellation of u_eps - u_0, about 1e-16/eps relative
+    prob, ladder, time_points = case()
+    report = convergence_study(prob, ladder, 1.0, norm=norm, time_points=time_points)
+    assert report.verdicts["all_members_completed"]
+    times = np.linspace(0.0, 1.0, time_points)
+    for entry in report.entries:
+        want = decimal_sup_distance(prob._modal, entry.eps, times, norm=norm)
+        assert abs(Decimal(entry.sup_error) - want) <= Decimal(1e-12) * want, entry.eps
 
 
 class TestBoundAudit:

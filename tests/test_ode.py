@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_symmetric
+from oracles import energy_ode, random_symmetric
+from wie import symbols
 from wie.forcing import (
     ForcingTerm,
     constant_profile,
@@ -18,15 +19,22 @@ from wie.forcing import (
 from wie.ode import (
     OdeProblem,
     SelectedOdeMinimizer,
-    decoupled_forcing,
     eigendecompose,
-    energy_ode,
     exact_solution,
     selected_minimizer,
     viscous_residual,
 )
 from wie.quadrature import DEFAULT_SPEC
-from wie.spectral import RootData, root_data
+from wie.spectral import (
+    FrequencyGrid,
+    RootData,
+    SelectedSpectralMinimizer,
+    SpectralProblem,
+    energy_spectral,
+    minimizer_hat,
+    root_data,
+    semigroup_solution,
+)
 
 
 def _problem(matrix, initial, forcing=None):
@@ -114,44 +122,38 @@ class TestRegularizedSpectrum:
             np.testing.assert_array_equal(getattr(m.spectrum, name), getattr(want, name))
 
 
-class TestDecoupledForcing:
+class TestModalView:
     @given(t=st.floats(0.0, 3.0))
     @settings(deadline=None, max_examples=60)
-    def test_matches_projected_forcing(self, t):
-        A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        eigen = eigendecompose(A)
-        eps = 0.1
-        sp = root_data(eigen.values, eps, check=False)
+    def test_forcing_matches_projected_forcing(self, t):
         forcing = ForcingTerm.from_vectors(
             [
                 (exponential_profile(1.0, -0.5), (1.0, 0.0)),
                 (constant_profile(0.5), (0.0, 1.0)),
             ]
         )
-        g = decoupled_forcing(eigen, sp, forcing)
-        direct = eigen.project(forcing.vector(t)) / sp.disc_sqrt
-        profiles = np.array([p(t) for p in g.profiles])
-        np.testing.assert_allclose(g.coeffs @ profiles, direct, atol=1e-13)
+        prob = _problem([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0], forcing)
+        modal = prob._modal
+        np.testing.assert_array_equal(modal.symbol_values, prob.eigen.values)
+        np.testing.assert_array_equal(modal.weights, np.ones(2))
+        direct = prob.eigen.project(forcing.vector(t))
+        np.testing.assert_allclose(modal.forcing_values(t), direct, atol=1e-13)
 
 
 class TestSelectionInitial:
     def test_zero_forcing_selects_zero(self):
-        eigen = eigendecompose(np.array([[1.0]]))
-        sp = root_data(eigen.values, 0.1, check=False)
-        g = decoupled_forcing(eigen, sp, ForcingTerm.zero(1))
-        np.testing.assert_array_equal(g.tail(sp.fast, 0.0), np.zeros(1))
+        m = selected_minimizer(_problem([[1.0]], [0.5]), 0.1)
+        assert m._solver.tail0 is None
+        np.testing.assert_array_equal(m._solver.slow_initial, [0.5])
 
     def test_constant_forcing_closed_form(self):
         # g_i constant c: the tail integral is c / fast_rate
         A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        eigen = eigendecompose(A)
-        eps = 0.05
-        sp = root_data(eigen.values, eps, check=False)
         forcing = ForcingTerm.from_vectors([(constant_profile(1.0), (0.3, -0.7))])
-        g = decoupled_forcing(eigen, sp, forcing)
-        got = g.tail(sp.fast, 0.0)
-        want = eigen.project(forcing.vector(0.0)) / sp.disc_sqrt / sp.fast
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+        m = selected_minimizer(_problem(A, [0.0, 0.0], forcing), 0.05)
+        sp = m.spectrum
+        want = m.eigen.project(forcing.vector(0.0)) / sp.disc_sqrt / sp.fast
+        np.testing.assert_allclose(m._solver.tail0, want, rtol=1e-10)
 
 
 class TestSelectedMinimizer:
@@ -200,9 +202,9 @@ class TestSelectedMinimizer:
         forcing = ForcingTerm.from_vectors([(exponential_profile(1.0, -0.3), (0.5, 1.0, -1.0))])
         m = selected_minimizer(_problem(A, rng.uniform(-1.0, 1.0, 3), forcing), 0.1)
         times = []
-        modes = SelectedOdeMinimizer._modes
+        parts = SelectedSpectralMinimizer._parts
         monkeypatch.setattr(
-            SelectedOdeMinimizer, "_modes", lambda self, t: times.append(t) or modes(self, t)
+            SelectedSpectralMinimizer, "_parts", lambda self, t: times.append(t) or parts(self, t)
         )
         value, crossed = energy_ode(m.state, A, forcing, 0.1)
         assert crossed is None and math.isfinite(value)
@@ -277,7 +279,8 @@ class TestExactEnergy:
         m = selected_minimizer(_problem(A, rng.uniform(-1.0, 1.0, 3), forcing), 0.05)
         value, crossed, source = m.energy()
         assert source == "gauss_laguerre"
-        assert (value, crossed) == energy_ode(m.state, A, forcing, 0.05)
+        # the fallback is the spectral path's, on the modal view
+        assert (value, crossed) == energy_spectral(m._solver.state, m.problem._modal, 0.05)
 
 
     @pytest.mark.parametrize("crosses", [False, True], ids=["at_edge", "past_edge"])
@@ -290,6 +293,39 @@ class TestExactEnergy:
         gl, gl_crossed = energy_ode(m.state, A, forcing, eps)
         assert (gl == math.inf) == crosses == (gl_crossed is not None)
         assert m.energy() == (math.inf, gl_crossed, "exact")
+
+
+class TestOneModalCore:
+    def test_diagonal_system_is_the_spectral_path_on_its_eigenvalues(self):
+        # nodes = eigenvalues, unit weights, symbol(xi) = xi: the same per-mode problem
+        eigenvalues = np.array([0.3, 0.9, 1.7, 2.4])
+        y0 = np.array([1.0, -0.5, 0.25, 0.75])
+        profiles = [exponential_profile(1.0, -0.3), exponential_profile(0.7, -1.2)]
+        vectors = [(0.5, 1.0, -1.0, 0.25), (-0.25, 0.0, 0.75, 1.0)]
+        system = _problem(np.diag(eigenvalues), y0, ForcingTerm.from_vectors(zip(profiles, vectors)))
+        spectral = SpectralProblem(
+            grid=FrequencyGrid.explicit(eigenvalues, np.ones(4)),
+            symbol=symbols.custom(lambda xi: xi),
+            initial_hat=y0,
+            forcing=ForcingTerm.from_multipliers(
+                [(g, lambda xi, v=v: np.asarray(v)) for g, v in zip(profiles, vectors)]
+            ),
+        )
+        times = np.linspace(0.0, 2.0, 41)
+        flow = semigroup_solution(spectral)
+        np.testing.assert_array_equal(
+            exact_solution(system).values(times), np.stack([flow.value(t).real for t in times])
+        )
+        for eps in (1e-1, 1e-2, 1e-4):
+            m, ref = selected_minimizer(system, eps), minimizer_hat(spectral, eps)
+            np.testing.assert_array_equal(
+                m.values(times), np.stack([ref.value(t).real for t in times])
+            )
+            # the closed form divides the amplitudes by real denominators; complex spectral data
+            # divide by multiplying with the reciprocal, so the energies may part in the last bits
+            (value, crossed, source), (want, *rest) = m.energy(), ref.energy()
+            assert [crossed, source] == rest == [None, "exact"]
+            assert value == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 class TestExactSolution:

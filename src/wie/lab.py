@@ -5,16 +5,15 @@ the package exists to run: shrink the regularization along a ladder and
 watch the selected trajectory approach the first-order flow, perturb the
 selection and watch the truncated energy explode, sweep the weighted decay
 profile of a forcing density, and grind every root estimate against every
-grid node.  Results come back as plain dataclasses with as_dict() views so
-the report writer can serialize them without knowing their internals.
+grid node.  Results come back as named tuples with as_dict() views so the
+report writer can serialize them without knowing their internals.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .forcing import (
     _exponential_form,
     _refuse_slow_tail,
 )
-from .ode import OdeProblem, exact_solution, selected_minimizer
 from .quadrature import (
     DEFAULT_SPEC,
     EXPONENT_CAP,
@@ -62,8 +60,7 @@ __all__ = [
 # ---- Weighted decay profile of a forcing density ----
 
 
-@dataclass(frozen=True, eq=False)
-class LemmaTechProfile:
+class LemmaTechProfile(NamedTuple):
     """G(t) = int_t^T exp(-(s-t)/eps) |g(s)| ds on a dense t grid."""
 
     eps: float
@@ -160,8 +157,7 @@ def lemma_tech_profile(
 # ---- Perturbed-selection divergence ----
 
 
-@dataclass(frozen=True, eq=False)
-class BranchDivergenceResult:
+class BranchDivergenceResult(NamedTuple):
     """Truncated weighted energies of a perturbed selection, per horizon.
 
     log_energies is always populated: the log of the numerical integral
@@ -217,6 +213,8 @@ def branch_divergence(
     meets the QuadratureSpec contract abs_tol + rel_tol*|value| by its
     error estimate, or the call raises QuadratureFailure naming eps and T.
     """
+    from .ode import selected_minimizer
+
     horizons = [float(T) for T in horizons]
     if any(T <= 0.0 for T in horizons) or any(
         b <= a for a, b in zip(horizons, horizons[1:])
@@ -319,8 +317,7 @@ def fit_rate(epsilons: Sequence[float], errors: Sequence[float]):
     return float(beta[1]), float(half_width)
 
 
-@dataclass(frozen=True, eq=False)
-class LadderEntry:
+class LadderEntry(NamedTuple):
     """One rung; energy_source is "exact" or "gauss_laguerre", None on a failed rung."""
 
     eps: float
@@ -345,8 +342,7 @@ class LadderEntry:
         return cls(eps, math.nan, math.nan, -1, failure=str(exc))
 
 
-@dataclass(frozen=True, eq=False)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     problem_id: str
     norm: str
     horizon: float
@@ -414,6 +410,8 @@ def _ode_study(problem, ladder, norm, times, spec):
     the graph norm, is the squared distance.  A (times x modes) block is
     small.
     """
+    from .ode import exact_solution, selected_minimizer
+
     modal = problem._modal
     w = modal.weights
     if norm == "sup_vl":
@@ -678,12 +676,14 @@ def convergence_study(
     if norm not in ("sup_uniform", "sup_vl"):
         raise ValueError(f"unknown norm {norm!r}")
     times = np.linspace(0.0, float(horizon), time_points)
-    if isinstance(problem, OdeProblem):
-        entries = _ode_study(problem, ladder, norm, times, spec)
-    elif isinstance(problem, SpectralProblem):
+    if isinstance(problem, SpectralProblem):
         entries = _spectral_study(problem, ladder, norm, times, spec)
     else:
-        raise TypeError(f"unsupported problem type {type(problem).__name__}")
+        from .ode import OdeProblem  # a spectral run never imports the ODE module
+
+        if not isinstance(problem, OdeProblem):
+            raise TypeError(f"unsupported problem type {type(problem).__name__}")
+        entries = _ode_study(problem, ladder, norm, times, spec)
     ok = [e for e in entries if e.failure is None]
     errors = [e.sup_error for e in ok]
     rate, half_width = fit_rate([e.eps for e in ok], errors)
@@ -709,8 +709,7 @@ def convergence_study(
 # ---- Root-estimate audits ----
 
 
-@dataclass(frozen=True, eq=False)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     eps: float
     counts: dict
     total_violations: int
@@ -723,8 +722,7 @@ class AuditEntry:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class BoundAuditResult:
+class BoundAuditResult(NamedTuple):
     symbol_name: str
     lower_bound: float
     entries: tuple

@@ -15,6 +15,7 @@ energy routine and one admissibility rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class EigenData:
+class EigenData(NamedTuple):
     """Orthonormal eigenbasis of a symmetric matrix, eigenvalues ascending.
 
     Columns of vectors are fixed to a sign convention (largest-magnitude
@@ -65,8 +65,7 @@ def eigendecompose(matrix) -> EigenData:
     return EigenData(values=vals, vectors=vecs)
 
 
-@dataclass(frozen=True, eq=False)
-class _ModalView:
+class _ModalView(NamedTuple):
     """An OdeProblem in its eigenbasis, in the form the spectral solvers read.
 
     The eigenvalues stand where symbol values do, each with weight one, so a

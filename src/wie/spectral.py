@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -85,7 +85,10 @@ class FrequencyGrid:
             raise ValueError("need n >= 2 samples and a positive spacing")
         if x0 is None:
             x0 = -0.5 * n * dx
-        nodes = _TWO_PI * np.fft.fftfreq(n, d=dx)
+        # fftfreq(n, dx) in numpy's own steps, bit for bit, without importing numpy.fft
+        k = np.arange(n)
+        k[(n + 1) // 2 :] -= n
+        nodes = _TWO_PI * (k * (1.0 / (n * dx)))
         dxi = _TWO_PI / (n * dx)
         return cls(
             kind="uniform_fft",
@@ -191,8 +194,7 @@ class SpectralProblem:
 # ---- Characteristic roots with their estimate bundle ----
 
 
-@dataclass(frozen=True, eq=False)
-class RootData:
+class RootData(NamedTuple):
     """Per-node roots of eps*r^2 = r + symbol, with guarantees checked.
 
     The symbol values are frequency-node values on the spectral path and
@@ -624,8 +626,7 @@ def el_residual(minimizer, problem: SpectralProblem, t: float, h: float = 1e-3):
 # ---- Sampled fields for serialization ----
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
+class SpectralField(NamedTuple):
     """A trajectory sampled on (times x frequency nodes), ready to store."""
 
     times: np.ndarray

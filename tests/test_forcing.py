@@ -1,10 +1,11 @@
 """Separable forcing terms, growth declarations, transformability."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wie.forcing import (
@@ -17,6 +18,7 @@ from wie.forcing import (
     power_profile,
     sampled_profile,
 )
+from wie.quadrature import DEFAULT_SPEC, QuadratureError, weighted_halfline
 
 
 class TestProfiles:
@@ -193,3 +195,109 @@ class TestTransformability:
         f = ForcingTerm.from_vectors([(exponential_profile(1.0, r), (1.0,))])
         cert = certify_transformable(f, eps)
         assert cert.weighted_norm == pytest.approx(1.0 / (1.0 / eps - 2.0 * r), rel=1e-6)
+
+
+# ---- The certificate's norm in closed form ----
+
+
+def _dyadic(bound: int, bits: int):
+    """Multiples of 2^-bits in [-bound, bound]: products of a few are exact doubles."""
+    scale = 2**bits
+    return st.integers(-bound * scale, bound * scale).map(lambda k: k / scale)
+
+
+@st.composite
+def exponential_forcings(draw, top=0.45):
+    """(forcing, eps) with constant and exponential parts, every input dyadic.
+
+    eps is a power of two, so 1/eps and each 1/eps - r_i - r_j are exact;
+    rates stay at or below top/eps.  The vectors make the Gram matrix, whose
+    entries are then exact too.
+    """
+    eps = 2.0 ** -draw(st.integers(-2, 8))
+    n = draw(st.integers(1, 3))
+    items = []
+    for _ in range(n):
+        amplitude = draw(_dyadic(2, 4).filter(bool))
+        rate = draw(st.integers(-256, int(64 * top))) / (64 * eps)
+        profile = constant_profile(amplitude) if rate == 0.0 else exponential_profile(amplitude, rate)
+        items.append((profile, draw(st.tuples(*[_dyadic(2, 3)] * 3))))
+    assume(any(any(v) for _g, v in items))
+    return ForcingTerm.from_vectors(items), eps
+
+
+def _exact_terms(forcing, eps):
+    G = forcing.gram()
+    a = [Fraction(p.profile.amplitude) for p in forcing.parts]
+    r = [Fraction(p.profile.rate) for p in forcing.parts]
+    n = len(a)
+    return [
+        Fraction(float(G[i, j])) * a[i] * a[j] / (1 / Fraction(eps) - r[i] - r[j])
+        for i in range(n)
+        for j in range(n)
+    ]
+
+
+class TestExactCertificate:
+    """The weighted norm sum_ij G_ij a_i a_j / (1/eps - r_i - r_j) of exponential parts."""
+
+    def test_single_part_is_the_rational_value(self):
+        # the certification_failure golden's rung: 1/(100 - 12)
+        f = ForcingTerm.from_vectors(
+            [(exponential_profile(1.0, 6.0), (1.0,))], growth=GrowthClass.subexponential(12.0)
+        )
+        assert certify_transformable(f, 1e-2).weighted_norm == 1.0 / 88.0
+
+    @given(drawn=exponential_forcings())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_fraction_sum_within_four_ulps(self, drawn):
+        # each term is exact but for its division, and fsum rounds once: the error is at
+        # most 2 units of roundoff of the magnitudes' sum, which is the value's own sum
+        # unless the terms cancel
+        forcing, eps = drawn
+        terms = _exact_terms(forcing, eps)
+        got = certify_transformable(forcing, eps).weighted_norm
+        magnitude = float(sum(abs(x) for x in terms))
+        assert abs(Fraction(got) - sum(terms)) <= 4 * math.ulp(magnitude)
+
+    @given(drawn=exponential_forcings(top=0.25))
+    @settings(deadline=None, max_examples=100)
+    def test_agrees_with_weighted_halfline_within_the_contract(self, drawn):
+        forcing, eps = drawn
+        got = certify_transformable(forcing, eps).weighted_norm
+        ref = weighted_halfline(forcing.norm_sq_profile(), eps, DEFAULT_SPEC, batched=True)
+        assert abs(got - ref) <= DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * abs(ref)
+
+    @pytest.mark.parametrize(
+        "parts, pinned",
+        [
+            ([(power_profile(0.5, 1.5), (1.0, 2.0))], (0.000749999999998528, 0.029296874999996385)),
+            (
+                [(sampled_profile([0.0, 0.5, 2.0], [1.0, -0.5, 0.25]), (0.0, 1.0))],
+                (0.057639510392627075, 0.08924976320850096),
+            ),
+            (
+                [(exponential_profile(1.0, -0.5), (1.0, 0.0)), (power_profile(2.0, 1.0), (0.5, 1.0))],
+                (0.11904968047825311, 0.4550154320987797),
+            ),
+        ],
+        ids=["power", "sampled", "exponential-and-power"],
+    )
+    def test_power_and_sampled_parts_keep_the_quadrature(self, parts, pinned):
+        # the bytes the Gauss-Laguerre rule gave before the closed form existed
+        f = ForcingTerm.from_vectors(parts)
+        for eps, want in zip((0.1, 0.25), pinned):
+            got = certify_transformable(f, eps).weighted_norm
+            assert got == want
+            assert got == weighted_halfline(f.norm_sq_profile(), eps, DEFAULT_SPEC, batched=True)
+
+    def test_growth_override_with_a_divergent_pair_keeps_the_quadrature(self):
+        # bounded growth admits eps = 0.25, but 1/eps - 2r = -2: no closed form, and the
+        # quadrature meets the growing integrand as before
+        f = ForcingTerm.from_vectors(
+            [(exponential_profile(1.0, 3.0), (1.0,))], growth=GrowthClass.bounded()
+        )
+        with np.errstate(over="ignore"), pytest.raises(QuadratureError):
+            certify_transformable(f, 0.25)
+        # with every denominator positive the override does not matter
+        assert certify_transformable(f, 0.1).weighted_norm == 0.25

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -382,7 +382,10 @@ def _quad_energy(m, prob, eps):
     magnitudes.  The terms may cancel down to a value far below that scale,
     and quad's roundoff floor is 50 ulps of it, so the value is asked for to
     1e-13 of the scale, which double precision can deliver: then the error
-    estimate can be trusted.
+    estimate can be trusted.  One quad call over the whole range can still
+    miss that request in roundoff, where the terms cancel or |term| has a
+    kink, so both integrals are summed over the pieces [0, 1], [1, 2],
+    [2, 4], ..., each asked for its share of the absolute tolerance.
     """
     ell = float(prob.symbol_values[0])
     rates = [float(m.roots.slow[0])] + [g.rate for g, _H in prob.forcing_parts]
@@ -399,14 +402,18 @@ def _quad_energy(m, prob, eps):
             -(f.conjugate() * u).real,
         )
 
-    opts = dict(limit=400, epsrel=1e-13)
-    scale, _ = quad(
-        lambda tau: math.exp(-tau) * sum(abs(x) for x in terms(tau)), 0.0, horizon,
-        epsabs=1e-15, **opts,
-    )
-    value, err = quad(
-        lambda tau: math.exp(-tau) * sum(terms(tau)), 0.0, horizon, epsabs=1e-13 * scale, **opts
-    )
+    edges = [0.0, 1.0]
+    while edges[-1] < horizon:
+        edges.append(min(2.0 * edges[-1], horizon))
+    pieces = list(zip(edges, edges[1:]))
+
+    def integral(f, epsabs):
+        share = dict(epsabs=epsabs / len(pieces), epsrel=1e-13, limit=400)
+        found = [quad(f, lo, hi, **share) for lo, hi in pieces]
+        return sum(v for v, _e in found), sum(e for _v, e in found)
+
+    scale, _ = integral(lambda tau: math.exp(-tau) * sum(abs(x) for x in terms(tau)), 1e-15)
+    value, err = integral(lambda tau: math.exp(-tau) * sum(terms(tau)), 1e-13 * scale)
     return eps * value, eps * err, eps * scale
 
 
@@ -431,6 +438,29 @@ class TestExactEnergy:
         c0=_complex,
         h1=_complex,
         h2=_complex,
+    )
+    # each made the reference's quad call warn that it missed its own request
+    @example(
+        eps=0.2637827298953382,
+        edge=0.984375,
+        rate_kind="free",
+        free_rate=-2.299464999360033,
+        offset=9.684243410953497e-07,
+        second_rate=-3.71484375,
+        c0=0.0703125j,
+        h1=-1.9,
+        h2=-0.16172462868154502 - 0.5927436882077781j,
+    )
+    @example(
+        eps=0.25,
+        edge=-0.75,
+        rate_kind="free",
+        free_rate=-1.0,
+        offset=9.999999999999997e-07,
+        second_rate=0.0,
+        c0=-1j,
+        h1=1,
+        h2=2 + 0.015625j,
     )
     def test_closed_form_matches_quad(
         self, eps, edge, rate_kind, free_rate, offset, second_rate, c0, h1, h2

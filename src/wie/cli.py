@@ -24,7 +24,7 @@ import numpy as np
 from .config import SCHEMA, ConfigError, ExperimentConfig, parse_config
 from .forcing import TransformabilityError, certify_transformable
 from .lab import bound_audit, branch_divergence, convergence_study, lemma_tech_profile
-from .quadrature import QuadratureFailure
+from .quadrature import QuadratureError, QuadratureFailure
 from .spectral import SpectralField, minimizer_hat
 from .symbols import AdmissibilityError, admissible_discriminant
 
@@ -82,15 +82,19 @@ def _dump_csv(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _atomic_write(path: Path, data) -> None:
-    """Replace path with any bytes-like data, whole or not at all.
+def _atomic_write(path: Path, chunks) -> None:
+    """Replace path with the bytes-like chunks, in turn, whole or not at all.
 
-    The payload is in memory already, so the temp file is complete or
-    absent; a failed write or rename removes it and re-raises.
+    The chunks may be formed as they are written (a field row by row); a
+    failed chunk, write or rename removes the temp file and re-raises, so
+    path keeps its old bytes or gets every new one.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                del chunk  # freed before the next chunk is formed
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -134,6 +138,11 @@ def _certify_ladder(cfg: ExperimentConfig, forcing, gram, epsilons):
             failures.append(
                 {"verdict": "transformability violated", "epsilon": eps, "detail": str(exc)}
             )
+        except QuadratureError as exc:
+            # a declared growth that understates a rate can leave the weighted norm divergent
+            detail = f"transformability certificate at eps={eps:g}: {exc}"
+            verdict = "transformability not certified"
+            failures.append({"verdict": verdict, "epsilon": eps, "detail": detail})
     return certificates, failures
 
 
@@ -259,15 +268,20 @@ def _run_audit(cfg: ExperimentConfig):
 
 
 def _write_field(cfg: ExperimentConfig, out_dir: Path) -> list:
-    """Dump the best-resolved minimizer trajectory for offline plotting."""
+    """Dump the best-resolved minimizer trajectory for offline plotting.
+
+    Each time is sampled as a one-row field and written before the next,
+    so the dump holds one row of the field, whatever the number of times.
+    """
     eps = cfg.epsilon_ladder[-1]
+    grid = cfg.spectral_problem.grid
     m = minimizer_hat(cfg.spectral_problem, eps)
-    times = cfg.field_times or tuple(np.linspace(0.0, cfg.horizon, 9))
-    field = SpectralField.sample(m, cfg.spectral_problem.grid, times)
-    _atomic_write(out_dir / FIELD_NAME, field.to_bytes())
-    meta = field.meta()
+    times = np.asarray(cfg.field_times or np.linspace(0.0, cfg.horizon, 9), dtype=float)
+    rows = (SpectralField.sample(m, grid, [t]).to_bytes() for t in times)
+    _atomic_write(out_dir / FIELD_NAME, rows)
+    meta = SpectralField(times, grid, None).meta()
     meta["epsilon"] = eps
-    _atomic_write(out_dir / FIELD_META_NAME, _dump_json(meta))
+    _atomic_write(out_dir / FIELD_META_NAME, [_dump_json(meta)])
     return [FIELD_NAME, FIELD_META_NAME]
 
 
@@ -310,8 +324,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".") -> int:
         "failures": failures,
         "artifacts": sorted(written),
     }
-    _atomic_write(out / REPORT_NAME, _dump_json(report))
-    _atomic_write(out / SUMMARY_NAME, _dump_csv(outcome.header, outcome.rows))
+    _atomic_write(out / REPORT_NAME, [_dump_json(report)])
+    _atomic_write(out / SUMMARY_NAME, [_dump_csv(outcome.header, outcome.rows)])
 
     if failures:
         log.warning("%d failure(s); see %s", len(failures), out / REPORT_NAME)

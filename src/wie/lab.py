@@ -224,9 +224,10 @@ def branch_divergence(
     i = int(direction)
     if not 0 <= i < problem.size:
         raise ValueError(f"direction {i} out of range for a system of size {problem.size}")
-    lam = float(m.spectrum.slow[i])
-    mu = float(m.spectrum.fast[i])
-    z = float(m.spectrum.disc_sqrt[i])
+    k = int(problem._modal.distinct.inverse[i])  # the roots are per distinct eigenvalue
+    lam = float(m.spectrum.slow[k])
+    mu = float(m.spectrum.fast[k])
+    z = float(m.spectrum.disc_sqrt[k])
     w = m.eigen.vectors[:, i]
     half_rate = 0.5 / eps
 
@@ -499,11 +500,11 @@ class _SpectralGap:
 
     def __init__(self, problem: SpectralProblem, weights: np.ndarray):
         self.problem = problem
-        values = problem.symbol_values
-        ell, self.first, sizes = np.unique(values, return_index=True, return_counts=True)
-        self.ell, self.highest = ell, float(ell[-1])
+        distinct = problem.distinct
+        ell = self.ell = distinct.values
+        self.highest = float(ell[-1])
         columns = [problem.initial_hat] + [H for _g, H in problem.forcing_parts]
-        self.factor = _fold(weights, columns, np.argsort(values, kind="stable"), sizes)
+        self.factor = _fold(weights, columns, distinct)
         self.decay, self.grow, self.alpha = (np.empty(ell.shape) for _ in range(3))
         forms = [_exponential_form([g]) for g, _H in problem.forcing_parts]
         # (amplitude, rate) of each constant or exponential part, None for the others
@@ -516,9 +517,9 @@ class _SpectralGap:
         self.generic = any(form is None for form in self.forms)
 
     def rung(self, m: SelectedSpectralMinimizer) -> _Rung:
-        """The rung's roots and each part's t-independent terms on the distinct values."""
+        """The rung's roots, on the distinct values already, and each part's t-independent terms."""
         r = m.roots
-        slow, fast, z = r.slow[self.first], r.fast[self.first], r.disc_sqrt[self.first]
+        slow, fast, z = r.slow, r.fast, r.disc_sqrt
         slow_sq = slow * slow
         parts = [
             g.shifted_tail(fast, 0.0, m.growth_rate) / z
@@ -581,24 +582,40 @@ class _SpectralGap:
         return total
 
 
-def _fold(weights, columns, order, sizes) -> np.ndarray:
-    """R[i, k, u]: the triangle of a QR of the rows sqrt(w) [Re c0, Re H_1, ...] and
-    sqrt(w) [Im c0, Im H_1, ...] of the nodes of value u, one batched QR per multiplicity.
+# values per batched QR of _fold: a chunk of 4096 pairs of nodes is a 128 KiB block per column
+_FOLD_CHUNK = 4096
 
-    Never the Gram matrix: its squares lose a gap where a c0 and b H nearly
-    cancel, and underflow on tiny data.
+
+def _fold(weights, columns, distinct) -> np.ndarray:
+    """R[i, k, u]: the triangle of a QR of the rows sqrt(w) [Re c0, Re H_1, ...] and
+    sqrt(w) [Im c0, Im H_1, ...] of the nodes of value u, batched per multiplicity.
+
+    Each batch gathers its nodes straight from the columns and holds at
+    most _FOLD_CHUNK values; LAPACK factors every matrix of a batch on its own,
+    so the chunks give the bits of one batch.  Never the Gram matrix: its
+    squares lose a gap where a c0 and b H nearly cancel, and underflow on
+    tiny data.
     """
     width = len(columns)
-    rows = np.stack([np.stack([c.real, c.imag], axis=-1) for c in columns], axis=-1)
-    rows *= np.sqrt(weights)[:, None, None]
+    # the nodes of each value together, in node order
+    order = np.argsort(distinct.inverse, kind="stable")
+    sizes = np.bincount(distinct.inverse)
     starts = np.cumsum(sizes) - sizes
-    factor = np.zeros((sizes.size, width, width))
+    factor = np.zeros((width, width, sizes.size))
     for size in np.flatnonzero(np.bincount(sizes)):
         groups = np.flatnonzero(sizes == size)
-        block = rows[order[starts[groups][:, None] + np.arange(size)]]
-        r = np.linalg.qr(block.reshape(groups.size, 2 * size, width), mode="r")
-        factor[groups, : r.shape[1]] = r
-    return np.ascontiguousarray(factor.transpose(1, 2, 0))
+        for lo in range(0, groups.size, _FOLD_CHUNK):
+            part = groups[lo : lo + _FOLD_CHUNK]
+            nodes = order[starts[part][:, None] + np.arange(size)]
+            block = np.empty(nodes.shape + (2, width))
+            for j, c in enumerate(columns):
+                v = c[nodes]
+                block[..., 0, j] = v.real
+                block[..., 1, j] = v.imag
+            block *= np.sqrt(weights[nodes])[..., None, None]
+            r = np.linalg.qr(block.reshape(part.size, 2 * size, width), mode="r")
+            factor[: r.shape[1], :, part] = r.transpose(1, 2, 0)
+    return factor
 
 
 def _spectral_study(problem, ladder, norm, times, spec):
@@ -610,14 +627,15 @@ def _spectral_study(problem, ladder, norm, times, spec):
     as large as the whole sampled field.  It runs serially: building a
     rung or its closed-form energy takes about a millisecond.
     """
-    w = problem.grid.weights
-    if norm == "sup_vl":
-        # the graph-norm weights of vl_norm, formed once per study
-        w = w * (1.0 + np.abs(problem.symbol_values))
 
     def sweep(live):
+        w = problem.grid.weights
+        if norm == "sup_vl":
+            # the graph-norm weights of vl_norm, needed only while the nodes fold
+            w = w * (1.0 + np.abs(problem.symbol_values))
         # built per sweep, so its work arrays are freed before the energies
         gap = _SpectralGap(problem, w)
+        del w
         sups = dict.fromkeys(live, 0.0)
         rungs = {}
         for i, m in live.items():

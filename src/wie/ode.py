@@ -21,7 +21,7 @@ import numpy as np
 
 from .forcing import ForcingTerm, _time_array
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
-from .spectral import SelectedSpectralMinimizer, SemigroupSolution
+from .spectral import SelectedSpectralMinimizer, SemigroupSolution, _distinct
 
 __all__ = [
     "OdeProblem",
@@ -69,10 +69,13 @@ class _ModalView(NamedTuple):
     """An OdeProblem in its eigenbasis, in the form the spectral solvers read.
 
     The eigenvalues stand where symbol values do, each with weight one, so a
-    repeated eigenvalue is just a repeated node.  Every array is real.
+    repeated eigenvalue is just a repeated node, and distinct maps the
+    modes onto the distinct eigenvalues as on a spectral problem.  Every
+    array is real.
     """
 
     symbol_values: np.ndarray
+    distinct: tuple  # spectral._Distinct of symbol_values
     weights: np.ndarray
     initial_hat: np.ndarray
     forcing_parts: tuple  # (profile, eigenbasis coordinates of the part's vector)
@@ -119,6 +122,7 @@ class OdeProblem:
             columns = eigen.project(np.stack([p.space_vec for p in f.parts], axis=1)).T
         modal = _ModalView(
             symbol_values=eigen.values,
+            distinct=_distinct(eigen.values),
             weights=np.ones(A.shape[0]),
             initial_hat=eigen.project(y0),
             forcing_parts=tuple((p.profile, h) for p, h in zip(f.parts, columns)),
@@ -167,8 +171,9 @@ class _MappedBack:
 class SelectedOdeMinimizer(_MappedBack):
     """The unique finite-energy trajectory of the second-order system.
 
-    The spectral minimizer on the eigenbasis, with its roots (spectrum)
-    checked against the whole estimate bundle as on the spectral path.
+    The spectral minimizer on the eigenbasis, with its roots (spectrum, one
+    per distinct eigenvalue) checked against the whole estimate bundle as on
+    the spectral path.
     derivative() is analytic, not a difference quotient.
     """
 

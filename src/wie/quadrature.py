@@ -449,7 +449,8 @@ def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):
     s = np.asarray(slow, dtype=float)
     ell = np.asarray(ell, dtype=float)
     c0 = np.asarray(c0)
-    gap_ss = p - 2.0 * s
+    gap_ss = 2.0 * s
+    np.subtract(p, gap_ss, out=gap_ss)  # p - 2 s, formed in place
     if gap_ss.size and float(gap_ss.min()) <= 0.0:
         return None
     rates = [float(r) for r in part_rates]
@@ -464,7 +465,10 @@ def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):
     np.square(sq, out=sq)
     sq /= gap_ss
     if not rates:
-        sq *= eps * s * s + ell
+        factor = eps * s
+        factor *= s
+        factor += ell
+        sq *= factor
         sq *= weights
         value = 0.5 * float(np.sum(sq))
         return value if math.isfinite(value) else None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -30,7 +31,7 @@ from .quadrature import (
     _laguerre_rule,
     _modal_energy,
 )
-from .symbols import MultiplierSymbol, admissible_discriminant
+from .symbols import AdmissibilityError, MultiplierSymbol, admissible_discriminant
 
 __all__ = [
     "FrequencyGrid",
@@ -148,6 +149,35 @@ def real_field(u, tol: float = 1e-10) -> np.ndarray:
 # ---- Problems ----
 
 
+class _Distinct(NamedTuple):
+    """The distinct values of a node array and where its nodes sit among them.
+
+    values are ascending and values[inverse] is the node array again.
+    Values that compare equal are one value, the first node's.
+    """
+
+    values: np.ndarray
+    inverse: np.ndarray
+
+
+def _distinct(node_values: np.ndarray) -> _Distinct:
+    """The map of np.unique(return_inverse=True), from one stable argsort.
+
+    Each new value of the sorted array is marked, and the running count of
+    marks is scattered back through the order.
+    """
+    order = np.argsort(node_values, kind="stable")
+    ranked = node_values[order]
+    new = np.empty(ranked.shape, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    ids = np.cumsum(new)
+    ids -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = ids
+    return _Distinct(ranked[new], inverse)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralProblem:
     """Initial frequency data plus symbol and forcing on a fixed grid."""
@@ -177,6 +207,11 @@ class SpectralProblem:
     @property
     def weights(self) -> np.ndarray:
         return self.grid.weights
+
+    @cached_property
+    def distinct(self) -> _Distinct:
+        """The distinct symbol values and their nodes, formed on first use and kept."""
+        return _distinct(self.symbol_values)
 
     def forcing_values(self, t: float) -> np.ndarray:
         """f_hat(t, .) on the grid nodes."""
@@ -215,13 +250,8 @@ class RootData(NamedTuple):
     fast: np.ndarray
 
 
-def root_margins(rd: RootData) -> dict:
-    """Per-node margins for every estimate in the bundle.
-
-    A nonnegative margin means the inequality holds at that node; margins
-    are normalized by the natural scale of each inequality so they are
-    comparable across eps and symbols.
-    """
+def _margins(rd: RootData):
+    """(name, per-node margin) of each estimate in turn, each formed when it is asked for."""
     eps = rd.eps
     ell = rd.symbol_values
     z = rd.disc_sqrt
@@ -229,36 +259,48 @@ def root_margins(rd: RootData) -> dict:
     mu = rd.fast
     K = rd.lower_bound
     inv_eps = 1.0 / eps
-    margins = {}
-    margins["disc_sqrt_floor"] = z - _DISC_SQRT_FLOOR
+    yield "disc_sqrt_floor", z - _DISC_SQRT_FLOOR
     cap = 0.25 * inv_eps
-    margins["symbol_over_disc"] = (cap - np.abs(ell) / (z * z)) / cap
+    yield "symbol_over_disc", (cap - np.abs(ell) / (z * z)) / cap
     scale_r = (1.0 + math.sqrt(2.0)) / (2.0 * eps)
-    margins["ratio_order"] = (mu / z - np.abs(lam) / z) / scale_r
-    margins["ratio_cap"] = (scale_r - mu / z) / scale_r
-    margins["fast_root_floor"] = (mu - 0.5 * inv_eps) / inv_eps
+    yield "ratio_order", (mu / z - np.abs(lam) / z) / scale_r
+    yield "ratio_cap", (scale_r - mu / z) / scale_r
+    yield "fast_root_floor", (mu - 0.5 * inv_eps) / inv_eps
     scale_k = max(abs(K), 1.0)
-    margins["slow_root_cap"] = (-2.0 * K - lam) / scale_k
-    margins["slow_root_sqrt"] = (np.sqrt(np.abs(ell) * inv_eps) - np.abs(lam)) / np.maximum(
+    yield "slow_root_cap", (-2.0 * K - lam) / scale_k
+    yield "slow_root_sqrt", (np.sqrt(np.abs(ell) * inv_eps) - np.abs(lam)) / np.maximum(
         np.abs(lam), inv_eps * 1e-6
     )
-    scale_l = np.maximum(np.abs(ell), 1e-6)
-    margins["slow_root_symbol"] = (ell + lam) / scale_l
-    margins["vieta_sum"] = 1e-12 - np.abs((lam + mu) * eps - 1.0)
+    yield "slow_root_symbol", (ell + lam) / np.maximum(np.abs(ell), 1e-6)
+    yield "vieta_sum", 1e-12 - np.abs((lam + mu) * eps - 1.0)
     prod_scale = np.maximum(np.abs(ell) * inv_eps, inv_eps)
-    margins["vieta_product"] = 1e-12 - np.abs(lam * mu + ell * inv_eps) / prod_scale
-    return margins
+    yield "vieta_product", 1e-12 - np.abs(lam * mu + ell * inv_eps) / prod_scale
+
+
+def root_margins(rd: RootData) -> dict:
+    """Per-node margins for every estimate in the bundle.
+
+    A nonnegative margin means the inequality holds at that node; margins
+    are normalized by the natural scale of each inequality so they are
+    comparable across eps and symbols.
+    """
+    return dict(_margins(rd))
 
 
 def _root_checks(rd: RootData, tol: float = 1e-9) -> dict:
+    """Counts per estimate, each margin reduced as soon as it is formed.
+
+    So one margin array is alive at a time, not all ten of root_margins.
+    """
     checks = {}
-    for name, m in root_margins(rd).items():
+    for name, m in _margins(rd):
         m = np.asarray(m, dtype=float)
         checks[name] = {
             "checked": int(m.size),
             "violations": int(np.count_nonzero(m < -tol)),
             "worst_margin": float(m.min()) if m.size else 0.0,
         }
+        del m
     return checks
 
 
@@ -365,13 +407,18 @@ class SelectedSpectralMinimizer:
     The initial tame-branch coefficient absorbs a forcing tail; the
     trajectory is that coefficient flowing on the tame branch, plus a
     causal convolution and an anticausal tail, both scaled by the
-    discriminant root.  Every call evaluates afresh; only the tail at
-    t = 0 is kept, for the initial correction.  An unforced problem has no
-    convolution and no tail (tail0 is None); value adds +0.0 in their
-    place, and state adds nothing, so its zeros may keep a negative sign.
-    The returned arrays are new; every further step runs in place on them,
-    in the dtype of the data.  value() also takes a 1-D array of times and
-    returns one row per time, row k bit for bit value(t[k]).
+    discriminant root.  The roots depend on a node only through its symbol
+    value, so they are built and checked once per distinct value
+    (problem.distinct), and so is every kernel of an evaluation; a value
+    reaches the nodes by one gather (_nodes), which gives each node the
+    bits of its own per-node evaluation.  Every call evaluates afresh; only
+    the tail at t = 0 is kept, for the initial correction.  An unforced
+    problem has no convolution and no tail (tail0 is None); value adds
+    +0.0 in their place, and state adds nothing, so its zeros may keep a
+    negative sign.  The returned arrays are new; every further step runs in
+    place on them, in the dtype of the data.  value() also takes a 1-D
+    array of times and returns one row per time, row k bit for bit
+    value(t[k]).
     """
 
     def __init__(
@@ -383,12 +430,22 @@ class SelectedSpectralMinimizer:
     ):
         self.problem = problem
         self.eps = float(eps)
-        self.roots = root_data(problem.symbol_values, eps, lower_bound=lower_bound)
+        distinct = problem.distinct
+        try:
+            self.roots = root_data(distinct.values, eps, lower_bound=lower_bound)
+        except AdmissibilityError:
+            admissible_discriminant(problem.symbol_values, eps)  # count the nodes, not the values
+            raise
+        self._inverse = distinct.inverse
         self.growth_rate = problem.amplitude_growth_rate
         self.tail0 = self._tail(0.0)
         self.slow_initial = problem.initial_hat
         if self.tail0 is not None:
             self.slow_initial = self.slow_initial - self.tail0
+
+    def _nodes(self, per_value: np.ndarray) -> np.ndarray:
+        """A new array of the values' entries (last axis) gathered onto the nodes."""
+        return np.take(per_value, self._inverse, axis=-1)
 
     def _forced(self, kernel: Callable, t) -> Optional[np.ndarray]:
         """sum of H/z * kernel(profile) over the forcing parts, z the discriminant root.
@@ -398,9 +455,10 @@ class SelectedSpectralMinimizer:
         p = self.problem
         if not p.forcing_parts:
             return None
+        z = self._nodes(self.roots.disc_sqrt)
         out = np.zeros(np.shape(t) + p.symbol_values.shape, dtype=p.forcing_parts[0][1].dtype)
         for profile, H in p.forcing_parts:
-            out += _over(H, self.roots.disc_sqrt) * kernel(profile)
+            out += _over(H, z) * self._nodes(kernel(profile))
         return out
 
     def _tail(self, t) -> Optional[np.ndarray]:
@@ -409,7 +467,8 @@ class SelectedSpectralMinimizer:
     def _parts(self, t):
         """(decayed, convolution, tail) at t as new arrays; the last two None when unforced."""
         t, tc = _times(t)
-        decayed = _exp_guarded(self.roots.slow * tc) * self.slow_initial
+        decayed = self._nodes(_exp_guarded(self.roots.slow * tc))
+        decayed = decayed * self.slow_initial
         conv = self._forced(lambda g: g.duhamel(self.roots.slow, t), t)
         return decayed, conv, self._tail(t)
 
@@ -430,11 +489,14 @@ class SelectedSpectralMinimizer:
         if conv is not None:
             slow += conv
         if tail is None:
-            return slow, self.roots.slow * slow
+            # the roots gathered in the data's dtype take the product in place, with no cast
+            derivative = self._nodes(self.roots.slow.astype(slow.dtype))
+            derivative *= slow
+            return slow, derivative
         value = slow + tail
         # boundary terms of the two time integrals cancel each other
-        slow *= self.roots.slow
-        tail *= self.roots.fast
+        slow *= self._nodes(self.roots.slow)
+        tail *= self._nodes(self.roots.fast)
         slow += tail
         return value, slow
 
@@ -458,7 +520,7 @@ class SelectedSpectralMinimizer:
             columns = [a * H for a, (_g, H) in zip(amps, p.forcing_parts)]
             amplitudes = np.stack(columns, axis=1) if columns else np.empty((p.symbol_values.size, 0))
             value = _modal_energy(
-                p.symbol_values, self.roots.slow, p.weights, p.initial_hat,
+                p.symbol_values, self._nodes(self.roots.slow), p.weights, p.initial_hat,
                 amplitudes, rates, self.eps,
             )
             if value == math.inf:
@@ -627,11 +689,15 @@ def el_residual(minimizer, problem: SpectralProblem, t: float, h: float = 1e-3):
 
 
 class SpectralField(NamedTuple):
-    """A trajectory sampled on (times x frequency nodes), ready to store."""
+    """A trajectory sampled on (times x frequency nodes), ready to store.
+
+    A field dump that streams its rows as one-time fields keeps no values
+    for the whole field (None); its meta() is the same.
+    """
 
     times: np.ndarray
     grid: FrequencyGrid
-    values: np.ndarray
+    values: Optional[np.ndarray]
 
     @classmethod
     def sample(cls, solution, grid: FrequencyGrid, times):
@@ -664,7 +730,7 @@ class SpectralField(NamedTuple):
             "meta_version": 2,
             "layout": "row-major, time index outermost",
             "dtype": "complex128 as interleaved float64 (re, im), little-endian",
-            "shape": [int(self.values.shape[0]), int(self.values.shape[1])],
+            "shape": [len(self.times), int(g.nodes.size)],
             "times": self.times.tolist(),
             "frequency_grid": grid,
             "transform_convention": "unitary, angular frequency",

@@ -237,6 +237,27 @@ class TestCliRun:
         verdicts = {f.get("verdict") for f in report["failures"]}
         assert "transformability violated" in verdicts
 
+    # the divergent integrand overflows before the quadrature refuses it
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_certificate_that_cannot_be_formed_is_a_failure_entry(self, tmp_path):
+        # a bounded growth class understates the rate 3: 0 < 1/eps = 4 passes the
+        # growth check, but the weighted norm diverges (1/eps - 2r = -2) and its
+        # adaptive fallback meets a non-finite integrand
+        raw = json.loads((GOLDEN / "certification_failure" / "config.json").read_text())
+        raw["forcing"]["parts"][0]["profile"]["rate"] = "3.0"
+        raw["forcing"]["growth"] = {"kind": "bounded"}
+        raw["epsilon_ladder"] = ["2.5e-1"]
+        out = tmp_path / "out"
+        assert cli.main(["run", _write(tmp_path, raw), "--out-dir", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        entry = report["failures"][0]
+        assert entry["verdict"] == "transformability not certified"
+        assert entry["epsilon"] == 0.25
+        assert entry["detail"].startswith("transformability certificate at eps=0.25: ")
+        assert "non-finite" in entry["detail"]
+        assert report["verdicts"] == {"transformability_certified": False}
+        assert "study" not in report["results"]
+
     def test_boundary_eps_passes_policy_then_fails_roots(self, tmp_path):
         # eps == policy cap is admitted, but the discriminant check is strict
         raw = _ode_config(
@@ -476,3 +497,28 @@ class TestFieldDump:
             tracemalloc.stop()
         assert (tmp_path / "field.bin").stat().st_size == nbytes
         assert peak - nbytes < nbytes / 3
+
+
+class TestMemoryGuard:
+    def test_field_dump_peak_does_not_grow_with_the_times(self, tmp_path):
+        # field.bin is streamed row by row: 100 times peak where 25 do, within two
+        # rows; a dump that holds the field would add 75 rows
+        n = 1024
+        row = 16 * n
+
+        def peak(count):
+            times = np.linspace(0.0, 1.0, count)
+            cfg = validate_config(_field_config({"kind": "uniform_fft", "n": n, "dx": "0.125"}, times))
+            cli._write_field(cfg, tmp_path)  # warm-up: caches built on first use do not count
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                cli._write_field(cfg, tmp_path)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (tmp_path / "field.bin").stat().st_size == row * count
+            return top - before
+
+        assert peak(100) - peak(25) < 2 * row

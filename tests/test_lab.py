@@ -189,6 +189,19 @@ class TestBranchDivergence:
         with pytest.raises(ValueError, match="out of range"):
             branch_divergence(prob, 0.1, 1e-6, [1.0], direction=3)
 
+    def test_direction_past_a_repeated_eigenvalue_takes_its_own_roots(self):
+        # eigenvalues 1, 1, 3: the roots are per distinct eigenvalue, and direction 2 is 3's
+        prob = OdeProblem(
+            matrix=np.diag([1.0, 1.0, 3.0]),
+            initial=np.array([1.0, -0.5, 0.25]),
+            forcing=ForcingTerm.zero(),
+        )
+        eps, delta = 0.1, 1e-6
+        result = branch_divergence(prob, eps, delta, [1.0, 2.0], direction=2)
+        z = math.sqrt(1.0 + 4.0 * eps * 3.0)
+        for T, closed in zip(result.horizons, result.closed_form_log):
+            assert closed == lab._log_leading_term(delta, eps, z, T)
+
     def test_as_dict_roundtrip(self):
         prob = _scalar_problem(1.0)
         d = branch_divergence(prob, 0.1, 1e-6, [1.0, 2.0]).as_dict()
@@ -544,6 +557,20 @@ def test_a_large_group_folds_into_one_small_triangle():
     want = l2_norm(rung.value(0.5) - semigroup_solution(prob).value(0.5), grid.weights)
     got = math.sqrt(gap.gap_sq(gap.rung(rung), 0.5, gap.flow(0.5)))
     assert abs(got - want) <= 1e-13 * want
+
+
+def test_fold_in_chunks_gives_the_bits_of_one_batch(monkeypatch):
+    # LAPACK factors every matrix of a batch on its own
+    prob = _spectral_problem(
+        forcing=_gaussian_forcing(exponential_profile(0.5, -1.0)), n=256
+    )
+    columns = [prob.initial_hat] + [H for _g, H in prob.forcing_parts]
+    monkeypatch.setattr(lab, "_FOLD_CHUNK", 1 << 30)
+    whole = lab._fold(prob.grid.weights, columns, prob.distinct)
+    monkeypatch.setattr(lab, "_FOLD_CHUNK", 7)
+    chunked = lab._fold(prob.grid.weights, columns, prob.distinct)
+    assert whole.shape == (2, 2, 129)
+    assert chunked.tobytes() == whole.tobytes()
 
 
 _GOLDEN = Path(__file__).parent / "golden"

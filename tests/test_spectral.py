@@ -12,13 +12,20 @@ from scipy.integrate import quad
 from wie import symbols
 from wie.forcing import (
     ForcingTerm,
+    _exponential_form,
     constant_profile,
     exponential_profile,
     power_profile,
     sampled_profile,
 )
 from wie.lab import convergence_study
-from wie.quadrature import DEFAULT_SPEC, ExponentOverflowError, _laguerre_rule
+from wie.quadrature import (
+    DEFAULT_SPEC,
+    ExponentOverflowError,
+    _exp_guarded,
+    _laguerre_rule,
+    _modal_energy,
+)
 from wie.spectral import (
     FrequencyGrid,
     SelectedSpectralMinimizer,
@@ -357,6 +364,151 @@ class TestTemporaries:
     def test_energy_holds_one_state_and_its_work_arrays(self, minimizer):
         prob, m = minimizer
         assert self._arrays_made_by(lambda: energy_spectral(m.state, prob, 1e-2)) < 7.0
+
+
+def _per_node_reference(prob, eps, t):
+    """(value(t), state(t), energy) from roots formed on every node, not on the distinct values.
+
+    The solver's own expressions, written out on root_data(symbol_values):
+    a forcing column is divided by the discriminant root component by
+    component, and the parts are added in the solver's order.
+    """
+    rd = root_data(prob.symbol_values, eps, check=False)
+    growth = prob.amplitude_growth_rate
+
+    def forced(kernel, at):
+        if not prob.forcing_parts:
+            return None
+        out = np.zeros(np.shape(at) + rd.slow.shape, dtype=complex)
+        for g, H in prob.forcing_parts:
+            over = np.empty_like(H)
+            over.real = H.real / rd.disc_sqrt
+            over.imag = H.imag / rd.disc_sqrt
+            out += over * kernel(g)
+        return out
+
+    tail0 = forced(lambda g: g.shifted_tail(rd.fast, 0.0, growth), 0.0)
+    c = prob.initial_hat if tail0 is None else prob.initial_hat - tail0
+    tc = t[:, None] if np.ndim(t) else t
+    slow = _exp_guarded(rd.slow * tc) * c
+    conv = forced(lambda g: g.duhamel(rd.slow, t), t)
+    tail = forced(lambda g: g.shifted_tail(rd.fast, t, growth), t)
+    if tail is None:
+        value, state = slow + 0.0, (slow, rd.slow * slow)
+    else:
+        slow = slow + conv
+        value = slow + tail
+        state = (value, slow * rd.slow + tail * rd.fast)
+    amps, rates = _exponential_form([g for g, _H in prob.forcing_parts])
+    columns = [a * H for a, (_g, H) in zip(amps, prob.forcing_parts)]
+    amplitudes = np.stack(columns, axis=1) if columns else np.empty((rd.slow.size, 0))
+    energy = _modal_energy(
+        prob.symbol_values, rd.slow, prob.weights, prob.initial_hat, amplitudes, rates, eps
+    )
+    return value, state, energy
+
+
+def _repeated_values_problem(kind, forced):
+    forcing = None
+    if forced:
+        forcing = ForcingTerm.from_multipliers(
+            [
+                (exponential_profile(0.5, -1.0), lambda xi: np.exp(-0.5 * xi**2).astype(complex)),
+                (constant_profile(-0.25), lambda xi: (0.5 + 1j * xi) * np.exp(-(xi**2))),
+            ]
+        )
+    if kind == "even_fft":
+        grid, symbol = _grid(n=256, dx=0.125), symbols.fractional(0.5)
+    elif kind == "duplicate_nodes":
+        nodes = [-1.5, 0.5, 2.0, 0.5, -1.5, 3.0, 0.5, -0.25, 0.25]
+        grid = FrequencyGrid.explicit(nodes, [0.5 + 0.125 * k for k in range(len(nodes))])
+        symbol = symbols.classical()
+    else:  # an increasing symbol: every node has a value of its own
+        grid, symbol = _grid(n=256, dx=0.125), symbols.custom(lambda xi: np.exp(xi / 8.0))
+    kwargs = {} if forcing is None else {"forcing": forcing}
+    return SpectralProblem(
+        grid=grid,
+        symbol=symbol,
+        initial_hat=(1.0 - 0.5j * grid.nodes) * np.exp(-0.25 * grid.nodes**2),
+        **kwargs,
+    )
+
+
+class TestDistinctRoots:
+    """Roots on the distinct symbol values give every node its per-node bits."""
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize(
+        "kind, distinct",
+        [("even_fft", 129), ("duplicate_nodes", 5), ("all_distinct", 256)],
+    )
+    def test_value_state_and_energy_match_per_node_roots(self, kind, distinct, forced):
+        prob = _repeated_values_problem(kind, forced)
+        eps = 1e-2
+        m = minimizer_hat(prob, eps)
+        assert m.roots.slow.size == distinct
+        times = np.array([0.0, 0.3, 1.0])
+        for t in times:
+            value, state, energy = _per_node_reference(prob, eps, float(t))
+            assert m.value(float(t)).tobytes() == value.tobytes()
+            for got, want in zip(m.state(float(t)), state):
+                assert got.tobytes() == want.tobytes()
+        assert m.value(times).tobytes() == _per_node_reference(prob, eps, times)[0].tobytes()
+        got_energy, _crossed, source = m.energy()
+        assert source == "exact"
+        assert repr(got_energy) == repr(energy)
+
+    def test_inadmissible_value_is_counted_per_node(self):
+        # 1 + 4 eps (xi^2 - 1) <= 1/2 at the two nodes xi = +-0.25, one distinct value
+        grid = FrequencyGrid.explicit([-0.25, 0.25, 2.0], [1.0, 1.0, 1.0])
+        prob = SpectralProblem(
+            grid=grid,
+            symbol=symbols.custom(lambda xi: xi * xi - 1.0),
+            initial_hat=np.ones(3, dtype=complex),
+        )
+        with pytest.raises(symbols.AdmissibilityError, match="^2 node"):
+            minimizer_hat(prob, 0.2)
+
+
+class TestMemoryGuard:
+    """Retained and transient memory of the rung's roots and of their checks.
+
+    Figures are tracemalloc counts in units of one float array of the
+    grid's length.
+    """
+
+    N = 1 << 14
+
+    def _traced(self, call):
+        """(result, retained, peak) of call, the last two above the memory traced before it."""
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = call()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unit = 8 * self.N
+        return result, (after - before) / unit, (peak - before) / unit
+
+    def test_rung_keeps_its_roots_on_the_distinct_values(self):
+        # an even symbol on an FFT grid: n//2 + 1 values; three root arrays of
+        # that length are 1.5 node arrays, per node they would be 3
+        prob = _gaussian_problem(_grid(n=self.N, dx=0.125), symbol=symbols.fractional(0.5))
+        prob.distinct  # the problem's map is kept by the problem, not by the rung
+        m, retained, _peak = self._traced(lambda: minimizer_hat(prob, 1e-2))
+        for name in ("slow", "fast", "disc_sqrt"):
+            assert getattr(m.roots, name).size == self.N // 2 + 1
+        assert retained < 2.0
+
+    def test_root_checks_hold_one_margin_at_a_time(self):
+        # the roots, their discriminant and the temporaries of one margin stay
+        # below 10 arrays; all ten margins alive at once would add about ten more
+        values = np.linspace(0.0, 50.0, self.N)
+        root_data(values, 1e-2)  # warm-up
+        _rd, _retained, peak = self._traced(lambda: root_data(values, 1e-2))
+        assert peak < 10.0
 
 
 def _one_node_problem(ell, c0, parts):

@@ -190,9 +190,7 @@ def _run_study(cfg: ExperimentConfig):
 def _run_lemma(cfg: ExperimentConfig):
     def member(eps):
         try:
-            prof = lemma_tech_profile(
-                cfg.density, eps, cfg.horizon, time_points=cfg.time_points, spec=cfg.quadrature
-            )
+            prof = lemma_tech_profile(cfg.density, eps, cfg.horizon, time_points=cfg.time_points)
             return {"epsilon": eps, "sup": prof.sup, "argmax": prof.argmax, "failure": None}
         except Exception as exc:
             return {"epsilon": eps, "sup": None, "argmax": None, "failure": str(exc)}
@@ -206,7 +204,9 @@ def _run_lemma(cfg: ExperimentConfig):
     sups = [e["sup"] for e in entries if e["failure"] is None]
     completed = len(sups) == len(entries)
     monotone = completed and all(b < a for a, b in zip(sups, sups[1:]))
-    results = {"density": cfg.density_kind, "entries": entries}
+    g = cfg.density
+    label = {"power": f"power[{g.degree}]", "exponential": f"exponential[{g.rate}]"}
+    results = {"density": label.get(g.kind, g.kind), "entries": entries}
     verdicts = {"all_members_completed": completed, "monotone_sup_decay": bool(monotone)}
     header = ("epsilon", "sup", "argmax", "failure")
     rows = [(e["epsilon"], e["sup"], e["argmax"], e["failure"]) for e in entries]

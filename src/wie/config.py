@@ -17,6 +17,7 @@ import numpy as np
 from .forcing import (
     ForcingTerm,
     GrowthClass,
+    TimeProfile,
     constant_profile,
     exponential_profile,
     power_profile,
@@ -357,37 +358,35 @@ def _initial_hat(c: _Collector, raw: Any, path: str, grid: FrequencyGrid):
     return c.fail(f"{path}.kind", f"unknown initial data kind {kind!r}")
 
 
-def _density(c: _Collector, raw: Any, path: str):
-    """Scalar time density for the weighted tail-average sweep."""
+def _density(c: _Collector, raw: Any, path: str) -> Optional[TimeProfile]:
+    """Scalar time density for the weighted tail-average sweep.
+
+    A power density is built as a TimeProfile directly: power_profile
+    refuses the negative degrees an integrable density may have.
+    """
     d = _dict(c, raw, path)
     if d is None:
-        return None, None
+        return None
     kind = d.get("kind")
     if kind == "constant":
         _reject_unknown(c, d, path, {"kind", "amplitude"})
         a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
-        if a is None:
-            return None, None
-        return (lambda t, a=a: a * np.ones_like(np.asarray(t, dtype=float))), "constant"
+        return None if a is None else constant_profile(a)
     if kind == "power":
         _reject_unknown(c, d, path, {"kind", "amplitude", "degree"})
         a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
         p = _number(c, d.get("degree"), f"{path}.degree")
         if a is None or p is None:
-            return None, None
+            return None
         if p <= -1.0:
-            c.fail(f"{path}.degree", "must exceed -1 for an integrable density")
-            return None, None
-        return (lambda t, a=a, p=p: a * np.asarray(t, dtype=float) ** p), f"power[{p}]"
+            return c.fail(f"{path}.degree", "must exceed -1 for an integrable density")
+        return TimeProfile("power", amplitude=a, degree=p)
     if kind == "exponential":
         _reject_unknown(c, d, path, {"kind", "amplitude", "rate"})
         a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
         r = _number(c, d.get("rate"), f"{path}.rate")
-        if a is None or r is None:
-            return None, None
-        return (lambda t, a=a, r=r: a * np.exp(r * np.asarray(t, dtype=float))), f"exponential[{r}]"
-    c.fail(f"{path}.kind", f"unknown density kind {kind!r}")
-    return None, None
+        return None if a is None or r is None else exponential_profile(a, r)
+    return c.fail(f"{path}.kind", f"unknown density kind {kind!r}")
 
 
 def _audit_grid(c: _Collector, raw: Any, path: str) -> Optional[np.ndarray]:
@@ -509,8 +508,7 @@ class ExperimentConfig(NamedTuple):
     symbol: Optional[MultiplierSymbol] = None
     audit_grid: Optional[np.ndarray] = None
     audit_tol: float = 1e-9
-    density: Optional[Callable] = None
-    density_kind: Optional[str] = None
+    density: Optional[TimeProfile] = None
     epsilon: Optional[float] = None
     delta: Optional[float] = None
     direction: int = 0
@@ -681,10 +679,7 @@ def validate_config(raw: Any) -> ExperimentConfig:
         _study_tail(c, root, fields, default_norm="sup_vl")
 
     elif mode == "lemma-tech":
-        density, density_kind = (None, None)
-        if "density" in root:
-            density, density_kind = _density(c, root["density"], "density")
-        fields.update(density=density, density_kind=density_kind)
+        fields["density"] = _density(c, root["density"], "density") if "density" in root else None
         ladder = _ladder(c, root.get("epsilon_ladder"), "epsilon_ladder") if "epsilon_ladder" in root else None
         fields["epsilon_ladder"] = ladder or ()
         horizon = _number(c, root.get("horizon"), "horizon") if "horizon" in root else None

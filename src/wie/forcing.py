@@ -492,12 +492,15 @@ def _kummer(a: float, z) -> np.ndarray:
     return out
 
 
-def _power_tail(degree: float, mu: np.ndarray, t: float) -> np.ndarray:
-    """int_0^inf exp(-mu u) (t+u)^degree du for positive rates mu."""
+def _power_tail(degree: float, mu, t) -> np.ndarray:
+    """int_0^inf exp(-mu u) (t+u)^degree du for positive rates mu and shifts t >= 0.
+
+    One of mu and t is an array, the other a float.
+    """
     if float(degree).is_integer():
         # sum_k n!/(n-k)! t^(n-k) / mu^(k+1)
         n = int(degree)
-        total = np.zeros(mu.shape)
+        total = np.zeros(np.broadcast_shapes(np.shape(mu), np.shape(t)))
         coef = 1.0
         for k in range(n + 1):
             total = total + coef * t ** (n - k) / mu ** (k + 1)
@@ -505,10 +508,10 @@ def _power_tail(degree: float, mu: np.ndarray, t: float) -> np.ndarray:
         return total
     a = degree + 1.0
     x = mu * t
-    out = np.empty(mu.shape)
+    out = np.empty(x.shape)
     big = x > a + 1.0
-    out[big] = t**a * _gamma_cf(a, x[big])
-    xs, ms = x[~big], mu[~big]
+    out[big] = (t[big] if np.ndim(t) else t) ** a * _gamma_cf(a, x[big])
+    xs, ms = x[~big], (mu[~big] if np.ndim(mu) else mu)
     # exp(x) Gamma(a, x) = exp(x) Gamma(a) - x^a K(a, x)
     out[~big] = (np.exp(xs) * math.gamma(a) - xs**a * _kummer_series(a, xs)) / ms**a
     return out
@@ -792,12 +795,13 @@ def _envelope_tail(growth: GrowthClass, eps: float, T: float) -> float:
 def _exponential_weighted_norm(
     forcing: ForcingTerm, eps: float, gram: Optional[np.ndarray]
 ) -> Optional[float]:
-    """int_0^inf exp(-t/eps) ||f(t)||^2 dt in closed form, or None where it has none.
+    """int_0^inf exp(-t/eps) ||f(t)||^2 dt in closed form, or None for power or sampled parts.
 
     With parts a_i exp(r_i t) h_i (a constant having r_i = 0) and Gram matrix
     G it is sum_ij G_ij a_i a_j / (1/eps - r_i - r_j), the terms added by
-    fsum with one rounding.  None for power or sampled parts, or when a
-    declared growth override admits a rate pair whose integral diverges.
+    fsum with one rounding.  A declared growth override can admit pairs with
+    r_i + r_j >= 1/eps: their terms are summed per exponent, a nonzero sum
+    raises DivergenceError, and the pairs of a sum that cancels are dropped.
     """
     form = _exponential_form([p.profile for p in forcing.parts])
     if form is None:
@@ -806,9 +810,21 @@ def _exponential_weighted_norm(
     G = forcing.gram() if gram is None else np.asarray(gram, dtype=float)
     p = 1.0 / eps
     pairs = [(i, j) for i in range(len(a)) for j in range(len(a))]
-    if any(p - r[i] - r[j] <= 0.0 for i, j in pairs):
-        return None
-    return math.fsum(float(G[i, j]) * a[i] * a[j] / (p - r[i] - r[j]) for i, j in pairs)
+    divergent = {}
+    for i, j in pairs:
+        if p - r[i] - r[j] <= 0.0:
+            divergent.setdefault(r[i] + r[j], []).append(float(G[i, j]) * a[i] * a[j])
+    for rate, terms in sorted(divergent.items(), reverse=True):
+        if math.fsum(terms) != 0.0:
+            raise DivergenceError(
+                f"the squared norm grows at the exponent {rate:.6g}, at or above "
+                f"1/eps = {p:.6g}; the weighted integral diverges"
+            )
+    return math.fsum(
+        float(G[i, j]) * a[i] * a[j] / (p - r[i] - r[j])
+        for i, j in pairs
+        if p - r[i] - r[j] > 0.0
+    )
 
 
 def certify_transformable(

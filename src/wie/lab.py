@@ -13,19 +13,23 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .forcing import (
+    TimeProfile,
     _ExpDifference,
     _ExpSecondDifference,
     _exponential_form,
+    _phi,
+    _power_tail,
     _refuse_slow_tail,
 )
 from .quadrature import (
     DEFAULT_SPEC,
     EXPONENT_CAP,
+    ExponentOverflowError,
     QuadratureFailure,
     QuadratureSpec,
     _exp_guarded,
@@ -88,69 +92,41 @@ class LemmaTechProfile(NamedTuple):
 
 
 def lemma_tech_profile(
-    g: Callable,
-    eps: float,
-    horizon: float,
-    time_points: int = 801,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    density: TimeProfile, eps: float, horizon: float, time_points: int = 801
 ) -> LemmaTechProfile:
-    """Sweep the shifted weighted integral of |g| over a dense grid.
+    """Sweep the shifted weighted integral of |g| over a dense grid, in closed form.
 
-    Each value is computed in the scaled variable v = (s - t)/eps,
+    With w = T - t, a constant or exponential density a exp(r s) gives
 
-        G(t) = eps * int_0^((T-t)/eps) exp(-v) |g(t + eps v)| dv,
+        G(t) = |a| exp(r t) w phi1((r - 1/eps) w),
 
-    split at v = 1, 2, 4, ..., so the weight's peak of width eps always
-    meets a panel of unit width, whatever eps is.  The first panel is taken
-    in v = w^2, which turns an s^-a singularity of g at the origin into
-    the integrable w^(1-2a) and, for a <= 1/2, into a bounded integrand.
-    The offset t + eps v is formed directly, so the singularity only ever
-    sits at a panel endpoint.  Each value meets the QuadratureSpec contract
-    abs_tol + rel_tol*|value| by its summed error estimate, or the sweep
-    raises QuadratureFailure naming eps and t.
+    for any rate, at or above 1/eps too.  A power density a s^d, d > -1,
+    gives |a| (tail(t) - exp(-w/eps) tail(T)), where tail is its shifted
+    Laplace tail at the rate 1/eps, an incomplete-gamma function of t/eps
+    (forcing._power_tail), taken over the whole grid at once.  A rate whose
+    exponent r T passes the overflow cap raises ExponentOverflowError
+    naming eps.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if time_points < 2:
         raise ValueError("need at least two grid points")
     times = np.linspace(0.0, horizon, time_points)
-    values = np.empty(times.shape)
-    for k, t in enumerate(times):
-        t = float(t)
-        span = (horizon - t) / eps
-        if span <= 0.0:
-            values[k] = 0.0
-            continue
-        splits = [min(span, 1.0)]
-        while splits[-1] < span:
-            splits.append(min(2.0 * splits[-1], span))
-        panel_tol = spec.abs_tol / (eps * len(splits))
-        head = lambda w: 2.0 * w * math.exp(-w * w) * abs(g(t + eps * (w * w)))
-        body = lambda v: math.exp(-v) * abs(g(t + eps * v))
-        try:
-            val, err = finite_interval(
-                head, 0.0, math.sqrt(splits[0]), panel_tol, max_panels=spec.max_panels
+    w = horizon - times
+    if density.kind in ("constant", "exponential"):
+        r = density.rate if density.kind == "exponential" else 0.0
+        if r * horizon > EXPONENT_CAP:
+            raise ExponentOverflowError(
+                f"lemma-tech sweep at eps={eps:g}: the density's exponent {r * horizon:g} "
+                f"at T={horizon:g} passes the cap {EXPONENT_CAP:g}"
             )
-            for lo, hi in zip(splits, splits[1:]):
-                v, e = finite_interval(body, lo, hi, panel_tol, max_panels=spec.max_panels)
-                val += v
-                err += e
-        except QuadratureFailure as exc:
-            raise QuadratureFailure(
-                f"lemma-tech sweep at eps={eps:g}, t={t:g}: {exc}",
-                partial=eps * exc.partial,
-                error_estimate=eps * exc.error_estimate,
-            ) from exc
-        value, error = eps * val, eps * err
-        bound = spec.abs_tol + spec.rel_tol * abs(value)
-        if error > bound:
-            raise QuadratureFailure(
-                f"lemma-tech sweep at eps={eps:g}, t={t:g}: error estimate "
-                f"{error:.3e} misses the contract {bound:.3e}",
-                partial=value,
-                error_estimate=error,
-            )
-        values[k] = value
+        values = np.exp(r * times) * w * _phi(1, (r - 1.0 / eps) * w)
+    elif density.kind == "power":
+        tail = _power_tail(density.degree, 1.0 / eps, times)
+        values = tail - np.exp(-w / eps) * tail[-1]  # the grid ends at T
+    else:
+        raise ValueError(f"the lemma-tech sweep has no closed form for a {density.kind} density")
+    values *= abs(density.amplitude)
     return LemmaTechProfile(eps=float(eps), horizon=float(horizon), times=times, values=values)
 
 

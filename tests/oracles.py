@@ -5,6 +5,9 @@ and solves one banded linear system.  It never touches the package's
 closed-form machinery, so agreement between the two routes is a genuine
 cross-check rather than the same formula evaluated twice.
 
+lemma_tail is the weighted tail of a lemma-tech density in mpmath,
+through the incomplete gamma function for a power density.
+
 laplace_tail and weighted_energy are quadratures of the package's
 solver era that only the tests still call; they live here, built on the
 package's Gauss-Laguerre helpers.  energy_ode is the weighted action of a
@@ -172,6 +175,34 @@ def decimal_exp_differences(x0, delta, x2, t, digits=60):
 
         d12, d02 = first(x1, x2), first(x0, x2)
         return (x1 * t).exp() - (x0 * t).exp(), d12, d02, d12 - d02
+
+
+def lemma_tail(density, eps, horizon, times, digits=50):
+    """G(t) = int_t^T exp(-(s-t)/eps) |g(s)| ds at each time, in mpmath.
+
+    With w = T - t, a constant or exponential density a exp(r s) gives
+    |a| exp(r t) expm1(k w)/k, k = r - 1/eps (w where k = 0); a power
+    density a s^d gives |a| eps^(d+1) exp(t/eps) times mpmath.gammainc of
+    d + 1 over [t/eps, T/eps], the incomplete gamma function between the
+    two limits.  Every input double is taken exactly.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        eps, horizon = mpmath.mpf(float(eps)), mpmath.mpf(float(horizon))
+        amplitude = abs(mpmath.mpf(float(density.amplitude)))
+        out = []
+        for t in times:
+            t = mpmath.mpf(float(t))
+            if density.kind == "power":
+                a = mpmath.mpf(float(density.degree)) + 1
+                g = eps**a * mpmath.exp(t / eps) * mpmath.gammainc(a, t / eps, horizon / eps)
+            else:
+                r = mpmath.mpf(float(density.rate)) if density.kind == "exponential" else 0
+                k, w = r - 1 / eps, horizon - t
+                g = mpmath.exp(r * t) * (mpmath.expm1(k * w) / k if k else w)
+            out.append(float(amplitude * g))
+    return np.array(out)
 
 
 def laplace_tail(

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import bvp_selected, random_symmetric
 from wie import symbols
-from wie.forcing import ForcingTerm, constant_profile, exponential_profile
+from wie.forcing import ForcingTerm, TimeProfile, constant_profile, exponential_profile
 from wie.lab import bound_audit, branch_divergence, convergence_study, lemma_tech_profile
 from wie.ode import (
     OdeProblem,
@@ -366,7 +366,7 @@ def test_07_pushed_branch_diverges_selected_branch_saturates():
 def test_08_weighted_tail_sweep_closed_form_and_singular_decay():
     worst_const = 0.0
     for eps, horizon in ((0.1, 1.0), (0.02, 0.5)):
-        profile = lemma_tech_profile(lambda s: 1.0, eps, horizon)
+        profile = lemma_tech_profile(TimeProfile("constant"), eps, horizon)
         closed = eps * (1.0 - math.exp(-horizon / eps))
         worst_const = max(worst_const, abs(profile.sup - closed))
 
@@ -375,7 +375,7 @@ def test_08_weighted_tail_sweep_closed_form_and_singular_decay():
     singular_ok = True
     worst_singular = 0.0
     for eps in (1e-1, 1e-2, 1e-3):
-        sup = lemma_tech_profile(lambda s: s**-0.5, eps, 1.0).sup
+        sup = lemma_tech_profile(TimeProfile("power", degree=-0.5), eps, 1.0).sup
         exact = math.sqrt(math.pi * eps) * math.erf(math.sqrt(1.0 / eps))
         singular_ok &= abs(sup - exact) <= LEMMA_CONTRACT_ATOL + LEMMA_CONTRACT_RTOL * exact
         worst_singular = max(worst_singular, abs(sup - exact))

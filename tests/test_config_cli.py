@@ -237,12 +237,10 @@ class TestCliRun:
         verdicts = {f.get("verdict") for f in report["failures"]}
         assert "transformability violated" in verdicts
 
-    # the divergent integrand overflows before the quadrature refuses it
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_certificate_that_cannot_be_formed_is_a_failure_entry(self, tmp_path):
         # a bounded growth class understates the rate 3: 0 < 1/eps = 4 passes the
-        # growth check, but the weighted norm diverges (1/eps - 2r = -2) and its
-        # adaptive fallback meets a non-finite integrand
+        # growth check, but the weighted norm diverges (1/eps - 2r = -2), which the
+        # closed form names before any quadrature runs
         raw = json.loads((GOLDEN / "certification_failure" / "config.json").read_text())
         raw["forcing"]["parts"][0]["profile"]["rate"] = "3.0"
         raw["forcing"]["growth"] = {"kind": "bounded"}
@@ -254,7 +252,10 @@ class TestCliRun:
         assert entry["verdict"] == "transformability not certified"
         assert entry["epsilon"] == 0.25
         assert entry["detail"].startswith("transformability certificate at eps=0.25: ")
-        assert "non-finite" in entry["detail"]
+        assert entry["detail"].endswith(
+            "the squared norm grows at the exponent 6, at or above 1/eps = 4; "
+            "the weighted integral diverges"
+        )
         assert report["verdicts"] == {"transformability_certified": False}
         assert "study" not in report["results"]
 
@@ -283,6 +284,7 @@ class TestCliRun:
             ("ode_forced_small", 0),
             ("spectral_unforced_field", 0),
             ("spectral_signed_zeros", 0),
+            ("lemma_power_small", 0),
         ],
     )
     def test_report_bytes_match_golden(self, tmp_path, case, code):
@@ -368,14 +370,19 @@ class TestCliRun:
         assert report["failures"] == []
         assert len(report["results"]["branch"]["numeric_energies"]) == 3
 
-    @pytest.mark.parametrize("degree, code", [("-0.5", 0), ("-0.9", 1)])
-    def test_lemma_rung_missing_its_contract_is_a_failure_entry(self, tmp_path, degree, code):
-        # t^-0.9 stays singular in the sweep's substituted variable, so its error
-        # estimate at t = 0 misses the contract; t^-0.5 meets it
+    @pytest.mark.parametrize(
+        "density, code",
+        [
+            pytest.param({"kind": "power", "amplitude": "1.0", "degree": "-0.5"}, 0, id="-0.5-0"),
+            pytest.param({"kind": "exponential", "rate": "800"}, 1, id="exponential-800-1"),
+        ],
+    )
+    def test_lemma_rung_missing_its_contract_is_a_failure_entry(self, tmp_path, density, code):
+        # t^-0.5 meets the contract; exp(800 t) passes the exponent cap before T = 1
         raw = {
             "schema_version": 1,
             "mode": "lemma-tech",
-            "density": {"kind": "power", "amplitude": "1.0", "degree": degree},
+            "density": density,
             "epsilon_ladder": ["1e-1", "1e-2"],
             "horizon": "1.0",
             "time_points": 11,
@@ -395,8 +402,8 @@ class TestCliRun:
         else:
             assert [f["epsilon"] for f in rung_failures] == [0.1, 0.01]
             assert all(e["sup"] is None for e in entries)
-            assert "lemma-tech sweep at eps=0.1, t=0:" in rung_failures[0]["detail"]
-            assert "misses the contract" in rung_failures[0]["detail"]
+            assert rung_failures[0]["detail"].startswith("lemma-tech sweep at eps=0.1: ")
+            assert "passes the cap 700" in rung_failures[0]["detail"]
 
     def test_spectral_field_artifacts(self, tmp_path):
         raw = _spectral_config(

@@ -18,7 +18,7 @@ from wie.forcing import (
     power_profile,
     sampled_profile,
 )
-from wie.quadrature import DEFAULT_SPEC, QuadratureError, weighted_halfline
+from wie.quadrature import DEFAULT_SPEC, DivergenceError, weighted_halfline
 
 
 class TestProfiles:
@@ -291,13 +291,23 @@ class TestExactCertificate:
             assert got == want
             assert got == weighted_halfline(f.norm_sq_profile(), eps, DEFAULT_SPEC, batched=True)
 
-    def test_growth_override_with_a_divergent_pair_keeps_the_quadrature(self):
-        # bounded growth admits eps = 0.25, but 1/eps - 2r = -2: no closed form, and the
-        # quadrature meets the growing integrand as before
+    def test_growth_override_with_a_divergent_pair_is_refused(self):
+        # bounded growth admits eps = 0.25, but 1/eps - 2r = -2: the closed form names
+        # the divergence before any quadrature meets the growing integrand
         f = ForcingTerm.from_vectors(
             [(exponential_profile(1.0, 3.0), (1.0,))], growth=GrowthClass.bounded()
         )
-        with np.errstate(over="ignore"), pytest.raises(QuadratureError):
+        with pytest.raises(DivergenceError, match=r"exponent 6, at or above 1/eps = 4;"):
             certify_transformable(f, 0.25)
         # with every denominator positive the override does not matter
         assert certify_transformable(f, 0.1).weighted_norm == 0.25
+        # parts whose terms cancel at every divergent exponent leave the constant's 1/4
+        f = ForcingTerm.from_vectors(
+            [
+                (exponential_profile(1.0, 3.0), (1.0,)),
+                (exponential_profile(-1.0, 3.0), (1.0,)),
+                (constant_profile(1.0), (1.0,)),
+            ],
+            growth=GrowthClass.bounded(),
+        )
+        assert certify_transformable(f, 0.25).weighted_norm == 0.25

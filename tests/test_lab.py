@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
-from oracles import decimal_sup_distance
+from oracles import decimal_sup_distance, lemma_tail
 from wie import lab, symbols
 from wie.config import parse_config, validate_config
 from wie.forcing import (
@@ -79,7 +79,7 @@ class TestLemmaSweep:
     def test_constant_g_closed_form(self):
         # int_t^T exp(-(s-t)/eps) ds peaks at t = 0 with value eps(1 - exp(-T/eps))
         for eps, horizon in ((0.1, 1.0), (0.02, 0.5)):
-            profile = lemma_tech_profile(lambda s: 1.0, eps, horizon)
+            profile = lemma_tech_profile(TimeProfile("constant"), eps, horizon)
             closed = eps * (1.0 - math.exp(-horizon / eps))
             assert profile.sup == pytest.approx(closed, rel=1e-12)
             assert profile.argmax == 0.0
@@ -87,7 +87,7 @@ class TestLemmaSweep:
     def test_integrable_singularity(self):
         # g(s) = 1/sqrt(s): the weighted tail at t = 0 is sqrt(pi eps) erf(sqrt(T/eps))
         eps = 0.1
-        profile = lemma_tech_profile(lambda s: s**-0.5, eps, 1.0)
+        profile = lemma_tech_profile(TimeProfile("power", degree=-0.5), eps, 1.0)
         closed = math.sqrt(math.pi * eps) * math.erf(math.sqrt(1.0 / eps))
         assert profile.sup == pytest.approx(closed, rel=1e-7)
         assert profile.argmax == 0.0
@@ -98,7 +98,7 @@ class TestLemmaSweep:
         # G(t) = int_t^T exp(-(s-t)/eps) s^-1/2 ds in closed form; at eps = 1e-4 the
         # weight's peak is narrower than the first nodes of a rule spread on [0, T-t]
         horizon = 1.0
-        profile = lemma_tech_profile(lambda s: s**-0.5, eps, horizon)
+        profile = lemma_tech_profile(TimeProfile("power", degree=-0.5), eps, horizon)
         t = profile.times
         exact = math.sqrt(math.pi * eps) * (
             erfcx(np.sqrt(t / eps)) - np.exp((t - horizon) / eps) * erfcx(math.sqrt(horizon / eps))
@@ -107,17 +107,38 @@ class TestLemmaSweep:
         assert len(t) == 801
         assert np.all(np.abs(profile.values - exact) <= bound)
 
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("degree", [-0.5, -0.8, -0.9, -0.99, 1.0])
+    def test_power_density_meets_contract_against_gamma_oracle(self, degree, eps):
+        # s^d near the degree -1 that config refuses, and an integer degree, whose tail
+        # is a finite sum; the grid is every 8th point of the default sweep, as the
+        # 50-digit oracle costs 1 to 2 ms a point
+        density = TimeProfile("power", degree=degree)
+        profile = lemma_tech_profile(density, eps, 1.0, time_points=101)
+        exact = lemma_tail(density, eps, 1.0, profile.times)
+        bound = DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * np.abs(exact)
+        assert np.all(np.abs(profile.values - exact) <= bound)
+
+    @pytest.mark.parametrize("rate, eps", [(30.0, 1e-1), (30.0, 5e-2), (10.0, 1e-1), (-3.0, 1e-2)])
+    def test_exponential_density_at_any_rate_against_oracle(self, rate, eps):
+        # rates above and at 1/eps, where the density has no Laplace tail, and a decaying one
+        density = TimeProfile("exponential", amplitude=-1.5, rate=rate)
+        profile = lemma_tech_profile(density, eps, 1.0, time_points=101)
+        exact = lemma_tail(density, eps, 1.0, profile.times)
+        bound = DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * np.abs(exact)
+        assert np.all(np.abs(profile.values - exact) <= bound)
+
     def test_as_dict_shape(self):
-        profile = lemma_tech_profile(lambda s: 1.0, 0.1, 1.0, time_points=11)
+        profile = lemma_tech_profile(TimeProfile("constant"), 0.1, 1.0, time_points=11)
         d = profile.as_dict()
         assert set(d) == {"eps", "horizon", "sup", "argmax", "times", "values"}
         assert len(d["times"]) == len(d["values"]) == 11
 
     def test_validation(self):
         with pytest.raises(ValueError, match="horizon"):
-            lemma_tech_profile(lambda s: 1.0, 0.1, 0.0)
+            lemma_tech_profile(TimeProfile("constant"), 0.1, 0.0)
         with pytest.raises(ValueError, match="grid points"):
-            lemma_tech_profile(lambda s: 1.0, 0.1, 1.0, time_points=1)
+            lemma_tech_profile(TimeProfile("constant"), 0.1, 1.0, time_points=1)
 
     @given(st.floats(0.01, 0.5), st.floats(0.01, 0.5))
     @settings(max_examples=30, deadline=None)
@@ -125,8 +146,8 @@ class TestLemmaSweep:
         lo, hi = sorted((eps_a, eps_b))
         if hi - lo < 1e-6:
             return
-        sup_lo = lemma_tech_profile(lambda s: 1.0, lo, 1.0, time_points=3).sup
-        sup_hi = lemma_tech_profile(lambda s: 1.0, hi, 1.0, time_points=3).sup
+        sup_lo = lemma_tech_profile(TimeProfile("constant"), lo, 1.0, time_points=3).sup
+        sup_hi = lemma_tech_profile(TimeProfile("constant"), hi, 1.0, time_points=3).sup
         assert sup_lo < sup_hi
 
 

@@ -44,9 +44,10 @@ def _loaded(modules: set, package: str) -> list:
     return sorted(m for m in modules if m == package or m.startswith(package + "."))
 
 
-@pytest.mark.parametrize("case", ["spectral_forced_small", "ode_forced_small"])
+@pytest.mark.parametrize("case", ["spectral_forced_small", "ode_forced_small", "lemma_power_small"])
 def test_no_run_imports_numpy_polynomial(tmp_path, case):
-    # the certificate is closed form for exponential parts; no quadrature rule is built
+    # the certificate is closed form for exponential parts, and the lemma-tech sweep
+    # for every density: no quadrature rule is built
     assert _loaded(_modules_of_a_run(case, tmp_path), "numpy.polynomial") == []
 
 

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import logging
 import math
 import os
 import sys
@@ -28,12 +27,23 @@ from .quadrature import QuadratureError, QuadratureFailure
 from .spectral import SpectralField, minimizer_hat
 from .symbols import AdmissibilityError, admissible_discriminant
 
-log = logging.getLogger("wie")
-
 REPORT_NAME = "report.json"
 SUMMARY_NAME = "summary.csv"
 FIELD_NAME = "field.bin"
 FIELD_META_NAME = "field_meta.json"
+
+# --log-level names, upper-cased, by severity as the logging module ranks them;
+# any other name means INFO.  A line is written when its severity reaches the level.
+_LOG_LEVELS = {
+    "NOTSET": 0,
+    "DEBUG": 10,
+    "INFO": 20,
+    "WARN": 30,
+    "WARNING": 30,
+    "ERROR": 40,
+    "CRITICAL": 50,
+    "FATAL": 50,
+}
 
 
 # ---- Deterministic serialization ----
@@ -294,11 +304,13 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=".") -> int:
+def run_experiment(cfg: ExperimentConfig, out_dir=".", log_level: int = _LOG_LEVELS["INFO"]) -> int:
     """Run one config, write report.json and summary.csv, return exit code.
 
     Exit 0 means every verdict passed and nothing failed; any other outcome
-    leaves a machine-readable failure summary inside report.json.
+    leaves a machine-readable failure summary inside report.json.  The
+    outcome is one stderr line, INFO on success and WARNING on failure,
+    written when its severity reaches log_level (see _LOG_LEVELS).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -328,9 +340,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".") -> int:
     _atomic_write(out / SUMMARY_NAME, [_dump_csv(outcome.header, outcome.rows)])
 
     if failures:
-        log.warning("%d failure(s); see %s", len(failures), out / REPORT_NAME)
+        if log_level <= _LOG_LEVELS["WARNING"]:
+            print(f"WARNING {len(failures)} failure(s); see {out / REPORT_NAME}", file=sys.stderr)
         return 1
-    log.info("all verdicts passed; report in %s", out / REPORT_NAME)
+    if log_level <= _LOG_LEVELS["INFO"]:
+        print(f"INFO all verdicts passed; report in {out / REPORT_NAME}", file=sys.stderr)
     return 0
 
 
@@ -370,8 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    level = (args.log_level or _env("LOG_LEVEL", "info")).upper()
-    logging.basicConfig(level=getattr(logging, level, logging.INFO), format="%(levelname)s %(message)s")
+    name = (args.log_level or _env("LOG_LEVEL", "info")).upper()
+    level = _LOG_LEVELS.get(name, _LOG_LEVELS["INFO"])
 
     if args.command == "schema":
         sys.stdout.write(_dump_json(SCHEMA).decode("utf-8"))
@@ -401,7 +415,7 @@ def main(argv=None) -> int:
             return 2
 
     try:
-        return run_experiment(cfg, out_dir=out_dir)
+        return run_experiment(cfg, out_dir=out_dir, log_level=level)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

@@ -29,7 +29,6 @@ rates (_ExpDifference, _ExpSecondDifference).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -39,6 +38,7 @@ from .quadrature import (
     DivergenceError,
     QuadratureSpec,
     _exp_guarded,
+    _ReadOnly,
     _refuse_past_cap,
     weighted_halfline,
 )
@@ -588,19 +588,19 @@ class GrowthClass(NamedTuple):
 # ---- Forcing terms ----
 
 
-@dataclass(frozen=True)
-class ForcingPart:
-    profile: TimeProfile
-    space_vec: Optional[tuple] = None
-    space_hat: Optional[Callable] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if (self.space_vec is None) == (self.space_hat is None):
+class ForcingPart(_ReadOnly):
+    def __init__(
+        self,
+        profile: TimeProfile,
+        space_vec: Optional[tuple] = None,
+        space_hat: Optional[Callable] = None,
+    ):
+        if (space_vec is None) == (space_hat is None):
             raise ValueError("a part carries exactly one spatial representation")
+        vars(self).update(profile=profile, space_vec=space_vec, space_hat=space_hat)
 
 
-@dataclass(frozen=True)
-class ForcingTerm:
+class ForcingTerm(_ReadOnly):
     """Sum of separable parts, all in the same spatial representation.
 
     parts with coordinate vectors drive the finite-dimensional solvers
@@ -609,22 +609,21 @@ class ForcingTerm:
     envelope derived from the profiles.
     """
 
-    parts: tuple = ()
-    growth: Optional[GrowthClass] = None
-    dim: Optional[int] = None
-
-    def __post_init__(self):
-        modes = {("vector" if p.space_vec is not None else "spectral") for p in self.parts}
+    def __init__(
+        self, parts: tuple = (), growth: Optional[GrowthClass] = None, dim: Optional[int] = None
+    ):
+        modes = {("vector" if p.space_vec is not None else "spectral") for p in parts}
         if len(modes) > 1:
             raise ValueError("cannot mix vector and spectral parts in one forcing term")
-        if self.parts and "vector" in modes:
-            dims = {len(p.space_vec) for p in self.parts}
+        if parts and "vector" in modes:
+            dims = {len(p.space_vec) for p in parts}
             if len(dims) > 1:
                 raise ValueError("vector parts disagree on dimension")
             d = dims.pop()
-            if self.dim is not None and self.dim != d:
-                raise ValueError(f"declared dim {self.dim} but parts have length {d}")
-            object.__setattr__(self, "dim", d)
+            if dim is not None and dim != d:
+                raise ValueError(f"declared dim {dim} but parts have length {d}")
+            dim = d
+        vars(self).update(parts=parts, growth=growth, dim=dim)
 
     @classmethod
     def zero(cls, dim: Optional[int] = None):

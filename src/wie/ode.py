@@ -14,13 +14,12 @@ energy routine and one admissibility rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .forcing import ForcingTerm, _time_array
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _ReadOnly
 from .spectral import SelectedSpectralMinimizer, SemigroupSolution, _distinct
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "selected_minimizer",
     "ExactOdeSolution",
     "exact_solution",
-    "viscous_residual",
 ]
 
 
@@ -88,8 +86,7 @@ class _ModalView(NamedTuple):
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class OdeProblem:
+class OdeProblem(_ReadOnly):
     """Symmetric system data: matrix, initial state, forcing term.
 
     Construction decomposes the matrix once (eigen, or ValueError when it
@@ -97,20 +94,16 @@ class OdeProblem:
     solvers.
     """
 
-    matrix: np.ndarray
-    initial: np.ndarray
-    forcing: ForcingTerm
-
-    def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        y0 = np.atleast_1d(np.asarray(self.initial, dtype=float))
+    def __init__(self, matrix: np.ndarray, initial: np.ndarray, forcing: ForcingTerm):
+        A = np.atleast_2d(np.asarray(matrix, dtype=float))
+        y0 = np.atleast_1d(np.asarray(initial, dtype=float))
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got {A.shape}")
         if y0.shape != (A.shape[0],):
             raise ValueError(f"initial state has shape {y0.shape}, matrix is {A.shape}")
-        if self.forcing.mode == "spectral":
+        if forcing.mode == "spectral":
             raise ValueError("system forcing must use coordinate vectors")
-        f = self.forcing
+        f = forcing
         if f.is_zero and f.dim is None:
             f = ForcingTerm.zero(dim=A.shape[0])
         elif f.dim != A.shape[0]:
@@ -129,11 +122,7 @@ class OdeProblem:
             # the declared envelope covers the squared norm; amplitudes grow half as fast
             amplitude_growth_rate=f.declared_growth().rate / 2.0,
         )
-        object.__setattr__(self, "matrix", A)
-        object.__setattr__(self, "initial", y0)
-        object.__setattr__(self, "forcing", f)
-        object.__setattr__(self, "eigen", eigen)
-        object.__setattr__(self, "_modal", modal)
+        vars(self).update(matrix=A, initial=y0, forcing=f, eigen=eigen, _modal=modal)
 
     @property
     def size(self) -> int:
@@ -216,29 +205,3 @@ class ExactOdeSolution(_MappedBack):
 
 def exact_solution(problem: OdeProblem) -> ExactOdeSolution:
     return ExactOdeSolution(problem)
-
-
-def viscous_residual(minimizer: SelectedOdeMinimizer, t: float, h: float = 1e-3):
-    """Centered-difference check of eps*y'' - y' - A*y + f at time t.
-
-    Returns (residual_norm, scale) where scale is the largest term entering
-    the balance, so callers can judge the residual relative to it.
-    """
-    if t < h:
-        raise ValueError("need t >= h for the centered stencil")
-    y_m = minimizer.value(t - h)
-    y_0 = minimizer.value(t)
-    y_p = minimizer.value(t + h)
-    d2 = (y_p - 2.0 * y_0 + y_m) / (h * h)
-    d1 = (y_p - y_m) / (2.0 * h)
-    A = minimizer.problem.matrix
-    fv = minimizer.problem.forcing.vector(float(t))
-    res = minimizer.eps * d2 - d1 - A @ y_0 + fv
-    scale = max(
-        float(np.linalg.norm(minimizer.eps * d2)),
-        float(np.linalg.norm(d1)),
-        float(np.linalg.norm(A @ y_0)),
-        float(np.linalg.norm(np.atleast_1d(fv))),
-        1e-30,
-    )
-    return float(np.linalg.norm(res)), scale

@@ -13,9 +13,7 @@ trap these helpers exist to avoid.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -88,8 +86,17 @@ def _exp_guarded(exponent) -> np.ndarray:
     return np.exp(exponent, out=exponent)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class _ReadOnly:
+    """A value set once, by __init__ through vars(self); assigning or deleting raises."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is read-only")
+
+
+class QuadratureSpec(_ReadOnly):
     """Numerical policy for the weighted integrals.
 
     method:          "gauss_laguerre" uses a fixed substituted rule with an
@@ -103,23 +110,33 @@ class QuadratureSpec:
                      fixed rule is distrusted and panels take over.
     """
 
-    method: str = "gauss_laguerre"
-    nodes: int = 64
-    panel_tol: float = 1e-12
-    max_panels: int = 4096
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    variation_limit: float = 1e6
-
-    def __post_init__(self):
-        if self.method not in ("gauss_laguerre", "adaptive"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.nodes < 4:
+    def __init__(
+        self,
+        method: str = "gauss_laguerre",
+        nodes: int = 64,
+        panel_tol: float = 1e-12,
+        max_panels: int = 4096,
+        abs_tol: float = 1e-12,
+        rel_tol: float = 1e-10,
+        variation_limit: float = 1e6,
+    ):
+        if method not in ("gauss_laguerre", "adaptive"):
+            raise ValueError(f"unknown quadrature method {method!r}")
+        if nodes < 4:
             raise ValueError("need at least 4 Gauss-Laguerre nodes")
-        if min(self.panel_tol, self.abs_tol, self.rel_tol) <= 0.0:
+        if min(panel_tol, abs_tol, rel_tol) <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.max_panels < 8:
+        if max_panels < 8:
             raise ValueError("max_panels too small to be useful")
+        vars(self).update(
+            method=method,
+            nodes=nodes,
+            panel_tol=panel_tol,
+            max_panels=max_panels,
+            abs_tol=abs_tol,
+            rel_tol=rel_tol,
+            variation_limit=variation_limit,
+        )
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -182,6 +199,8 @@ def finite_interval(
     integrable endpoint singularities converge without exhausting the
     budget.  Nodes are interior, the endpoints are never evaluated.
     """
+    import heapq  # this engine is its only user, and most runs never reach it
+
     if b == a:
         return 0.0, 0.0
     x_lo, w_lo = _legendre_rule(7)

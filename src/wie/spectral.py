@@ -15,7 +15,6 @@ which is exactly where the estimates start to fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -30,12 +29,12 @@ from .quadrature import (
     _exp_guarded,
     _laguerre_rule,
     _modal_energy,
+    _ReadOnly,
 )
 from .symbols import AdmissibilityError, MultiplierSymbol, admissible_discriminant
 
 __all__ = [
     "FrequencyGrid",
-    "real_field",
     "SpectralProblem",
     "RootData",
     "root_data",
@@ -48,9 +47,7 @@ __all__ = [
     "l2_norm",
     "vl_norm",
     "energy_spectral",
-    "energy_physical",
     "apriori_bound",
-    "el_residual",
     "SpectralField",
 ]
 
@@ -62,8 +59,7 @@ _DISC_SQRT_FLOOR = 1.0 / math.sqrt(2.0)
 # ---- Grids and transforms ----
 
 
-@dataclass(frozen=True, eq=False)
-class FrequencyGrid:
+class FrequencyGrid(_ReadOnly):
     """Frequency nodes with quadrature weights, optionally FFT-backed.
 
     Transforms use the unitary convention with angular frequency: the
@@ -73,12 +69,16 @@ class FrequencyGrid:
     cross-checks rely on.
     """
 
-    kind: str
-    nodes: np.ndarray
-    weights: np.ndarray
-    n: Optional[int] = None
-    dx: Optional[float] = None
-    x: Optional[np.ndarray] = None
+    def __init__(
+        self,
+        kind: str,
+        nodes: np.ndarray,
+        weights: np.ndarray,
+        n: Optional[int] = None,
+        dx: Optional[float] = None,
+        x: Optional[np.ndarray] = None,
+    ):
+        vars(self).update(kind=kind, nodes=nodes, weights=weights, n=n, dx=dx, x=x)
 
     @classmethod
     def uniform_fft(cls, n: int, dx: float, x0: Optional[float] = None):
@@ -136,16 +136,6 @@ class FrequencyGrid:
         return float(np.abs(u_hat[neg] - np.conj(u_hat)).max())
 
 
-def real_field(u, tol: float = 1e-10) -> np.ndarray:
-    """Strip a negligible imaginary residue, or refuse if it is not one."""
-    u = np.asarray(u)
-    scale = float(np.abs(u).max()) + 1e-300
-    resid = float(np.abs(u.imag).max()) if np.iscomplexobj(u) else 0.0
-    if resid > tol * scale:
-        raise ValueError(f"imaginary residue {resid:.3g} exceeds {tol:.1g} of the field scale")
-    return u.real if np.iscomplexobj(u) else u
-
-
 # ---- Problems ----
 
 
@@ -178,31 +168,33 @@ def _distinct(node_values: np.ndarray) -> _Distinct:
     return _Distinct(ranked[new], inverse)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralProblem:
+class SpectralProblem(_ReadOnly):
     """Initial frequency data plus symbol and forcing on a fixed grid."""
 
-    grid: FrequencyGrid
-    symbol: MultiplierSymbol
-    initial_hat: np.ndarray
-    forcing: ForcingTerm = ForcingTerm.zero()
-
-    def __post_init__(self):
-        if self.forcing.mode == "vector":
+    def __init__(
+        self,
+        grid: FrequencyGrid,
+        symbol: MultiplierSymbol,
+        initial_hat: np.ndarray,
+        forcing: ForcingTerm = ForcingTerm.zero(),
+    ):
+        if forcing.mode == "vector":
             raise ValueError("multiplier problems need frequency-side forcing")
-        u0 = self.initial_hat
-        if callable(u0):
-            u0 = u0(self.grid.nodes)
+        u0 = initial_hat(grid.nodes) if callable(initial_hat) else initial_hat
         u0 = np.asarray(u0, dtype=complex)
-        if u0.shape != self.grid.nodes.shape:
+        if u0.shape != grid.nodes.shape:
             raise ValueError("initial data does not match the grid")
-        object.__setattr__(self, "initial_hat", u0)
-        object.__setattr__(self, "symbol_values", np.asarray(self.symbol(self.grid.nodes)))
-        parts = tuple(
-            (p.profile, np.asarray(p.space_hat(self.grid.nodes), dtype=complex))
-            for p in self.forcing.parts
+        vars(self).update(
+            grid=grid,
+            symbol=symbol,
+            initial_hat=u0,
+            forcing=forcing,
+            symbol_values=np.asarray(symbol(grid.nodes)),
+            forcing_parts=tuple(
+                (p.profile, np.asarray(p.space_hat(grid.nodes), dtype=complex))
+                for p in forcing.parts
+            ),
         )
-        object.__setattr__(self, "forcing_parts", parts)
 
     @property
     def weights(self) -> np.ndarray:
@@ -597,45 +589,6 @@ def energy_spectral(
     return eps * float((gl_w * vals).sum()), None
 
 
-def energy_physical(
-    state: Callable,
-    problem: SpectralProblem,
-    eps: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    ceiling: float = ENERGY_CEILING,
-):
-    """The same weighted action, but every term summed on the spatial grid.
-
-    The trajectory is transported to physical space sample by sample, the
-    generator is applied spectrally and transported too, and all three
-    quadratic terms are dx-sums.  Agreement with energy_spectral is a
-    transform-consistency check, so this routine deliberately shares no
-    norm code with it.
-    """
-    grid = problem.grid
-    grid._require_fft()
-    dx = grid.dx
-    ell = problem.symbol_values
-    tau, gl_w = _laguerre_rule(spec.nodes)
-    vals = np.empty(tau.shape)
-    for k, tk in enumerate(tau):
-        t = eps * float(tk)
-        u_hat, du_hat = (np.asarray(v) for v in state(t))
-        u = grid.to_physical(u_hat)
-        du = grid.to_physical(du_hat)
-        gen_u = grid.to_physical(ell * u_hat)
-        f_phys = grid.to_physical(problem.forcing_values(t))
-        quad = (
-            0.5 * eps * dx * float(np.sum(np.abs(du) ** 2))
-            + 0.5 * dx * float(np.real(np.sum(np.conj(u) * gen_u)))
-            - dx * float(np.real(np.sum(f_phys * np.conj(u))))
-        )
-        if not math.isfinite(quad) or abs(quad) * math.exp(-float(tk)) > ceiling:
-            return math.inf, t
-        vals[k] = quad
-    return eps * float((gl_w * vals).sum()), None
-
-
 def apriori_bound(
     lower_bound: float,
     horizon: float,
@@ -661,28 +614,6 @@ def apriori_bound(
         * math.exp(expo)
         * (initial_vl_sq + forcing_l2_integral)
     )
-
-
-def el_residual(minimizer, problem: SpectralProblem, t: float, h: float = 1e-3):
-    """Centered-difference residual of the second-order balance per node.
-
-    eps*u'' - u' - symbol*u + f, reduced to an L2 number over the grid.
-    Returns (residual_norm, scale) with scale the largest competing term.
-    """
-    if t < h:
-        raise ValueError("need t >= h for the centered stencil")
-    w = problem.grid.weights
-    u_m = np.asarray(minimizer.value(t - h))
-    u_0 = np.asarray(minimizer.value(t))
-    u_p = np.asarray(minimizer.value(t + h))
-    d2 = (u_p - 2.0 * u_0 + u_m) / (h * h)
-    d1 = (u_p - u_m) / (2.0 * h)
-    sym = problem.symbol_values * u_0
-    f = problem.forcing_values(t)
-    res = minimizer.eps * d2 - d1 - sym + f
-    norm = lambda v: math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
-    scale = max(norm(minimizer.eps * d2), norm(d1), norm(sym), norm(f), 1e-30)
-    return norm(res), scale
 
 
 # ---- Sampled fields for serialization ----

@@ -13,10 +13,11 @@ frequency that matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
+
+from .quadrature import _ReadOnly
 
 __all__ = [
     "MultiplierSymbol",
@@ -43,18 +44,16 @@ def _normalize_points(xi):
     raise ValueError(f"expected a scalar or 1-d batch of frequencies, got shape {arr.shape}")
 
 
-@dataclass(frozen=True)
-class MultiplierSymbol:
+class MultiplierSymbol(_ReadOnly):
     """A real one-dimensional frequency multiplier with its bookkeeping.
 
     func receives an (M,) batch of frequencies and must return (M,) real
     values.  Calling the symbol accepts a scalar or a batch and mirrors the
-    input arity back.
+    input arity back.  params defaults to a new empty dict.
     """
 
-    name: str
-    func: Callable = field(repr=False)
-    params: dict = field(default_factory=dict)
+    def __init__(self, name: str, func: Callable, params: Optional[dict] = None):
+        vars(self).update(name=name, func=func, params={} if params is None else params)
 
     def __call__(self, xi):
         pts, scalar = _normalize_points(xi)
@@ -132,8 +131,7 @@ def build_symbol(kind: str, **params) -> MultiplierSymbol:
     return builder(params)
 
 
-@dataclass(frozen=True)
-class EpsilonPolicy:
+class EpsilonPolicy(_ReadOnly):
     """Regularization budget derived from the symbol's worst dip.
 
     lower_bound caps the reported infimum at zero: a nonnegative symbol
@@ -141,17 +139,14 @@ class EpsilonPolicy:
     subtracted before capping, to absorb grid coarseness.
     """
 
-    safety: float = 1.0
-    zero_bound_cap: float = 0.5
-    margin: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.safety <= 1.0:
+    def __init__(self, safety: float = 1.0, zero_bound_cap: float = 0.5, margin: float = 0.0):
+        if not 0.0 < safety <= 1.0:
             raise ValueError("safety factor must lie in (0, 1]")
-        if self.zero_bound_cap <= 0.0:
+        if zero_bound_cap <= 0.0:
             raise ValueError("cap for nonnegative symbols must be positive")
-        if self.margin < 0.0:
+        if margin < 0.0:
             raise ValueError("margin must be nonnegative")
+        vars(self).update(safety=safety, zero_bound_cap=zero_bound_cap, margin=margin)
 
     def lower_bound(self, symbol: MultiplierSymbol, grid) -> float:
         vals = symbol(np.asarray(grid, dtype=float))

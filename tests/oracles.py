@@ -13,6 +13,12 @@ solver era that only the tests still call; they live here, built on the
 package's Gauss-Laguerre helpers.  energy_ode is the weighted action of a
 system trajectory summed in the system's own coordinates, independent of
 the eigenbasis the solvers work in.
+
+real_field, energy_physical, el_residual and viscous_residual are checks
+that no run needs: the physical-side energy, a transform-consistency check
+of energy_spectral, and the centered-difference residuals of the
+second-order balance on each path.  They live with the tests, so a run
+does not compile them.
 """
 
 import math
@@ -272,3 +278,94 @@ def energy_ode(state, matrix, forcing, eps, spec=DEFAULT_SPEC, ceiling=ENERGY_CE
             return math.inf, t
         vals[k] = quad
     return eps * float((w * vals).sum()), None
+
+
+def real_field(u, tol: float = 1e-10):
+    """Strip a negligible imaginary residue, or refuse if it is not one."""
+    u = np.asarray(u)
+    scale = float(np.abs(u).max()) + 1e-300
+    resid = float(np.abs(u.imag).max()) if np.iscomplexobj(u) else 0.0
+    if resid > tol * scale:
+        raise ValueError(f"imaginary residue {resid:.3g} exceeds {tol:.1g} of the field scale")
+    return u.real if np.iscomplexobj(u) else u
+
+
+def energy_physical(state, problem, eps, spec=DEFAULT_SPEC, ceiling=ENERGY_CEILING):
+    """The same weighted action, but every term summed on the spatial grid.
+
+    The trajectory is transported to physical space sample by sample, the
+    generator is applied spectrally and transported too, and all three
+    quadratic terms are dx-sums.  Agreement with energy_spectral is a
+    transform-consistency check, so this routine deliberately shares no
+    norm code with it.
+    """
+    grid = problem.grid
+    grid._require_fft()
+    dx = grid.dx
+    ell = problem.symbol_values
+    tau, gl_w = _laguerre_rule(spec.nodes)
+    vals = np.empty(tau.shape)
+    for k, tk in enumerate(tau):
+        t = eps * float(tk)
+        u_hat, du_hat = (np.asarray(v) for v in state(t))
+        u = grid.to_physical(u_hat)
+        du = grid.to_physical(du_hat)
+        gen_u = grid.to_physical(ell * u_hat)
+        f_phys = grid.to_physical(problem.forcing_values(t))
+        quad = (
+            0.5 * eps * dx * float(np.sum(np.abs(du) ** 2))
+            + 0.5 * dx * float(np.real(np.sum(np.conj(u) * gen_u)))
+            - dx * float(np.real(np.sum(f_phys * np.conj(u))))
+        )
+        if not math.isfinite(quad) or abs(quad) * math.exp(-float(tk)) > ceiling:
+            return math.inf, t
+        vals[k] = quad
+    return eps * float((gl_w * vals).sum()), None
+
+
+def el_residual(minimizer, problem, t: float, h: float = 1e-3):
+    """Centered-difference residual of the second-order balance per node.
+
+    eps*u'' - u' - symbol*u + f, reduced to an L2 number over the grid.
+    Returns (residual_norm, scale) with scale the largest competing term.
+    """
+    if t < h:
+        raise ValueError("need t >= h for the centered stencil")
+    w = problem.grid.weights
+    u_m = np.asarray(minimizer.value(t - h))
+    u_0 = np.asarray(minimizer.value(t))
+    u_p = np.asarray(minimizer.value(t + h))
+    d2 = (u_p - 2.0 * u_0 + u_m) / (h * h)
+    d1 = (u_p - u_m) / (2.0 * h)
+    sym = problem.symbol_values * u_0
+    f = problem.forcing_values(t)
+    res = minimizer.eps * d2 - d1 - sym + f
+    norm = lambda v: math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
+    scale = max(norm(minimizer.eps * d2), norm(d1), norm(sym), norm(f), 1e-30)
+    return norm(res), scale
+
+
+def viscous_residual(minimizer, t: float, h: float = 1e-3):
+    """Centered-difference check of eps*y'' - y' - A*y + f at time t.
+
+    Returns (residual_norm, scale) where scale is the largest term entering
+    the balance, so callers can judge the residual relative to it.
+    """
+    if t < h:
+        raise ValueError("need t >= h for the centered stencil")
+    y_m = minimizer.value(t - h)
+    y_0 = minimizer.value(t)
+    y_p = minimizer.value(t + h)
+    d2 = (y_p - 2.0 * y_0 + y_m) / (h * h)
+    d1 = (y_p - y_m) / (2.0 * h)
+    A = minimizer.problem.matrix
+    fv = minimizer.problem.forcing.vector(float(t))
+    res = minimizer.eps * d2 - d1 - A @ y_0 + fv
+    scale = max(
+        float(np.linalg.norm(minimizer.eps * d2)),
+        float(np.linalg.norm(d1)),
+        float(np.linalg.norm(A @ y_0)),
+        float(np.linalg.norm(np.atleast_1d(fv))),
+        1e-30,
+    )
+    return float(np.linalg.norm(res)), scale

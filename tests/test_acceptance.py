@@ -10,23 +10,22 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bvp_selected, random_symmetric
+from oracles import (
+    bvp_selected,
+    el_residual,
+    energy_physical,
+    random_symmetric,
+    viscous_residual,
+)
 from wie import symbols
 from wie.forcing import ForcingTerm, TimeProfile, constant_profile, exponential_profile
 from wie.lab import bound_audit, branch_divergence, convergence_study, lemma_tech_profile
-from wie.ode import (
-    OdeProblem,
-    exact_solution,
-    selected_minimizer,
-    viscous_residual,
-)
+from wie.ode import OdeProblem, exact_solution, selected_minimizer
 from wie.quadrature import DEFAULT_SPEC, poincare_sides
 from wie.spectral import (
     FrequencyGrid,
     SpectralProblem,
     apriori_bound,
-    el_residual,
-    energy_physical,
     energy_spectral,
     l2_norm,
     minimizer_hat,

@@ -1,7 +1,15 @@
-"""Config validation and the command-line front end, run in-process."""
+"""Config validation and the command-line front end, run in-process.
+
+TestLogLines runs `wie` in fresh processes, so what it sees on stderr is
+what a shell sees.
+"""
 
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -458,6 +466,65 @@ class TestCliRun:
         cfg = _write(tmp_path, _ode_config())
         monkeypatch.setenv("WIE_THREADS", "x")
         assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+
+
+class TestLogLines:
+    """The one stderr line a run ends with, under --log-level and WIE_LOG_LEVEL."""
+
+    @staticmethod
+    def _run(case, out, *flags, env=None):
+        base = {k: v for k, v in os.environ.items() if not k.startswith("WIE_")}
+        base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+        config = str(GOLDEN / case / "config.json")
+        done = subprocess.run(
+            [sys.executable, "-m", "wie.cli", "run", config, "--out-dir", str(out), *flags],
+            capture_output=True,
+            text=True,
+            env={**base, **(env or {})},
+        )
+        return done.returncode, done.stderr
+
+    def test_passing_run_at_the_default_level(self, tmp_path):
+        out = tmp_path / "out"
+        assert self._run("spectral_forced_small", out) == (
+            0,
+            f"INFO all verdicts passed; report in {out / 'report.json'}\n",
+        )
+
+    def test_failing_run_writes_one_warning(self, tmp_path):
+        out = tmp_path / "out"
+        assert self._run("certification_failure", out) == (
+            1,
+            f"WARNING 2 failure(s); see {out / 'report.json'}\n",
+        )
+
+    def test_error_level_prints_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        assert self._run("certification_failure", out, "--log-level", "error") == (1, "")
+        assert self._run("spectral_forced_small", out, "--log-level", "warning") == (0, "")
+
+    def test_environment_level_is_honoured_and_the_flag_wins(self, tmp_path):
+        out = tmp_path / "out"
+        quiet = {"WIE_LOG_LEVEL": "error"}
+        assert self._run("certification_failure", out, env=quiet) == (1, "")
+        code, err = self._run("certification_failure", out, "--log-level", "info", env=quiet)
+        assert code == 1
+        assert err.startswith("WARNING 2 failure(s); see ")
+
+    @pytest.mark.parametrize("level", ["basic_format", "bogus", "20"])
+    def test_unknown_level_names_mean_info(self, tmp_path, level):
+        out = tmp_path / "out"
+        line = f"INFO all verdicts passed; report in {out / 'report.json'}\n"
+        assert self._run("spectral_forced_small", out, "--log-level", level) == (0, line)
+        assert self._run("spectral_forced_small", out, env={"WIE_LOG_LEVEL": level}) == (0, line)
+
+    def test_main_leaves_the_root_logger_alone(self, tmp_path, monkeypatch, capsys):
+        # an embedding program that has not configured logging keeps it unconfigured
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])
+        cfg = str(GOLDEN / "spectral_forced_small" / "config.json")
+        assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        assert logging.getLogger().handlers == []
+        assert capsys.readouterr().err.startswith("INFO all verdicts passed; report in ")
 
 
 def _field_config(grid, times):

@@ -95,8 +95,9 @@ class TestLemmaSweep:
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_singular_profile_meets_contract_everywhere(self, eps):
-        # G(t) = int_t^T exp(-(s-t)/eps) s^-1/2 ds in closed form; at eps = 1e-4 the
-        # weight's peak is narrower than the first nodes of a rule spread on [0, T-t]
+        # G(t) = int_t^T exp(-(s-t)/eps) s^-1/2 ds through erfcx, an independent closed
+        # form; the sweep takes tail(t) - exp(-(T-t)/eps) tail(T) from the incomplete-gamma
+        # tail, on both of its branches (t/eps below and above 3/2) and at t = 0
         horizon = 1.0
         profile = lemma_tech_profile(TimeProfile("power", degree=-0.5), eps, horizon)
         t = profile.times

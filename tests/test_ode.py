@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import energy_ode, random_symmetric
+from oracles import energy_ode, random_symmetric, viscous_residual
 from wie import symbols
 from wie.forcing import (
     ForcingTerm,
@@ -22,7 +22,6 @@ from wie.ode import (
     eigendecompose,
     exact_solution,
     selected_minimizer,
-    viscous_residual,
 )
 from wie.quadrature import DEFAULT_SPEC
 from wie.spectral import (

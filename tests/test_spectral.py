@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from oracles import el_residual, energy_physical, real_field
 from wie import symbols
 from wie.forcing import (
     ForcingTerm,
@@ -32,13 +33,10 @@ from wie.spectral import (
     SpectralField,
     SpectralProblem,
     apriori_bound,
-    el_residual,
-    energy_physical,
     energy_spectral,
     inequality_report,
     l2_norm,
     minimizer_hat,
-    real_field,
     root_data,
     root_margins,
     semigroup_solution,

@@ -4,17 +4,31 @@ A fresh interpreter runs wie.cli.main on a golden config and reports the
 names in sys.modules.  Module names, not timings, so the check is
 deterministic.  `python -X importtime -c "import wie.cli"` shows what each
 import costs.
+
+The value types are plain classes, not dataclasses, because defining a
+frozen dataclass costs a run about 0.3 ms each and importing dataclasses
+0.5 ms more; test_value_type_keeps_its_constructor_and_is_read_only pins
+what they kept of the dataclass contract.
 """
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 import wie
+from wie.forcing import ForcingPart, ForcingTerm, GrowthClass, constant_profile
+from wie.ode import OdeProblem
+from wie.quadrature import QuadratureSpec
+from wie.spectral import FrequencyGrid, SpectralProblem
+from wie.symbols import EpsilonPolicy, MultiplierSymbol, classical
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(wie.__file__).resolve().parent.parent
@@ -56,3 +70,169 @@ def test_a_spectral_run_imports_neither_numpy_fft_nor_the_ode_module(tmp_path):
     assert _loaded(modules, "numpy.fft") == []
     assert _loaded(modules, "wie.ode") == []
     assert "wie.spectral" in modules  # the probe did run the study
+
+
+@pytest.mark.parametrize("case", ["spectral_forced_small", "ode_forced_small", "lemma_power_small"])
+def test_no_run_imports_logging_dataclasses_copy_or_heapq(tmp_path, case):
+    # the CLI writes its log line itself, the value types are plain classes, and
+    # only the adaptive engine, which these runs never reach, imports heapq
+    modules = _modules_of_a_run(case, tmp_path)
+    assert sorted(modules & {"logging", "dataclasses", "copy", "heapq"}) == []
+
+
+_G = constant_profile(2.0)
+_HAT = lambda xi: np.ones_like(xi)
+_VEC = ForcingPart(_G, (1.0, 0.0))
+_GRID = FrequencyGrid.uniform_fft(8, 0.5)
+_SPECTRAL = ForcingTerm.from_multipliers([(_G, _HAT)])
+_NODES = np.arange(3.0)
+
+
+class _Case(NamedTuple):
+    params: tuple  # every constructor parameter, in positional order
+    args: tuple  # a value for each
+    defaults: dict  # parameter -> the value it takes when left out, or a check of it
+    errors: list  # (call, start of its ValueError message)
+
+
+VALUE_TYPES = {
+    QuadratureSpec: _Case(
+        ("method", "nodes", "panel_tol", "max_panels", "abs_tol", "rel_tol", "variation_limit"),
+        ("adaptive", 8, 1e-9, 64, 1e-11, 1e-9, 1e5),
+        {
+            "method": "gauss_laguerre",
+            "nodes": 64,
+            "panel_tol": 1e-12,
+            "max_panels": 4096,
+            "abs_tol": 1e-12,
+            "rel_tol": 1e-10,
+            "variation_limit": 1e6,
+        },
+        [
+            (lambda: QuadratureSpec(method="simpson"), "unknown quadrature method 'simpson'"),
+            (lambda: QuadratureSpec(nodes=3), "need at least 4 Gauss-Laguerre nodes"),
+            (lambda: QuadratureSpec(panel_tol=0.0), "tolerances must be positive"),
+            (lambda: QuadratureSpec(abs_tol=-1.0), "tolerances must be positive"),
+            (lambda: QuadratureSpec(rel_tol=0.0), "tolerances must be positive"),
+            (lambda: QuadratureSpec(max_panels=7), "max_panels too small to be useful"),
+        ],
+    ),
+    ForcingPart: _Case(
+        ("profile", "space_vec", "space_hat"),
+        (_G, None, _HAT),
+        {"space_vec": None},
+        [
+            (lambda: ForcingPart(_G), "a part carries exactly one spatial representation"),
+            (lambda: ForcingPart(_G, (1.0,), _HAT), "a part carries exactly one"),
+        ],
+    ),
+    ForcingTerm: _Case(
+        ("parts", "growth", "dim"),
+        ((_VEC,), GrowthClass.bounded(2.0), 2),
+        {"parts": (), "growth": None, "dim": None},
+        [
+            (
+                lambda: ForcingTerm((_VEC, ForcingPart(_G, space_hat=_HAT))),
+                "cannot mix vector and spectral parts in one forcing term",
+            ),
+            (lambda: ForcingTerm((_VEC, ForcingPart(_G, (1.0,)))), "vector parts disagree"),
+            (lambda: ForcingTerm((_VEC,), dim=3), "declared dim 3 but parts have length 2"),
+        ],
+    ),
+    MultiplierSymbol: _Case(
+        ("name", "func", "params"), ("square", np.square, {"p": 2}), {"params": {}}, []
+    ),
+    EpsilonPolicy: _Case(
+        ("safety", "zero_bound_cap", "margin"),
+        (0.5, 0.25, 0.1),
+        {"safety": 1.0, "zero_bound_cap": 0.5, "margin": 0.0},
+        [
+            (lambda: EpsilonPolicy(safety=0.0), "safety factor must lie in (0, 1]"),
+            (lambda: EpsilonPolicy(safety=1.5), "safety factor must lie in (0, 1]"),
+            (lambda: EpsilonPolicy(zero_bound_cap=0.0), "cap for nonnegative symbols must be"),
+            (lambda: EpsilonPolicy(margin=-1.0), "margin must be nonnegative"),
+        ],
+    ),
+    FrequencyGrid: _Case(
+        ("kind", "nodes", "weights", "n", "dx", "x"),
+        ("uniform_fft", _NODES, np.ones(3), 3, 0.5, _NODES / 2),
+        {"n": None, "dx": None, "x": None},
+        [
+            (lambda: FrequencyGrid.uniform_fft(1, 0.5), "need n >= 2 samples and a positive"),
+            (lambda: FrequencyGrid.uniform_fft(8, 0.0), "need n >= 2 samples and a positive"),
+            (lambda: FrequencyGrid.explicit(_NODES, np.ones(2)), "nodes and weights must be"),
+            (lambda: FrequencyGrid.explicit(_NODES, -np.ones(3)), "weights must be positive"),
+        ],
+    ),
+    SpectralProblem: _Case(
+        ("grid", "symbol", "initial_hat", "forcing"),
+        (_GRID, classical(), np.ones(8, dtype=complex), _SPECTRAL),
+        {"forcing": lambda f: f.is_zero and f.dim is None},
+        [
+            (
+                lambda: SpectralProblem(_GRID, classical(), np.ones(8), ForcingTerm((_VEC,))),
+                "multiplier problems need frequency-side forcing",
+            ),
+            (
+                lambda: SpectralProblem(_GRID, classical(), np.ones(7)),
+                "initial data does not match the grid",
+            ),
+        ],
+    ),
+    OdeProblem: _Case(
+        ("matrix", "initial", "forcing"),
+        (np.eye(2), np.ones(2), ForcingTerm((_VEC,))),
+        {},
+        [
+            (
+                lambda: OdeProblem(np.ones((2, 3)), np.ones(2), ForcingTerm()),
+                "matrix must be square, got (2, 3)",
+            ),
+            (
+                lambda: OdeProblem(np.eye(2), np.ones(3), ForcingTerm()),
+                "initial state has shape (3,), matrix is (2, 2)",
+            ),
+            (
+                lambda: OdeProblem(np.eye(2), np.ones(2), _SPECTRAL),
+                "system forcing must use coordinate vectors",
+            ),
+            (
+                lambda: OdeProblem(np.eye(3), np.ones(3), ForcingTerm((_VEC,))),
+                "forcing dimension 2 does not match system size 3",
+            ),
+            (
+                lambda: OdeProblem([[1.0, 2.0], [0.0, 1.0]], np.ones(2), ForcingTerm()),
+                "matrix is not symmetric",
+            ),
+        ],
+    ),
+}
+
+
+def _holds(value, expected) -> bool:
+    if value is expected:
+        return True
+    if isinstance(value, np.ndarray):
+        return np.array_equal(value, expected)
+    return expected(value) if callable(expected) else value == expected
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_type_keeps_its_constructor_and_is_read_only(cls):
+    case = VALUE_TYPES[cls]
+    assert tuple(inspect.signature(cls).parameters) == case.params
+    by_position, by_keyword = cls(*case.args), cls(**dict(zip(case.params, case.args)))
+    for obj in (by_position, by_keyword):
+        for name, value in zip(case.params, case.args):
+            assert _holds(getattr(obj, name), value), name
+    given = {p: value for p, value in zip(case.params, case.args) if p not in case.defaults}
+    for name, expected in case.defaults.items():
+        assert _holds(getattr(cls(**given), name), expected), name
+    for call, message in case.errors:
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            call()
+    for name in (case.params[0], "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, None)
+    with pytest.raises(AttributeError):
+        delattr(by_position, case.params[0])

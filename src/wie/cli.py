@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,18 +114,21 @@ def _atomic_write(path: Path, chunks) -> None:
 # ---- Mode runners ----
 
 
-class RunOutcome(NamedTuple):
+class RunOutcome:
     """What every mode runner hands to the report writer.
 
     header and rows become summary.csv; a run stopped before its study
-    leaves both empty.
+    leaves both empty.  A plain class: it is read only by attribute.
     """
 
-    results: dict
-    verdicts: dict
-    failures: list
-    header: tuple = ()
-    rows: Sequence = ()
+    def __init__(
+        self, results: dict, verdicts: dict, failures: list, header: tuple = (), rows: Sequence = ()
+    ):
+        self.results = results
+        self.verdicts = verdicts
+        self.failures = failures
+        self.header = header
+        self.rows = rows
 
 
 def _certify_ladder(cfg: ExperimentConfig, forcing, gram, epsilons):

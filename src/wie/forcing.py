@@ -163,8 +163,7 @@ class TimeProfile(NamedTuple):
             t = low = float(t)
         if low < 0.0:
             raise ValueError("shift must be nonnegative")
-        own = self.rate if self.kind == "exponential" else 0.0
-        _refuse_slow_tail(mu, max(growth_rate, own))
+        own = self.check_tail(mu, growth_rate)
         if rows:
             if self.kind in ("constant", "exponential"):
                 return (self.amplitude * _exp_guarded(own * t))[:, None] / (mu - own)
@@ -186,6 +185,12 @@ class TimeProfile(NamedTuple):
             beyond = np.exp(-mu * (knots[-1] - t)) * g[-1] / mu
             return (damp * pieces).sum(axis=1) + beyond
         raise ValueError(f"unknown profile kind {self.kind!r}")
+
+    def check_tail(self, mu: np.ndarray, growth_rate: float = 0.0) -> float:
+        """The profile's own exponential rate; raises DivergenceError as shifted_tail does."""
+        own = self.rate if self.kind == "exponential" else 0.0
+        _refuse_slow_tail(mu, max(growth_rate, own))
+        return own
 
     def _knots(self, lo: float, hi: float):
         """Breakpoints of the clamped interpolant on [lo, hi] (hi may be inf), with values."""
@@ -270,18 +275,22 @@ class _ExpDifference:
     The first divided difference of x -> exp(x t), as exp(max(x, r) t)
     expm1(-|gap| t)/(-|gap|), so nearly equal rates do not cancel; it is
     t exp(x t) where x = r.  gap is x - r, which the caller forms without
-    the subtraction's cancellation.  The rates are built once; each call
-    takes one time t > 0 and exp(x t), which the caller has at hand, and
-    raises ExponentOverflowError when max(x, r) t passes the cap.
+    the subtraction's cancellation; it may be a block of several rate
+    arrays, one per row, and it is consumed: its float array becomes the
+    kernel's own.  Only the largest rate of x is read, so x may be that
+    number.  Each call takes one time t > 0 and exp(x t), which the caller
+    has at hand, and raises ExponentOverflowError when max(x, r) t passes
+    the cap.
     """
 
     def __init__(self, x, r: float, gap):
         self.rate = float(r)
         self.top_max = max(float(np.max(x, initial=-math.inf)), self.rate)
-        gap = -np.abs(gap)
+        gap = np.asarray(gap, dtype=float)
+        np.negative(np.abs(gap, out=gap), out=gap)
         self.flat = np.flatnonzero(gap == 0.0)
         self.gap = gap
-        self.gap[self.flat] = -1.0  # any stand-in: the flat entries are set to t
+        gap.reshape(-1)[self.flat] = -1.0  # any stand-in: the flat entries are set to t
         self.least = float(-self.gap.max(initial=-math.inf))
 
     def __call__(self, t: float, exp_x: np.ndarray) -> np.ndarray:
@@ -290,7 +299,7 @@ class _ExpDifference:
         np.expm1(q, out=q)
         q /= self.gap
         if self.flat.size:
-            q[self.flat] = t
+            q.reshape(-1)[self.flat] = t
         if self.least * t < _SMALLEST_NORMAL:
             # a subnormal gap t keeps too few digits; phi1 is 1 there
             q[np.abs(self.gap) * t < _SMALLEST_NORMAL] = t
@@ -309,12 +318,14 @@ class _ExpSecondDifference:
     """weight (D[x1, x2] - D[x0, x2]) = weight delta E[x0, x1, x2], where x1 = x0 + delta.
 
     E is the second divided difference of x -> exp(x t) and D the first
-    (_ExpDifference).  x0 and delta >= 0 are arrays, passed apart so that a
-    small delta keeps its digits; x2 is one rate.  Everything independent
-    of t is built here: which rate lies between the other two, and the
-    Taylor coefficients in order of spread.  Each call takes one time
-    t > 0, the undivided difference e01 = exp(x1 t) - exp(x0 t), and
-    d12 = D[x1, x2] and d02 = D[x0, x2].
+    (_ExpDifference).  x0 is an array and delta >= 0 an array of its size,
+    or a block of such rows, one per stacked set of rates; they are passed
+    apart so that a small delta keeps its digits; x2 is one rate.
+    Everything independent of t is built here, row by row: which rate lies
+    between the other two, and the Taylor coefficients in one order of
+    spread over the whole block.  Each call takes one time t > 0, the
+    undivided difference e01 = exp(x1 t) - exp(x0 t), and d12 = D[x1, x2]
+    and d02 = D[x0, x2], of delta's shape or, for d02, of x0's.
 
     As in McCurdy, Ng and Parlett (Math. Comp. 43, 1984), rates whose
     spread times t is below 1/2 take the Taylor series about their
@@ -326,41 +337,83 @@ class _ExpSecondDifference:
     the others nested first differences with the extreme pair of rates in
     the denominator, which cancel by at most a small factor there:
     (e01 - delta d02)/(x1 - x2) when x2 <= x0, (delta d12 - e01)/(x2 - x0)
-    when x2 >= x1, and d12 - d02 when x2 lies between.
+    when x2 >= x1, and d12 - d02 when x2 lies between.  Every entry gets
+    the bits it gets in a block of its row alone.
     """
 
     def __init__(self, x0, delta, x2: float, weight: float):
         x0 = np.asarray(x0, dtype=float)
         delta = np.asarray(delta, dtype=float)
-        off = x2 - x0  # and x1 - x2 = delta - off
-        lo, hi = np.minimum(off, 0.0), np.maximum(off, delta)
-        spread = hi - lo
+        width = x0.size
+        # a block of k rows forms its Taylor terms 2 width/k rates at a time, which
+        # keeps the per-time memory of a stack of rungs near that of one rung
+        self.chunk = max(1, 2 * width * width // delta.size)
         # every per-rate row in one allocation, large enough to be mapped on its own,
-        # so that the rungs' kernels leave no holes in the heap
-        rows = np.empty((_DIFFERENCE_TERMS + 4, x0.size))
-        self.table, self.center, nested = rows[:-4], rows[-4], rows[-3:]
-        self.c01, self.c12, self.c02 = _nested_coefficients(off, delta, spread, weight, nested)
+        # so that the kernels leave no holes in the heap
+        rows = np.empty((_DIFFERENCE_TERMS + 5, delta.size))
+        self.table, self.center, self.spread, nested = rows[:-5], rows[-5], rows[-4], rows[-3:]
+        off = x2 - x0  # and x1 - x2 = delta - off
+        lo = np.minimum(off, 0.0)
+        spread = self.center  # the spread in rate order, until the centers are formed
+        for start, d in zip(range(0, delta.size, width), delta.reshape(-1, width)):
+            span = slice(start, start + width)
+            np.subtract(np.maximum(off, d), lo, out=spread[span])
+            _nested_coefficients(off, d, spread[span], weight, nested[:, span])
+        self.c01, self.c12, self.c02 = (c.reshape(delta.shape) for c in nested)
         self.order = np.argsort(spread, kind="stable")
-        self.spread = spread[self.order]
-        np.add(x0[self.order], 0.5 * (lo + hi)[self.order], out=self.center)
-        y0 = x0[self.order] - self.center
-        delta = delta[self.order]
-        _taylor_table(y0, y0 + delta, x2 - self.center, weight * delta, self.table)
+        np.take(spread, self.order, out=self.spread)
+        # the Taylor rows in spread order, one row's width of rates at a time
+        delta = delta.reshape(-1)
+        for start in range(0, delta.size, width):
+            span = slice(start, start + width)
+            at = self.order[span]
+            col = at % width
+            x0c, dc = x0[col], delta[at]
+            center = np.add(x0c, 0.5 * (lo[col] + np.maximum(off[col], dc)), out=self.center[span])
+            y0 = x0c - center
+            _taylor_table(y0, y0 + dc, x2 - center, weight * dc, self.table[:, span])
 
-    def __call__(self, t: float, e01, d12, d02) -> np.ndarray:
+    def __call__(self, t: float, e01, d12, d02, series=None) -> np.ndarray:
+        """The difference at t; series is self.series(t) when the caller has formed it."""
+        if series is None:
+            series = self.series(t)
         out = self.c01 * e01
         part = self.c12 * d12
         out += part
         out += np.multiply(self.c02, d02, out=part)
-        # the rates with spread * t below the radius are a prefix of the spread order
-        n = int(self.spread.searchsorted(_DIFFERENCE_RADIUS / t))
-        if n:
-            # summed from the highest power down
-            series = np.add.reduce(self.table[:, :n] * t**_DIFFERENCE_POWERS)
-            # c is below max(x1, x2), whose exponent D[x1, x2] has checked against the cap
-            series *= np.exp(np.multiply(self.center[:n], t))
-            out[self.order[:n]] = series
+        if series.size:
+            out.reshape(-1)[self.order[: series.size]] = series
         return out
+
+    def series(self, t: float) -> np.ndarray:
+        """The Taylor form at t of the rates whose spread times t is below the radius.
+
+        They are a prefix of the spread order, and the series is in that
+        order.  Each rate's terms are summed from the highest power down, a
+        chunk of rates at a time; numpy would sum a lone column pairwise, so
+        that one is summed in order here.
+        """
+        n = int(self.spread.searchsorted(_DIFFERENCE_RADIUS / t))
+        series = np.empty(n)
+        if not n:
+            return series
+        powers = t**_DIFFERENCE_POWERS
+        terms = np.empty((_DIFFERENCE_TERMS, min(self.chunk, n)))
+        for start in range(0, n, self.chunk):
+            span = slice(start, min(start + self.chunk, n))
+            part = np.multiply(self.table[:, span], powers, out=terms[:, : span.stop - start])
+            if part.shape[1] > 1:
+                np.add.reduce(part, out=series[span])
+            else:
+                total, *rest = part[:, 0].tolist()
+                for term in rest:
+                    total += term
+                series[span] = total
+        del terms, part  # freed before the exponentials are formed
+        # c is below max(x1, x2), whose exponent D[x1, x2] has checked against the cap
+        growth = np.multiply(self.center[:n], t)
+        series *= np.exp(growth, out=growth)
+        return series
 
 
 def _nested_coefficients(off, delta, spread, weight, coefficients) -> np.ndarray:

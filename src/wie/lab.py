@@ -12,7 +12,7 @@ report writer can serialize them without knowing their internals.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -271,7 +271,8 @@ def fit_rate(epsilons: Sequence[float], errors: Sequence[float]):
 
     Weighted least squares; the two smallest-eps points count double since
     that is where the asymptotic regime lives.  Returns (rate, half_width),
-    or (None, None) when fewer than two errors are positive.
+    or (None, None) when fewer than two errors are positive or their eps
+    are too close for the fit.
     """
     eps_arr = np.asarray(epsilons, dtype=float)
     err_arr = np.asarray(errors, dtype=float)
@@ -285,7 +286,10 @@ def fit_rate(epsilons: Sequence[float], errors: Sequence[float]):
     w[order[:2]] = 2.0
     X = np.stack([np.ones(x.shape), x], axis=1)
     XtW = X.T * w
-    cov = np.linalg.inv(XtW @ X)
+    try:
+        cov = np.linalg.inv(XtW @ X)
+    except np.linalg.LinAlgError:
+        return None, None  # the logs of the eps are too close to tell two apart
     beta = cov @ (XtW @ y)
     resid = y - X @ beta
     dof = max(int(keep.sum()) - 2, 1)
@@ -419,13 +423,8 @@ def _ode_study(problem, ladder, norm, times, spec):
     return _run_rungs(ladder, lambda eps: selected_minimizer(problem, eps, spec), sweep, finish)
 
 
-# a rung on the distinct symbol values (_SpectralGap.rung); parts holds per forcing part
-# its _ExponentialGap, or for a power or sampled part its tail_j(f, 0)/z
-_Rung = namedtuple("_Rung", "eps slow fast disc_sqrt slow_sq slow_max growth_rate parts")
-
-
 class _ExponentialGap:
-    """b(t) of one part A exp(r t) on one rung, from one first and one second difference.
+    """b(t) of one part A exp(r t) on a stack of rungs, from one first and one second difference.
 
     With f - s = z/eps and f + s = 1/eps, the generic route's terms collapse:
 
@@ -433,24 +432,62 @@ class _ExponentialGap:
 
     D the first divided difference of x -> exp(x t) and the last term
     A delta E[-ell, s, r] (forcing._ExpSecondDifference).  Both are O(eps)
-    with no cancellation.  Everything independent of t is built here; the
-    rung refuses a tail rate f at or below the growth rate as
-    shifted_tail(f, 0) did.
+    with no cancellation.  Everything independent of t is built here, one
+    row per rung; a rung refuses a tail rate f at or below the growth rate
+    as shifted_tail(f, 0) did.
     """
 
-    def __init__(self, amplitude, rate, ell, slow, fast, delta, growth_rate):
-        _refuse_slow_tail(fast, max(growth_rate, rate))
-        self.kappa = amplitude * (slow + rate) / (fast - rate)
+    def __init__(self, amplitude, rate, ell, stack, delta):
+        self.kappa = np.empty(delta.shape)
+        for row, m in zip(self.kappa, stack.rungs):
+            r = m.roots
+            _refuse_slow_tail(r.fast, max(m.growth_rate, rate))
+            np.divide(amplitude * (r.slow + rate), r.fast - rate, out=row)
         # s - r = delta - (ell + r), which keeps the digits of a small delta
-        self.first = _ExpDifference(slow, rate, gap=delta - (ell + rate))
+        self.first = _ExpDifference(stack.slow_max, rate, gap=np.subtract(delta, ell + rate))
         self.second = _ExpSecondDifference(-ell, delta, rate, amplitude)
 
     def __call__(self, t: float, a, grow, flow) -> np.ndarray:
-        """b at t > 0 from a = exp(s t) - exp(-ell t), grow = exp(s t) and the flow's D[-ell, r]."""
-        first = self.first(t, grow)
-        b = self.second(t, a, first, flow)
+        """b at t > 0 from a = exp(s t) - exp(-ell t), grow() = exp(s t) and the flow's D[-ell, r]."""
+        # the Taylor entries first, while no other per-time block of the part is alive
+        series = self.second.series(t)
+        first = self.first(t, grow())
+        b = self.second(t, a, first, flow, series)
         b += np.multiply(self.kappa, first, out=first)
         return b
+
+
+class _Stack:
+    """Rungs side by side: each per-value array of a rung is one row of a (rungs x values) block.
+
+    Each block is allocated once and filled rung by rung, so building a
+    stack holds no temporary larger than one rung's.  parts holds per
+    forcing part its _ExponentialGap, or for a power or sampled part the
+    rows tail_j(f, 0)/z.  The per-time work block alpha is the gap's,
+    shared by its stacks (_SpectralGap.work); it first holds each rung's
+    delta = eps s^2 while the parts are built.
+    """
+
+    def __init__(self, gap: "_SpectralGap", rungs: list):
+        shape = (len(rungs), gap.ell.size)
+        self.rungs = rungs
+        self.eps = np.array([[m.eps] for m in rungs])
+        self.slow_sq = np.empty(shape)
+        for row, m in zip(self.slow_sq, rungs):
+            np.multiply(m.roots.slow, m.roots.slow, out=row)
+        self.slow_max = max(float(m.roots.slow.max()) for m in rungs)
+        self.alpha = gap.work(len(rungs))
+        delta = np.multiply(self.slow_sq, self.eps, out=self.alpha)
+        self.parts = []
+        for (g, _H), form in zip(gap.problem.forcing_parts, gap.forms):
+            if form is not None:
+                self.parts.append(_ExponentialGap(*form, gap.ell, self, delta))
+                continue
+            tail0 = np.empty(shape)
+            for row, m in zip(tail0, rungs):
+                r = m.roots
+                np.divide(g.shifted_tail(r.fast, 0.0, m.growth_rate), r.disc_sqrt, out=row)
+            self.parts.append(tail0)
 
 
 class _SpectralGap:
@@ -472,6 +509,11 @@ class _SpectralGap:
     kernel runs once per distinct symbol value u, and the nodes of u fold
     into an upper triangle R_u (_fold): their sum of
     w |a c0 + sum_j b_j H_j|^2 is |R_u (a, b_1, ..., b_J)|^2.
+
+    The rungs run in stacks (_Stack): one ufunc call serves every rung of
+    a stack, and the generic kernels, whose series and continued fractions
+    stop when every entry of a call has converged, run rung by rung.  Each
+    rung's sum keeps the bits it has in a stack of its own.
     """
 
     def __init__(self, problem: SpectralProblem, weights: np.ndarray):
@@ -481,7 +523,7 @@ class _SpectralGap:
         self.highest = float(ell[-1])
         columns = [problem.initial_hat] + [H for _g, H in problem.forcing_parts]
         self.factor = _fold(weights, columns, distinct)
-        self.decay, self.grow, self.alpha = (np.empty(ell.shape) for _ in range(3))
+        self._work = np.empty((0, ell.size))
         forms = [_exponential_form([g]) for g, _H in problem.forcing_parts]
         # (amplitude, rate) of each constant or exponential part, None for the others
         self.forms = [None if f is None else (f[0][0], f[1][0]) for f in forms]
@@ -490,22 +532,17 @@ class _SpectralGap:
             None if f is None else _ExpDifference(-ell, f[1], gap=-(ell + f[1]))
             for f in self.forms
         ]
-        self.generic = any(form is None for form in self.forms)
 
-    def rung(self, m: SelectedSpectralMinimizer) -> _Rung:
-        """The rung's roots, on the distinct values already, and each part's t-independent terms."""
-        r = m.roots
-        slow, fast, z = r.slow, r.fast, r.disc_sqrt
-        slow_sq = slow * slow
-        parts = [
-            g.shifted_tail(fast, 0.0, m.growth_rate) / z
-            if form is None
-            else _ExponentialGap(*form, self.ell, slow, fast, m.eps * slow_sq, m.growth_rate)
-            for (g, _H), form in zip(self.problem.forcing_parts, self.forms)
-        ]
-        if not self.generic:
-            fast = z = None  # only the generic route reads them per time
-        return _Rung(m.eps, slow, fast, z, slow_sq, float(slow.max()), m.growth_rate, parts)
+    @cached_property
+    def decay(self) -> np.ndarray:
+        """The work array of exp(-ell t), formed with the first flow."""
+        return np.empty(self.ell.shape)
+
+    def work(self, rows: int) -> np.ndarray:
+        """A (rows x values) work block, shared by the stacks, since one stack runs at a time."""
+        if self._work.shape[0] < rows:
+            self._work = np.empty((rows, self.ell.size))
+        return self._work[:rows]
 
     def flow(self, t: float) -> tuple:
         """(exp(-ell t), or None past the cap, and each part's flow term at t).
@@ -523,43 +560,121 @@ class _SpectralGap:
         ]
         return decay, terms
 
-    def gap_sq(self, m: _Rung, t: float, flow: tuple) -> float:
+    def gap_sq(self, stack: _Stack, t: float, flow: tuple) -> list:
+        """Each rung's squared distance at t, in stack order."""
         decay, terms = flow
-        a = np.multiply(m.slow_sq, m.eps * t, out=self.alpha)
+        a = np.multiply(stack.slow_sq, np.multiply(stack.eps, t), out=stack.alpha)
         if decay is not None:
-            _refuse_past_cap(m.slow_max * t)  # the largest exponent of exp(s t)
+            _refuse_past_cap(stack.slow_max * t)  # the largest exponent of exp(s t)
             np.expm1(a, out=a)
             a *= decay
-            grow = decay + a if self.problem.forcing_parts else None
+            past_cap = None
         else:
-            grow = _exp_guarded(np.multiply(m.slow, t, out=self.grow))
+            past_cap = np.empty(a.shape)
+            for row, m in zip(past_cap, stack.rungs):
+                np.multiply(m.roots.slow, t, out=row)
+            _exp_guarded(past_cap)
             np.negative(a, out=a)
             np.expm1(a, out=a)
-            a *= grow
+            a *= past_cap
             np.negative(a, out=a)
+
+        def grow():
+            # exp(s t); within the cap formed where it is read, so no block of it stays
+            return decay + a if past_cap is None else past_cap
+
         x = [a]
-        for (g, _H), part, term in zip(self.problem.forcing_parts, m.parts, terms):
+        for (g, _H), part, term in zip(self.problem.forcing_parts, stack.parts, terms):
             if isinstance(part, _ExponentialGap):
                 x.append(part(t, a, grow, term) if t > 0.0 else np.zeros(a.shape))
                 continue
-            b = g.duhamel(m.slow, t)
-            b += g.shifted_tail(m.fast, t, m.growth_rate)
-            b /= m.disc_sqrt
+            b = np.empty(a.shape)
+            for row, m in zip(b, stack.rungs):
+                r = m.roots
+                np.add(g.duhamel(r.slow, t), g.shifted_tail(r.fast, t, m.growth_rate), out=row)
+                row /= r.disc_sqrt
             b -= term
-            b -= grow * part
+            b -= grow() * part
             x.append(b)
         # y_i = sum_{k >= i} R_ik x_k, formed in place of x_i, which no later row reads
-        total = 0.0
+        totals = [0.0] * len(stack.rungs)
         for i, (row, y) in enumerate(zip(self.factor, x)):
             y *= row[i]
             for r, xk in zip(row[i + 1 :], x[i + 1 :]):
                 y += r * xk
-            total += float(np.dot(y, y))
-        return total
+            # one call for the stack: vecdot forms each rung's y . y as np.dot does, bit for bit
+            for k, sq in enumerate(np.vecdot(y, y).tolist()):
+                totals[k] += sq
+        return totals
+
+    def sweep(self, live: dict, times) -> dict:
+        """Per index of live, the rung's sup distance over times, or the exception that stopped it.
+
+        The rungs run in stacks of at most _STACK_VALUES values, in ladder
+        order, which share one work block.  A stack that refuses, when
+        built or at a time t, is taken apart: each rung is built, and
+        evaluated at t, alone; a refusal there is that rung's failure, and
+        the others are stacked again.
+        """
+        sups = dict.fromkeys(live, 0.0)
+        ids = list(live)
+        per = max(1, _STACK_VALUES // self.ell.size)
+        self.work(min(per, len(ids)))  # the largest stack's, before any stack is built
+        stacks = []
+        for lo in range(0, len(ids), per):
+            group = ids[lo : lo + per]
+            try:
+                stacks.append((group, _Stack(self, [live[i] for i in group])))
+            except Exception:
+                stacks += self._apart(group, live, sups)
+        for t in times:
+            if not stacks:
+                break
+            t = float(t)
+            try:
+                flow = self.flow(t)
+            except Exception as exc:
+                for group, _stack in stacks:
+                    sups.update(dict.fromkeys(group, exc))
+                break
+            running = []
+            for group, stack in stacks:
+                try:
+                    self._take(group, stack, t, flow, sups)
+                except Exception:
+                    running += self._apart(group, live, sups, t, flow)
+                else:
+                    running.append((group, stack))
+            stacks = running
+        return sups
+
+    def _take(self, group, stack, t, flow, sups) -> None:
+        """Fold the stack's distances at t into the sups of its rungs, indexed by group."""
+        for i, total in zip(group, self.gap_sq(stack, t, flow)):
+            sups[i] = max(sups[i], math.sqrt(total))
+
+    def _apart(self, group, live, sups, t=None, flow=None) -> list:
+        """[(survivors, their stack)] after each rung of group was built, and taken at t, alone."""
+        survivors = []
+        for i in group:
+            try:
+                stack = _Stack(self, [live[i]])
+                if t is not None:
+                    self._take([i], stack, t, flow, sups)
+            except Exception as exc:
+                sups[i] = exc
+            else:
+                survivors.append(i)
+        if not survivors:
+            return []
+        return [(survivors, _Stack(self, [live[i] for i in survivors]))]
 
 
 # values per batched QR of _fold: a chunk of 4096 pairs of nodes is a 128 KiB block per column
 _FOLD_CHUNK = 4096
+# values per stack of rungs in the sweep (_SpectralGap.sweep), so a (rungs x values) block
+# is at most 128 KiB: stacking gains least on wide rungs (measured table in ROADMAP)
+_STACK_VALUES = 16384
 
 
 def _fold(weights, columns, distinct) -> np.ndarray:
@@ -595,47 +710,26 @@ def _fold(weights, columns, distinct) -> np.ndarray:
 
 
 def _spectral_study(problem, ladder, norm, times, spec):
-    """The rungs side by side: per time, the flow's terms once, then each rung's gap.
+    """The rungs side by side: per time, the flow's terms once, then each stack's gaps.
 
     No trajectory value is formed: the distances come from the real kernels
     of _SpectralGap.  Each rung is its minimizer, which holds its roots and
-    its t = 0 tail and nothing per time: a (times x nodes) block would be
-    as large as the whole sampled field.  It runs serially: building a
-    rung or its closed-form energy takes about a millisecond.
+    its initial coefficient and nothing per time: a (times x nodes) block
+    would be as large as the whole sampled field.  The nodes fold before any rung
+    is built, so the fold's temporaries never sit on top of the rungs'
+    roots.  It runs serially: building a rung or its closed-form energy
+    takes about a millisecond.
     """
+    w = problem.grid.weights
+    if norm == "sup_vl":
+        # the graph-norm weights of vl_norm, needed only while the nodes fold
+        w = w * (1.0 + np.abs(problem.symbol_values))
+    gaps = [_SpectralGap(problem, w)]
+    del w
 
     def sweep(live):
-        w = problem.grid.weights
-        if norm == "sup_vl":
-            # the graph-norm weights of vl_norm, needed only while the nodes fold
-            w = w * (1.0 + np.abs(problem.symbol_values))
-        # built per sweep, so its work arrays are freed before the energies
-        gap = _SpectralGap(problem, w)
-        del w
-        sups = dict.fromkeys(live, 0.0)
-        rungs = {}
-        for i, m in live.items():
-            try:
-                rungs[i] = gap.rung(m)
-            except Exception as exc:
-                sups[i] = exc
-        for t in times:
-            t = float(t)
-            running = [i for i in live if not isinstance(sups[i], Exception)]
-            if not running:
-                break
-            try:
-                flow = gap.flow(t)
-            except Exception as exc:
-                for i in running:
-                    sups[i] = exc
-                break
-            for i in running:
-                try:
-                    sups[i] = max(sups[i], math.sqrt(gap.gap_sq(rungs[i], t, flow)))
-                except Exception as exc:
-                    sups[i] = exc
-        return sups
+        # popped, so that its blocks and work arrays are freed before the energies
+        return gaps.pop().sweep(live, times)
 
     def finish(eps, m, sup):
         energy, _crossed, source = m.energy(spec)

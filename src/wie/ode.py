@@ -20,7 +20,7 @@ import numpy as np
 
 from .forcing import ForcingTerm, _time_array
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, _ReadOnly
-from .spectral import SelectedSpectralMinimizer, SemigroupSolution, _distinct
+from .spectral import SelectedSpectralMinimizer, SemigroupSolution, _Distinct, _distinct
 
 __all__ = [
     "OdeProblem",
@@ -73,7 +73,7 @@ class _ModalView(NamedTuple):
     """
 
     symbol_values: np.ndarray
-    distinct: tuple  # spectral._Distinct of symbol_values
+    distinct: _Distinct  # of symbol_values
     weights: np.ndarray
     initial_hat: np.ndarray
     forcing_parts: tuple  # (profile, eigenbasis coordinates of the part's vector)

@@ -484,7 +484,7 @@ def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):
     np.square(sq, out=sq)
     sq /= gap_ss
     if not rates:
-        factor = eps * s
+        factor = np.multiply(s, eps, out=gap_ss)  # p - 2 s is read no more
         factor *= s
         factor += ell
         sq *= factor

@@ -139,15 +139,17 @@ class FrequencyGrid(_ReadOnly):
 # ---- Problems ----
 
 
-class _Distinct(NamedTuple):
+class _Distinct:
     """The distinct values of a node array and where its nodes sit among them.
 
     values are ascending and values[inverse] is the node array again.
-    Values that compare equal are one value, the first node's.
+    Values that compare equal are one value, the first node's.  A plain
+    class: it is read only by attribute.
     """
 
-    values: np.ndarray
-    inverse: np.ndarray
+    def __init__(self, values: np.ndarray, inverse: np.ndarray):
+        self.values = values
+        self.inverse = inverse
 
 
 def _distinct(node_values: np.ndarray) -> _Distinct:
@@ -404,10 +406,13 @@ class SelectedSpectralMinimizer:
     (problem.distinct), and so is every kernel of an evaluation; a value
     reaches the nodes by one gather (_nodes), which gives each node the
     bits of its own per-node evaluation.  Every call evaluates afresh; only
-    the tail at t = 0 is kept, for the initial correction.  An unforced
-    problem has no convolution and no tail (tail0 is None); value adds
-    +0.0 in their place, and state adds nothing, so its zeros may keep a
-    negative sign.  The returned arrays are new; every further step runs in
+    the initial coefficient corrected by the tail at t = 0 (slow_initial)
+    is kept, formed on the first evaluation, while construction refuses a
+    tail rate as that tail would: a study that reads only the roots and
+    the closed-form energy never forms it.  An unforced problem has no
+    convolution and no tail, so slow_initial is the initial data itself;
+    value adds +0.0 in their place, and state adds nothing, so its zeros
+    may keep a negative sign.  The returned arrays are new; every further step runs in
     place on them, in the dtype of the data.  value() also takes a 1-D
     array of times and returns one row per time, row k bit for bit
     value(t[k]).
@@ -430,10 +435,14 @@ class SelectedSpectralMinimizer:
             raise
         self._inverse = distinct.inverse
         self.growth_rate = problem.amplitude_growth_rate
-        self.tail0 = self._tail(0.0)
-        self.slow_initial = problem.initial_hat
-        if self.tail0 is not None:
-            self.slow_initial = self.slow_initial - self.tail0
+        for profile, _H in problem.forcing_parts:
+            profile.check_tail(self.roots.fast, self.growth_rate)
+
+    @cached_property
+    def slow_initial(self) -> np.ndarray:
+        """The initial data less the tail at t = 0."""
+        tail0 = self._tail(0.0)
+        return self.problem.initial_hat if tail0 is None else self.problem.initial_hat - tail0
 
     def _nodes(self, per_value: np.ndarray) -> np.ndarray:
         """A new array of the values' entries (last axis) gathered onto the nodes."""

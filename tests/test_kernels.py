@@ -477,3 +477,33 @@ def test_second_difference_takes_many_rates_at_once():
             want = Decimal(0.5) * d[3]
             tol = Decimal(8 * 2.0**-52 * (1.0 + t * max(abs(a), abs(a + b), abs(x2))))
             assert abs(Decimal(float(g)) - want) <= tol * abs(want)
+
+
+@given(
+    x0=st.lists(st.floats(-6.0, 2.0), min_size=1, max_size=6),
+    rows=st.integers(1, 4),
+    x2=st.floats(-3.0, 3.0),
+    weight=st.floats(0.1, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=200)
+def test_difference_kernels_give_a_block_each_rows_own_bits(x0, rows, x2, weight, seed):
+    # a block of rate rows takes one Taylor order over the whole block and its series
+    # in chunks; every entry keeps the bits of its row's kernel alone, at every time,
+    # also where a chunk holds one lone rate
+    rng = np.random.default_rng(seed)
+    x0 = np.array(x0)
+    delta = np.where(rng.uniform(size=(rows, x0.size)) < 0.2, 0.0, rng.uniform(0.0, 3.0, (rows, x0.size)))
+    block = _ExpSecondDifference(x0, delta, x2, weight)
+    alone = [_ExpSecondDifference(x0, d, x2, weight) for d in delta]
+    first = _ExpDifference(float(delta.max()), x2, gap=delta - (x2 - x0))
+    first_alone = [_ExpDifference(float(d.max()), x2, gap=d - (x2 - x0)) for d in delta]
+    e01, d12 = rng.uniform(-1.0, 1.0, (2, rows, x0.size))
+    d02 = rng.uniform(-1.0, 1.0, x0.size)
+    for t in np.geomspace(0.01, 20.0, 40):
+        got = block(float(t), e01, d12, d02)
+        got_first = first(float(t), np.exp(x0 * t) + 0.0 * delta)
+        for k in range(rows):
+            want = alone[k](float(t), e01[k], d12[k], d02)
+            assert got[k].tobytes() == want.tobytes()
+            assert got_first[k].tobytes() == first_alone[k](float(t), np.exp(x0 * t)).tobytes()

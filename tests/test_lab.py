@@ -2,8 +2,10 @@
 
 import math
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -242,6 +244,8 @@ class TestFitRate:
     def test_degenerate_inputs(self):
         assert fit_rate([0.1], [0.5]) == (None, None)
         assert fit_rate([0.1, 0.05], [0.0, 0.0]) == (None, None)
+        # two eps one ulp-scale apart make the weighted normal matrix singular
+        assert fit_rate([1.0000000000000003e-05, 1e-05], [1.0, 2.0]) == (None, None)
 
 
 class TestConvergenceStudy:
@@ -323,11 +327,10 @@ class TestSpectralStudy:
                 lambda self, *args, _k=kernel, **kw: calls.append(_k) or _k(self, *args, **kw),
             )
         gap = lab._SpectralGap(prob, prob.grid.weights)
-        folded = [gap.rung(m) for m in rungs]
+        stack = lab._Stack(gap, rungs)
         for t in np.linspace(0.0, 1.0, 11):
-            flow = gap.flow(float(t))
-            for rung in folded:
-                assert gap.gap_sq(rung, float(t), flow) >= 0.0
+            totals = gap.gap_sq(stack, float(t), gap.flow(float(t)))
+            assert len(totals) == len(rungs) and min(totals) >= 0.0
         assert calls == []
 
     def test_rung_refuses_a_tail_rate_below_the_growth_rate(self):
@@ -338,7 +341,7 @@ class TestSpectralStudy:
         m.growth_rate = 1e3  # above every fast root
         gap = lab._SpectralGap(prob, prob.grid.weights)
         with pytest.raises(DivergenceError) as got:
-            gap.rung(m)
+            lab._Stack(gap, [m])
         with pytest.raises(DivergenceError) as want:
             profile.shifted_tail(m.roots.fast, 0.0, m.growth_rate)
         assert str(got.value) == str(want.value)
@@ -356,15 +359,19 @@ class TestSpectralStudy:
         assert not report.verdicts["all_members_completed"]
 
     def test_rung_failing_mid_sweep_leaves_the_others(self, monkeypatch):
+        # the four rungs share one stack; the stack that holds eps = 1e-2 refuses
         gap_sq = lab._SpectralGap.gap_sq
+        stacked = []
 
-        def flaky(self, m, t, flow):
-            if m.eps == 1e-2 and t > 0.5:
+        def flaky(self, stack, t, flow):
+            stacked.append(len(stack.rungs))
+            if any(m.eps == 1e-2 for m in stack.rungs) and t > 0.5:
                 raise ExponentOverflowError("rung gave up")
-            return gap_sq(self, m, t, flow)
+            return gap_sq(self, stack, t, flow)
 
         monkeypatch.setattr(lab._SpectralGap, "gap_sq", flaky)
         report = convergence_study(_spectral_problem(), self.LADDER, 1.0)
+        assert stacked[0] == 4 and stacked[-1] == 3
         failed = [e for e in report.entries if e.failure is not None]
         assert [e.eps for e in failed] == [1e-2]
         assert failed[0].failure == "rung gave up"
@@ -406,7 +413,7 @@ class TestSpectralStudy:
         times = np.linspace(0.0, 1.0, 201)
         gap = lab._SpectralGap(prob, grid.weights)
         rung = minimizer_hat(prob, ladder[0])
-        folded = gap.rung(rung)
+        stack = lab._Stack(gap, [rung])
         flow = semigroup_solution(prob)
 
         def first_refusal(fn):
@@ -416,7 +423,7 @@ class TestSpectralStudy:
                 except ExponentOverflowError:
                     return float(t)
 
-        first = first_refusal(lambda t: gap.gap_sq(folded, t, gap.flow(t)))
+        first = first_refusal(lambda t: gap.gap_sq(stack, t, gap.flow(t)))
         assert 0.9 < first < 1.0
         assert first == first_refusal(rung.value)
         assert first_refusal(flow.value) is None
@@ -455,11 +462,11 @@ def _assert_gap_matches_the_difference_of_values(prob, eps, norm):
         w = w * (1.0 + np.abs(prob.symbol_values))
     gap = lab._SpectralGap(prob, w)
     rung = minimizer_hat(prob, eps)
-    folded = gap.rung(rung)
+    stack = lab._Stack(gap, [rung])
     flow = semigroup_solution(prob)
     for t in np.linspace(0.0, 1.5, 7):
         t = float(t)
-        got = math.sqrt(gap.gap_sq(folded, t, gap.flow(t)))
+        (got,) = map(math.sqrt, gap.gap_sq(stack, t, gap.flow(t)))
         selected, first_order = rung.value(t), flow.value(t)
         want = l2_norm(selected - first_order, w)
         scale = l2_norm(selected, w) + l2_norm(first_order, w)
@@ -577,8 +584,170 @@ def test_a_large_group_folds_into_one_small_triangle():
     assert gap.factor.size <= distinct * 2**2
     rung = minimizer_hat(prob, 1e-2)
     want = l2_norm(rung.value(0.5) - semigroup_solution(prob).value(0.5), grid.weights)
-    got = math.sqrt(gap.gap_sq(gap.rung(rung), 0.5, gap.flow(0.5)))
+    (got,) = map(math.sqrt, gap.gap_sq(lab._Stack(gap, [rung]), 0.5, gap.flow(0.5)))
     assert abs(got - want) <= 1e-13 * want
+
+
+_LADDERS = st.lists(st.floats(1e-5, 0.2), min_size=1, max_size=5, unique=True).map(
+    lambda eps: sorted(eps, reverse=True)
+)
+
+
+def _counting_stacks(sizes):
+    """A stand-in for lab._Stack that records how many rungs each stack is built with."""
+    stack = lab._Stack
+
+    def counted(gap, rungs):
+        sizes.append(len(rungs))
+        return stack(gap, rungs)
+
+    return mock.patch.object(lab, "_Stack", counted)
+
+
+@given(
+    n=st.sampled_from([8, 16, 32]),
+    dx=st.floats(0.05, 1.0),
+    order=st.one_of(st.none(), st.floats(0.1, 0.9)),
+    ladder=_LADDERS,
+    profiles=st.lists(_profiles(), min_size=0, max_size=2),
+    norm=st.sampled_from(["sup_uniform", "sup_vl"]),
+    per_stack=st.sampled_from([1, 2, None]),
+)
+# every rung past the exponent cap after t = 0.2, one forced by a power profile
+@example(
+    n=32,
+    dx=0.05,
+    order=None,
+    ladder=[0.2, 1e-2, 1e-3, 1e-4],
+    profiles=[power_profile(0.5, 1.5)],
+    norm="sup_vl",
+    per_stack=None,
+)
+@settings(deadline=None, max_examples=40)
+def test_stacked_study_gives_the_bits_of_one_rung_studies(
+    n, dx, order, ladder, profiles, norm, per_stack
+):
+    # stacks of one, of two and of every rung: each entry is bit for bit its rung's
+    # in a study of its own
+    grid = FrequencyGrid.uniform_fft(n, dx)
+    xi = grid.nodes
+    forcing = ForcingTerm.from_multipliers(
+        [(g, lambda xi, v=v: np.exp(-0.5 * v * xi**2)) for g, v in zip(profiles, (0.7, 1.9))]
+    )
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbols.classical() if order is None else symbols.fractional(order),
+        initial_hat=(1.0 - 0.5j) * np.exp(-0.5 * xi**2),
+        forcing=forcing,
+    )
+    per_stack = per_stack or len(ladder)
+    sizes = []
+    budget = per_stack * prob.distinct.values.size
+    with mock.patch.object(lab, "_STACK_VALUES", budget), _counting_stacks(sizes):
+        together = convergence_study(prob, ladder, 1.0, norm=norm, time_points=21)
+    assert sizes[0] == min(per_stack, len(ladder))
+    for entry, eps in zip(together.entries, ladder):
+        (alone,) = convergence_study(prob, [eps], 1.0, norm=norm, time_points=21).entries
+        assert repr(entry.as_dict()) == repr(alone.as_dict())
+
+
+def test_forced_rung_past_the_cap_fails_alone_in_a_shared_stack(monkeypatch):
+    # as test_rung_growing_past_the_cap_fails_alone, with an exponential part and a
+    # third rung: the edge rung's own exp(s t) passes the cap near t = 0.93 while its
+    # stack-mates stay near 654; tiny data keep every norm finite
+    grid = FrequencyGrid.uniform_fft(64, 0.25)
+    tiny = lambda xi: 1e-300 * np.exp(-0.5 * xi**2)  # noqa: E731
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbols.custom(lambda xi: xi * xi - 650.0),
+        initial_hat=tiny(grid.nodes).astype(complex),
+        forcing=ForcingTerm.from_multipliers([(exponential_profile(0.5, -1.0), tiny)]),
+    )
+    ladder = [1.8e-4, 1e-5, 5e-6]
+    apart = []
+    take_apart = lab._SpectralGap._apart
+
+    def spied(self, group, live, sups, t=None, flow=None):
+        apart.append((list(group), t))
+        return take_apart(self, group, live, sups, t, flow)
+
+    monkeypatch.setattr(lab._SpectralGap, "_apart", spied)
+    report = convergence_study(prob, ladder, 1.0)
+    ((group, when),) = apart
+    assert group == [0, 1, 2]
+    # the time is the first where the rung alone refuses
+    gap = lab._SpectralGap(prob, grid.weights)
+    alone = lab._Stack(gap, [minimizer_hat(prob, ladder[0])])
+    refused = []
+    for t in np.linspace(0.0, 1.0, 201):
+        try:
+            gap.gap_sq(alone, float(t), gap.flow(float(t)))
+        except ExponentOverflowError:
+            refused.append(float(t))
+    assert 0.9 < when == refused[0] < 1.0
+    edge, *inner = report.entries
+    assert edge.failure == "a mode grows past exp(700) at the requested time; shorten the horizon"
+    assert all(e.failure is None and 0.0 < e.sup_error < math.inf for e in inner)
+    for entry, eps in zip(report.entries, ladder):
+        (solo,) = convergence_study(prob, [eps], 1.0).entries
+        assert repr(entry.as_dict()) == repr(solo.as_dict())
+
+
+@pytest.mark.parametrize(
+    "recipe, values, sizes",
+    [(workloads.spectral_forced, 2049, [4]), (workloads.spectral_wide, 32769, [1, 1, 1, 1])],
+)
+def test_stacks_hold_at_most_the_values_budget(recipe, values, sizes):
+    # the four rungs of a 4096-node grid share one stack; a rung of 32769 values is
+    # a stack of its own
+    prob = validate_config(recipe(1)).spectral_problem
+    assert prob.distinct.values.size == values
+    built = []
+    with _counting_stacks(built):
+        report = convergence_study(prob, TestSpectralStudy.LADDER, 1.0, time_points=3)
+    assert report.verdicts["all_members_completed"]
+    assert built == sizes
+
+
+class TestStackMemoryGuard:
+    """Transient memory of a stack of four forced rungs against a stack of one.
+
+    Figures are tracemalloc counts in units of one float array of a rung's
+    values (the distinct symbol values).
+    """
+
+    def _traced(self, call, unit):
+        """(result, retained, peak) of call, the last two above the memory traced before it."""
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = call()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, (after - before) / unit, (peak - before) / unit
+
+    def test_a_stack_is_built_within_one_rungs_temporaries(self):
+        # blocks allocated once and filled rung by rung: the peak above the blocks kept
+        # is what building one rung takes, where blocks formed whole would hold four
+        # rungs' temporaries at once
+        prob = validate_config(workloads.spectral_forced(1)).spectral_problem
+        rungs = [minimizer_hat(prob, eps) for eps in TestSpectralStudy.LADDER]
+        gap = lab._SpectralGap(prob, prob.grid.weights)
+        gap.work(len(rungs))  # as the sweep does before any stack is built
+        unit = 8 * prob.distinct.values.size
+        one, one_kept, one_peak = self._traced(lambda: lab._Stack(gap, rungs[:1]), unit)
+        four, kept, peak = self._traced(lambda: lab._Stack(gap, rungs), unit)
+        assert kept <= 4.0 * one_kept + 0.5
+        assert peak - kept <= one_peak - one_kept + 1.0
+        # an evaluation holds about one more block per rung than a stack of one does:
+        # the stack forms its Taylor terms in chunks of 2/k of a rung's values
+        t = float(TestSpectralStudy.LADDER[-1]) * 50.0  # every rate takes the series
+        flow = gap.flow(t)
+        _, _, one_eval = self._traced(lambda: gap.gap_sq(one, t, flow), unit)
+        _, _, four_eval = self._traced(lambda: gap.gap_sq(four, t, flow), unit)
+        assert four_eval <= one_eval + len(rungs)
 
 
 def test_fold_in_chunks_gives_the_bits_of_one_batch(monkeypatch):

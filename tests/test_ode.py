@@ -142,7 +142,8 @@ class TestModalView:
 class TestSelectionInitial:
     def test_zero_forcing_selects_zero(self):
         m = selected_minimizer(_problem([[1.0]], [0.5]), 0.1)
-        assert m._solver.tail0 is None
+        # no tail corrects the initial coefficient: it is the initial data itself
+        assert m._solver.slow_initial is m._solver.problem.initial_hat
         np.testing.assert_array_equal(m._solver.slow_initial, [0.5])
 
     def test_constant_forcing_closed_form(self):
@@ -152,7 +153,8 @@ class TestSelectionInitial:
         m = selected_minimizer(_problem(A, [0.0, 0.0], forcing), 0.05)
         sp = m.spectrum
         want = m.eigen.project(forcing.vector(0.0)) / sp.disc_sqrt / sp.fast
-        np.testing.assert_allclose(m._solver.tail0, want, rtol=1e-10)
+        # the initial state is zero, so the corrected coefficient is minus the tail
+        np.testing.assert_allclose(-m._solver.slow_initial, want, rtol=1e-10)
 
 
 class TestSelectedMinimizer:

@@ -22,6 +22,7 @@ from wie.forcing import (
 from wie.lab import convergence_study
 from wie.quadrature import (
     DEFAULT_SPEC,
+    DivergenceError,
     ExponentOverflowError,
     _exp_guarded,
     _laguerre_rule,
@@ -224,6 +225,25 @@ class TestSemigroup:
 
 
 class TestSelectedMinimizer:
+    def test_tail_is_checked_at_construction_and_formed_on_first_evaluation(self):
+        # a part growing at rate 5 outruns the fast roots near 1/eps = 2 at eps = 0.5:
+        # construction refuses as the tail at t = 0 does, with its message
+        profile = exponential_profile(0.7, 5.0)
+        prob = _gaussian_problem(
+            _grid(), forcing=ForcingTerm.from_multipliers([(profile, lambda xi: np.exp(-(xi**2)))])
+        )
+        with pytest.raises(DivergenceError) as got:
+            minimizer_hat(prob, 0.5)
+        fast = root_data(prob.distinct.values, 0.5).fast
+        with pytest.raises(DivergenceError) as want:
+            profile.shifted_tail(fast, 0.0, prob.amplitude_growth_rate)
+        assert str(got.value) == str(want.value)
+        # an admissible rung forms its initial coefficient only when a value is asked for
+        m = minimizer_hat(prob, 0.05)
+        assert "slow_initial" not in vars(m)
+        m.value(0.5)
+        assert "slow_initial" in vars(m)
+
     def test_starts_at_initial_data(self):
         g = _grid()
         prob = _gaussian_problem(g)

@@ -592,6 +592,10 @@ def validate_config(raw: Any) -> ExperimentConfig:
             if "field_times" in out:
                 ft = _vector(c, out["field_times"], "output.field_times")
                 if ft is not None:
+                    # the selection problem is posed on the half-line t >= 0
+                    for i, t in enumerate(ft):
+                        if t < 0.0:
+                            c.fail(f"output.field_times[{i}]", "must be nonnegative")
                     field_times = ft
 
     fields: dict = {}
@@ -772,7 +776,7 @@ SCHEMA = {
         },
         "output": {
             "write_field": "bool; spectral mode dumps field.bin + field_meta.json",
-            "field_times": "list of sample times (default: 9 evenly spaced)",
+            "field_times": "list of nonnegative sample times (default: 9 evenly spaced)",
         },
         "numbers": "every numeric field also accepts a decimal string, e.g. \"1e-4\"",
     },

@@ -290,6 +290,8 @@ def fit_rate(epsilons: Sequence[float], errors: Sequence[float]):
         cov = np.linalg.inv(XtW @ X)
     except np.linalg.LinAlgError:
         return None, None  # the logs of the eps are too close to tell two apart
+    if not cov[1, 1] > 0.0:
+        return None, None  # so close that the inverse lost its sign
     beta = cov @ (XtW @ y)
     resid = y - X @ beta
     dof = max(int(keep.sum()) - 2, 1)
@@ -475,7 +477,8 @@ class _Stack:
         self.slow_sq = np.empty(shape)
         for row, m in zip(self.slow_sq, rungs):
             np.multiply(m.roots.slow, m.roots.slow, out=row)
-        self.slow_max = max(float(m.roots.slow.max()) for m in rungs)
+        self.slow_maxima = [float(m.roots.slow.max()) for m in rungs]
+        self.slow_max = max(self.slow_maxima)
         self.alpha = gap.work(len(rungs))
         delta = np.multiply(self.slow_sq, self.eps, out=self.alpha)
         self.parts = []
@@ -611,50 +614,111 @@ class _SpectralGap:
         """Per index of live, the rung's sup distance over times, or the exception that stopped it.
 
         The rungs run in stacks of at most _STACK_VALUES values, in ladder
-        order, which share one work block.  A stack that refuses, when
-        built or at a time t, is taken apart: each rung is built, and
-        evaluated at t, alone; a refusal there is that rung's failure, and
-        the others are stacked again.
+        order, which share one work block.  The sweep goes in rounds: each
+        round forms the flow once per time that some stack needs, in
+        ascending order, and evaluates only the stacks that need it.  A
+        forced stack needs every time in the first round, and then none.
+
+        An unforced stack bisects the grid.  It needs the first and last
+        times, then, round by round, the midpoint of every interval
+        [t_a, t_b] between two evaluated times that one of its rungs cannot
+        rule out.  For 0 < t_a <= t <= t_b a rung's distance N obeys
+
+            N(t) <= N(t_a) (t_b/t_a) exp(max(s_max, 0) (t_b - t_a)),
+
+        since per value a(t)/a(t_a) = exp(-ell (t - t_a)) expm1(delta t)/expm1(delta t_a)
+        <= (t/t_a) exp(s (t - t_a)) by delta >= 0 and phi1(x + y) <= e^y phi1(x)
+        for y >= 0, and N^2 = sum_u R_u^2 a_u^2.  A rung rules the interval
+        out when that bound, raised by _BOUND_MARGIN, lies below the largest
+        distance it has so far (_rules_out).  So sup_error is still the
+        maximum of the grid values: every skipped time lies below one that
+        was evaluated, and each evaluated one has the bits of the full walk.
+        A forced stack has no such bound: b_j(t) can change sign.
+
+        A stack that refuses, when built or at a time t, is taken apart:
+        each rung is built, and evaluated at t, alone; a refusal there is
+        that rung's failure, and the others are stacked again, with the
+        times and intervals the stack still had open.  Every refusal of an
+        unforced stack or of the flow starts at some time and holds at every
+        later one, with one message, so evaluating the last time first fails
+        the rungs the full walk fails, with the same text.
         """
-        sups = dict.fromkeys(live, 0.0)
+        sups = {i: {} for i in live}  # per rung, its distance at each time evaluated
         ids = list(live)
         per = max(1, _STACK_VALUES // self.ell.size)
         self.work(min(per, len(ids)))  # the largest stack's, before any stack is built
+        times = [float(t) for t in times]
+        last = len(times) - 1
+        bisect = not self.problem.forcing_parts and last > 1
+        # per stack: [its rungs' indices, the stack, the times it needs this round, its intervals]
         stacks = []
         for lo in range(0, len(ids), per):
             group = ids[lo : lo + per]
             try:
-                stacks.append((group, _Stack(self, [live[i] for i in group])))
+                stack = _Stack(self, [live[i] for i in group])
             except Exception:
-                stacks += self._apart(group, live, sups)
-        for t in times:
-            if not stacks:
-                break
-            t = float(t)
+                group, stack = self._apart(group, live, sups)
+            if group:
+                need = {0, last} if bisect else set(range(len(times)))
+                stacks.append([group, stack, need, [(0, last)] if bisect else []])
+        scale = float(np.abs(self.factor[0, 0]).max())
+        # a term R_u a_u that underflow touched is off by about R_u 2**-1074: while N(t_a)^2
+        # is above this floor, all of them move N(t_a) by far less than _BOUND_MARGIN
+        floor = self.ell.size * max(scale * scale, 1.0) * 2.0**-1022 / _BOUND_MARGIN
+        while stacks and self._round(stacks, times, live, sups):
+            running = []
+            for group, stack, _need, spans in stacks:
+                if not group:
+                    continue  # every rung of the stack failed
+                # an interval stays open while one rung cannot rule it out
+                rungs = [
+                    (sups[i], max(s, 0.0), max([0.0, *sups[i].values()]))
+                    for i, s in zip(group, stack.slow_maxima)
+                ]
+                spans = [
+                    (a, b)
+                    for a, b in spans
+                    if b - a > 1
+                    and not all(
+                        _rules_out(seen, times[a], times[b], growth, floor, best)
+                        for seen, growth, best in rungs
+                    )
+                ]
+                if spans:
+                    mids = [(a + b) // 2 for a, b in spans]
+                    halves = [h for (a, b), m in zip(spans, mids) for h in ((a, m), (m, b))]
+                    running.append([group, stack, set(mids), halves])
+            stacks = running
+        return {
+            i: s if isinstance(s, Exception) else max([0.0, *s.values()]) for i, s in sups.items()
+        }
+
+    def _round(self, stacks, times, live, sups) -> bool:
+        """Evaluate each stack at the times it needs; False, all failed, if the flow refuses."""
+        for k in sorted(set().union(*(need for _group, _stack, need, _spans in stacks))):
+            t = times[k]
             try:
                 flow = self.flow(t)
             except Exception as exc:
-                for group, _stack in stacks:
+                for group, *_rest in stacks:
                     sups.update(dict.fromkeys(group, exc))
-                break
-            running = []
-            for group, stack in stacks:
-                try:
-                    self._take(group, stack, t, flow, sups)
-                except Exception:
-                    running += self._apart(group, live, sups, t, flow)
-                else:
-                    running.append((group, stack))
-            stacks = running
-        return sups
+                return False
+            for entry in stacks:
+                group, stack, need, _spans = entry
+                if group and k in need:
+                    try:
+                        self._take(group, stack, t, flow, sups)
+                    except Exception:
+                        entry[:2] = self._apart(group, live, sups, t, flow)
+        return True
 
     def _take(self, group, stack, t, flow, sups) -> None:
-        """Fold the stack's distances at t into the sups of its rungs, indexed by group."""
+        """Record the stack's distances at t with its rungs, indexed by group."""
         for i, total in zip(group, self.gap_sq(stack, t, flow)):
-            sups[i] = max(sups[i], math.sqrt(total))
+            sups[i][t] = math.sqrt(total)
 
-    def _apart(self, group, live, sups, t=None, flow=None) -> list:
-        """[(survivors, their stack)] after each rung of group was built, and taken at t, alone."""
+    def _apart(self, group, live, sups, t=None, flow=None) -> tuple:
+        """(survivors, their stack or None) once each rung was built, and taken at t, alone."""
         survivors = []
         for i in group:
             try:
@@ -666,8 +730,26 @@ class _SpectralGap:
             else:
                 survivors.append(i)
         if not survivors:
-            return []
-        return [(survivors, _Stack(self, [live[i] for i in survivors]))]
+            return [], None
+        return survivors, _Stack(self, [live[i] for i in survivors])
+
+
+def _rules_out(seen: dict, ta: float, tb: float, growth: float, floor: float, best: float) -> bool:
+    """Whether a rung's distance provably stays below best strictly between ta and tb.
+
+    seen holds the rung's distance at each evaluated time, ta among them.
+    At ta = 0 the distance is 0 and bounds nothing.  A left end whose square
+    lies below floor may have lost terms to underflow.  An inf or NaN bound
+    rules nothing out.  The rung was evaluated at the last time, so
+    growth * tb stays within the exponent cap and exp() cannot overflow.
+    """
+    if ta == 0.0:
+        return False
+    left = seen[ta]
+    if not left * left >= floor:
+        return False
+    bound = left * (tb / ta) * math.exp(growth * (tb - ta))
+    return bound * (1.0 + _BOUND_MARGIN) < best
 
 
 # values per batched QR of _fold: a chunk of 4096 pairs of nodes is a 128 KiB block per column
@@ -675,6 +757,11 @@ _FOLD_CHUNK = 4096
 # values per stack of rungs in the sweep (_SpectralGap.sweep), so a (rungs x values) block
 # is at most 128 KiB: stacking gains least on wide rungs (measured table in ROADMAP)
 _STACK_VALUES = 16384
+# relative slack of the growth bound of the bisecting sweep (_SpectralGap.sweep).  Each
+# distance it compares carries the rounding of exp and expm1 at arguments up to
+# EXPONENT_CAP: about 700 ulps, 1.6e-13 relative, and as much again for the bound's own
+# exp.  2**-30 (9.3e-10) covers their sum many times over and skips no fewer times.
+_BOUND_MARGIN = 2.0**-30
 
 
 def _fold(weights, columns, distinct) -> np.ndarray:

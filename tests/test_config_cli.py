@@ -428,6 +428,18 @@ class TestCliRun:
         values = np.frombuffer(blob, dtype="<c16").reshape(3, 32)
         assert np.all(np.isfinite(values.view(float)))
 
+    def test_negative_field_time_is_refused(self, tmp_path, capsys):
+        # the selection problem is posed for t >= 0: no continuation to t = -1 is dumped
+        raw = json.loads((GOLDEN / "spectral_unforced_field" / "config.json").read_text())
+        raw["output"]["field_times"] = ["-1.0", "0.5"]
+        out = tmp_path / "out"
+        assert cli.main(["run", _write(tmp_path, raw), "--out-dir", str(out)]) == 2
+        assert "output.field_times[0]: must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert err.value.violations == ["output.field_times[0]: must be nonnegative"]
+
     def test_validate_subcommand(self, tmp_path, capsys):
         good = _write(tmp_path, _ode_config(), "good.json")
         assert cli.main(["validate", good]) == 0

@@ -246,6 +246,8 @@ class TestFitRate:
         assert fit_rate([0.1, 0.05], [0.0, 0.0]) == (None, None)
         # two eps one ulp-scale apart make the weighted normal matrix singular
         assert fit_rate([1.0000000000000003e-05, 1e-05], [1.0, 2.0]) == (None, None)
+        # or nearly singular, with an inverse whose variance entry comes out negative
+        assert fit_rate([1.000000000000002e-06, 1e-06], [1e-3, 2e-3]) == (None, None)
 
 
 class TestConvergenceStudy:
@@ -294,14 +296,21 @@ class TestSpectralStudy:
     LADDER = [1e-1, 1e-2, 1e-3, 1e-4]
 
     def test_one_reference_evaluation_per_time(self, monkeypatch):
+        # at most one flow per time; a forced study, which has no growth bound, takes
+        # every time, and an unforced one skips the times its bound rules out
         calls = []
         flow = lab._SpectralGap.flow
         monkeypatch.setattr(
             lab._SpectralGap, "flow", lambda self, t: calls.append(t) or flow(self, t)
         )
-        report = convergence_study(_spectral_problem(), self.LADDER, 1.0, time_points=201)
-        assert report.verdicts["all_members_completed"]
-        assert len(calls) == len(set(calls)) == 201
+        forced = _gaussian_forcing(constant_profile(0.7))
+        for forcing, taken in [(None, range(2, 201)), (forced, [201])]:
+            calls.clear()
+            report = convergence_study(
+                _spectral_problem(forcing=forcing), self.LADDER, 1.0, time_points=201
+            )
+            assert report.verdicts["all_members_completed"]
+            assert len(calls) == len(set(calls)) and len(calls) in taken
 
     def test_rungs_match_one_rung_at_a_time(self):
         # side by side, each rung gives the very floats it gives alone
@@ -691,6 +700,128 @@ def test_forced_rung_past_the_cap_fails_alone_in_a_shared_stack(monkeypatch):
     for entry, eps in zip(report.entries, ladder):
         (solo,) = convergence_study(prob, [eps], 1.0).entries
         assert repr(entry.as_dict()) == repr(solo.as_dict())
+
+
+def _walk_every_time(self, live, times):
+    """The sweep's reference: each rung alone, gap_sq at every time of the grid."""
+    sups = {}
+    for i, m in live.items():
+        try:
+            stack, best = lab._Stack(self, [m]), 0.0
+            for t in map(float, times):
+                (total,) = self.gap_sq(stack, t, self.flow(t))
+                best = max(best, math.sqrt(total))
+            sups[i] = best
+        except Exception as exc:
+            sups[i] = exc
+    return sups
+
+
+# 1e-6 to 0.2: with the symbol shifted down, only the small eps stay admissible
+_WIDE_LADDERS = st.lists(st.floats(-6.0, -0.7), min_size=1, max_size=5, unique=True).map(
+    lambda logs: sorted({10.0**x for x in logs}, reverse=True)
+)
+
+
+@given(
+    n=st.sampled_from([8, 16, 32]),
+    dx=st.floats(0.05, 1.0),
+    power=st.floats(0.5, 2.0),
+    shift=st.one_of(st.just(0.0), st.floats(0.0, 60.0), st.just(650.0)),
+    scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e100]),
+    ladder=_WIDE_LADDERS,
+    horizon=st.floats(0.1, 3.0),
+    time_points=st.integers(2, 1001),
+    norm=st.sampled_from(["sup_uniform", "sup_vl"]),
+    per_stack=st.sampled_from([1, 2, None]),
+)
+# symbol values down to -650: growing modes, the edge rung past the cap near t = 0.93
+@example(
+    n=32,
+    dx=0.25,
+    power=2.0,
+    shift=650.0,
+    scale=1e-300,
+    ladder=[1.8e-4, 1e-5],
+    horizon=1.0,
+    time_points=201,
+    norm="sup_uniform",
+    per_stack=None,
+)
+@settings(deadline=None, max_examples=100)
+def test_bisecting_sweep_reports_the_full_walk(
+    n, dx, power, shift, scale, ladder, horizon, time_points, norm, per_stack
+):
+    # the unforced sweep skips the times its growth bound rules out and reports, repr
+    # for repr, what gap_sq at every time reports, failures included
+    grid = FrequencyGrid.uniform_fft(n, dx)
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbols.custom(lambda xi: np.abs(xi) ** power - shift),
+        initial_hat=scale * (1.0 - 0.5j) * np.exp(-0.5 * grid.nodes**2),
+    )
+    budget = (per_stack or len(ladder)) * prob.distinct.values.size
+    study = lambda: convergence_study(  # noqa: E731
+        prob, ladder, horizon, norm=norm, time_points=time_points
+    ).as_dict()
+    # data of 1e100 grown by exp(650) overflow to inf, on both sides alike
+    with np.errstate(over="ignore"), mock.patch.object(lab, "_STACK_VALUES", budget):
+        bisected = study()
+        with mock.patch.object(lab._SpectralGap, "sweep", _walk_every_time):
+            walked = study()
+    assert repr(bisected) == repr(walked)
+
+
+def test_growth_bound_rules_out_only_what_it_proves():
+    # a rung's distance 1 at t = 0.5 bounds it by 2 exp(growth/2) on [0.5, 1]
+    floor, margin = 1e-300, lab._BOUND_MARGIN
+    seen = {0.0: 0.0, 0.5: 1.0}
+    assert lab._rules_out(seen, 0.5, 1.0, 0.0, floor, 2.0 * (1.0 + 2.0 * margin))
+    # within the margin of the best distance, or at t_a = 0, where the distance is 0
+    assert not lab._rules_out(seen, 0.5, 1.0, 0.0, floor, 2.0 * (1.0 + 0.5 * margin))
+    assert not lab._rules_out(seen, 0.0, 0.5, 0.0, floor, 1e300)
+    # a growing mode widens the bound by exp(s_max (t_b - t_a))
+    grown = 2.0 * math.exp(0.5 * 3.0)
+    assert lab._rules_out(seen, 0.5, 1.0, 3.0, floor, grown * (1.0 + 2.0 * margin))
+    assert not lab._rules_out(seen, 0.5, 1.0, 3.0, floor, 0.99 * grown)
+    # an inf or NaN left end, and one whose square may have lost terms to underflow
+    for left in (math.inf, math.nan, 1e-151):
+        assert not lab._rules_out({0.5: left}, 0.5, 1.0, 0.0, floor, math.inf)
+
+
+class TestSweepWorkGuard:
+    """Work of the sweep on the benchmark's recipes, 201 times and four rungs.
+
+    The counts repeat exactly.  spectral-wide (unforced, four stacks of one)
+    bisects: 80 of 201 flows, 304 of 804 rung evaluations.  spectral-forced
+    (one stack of four) takes every time once: 201 flows, 201 stack
+    evaluations.
+    """
+
+    def _count(self, monkeypatch, recipe):
+        flows, stacks, rungs = [], [], []
+        flow, gap_sq = lab._SpectralGap.flow, lab._SpectralGap.gap_sq
+
+        def counted(self, stack, t, terms):
+            stacks.append(t)
+            rungs.extend([t] * len(stack.rungs))
+            return gap_sq(self, stack, t, terms)
+
+        monkeypatch.setattr(lab._SpectralGap, "flow", lambda s, t: flows.append(t) or flow(s, t))
+        monkeypatch.setattr(lab._SpectralGap, "gap_sq", counted)
+        prob = validate_config(recipe(1)).spectral_problem
+        report = convergence_study(prob, TestSpectralStudy.LADDER, 1.0, time_points=201)
+        assert report.verdicts["all_members_completed"]
+        assert len(flows) == len(set(flows))
+        return len(flows), len(stacks), len(rungs)
+
+    def test_unforced_sweep_evaluates_at_most_half_the_grid(self, monkeypatch):
+        flows, _stacks, rungs = self._count(monkeypatch, workloads.spectral_wide)
+        assert flows <= 100 and rungs <= 402
+
+    def test_forced_sweep_takes_every_time_once(self, monkeypatch):
+        flows, stacks, rungs = self._count(monkeypatch, workloads.spectral_forced)
+        assert (flows, stacks, rungs) == (201, 201, 804)
 
 
 @pytest.mark.parametrize(

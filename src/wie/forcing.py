@@ -23,7 +23,7 @@ whose first two members K(1, .) and K(2, .) are the phi1 and phi2 functions
 of exponential integrators (Hochbruck and Ostermann, Acta Numerica 2010).
 For constant and exponential profiles the spectral sweep needs only the
 first and second divided differences of x -> exp(x t), over arrays of
-rates (_ExpDifference, _ExpSecondDifference).
+rates and blocks of times (_ExpDifference, _ExpSecondDifference).
 """
 
 from __future__ import annotations
@@ -91,16 +91,13 @@ class TimeProfile(NamedTuple):
             return float(out)
         return out
 
-    def duhamel(self, lam, t) -> np.ndarray:
+    def duhamel(self, lam, t: float) -> np.ndarray:
         """int_0^t exp(lam*(t-s)) g(s) ds for each rate in lam, in closed form.
 
-        A 1-D array t gives one row per time, each row equal bit for bit
-        to the call at that time.  Raises ExponentOverflowError when lam*t,
-        or a growing profile's own exponent, passes the overflow cap.
+        Raises ExponentOverflowError when lam*t, or a growing profile's own
+        exponent, passes the overflow cap.
         """
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if _is_times(t):
-            return self._duhamel_rows(lam, _time_array(t))
         t = float(t)
         if t < 0.0:
             raise ValueError("upper limit must be nonnegative")
@@ -125,52 +122,17 @@ class TimeProfile(NamedTuple):
             return (decay * pieces).sum(axis=1)
         raise ValueError(f"unknown profile kind {self.kind!r}")
 
-    def _duhamel_rows(self, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """duhamel at each time of t, one row per time; rows at t = 0 are zero."""
-        if t.size and float(t.min()) < 0.0:
-            raise ValueError("upper limit must be nonnegative")
-        out = np.zeros((t.size, lam.size))
-        live = t > 0.0
-        if not live.any():
-            return out
-        _exp_guarded(lam.max() * float(t.max()))  # the largest lam*t of any row
-        if self.kind in ("constant", "exponential"):
-            r = self.rate if self.kind == "exponential" else 0.0
-            tc = t[live, None]
-            top = _exp_guarded(np.maximum(lam, r) * tc)
-            out[live] = self.amplitude * tc * top * _phi(1, -np.abs(lam - r) * tc)
-            return out
-        # the series and continued fractions run until every entry of a call has
-        # converged, so a block call could move a row's last bits: go row by row
-        for k in np.flatnonzero(live):
-            out[k] = self.duhamel(lam, float(t[k]))
-        return out
-
-    def shifted_tail(self, mu, t, growth_rate: float = 0.0) -> np.ndarray:
+    def shifted_tail(self, mu, t: float, growth_rate: float = 0.0) -> np.ndarray:
         """int_0^inf exp(-mu*u) g(t+u) du for each rate in mu, in closed form.
 
-        A 1-D array t gives one row per time, each row equal bit for bit
-        to the call at that time.  Raises DivergenceError unless every rate
-        exceeds both the declared growth_rate and the profile's own
-        exponential rate.
+        Raises DivergenceError unless every rate exceeds both the declared
+        growth_rate and the profile's own exponential rate.
         """
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        rows = _is_times(t)
-        if rows:
-            t = _time_array(t)
-            low = float(t.min(initial=0.0))
-        else:
-            t = low = float(t)
-        if low < 0.0:
+        t = float(t)
+        if t < 0.0:
             raise ValueError("shift must be nonnegative")
         own = self.check_tail(mu, growth_rate)
-        if rows:
-            if self.kind in ("constant", "exponential"):
-                return (self.amplitude * _exp_guarded(own * t))[:, None] / (mu - own)
-            out = np.empty((t.size, mu.size))
-            for k, tk in enumerate(t):
-                out[k] = self.shifted_tail(mu, float(tk), growth_rate)
-            return out
         if self.kind in ("constant", "exponential"):
             return self.amplitude * _exp_guarded(own * t) / (mu - own)
         if self.kind == "power":
@@ -216,18 +178,6 @@ class TimeProfile(NamedTuple):
 # ---- Closed forms behind the kernels ----
 
 
-def _is_times(t) -> bool:
-    """Whether t holds many times rather than one; a float answers without numpy."""
-    return not isinstance(t, (float, int)) and np.ndim(t) > 0
-
-
-def _time_array(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1:
-        raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
-    return t
-
-
 _SERIES_RADIUS = 0.5
 _SERIES_TERMS = 17  # the first omitted term is below 1e-19 inside the radius
 _ASYMPTOTIC_FROM = 40.0  # exp(-40) is below the double-precision ulp of the sum
@@ -267,6 +217,9 @@ def _refuse_slow_tail(mu: np.ndarray, bound: float) -> None:
 
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+# values per batched step: a QR batch of lab._fold, where 4096 pairs of nodes make a 128 KiB
+# block per column, or the whole rows of a stack that _ExpSecondDifference builds at once
+_BATCH_VALUES = 4096
 
 
 class _ExpDifference:
@@ -278,9 +231,11 @@ class _ExpDifference:
     the subtraction's cancellation; it may be a block of several rate
     arrays, one per row, and it is consumed: its float array becomes the
     kernel's own.  Only the largest rate of x is read, so x may be that
-    number.  Each call takes one time t > 0 and exp(x t), which the caller
-    has at hand, and raises ExponentOverflowError when max(x, r) t passes
-    the cap.
+    number.  Each call takes ascending times t >= 0, a column (times x 1
+    x ...) that broadcasts against gap, or one time as a 0-d array, with
+    exp(max(x, r) t), which the caller forms from the exponentials it has
+    at hand, and gives one row per time.  It raises ExponentOverflowError
+    when max(x, r) t passes the cap at the last time.
     """
 
     def __init__(self, x, r: float, gap):
@@ -293,17 +248,19 @@ class _ExpDifference:
         gap.reshape(-1)[self.flat] = -1.0  # any stand-in: the flat entries are set to t
         self.least = float(-self.gap.max(initial=-math.inf))
 
-    def __call__(self, t: float, exp_x: np.ndarray) -> np.ndarray:
-        _refuse_past_cap(self.top_max * t)
+    def __call__(self, t: np.ndarray, top: np.ndarray) -> np.ndarray:
+        _refuse_past_cap(self.top_max * t.item(-1))
         q = np.multiply(self.gap, t)
         np.expm1(q, out=q)
         q /= self.gap
         if self.flat.size:
-            q.reshape(-1)[self.flat] = t
-        if self.least * t < _SMALLEST_NORMAL:
+            q.reshape(t.size, -1)[:, self.flat] = t.reshape(-1, 1)
+        # the least time but zero, where every entry already is
+        low = t.item(0) if t.size == 1 or t.item(0) > 0.0 else t.item(1)
+        if self.least * low < _SMALLEST_NORMAL:
             # a subnormal gap t keeps too few digits; phi1 is 1 there
-            q[np.abs(self.gap) * t < _SMALLEST_NORMAL] = t
-        q *= np.maximum(exp_x, math.exp(self.rate * t))  # exp(max(x, r) t)
+            np.copyto(q, t, where=np.abs(self.gap) * t < _SMALLEST_NORMAL)
+        q *= top
         return q
 
 
@@ -311,7 +268,8 @@ _DIFFERENCE_RADIUS = 0.5  # the Taylor series serves rates whose spread times t 
 # about their midpoint the rates lie within spread/2 of it; at spread t = 1/2 the
 # terms past the 12th add at most 1.1e-17 of the sum
 _DIFFERENCE_TERMS = 12
-_DIFFERENCE_POWERS = np.arange(_DIFFERENCE_TERMS + 1.0, 1.0, -1.0)[:, None]  # highest first
+# the powers t^(k+2), highest first, along the first axis of a (terms x rates x times) block
+_DIFFERENCE_POWERS = np.arange(_DIFFERENCE_TERMS + 1.0, 1.0, -1.0)[:, None, None]
 
 
 class _ExpSecondDifference:
@@ -321,11 +279,13 @@ class _ExpSecondDifference:
     (_ExpDifference).  x0 is an array and delta >= 0 an array of its size,
     or a block of such rows, one per stacked set of rates; they are passed
     apart so that a small delta keeps its digits; x2 is one rate.
-    Everything independent of t is built here, row by row: which rate lies
+    Everything independent of t is built here, in steps of whole rows, as
+    many as _BATCH_VALUES values hold and at least one: which rate lies
     between the other two, and the Taylor coefficients in one order of
-    spread over the whole block.  Each call takes one time t > 0, the
-    undivided difference e01 = exp(x1 t) - exp(x0 t), and d12 = D[x1, x2]
-    and d02 = D[x0, x2], of delta's shape or, for d02, of x0's.
+    spread over the whole block.  Each call takes ascending times t >= 0 as _ExpDifference
+    does, the undivided difference e01 = exp(x1 t) - exp(x0 t), and
+    d12 = D[x1, x2] and d02 = D[x0, x2], each with one row per time, and
+    gives one row per time.
 
     As in McCurdy, Ng and Parlett (Math. Comp. 43, 1984), rates whose
     spread times t is below 1/2 take the Taylor series about their
@@ -338,13 +298,14 @@ class _ExpSecondDifference:
     the denominator, which cancel by at most a small factor there:
     (e01 - delta d02)/(x1 - x2) when x2 <= x0, (delta d12 - e01)/(x2 - x0)
     when x2 >= x1, and d12 - d02 when x2 lies between.  Every entry gets
-    the bits it gets in a block of its row alone.
+    the bits it gets in a block of its row alone, at a time of its own.
     """
 
     def __init__(self, x0, delta, x2: float, weight: float):
         x0 = np.asarray(x0, dtype=float)
         delta = np.asarray(delta, dtype=float)
         width = x0.size
+        span = width * max(1, _BATCH_VALUES // width)  # values per build step
         # a block of k rows forms its Taylor terms 2 width/k rates at a time, which
         # keeps the per-time memory of a stack of rungs near that of one rung
         self.chunk = max(1, 2 * width * width // delta.size)
@@ -352,68 +313,84 @@ class _ExpSecondDifference:
         # so that the kernels leave no holes in the heap
         rows = np.empty((_DIFFERENCE_TERMS + 5, delta.size))
         self.table, self.center, self.spread, nested = rows[:-5], rows[-5], rows[-4], rows[-3:]
+        # the Taylor rows and the centers with an axis of one time
+        self.terms, self.centers = self.table[:, :, None], self.center[:, None]
         off = x2 - x0  # and x1 - x2 = delta - off
         lo = np.minimum(off, 0.0)
         spread = self.center  # the spread in rate order, until the centers are formed
-        for start, d in zip(range(0, delta.size, width), delta.reshape(-1, width)):
-            span = slice(start, start + width)
-            np.subtract(np.maximum(off, d), lo, out=spread[span])
-            _nested_coefficients(off, d, spread[span], weight, nested[:, span])
+        for start in range(0, delta.size, span):
+            piece = slice(start, start + span)
+            d = delta.reshape(-1, width)[start // width : (start + span) // width]
+            np.subtract(np.maximum(off, d), lo, out=spread[piece].reshape(d.shape))
+            _nested_coefficients(
+                off, d, spread[piece].reshape(d.shape), weight, nested[:, piece].reshape(3, *d.shape)
+            )
         self.c01, self.c12, self.c02 = (c.reshape(delta.shape) for c in nested)
         self.order = np.argsort(spread, kind="stable")
         np.take(spread, self.order, out=self.spread)
-        # the Taylor rows in spread order, one row's width of rates at a time
+        # the Taylor rows in spread order, as many rates at a time
         delta = delta.reshape(-1)
-        for start in range(0, delta.size, width):
-            span = slice(start, start + width)
-            at = self.order[span]
+        for start in range(0, delta.size, span):
+            piece = slice(start, start + span)
+            at = self.order[piece]
             col = at % width
             x0c, dc = x0[col], delta[at]
-            center = np.add(x0c, 0.5 * (lo[col] + np.maximum(off[col], dc)), out=self.center[span])
+            center = np.add(x0c, 0.5 * (lo[col] + np.maximum(off[col], dc)), out=self.center[piece])
             y0 = x0c - center
-            _taylor_table(y0, y0 + dc, x2 - center, weight * dc, self.table[:, span])
+            _taylor_table(y0, y0 + dc, x2 - center, weight * dc, self.table[:, piece])
 
-    def __call__(self, t: float, e01, d12, d02, series=None) -> np.ndarray:
-        """The difference at t; series is self.series(t) when the caller has formed it."""
-        if series is None:
-            series = self.series(t)
+    def __call__(self, t: np.ndarray, e01, d12, d02, series=None) -> np.ndarray:
+        """The difference at the times t; series is self.series(t) when the caller has formed it."""
+        counts, series = self.series(t) if series is None else series
         out = self.c01 * e01
         part = self.c12 * d12
         out += part
         out += np.multiply(self.c02, d02, out=part)
-        if series.size:
-            out.reshape(-1)[self.order[: series.size]] = series
+        at = self.order[: len(series)]
+        if len(counts) == 1:
+            out.reshape(-1)[at] = series[:, 0]
+        elif at.size:
+            # each time takes its own prefix of the block's longest one
+            rows = out.reshape(len(counts), -1)
+            taken = np.arange(at.size)[:, None] < np.array(counts)
+            rows[:, at] = np.where(taken, series, rows[:, at].T).T
         return out
 
-    def series(self, t: float) -> np.ndarray:
-        """The Taylor form at t of the rates whose spread times t is below the radius.
+    def series(self, t: np.ndarray) -> tuple:
+        """(counts, series): the Taylor form of the rates whose spread times t is below the radius.
 
-        They are a prefix of the spread order, and the series is in that
-        order.  Each rate's terms are summed from the highest power down, a
-        chunk of rates at a time; numpy would sum a lone column pairwise, so
+        At the k-th time they are a prefix of the spread order, counts[k]
+        rates long; none at t = 0, where every difference is zero.  series
+        holds the block's longest prefix, in that order, one row per rate
+        and one column per time.  Each rate's terms are summed from the
+        highest power down, a chunk of rates at a time over every time of
+        the block; numpy would sum a lone rate at a lone time pairwise, so
         that one is summed in order here.
         """
-        n = int(self.spread.searchsorted(_DIFFERENCE_RADIUS / t))
-        series = np.empty(n)
-        if not n:
-            return series
-        powers = t**_DIFFERENCE_POWERS
-        terms = np.empty((_DIFFERENCE_TERMS, min(self.chunk, n)))
-        for start in range(0, n, self.chunk):
-            span = slice(start, min(start + self.chunk, n))
-            part = np.multiply(self.table[:, span], powers, out=terms[:, : span.stop - start])
-            if part.shape[1] > 1:
-                np.add.reduce(part, out=series[span])
+        limits = [_DIFFERENCE_RADIUS / x if x > 0.0 else 0.0 for x in t.ravel().tolist()]
+        counts = self.spread.searchsorted(limits).tolist()
+        top = max(counts)
+        series = np.empty((top, t.size))
+        if not top:
+            return counts, series
+        # the times along the last axis; one time, a 0-d array, broadcasts as it is
+        powers = (t.reshape(1, 1, -1) if t.ndim else t) ** _DIFFERENCE_POWERS
+        terms = np.empty((_DIFFERENCE_TERMS, min(self.chunk, top), t.size))
+        for start in range(0, top, self.chunk):
+            stop = min(start + self.chunk, top)
+            part = np.multiply(self.terms[:, start:stop], powers, out=terms[:, : stop - start])
+            if part.size > _DIFFERENCE_TERMS:
+                np.add.reduce(part, out=series[start:stop])
             else:
-                total, *rest = part[:, 0].tolist()
+                total, *rest = part.ravel().tolist()
                 for term in rest:
                     total += term
-                series[span] = total
+                series[start:stop] = total
         del terms, part  # freed before the exponentials are formed
         # c is below max(x1, x2), whose exponent D[x1, x2] has checked against the cap
-        growth = np.multiply(self.center[:n], t)
+        growth = np.multiply(self.centers[:top], t.reshape(1, -1) if t.ndim else t)
         series *= np.exp(growth, out=growth)
-        return series
+        return counts, series
 
 
 def _nested_coefficients(off, delta, spread, weight, coefficients) -> np.ndarray:

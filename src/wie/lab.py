@@ -12,13 +12,13 @@ report writer can serialize them without knowing their internals.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .forcing import (
     TimeProfile,
+    _BATCH_VALUES,
     _ExpDifference,
     _ExpSecondDifference,
     _exponential_form,
@@ -37,7 +37,6 @@ from .quadrature import (
     finite_interval,
 )
 from .spectral import (
-    SelectedSpectralMinimizer,
     SpectralProblem,
     inequality_report,
     minimizer_hat,
@@ -62,6 +61,14 @@ __all__ = [
 
 
 # ---- Weighted decay profile of a forcing density ----
+
+
+def _check_horizon(horizon: float, time_points: int) -> None:
+    """Refuse a time grid over no data: a horizon not positive and finite, or under two points."""
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError("horizon must be positive and finite")
+    if time_points < 2:
+        raise ValueError("need at least two grid points")
 
 
 class LemmaTechProfile(NamedTuple):
@@ -107,10 +114,7 @@ def lemma_tech_profile(
     exponent r T passes the overflow cap raises ExponentOverflowError
     naming eps.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if time_points < 2:
-        raise ValueError("need at least two grid points")
+    _check_horizon(horizon, time_points)
     times = np.linspace(0.0, horizon, time_points)
     w = horizon - times
     if density.kind in ("constant", "exponential"):
@@ -355,76 +359,6 @@ def _check_ladder(ladder) -> list:
     return ladder
 
 
-def _run_rungs(ladder, build, sweep, finish) -> list:
-    """The rung bookkeeping of both studies: build, sweep side by side, finish.
-
-    build(eps) makes a rung.  sweep(live), given the built rungs by index,
-    returns per index the rung's sup error over the time grid, or the
-    exception that stopped it.  finish(eps, rung, sup) makes the rung's
-    LadderEntry.  A rung that raises anywhere becomes a failure entry, and
-    the other rungs go on.
-    """
-    entries = [None] * len(ladder)
-    live = {}
-    for i, eps in enumerate(ladder):
-        try:
-            live[i] = build(eps)
-        except Exception as exc:
-            entries[i] = LadderEntry.failed(eps, exc)
-    sups = sweep(live) if live else {}
-    for i, m in live.items():
-        outcome = sups[i]
-        if not isinstance(outcome, Exception):
-            try:
-                entries[i] = finish(ladder[i], m, outcome)
-                continue
-            except Exception as exc:
-                outcome = exc
-        entries[i] = LadderEntry.failed(ladder[i], outcome)
-    return entries
-
-
-def _ode_study(problem, ladder, norm, times, spec):
-    """The rungs side by side: the reference and each rung evaluated once on the whole grid.
-
-    The distances are taken in modal coordinates, on the blocks that the
-    spectral solvers give on the problem's eigenbasis: the basis is
-    orthonormal, so sum w d^2 over the modes, with w = 1, or 1 + |mu| for
-    the graph norm, is the squared distance.  A (times x modes) block is
-    small.
-    """
-    from .ode import exact_solution, selected_minimizer
-
-    modal = problem._modal
-    w = modal.weights
-    if norm == "sup_vl":
-        w = w * (1.0 + np.abs(modal.symbol_values))
-
-    def sweep(live):
-        try:
-            ref = exact_solution(problem)._solver.value(times)
-        except Exception as exc:
-            return dict.fromkeys(live, exc)
-        sups = {}
-        for i, m in live.items():
-            try:
-                d = m._solver.value(times)
-                d -= ref
-                d *= d
-                d *= w
-                sups[i] = math.sqrt(float(d.sum(axis=1).max()))
-            except Exception as exc:
-                sups[i] = exc
-        return sups
-
-    def finish(eps, m, sup):
-        energy, _crossed, source = m.energy()
-        # selected_minimizer checks the root bundle at tol 1e-9 and raises on any violation
-        return LadderEntry(eps, sup, energy, 0, energy_source=source)
-
-    return _run_rungs(ladder, lambda eps: selected_minimizer(problem, eps, spec), sweep, finish)
-
-
 class _ExponentialGap:
     """b(t) of one part A exp(r t) on a stack of rungs, from one first and one second difference.
 
@@ -441,7 +375,7 @@ class _ExponentialGap:
 
     def __init__(self, amplitude, rate, ell, stack, delta):
         self.kappa = np.empty(delta.shape)
-        for row, m in zip(self.kappa, stack.rungs):
+        for row, m in zip(self.kappa[0], stack.rungs):
             r = m.roots
             _refuse_slow_tail(r.fast, max(m.growth_rate, rate))
             np.divide(amplitude * (r.slow + rate), r.fast - rate, out=row)
@@ -449,37 +383,45 @@ class _ExponentialGap:
         self.first = _ExpDifference(stack.slow_max, rate, gap=np.subtract(delta, ell + rate))
         self.second = _ExpSecondDifference(-ell, delta, rate, amplitude)
 
-    def __call__(self, t: float, a, grow, flow) -> np.ndarray:
-        """b at t > 0 from a = exp(s t) - exp(-ell t), grow() = exp(s t) and the flow's D[-ell, r]."""
+    def __call__(self, t: np.ndarray, a, grow, flow) -> np.ndarray:
+        """b at the times t from a = exp(s t) - exp(-ell t), grow() = exp(s t) and the flow's term.
+
+        The flow's term is (D[-ell, r], exp(r t)).
+        """
+        d02, exp_r = flow
         # the Taylor entries first, while no other per-time block of the part is alive
         series = self.second.series(t)
-        first = self.first(t, grow())
-        b = self.second(t, a, first, flow, series)
+        top = grow()  # exp(max(s, r) t), formed in place of exp(s t)
+        first = self.first(t, np.maximum(top, exp_r, out=top))
+        del top
+        b = self.second(t, a, first, d02, series)
         b += np.multiply(self.kappa, first, out=first)
         return b
 
 
 class _Stack:
-    """Rungs side by side: each per-value array of a rung is one row of a (rungs x values) block.
+    """Rungs side by side: each per-value array of a rung is one row of a (1 x rungs x values) block.
 
-    Each block is allocated once and filled rung by rung, so building a
-    stack holds no temporary larger than one rung's.  parts holds per
+    The leading axis of one broadcasts against the times of a block, with
+    no ufunc call paying to line up arrays of different dimensions.  Each
+    block is allocated once and filled rung by rung, so building a stack
+    holds no temporary larger than one rung's.  parts holds per
     forcing part its _ExponentialGap, or for a power or sampled part the
-    rows tail_j(f, 0)/z.  The per-time work block alpha is the gap's,
-    shared by its stacks (_SpectralGap.work); it first holds each rung's
-    delta = eps s^2 while the parts are built.
+    rows tail_j(f, 0)/z.  The gap's work block (_SpectralGap.work), shared
+    by its stacks, first holds each rung's delta = eps s^2 while the parts
+    are built.
     """
 
     def __init__(self, gap: "_SpectralGap", rungs: list):
-        shape = (len(rungs), gap.ell.size)
+        shape = (1, len(rungs), gap.ell.size)
         self.rungs = rungs
-        self.eps = np.array([[m.eps] for m in rungs])
+        self.eps = np.array([[[m.eps] for m in rungs]])
         self.slow_sq = np.empty(shape)
-        for row, m in zip(self.slow_sq, rungs):
+        for row, m in zip(self.slow_sq[0], rungs):
             np.multiply(m.roots.slow, m.roots.slow, out=row)
         self.slow_maxima = [float(m.roots.slow.max()) for m in rungs]
         self.slow_max = max(self.slow_maxima)
-        self.alpha = gap.work(len(rungs))
+        self.alpha = gap.work(len(rungs))  # the work block of one time
         delta = np.multiply(self.slow_sq, self.eps, out=self.alpha)
         self.parts = []
         for (g, _H), form in zip(gap.problem.forcing_parts, gap.forms):
@@ -487,7 +429,7 @@ class _Stack:
                 self.parts.append(_ExponentialGap(*form, gap.ell, self, delta))
                 continue
             tail0 = np.empty(shape)
-            for row, m in zip(tail0, rungs):
+            for row, m in zip(tail0[0], rungs):
                 r = m.roots
                 np.divide(g.shifted_tail(r.fast, 0.0, m.growth_rate), r.disc_sqrt, out=row)
             self.parts.append(tail0)
@@ -513,10 +455,13 @@ class _SpectralGap:
     into an upper triangle R_u (_fold): their sum of
     w |a c0 + sum_j b_j H_j|^2 is |R_u (a, b_1, ..., b_J)|^2.
 
-    The rungs run in stacks (_Stack): one ufunc call serves every rung of
-    a stack, and the generic kernels, whose series and continued fractions
-    stop when every entry of a call has converged, run rung by rung.  Each
-    rung's sum keeps the bits it has in a stack of its own.
+    The rungs run in stacks (_Stack), and a block of times runs at once:
+    every per-time array is a (times x rungs x values) block, one ufunc call
+    serves the whole block, and the generic kernels, whose series and
+    continued fractions stop when every entry of a call has converged, run
+    one rung at one time.  Each rung's sum at each time keeps the bits it
+    has in a stack of its own at that time alone.  An OdeProblem's modal
+    view is such a problem, with the eigenvalues as symbol values.
     """
 
     def __init__(self, problem: SpectralProblem, weights: np.ndarray):
@@ -525,57 +470,67 @@ class _SpectralGap:
         ell = self.ell = distinct.values
         self.highest = float(ell[-1])
         columns = [problem.initial_hat] + [H for _g, H in problem.forcing_parts]
-        self.factor = _fold(weights, columns, distinct)
-        self._work = np.empty((0, ell.size))
+        # with leading axes of one, as the stacks' per-value arrays have
+        self.factor = _fold(weights, columns, distinct)[:, :, None, None, :]
+        # per fold row i, R_ii and the R_ik right of it
+        self.rows = [(row[i], row[i + 1 :]) for i, row in enumerate(self.factor)]
+        self._work, self._decay = np.empty((0, ell.size)), np.empty((0, 1, ell.size))
         forms = [_exponential_form([g]) for g, _H in problem.forcing_parts]
         # (amplitude, rate) of each constant or exponential part, None for the others
         self.forms = [None if f is None else (f[0][0], f[1][0]) for f in forms]
         # the flow's D[-ell, r], its rate arrays formed once per study
         self.flows = [
-            None if f is None else _ExpDifference(-ell, f[1], gap=-(ell + f[1]))
+            None if f is None else _ExpDifference(-ell, f[1], gap=-(ell + f[1]).reshape(1, 1, -1))
             for f in self.forms
         ]
 
-    @cached_property
-    def decay(self) -> np.ndarray:
-        """The work array of exp(-ell t), formed with the first flow."""
-        return np.empty(self.ell.shape)
+    def work(self, rows: int, times: int = 1) -> np.ndarray:
+        """A (times x rows x values) work block, shared by the stacks, since one stack runs at a time."""
+        if self._work.shape[0] < rows * times:
+            self._work = np.empty((rows * times, self.ell.size))
+        return self._work[: rows * times].reshape(times, rows, -1)
 
-    def work(self, rows: int) -> np.ndarray:
-        """A (rows x values) work block, shared by the stacks, since one stack runs at a time."""
-        if self._work.shape[0] < rows:
-            self._work = np.empty((rows, self.ell.size))
-        return self._work[:rows]
+    def flow(self, t) -> tuple:
+        """(exp(-ell t), or None past the cap, and each part's flow term) at the ascending times t.
 
-    def flow(self, t: float) -> tuple:
-        """(exp(-ell t), or None past the cap, and each part's flow term at t).
-
-        The flow term is D[-ell, r] for a constant or exponential part and
-        duhamel(-ell, t) for the others.
+        Each array is a (times x 1 x values) block.  The flow term is
+        (D[-ell, r], exp(r t)) for a constant or exponential part, with
+        exp(r t) a column from math.exp, and duhamel(-ell, t) for the
+        others, one time at a time.  The times lie all within the cap of
+        exp(-ell t) or all past it (_SpectralGap._round).
         """
-        decay = _exp_guarded(np.multiply(self.ell, -t, out=self.decay))
-        if self.highest * t > EXPONENT_CAP:
-            decay = None
-        # past the cap the clamped exp(-ell t) still gives each D[-ell, r] its exp(max(-ell, r) t)
-        terms = [
-            g.duhamel(-self.ell, t) if d is None else d(t, self.decay)
-            for (g, _H), d in zip(self.problem.forcing_parts, self.flows)
-        ]
-        return decay, terms
+        t = np.asarray(t)
+        if len(self._decay) < t.size:
+            self._decay = np.empty((t.size, 1, self.ell.size))
+        decay = self._decay[: t.size]
+        # the values ascend, so -ell t is largest at the first value and the last time
+        _exp_guarded(np.multiply(self.ell, -t, out=decay), self.ell.item(0) * -t.item(-1))
+        times = t.ravel().tolist()
+        terms = []
+        for (g, _H), d in zip(self.problem.forcing_parts, self.flows):
+            if d is None:
+                terms.append(np.array([[g.duhamel(-self.ell, tk)] for tk in times]))
+                continue
+            exp_r = np.array([math.exp(d.rate * tk) for tk in times]).reshape(t.shape)
+            # past the cap the clamped exp(-ell t) still gives each D[-ell, r] its exp(max(-ell, r) t)
+            terms.append((d(t, np.maximum(decay, exp_r)), exp_r))
+        return (None if self.highest * times[-1] > EXPONENT_CAP else decay), terms
 
-    def gap_sq(self, stack: _Stack, t: float, flow: tuple) -> list:
-        """Each rung's squared distance at t, in stack order."""
+    def gap_sq(self, stack: _Stack, t, flow: tuple) -> np.ndarray:
+        """Each rung's squared distance at the ascending times t: a (times x rungs) array."""
         decay, terms = flow
-        a = np.multiply(stack.slow_sq, np.multiply(stack.eps, t), out=stack.alpha)
+        t = np.asarray(t)
+        a = stack.alpha if t.size == 1 else self.work(len(stack.rungs), t.size)
+        np.multiply(stack.slow_sq, np.multiply(stack.eps, t), out=a)
         if decay is not None:
-            _refuse_past_cap(stack.slow_max * t)  # the largest exponent of exp(s t)
+            _refuse_past_cap(stack.slow_max * t.item(-1))  # the largest exponent of exp(s t)
             np.expm1(a, out=a)
             a *= decay
             past_cap = None
         else:
             past_cap = np.empty(a.shape)
-            for row, m in zip(past_cap, stack.rungs):
-                np.multiply(m.roots.slow, t, out=row)
+            for k, m in enumerate(stack.rungs):
+                np.multiply(m.roots.slow, t.reshape(-1, 1), out=past_cap[:, k])
             _exp_guarded(past_cap)
             np.negative(a, out=a)
             np.expm1(a, out=a)
@@ -583,41 +538,42 @@ class _SpectralGap:
             np.negative(a, out=a)
 
         def grow():
-            # exp(s t); within the cap formed where it is read, so no block of it stays
-            return decay + a if past_cap is None else past_cap
+            # exp(s t) as a new array; within the cap formed where it is read, so no block of it stays
+            return decay + a if past_cap is None else past_cap.copy()
 
         x = [a]
         for (g, _H), part, term in zip(self.problem.forcing_parts, stack.parts, terms):
             if isinstance(part, _ExponentialGap):
-                x.append(part(t, a, grow, term) if t > 0.0 else np.zeros(a.shape))
+                x.append(part(t, a, grow, term))
                 continue
             b = np.empty(a.shape)
-            for row, m in zip(b, stack.rungs):
-                r = m.roots
-                np.add(g.duhamel(r.slow, t), g.shifted_tail(r.fast, t, m.growth_rate), out=row)
-                row /= r.disc_sqrt
+            for rows, tk in zip(b, t.ravel().tolist()):
+                for row, m in zip(rows, stack.rungs):
+                    r = m.roots
+                    np.add(g.duhamel(r.slow, tk), g.shifted_tail(r.fast, tk, m.growth_rate), out=row)
+                    row /= r.disc_sqrt
             b -= term
             b -= grow() * part
             x.append(b)
         # y_i = sum_{k >= i} R_ik x_k, formed in place of x_i, which no later row reads
-        totals = [0.0] * len(stack.rungs)
-        for i, (row, y) in enumerate(zip(self.factor, x)):
-            y *= row[i]
-            for r, xk in zip(row[i + 1 :], x[i + 1 :]):
+        squares = []
+        for i, ((diagonal, right), y) in enumerate(zip(self.rows, x)):
+            y *= diagonal
+            for r, xk in zip(right, x[i + 1 :]):
                 y += r * xk
-            # one call for the stack: vecdot forms each rung's y . y as np.dot does, bit for bit
-            for k, sq in enumerate(np.vecdot(y, y).tolist()):
-                totals[k] += sq
-        return totals
+            # vecdot forms each rung's y . y at each time as np.dot does, bit for bit
+            squares.append(np.vecdot(y, y))
+        return sum(squares[1:], squares[0])
 
     def sweep(self, live: dict, times) -> dict:
         """Per index of live, the rung's sup distance over times, or the exception that stopped it.
 
-        The rungs run in stacks of at most _STACK_VALUES values, in ladder
-        order, which share one work block.  The sweep goes in rounds: each
-        round forms the flow once per time that some stack needs, in
-        ascending order, and evaluates only the stacks that need it.  A
-        forced stack needs every time in the first round, and then none.
+        The rungs run in stacks in ladder order, which share one work block,
+        and each stack takes its times in blocks: rungs x times x values stay
+        within _STACK_VALUES.  The sweep goes in rounds: each round forms the
+        flow once per block of the times that some stack needs, in ascending
+        order, and evaluates only the stacks that need them.  A forced stack
+        needs every time in the first round, and then none.
 
         An unforced stack bisects the grid.  It needs the first and last
         times, then, round by round, the midpoint of every interval
@@ -635,9 +591,11 @@ class _SpectralGap:
         was evaluated, and each evaluated one has the bits of the full walk.
         A forced stack has no such bound: b_j(t) can change sign.
 
-        A stack that refuses, when built or at a time t, is taken apart:
-        each rung is built, and evaluated at t, alone; a refusal there is
-        that rung's failure, and the others are stacked again, with the
+        A stack that refuses when built is taken apart: each rung is built
+        alone; a refusal there is that rung's failure, and the others are
+        stacked again.  A block that refuses runs again one time at a time,
+        and a stack that refuses at one time t is taken apart in the same
+        way, each rung evaluated at t alone; the survivors go on with the
         times and intervals the stack still had open.  Every refusal of an
         unforced stack or of the flow starts at some time and holds at every
         later one, with one message, so evaluating the last time first fails
@@ -646,7 +604,10 @@ class _SpectralGap:
         sups = {i: {} for i in live}  # per rung, its distance at each time evaluated
         ids = list(live)
         per = max(1, _STACK_VALUES // self.ell.size)
-        self.work(min(per, len(ids)))  # the largest stack's, before any stack is built
+        rows = min(per, len(ids))
+        # times per block; above one only when every rung shares a single stack
+        width = max(1, _STACK_VALUES // (rows * self.ell.size))
+        self.work(rows, width)  # the largest block's, before any stack is built
         times = [float(t) for t in times]
         last = len(times) - 1
         bisect = not self.problem.forcing_parts and last > 1
@@ -665,7 +626,7 @@ class _SpectralGap:
         # a term R_u a_u that underflow touched is off by about R_u 2**-1074: while N(t_a)^2
         # is above this floor, all of them move N(t_a) by far less than _BOUND_MARGIN
         floor = self.ell.size * max(scale * scale, 1.0) * 2.0**-1022 / _BOUND_MARGIN
-        while stacks and self._round(stacks, times, live, sups):
+        while stacks and self._round(stacks, times, width, live, sups):
             running = []
             for group, stack, _need, spans in stacks:
                 if not group:
@@ -693,29 +654,54 @@ class _SpectralGap:
             i: s if isinstance(s, Exception) else max([0.0, *s.values()]) for i, s in sups.items()
         }
 
-    def _round(self, stacks, times, live, sups) -> bool:
-        """Evaluate each stack at the times it needs; False, all failed, if the flow refuses."""
-        for k in sorted(set().union(*(need for _group, _stack, need, _spans in stacks))):
-            t = times[k]
-            try:
-                flow = self.flow(t)
-            except Exception as exc:
-                for group, *_rest in stacks:
-                    sups.update(dict.fromkeys(group, exc))
-                return False
-            for entry in stacks:
-                group, stack, need, _spans = entry
-                if group and k in need:
-                    try:
-                        self._take(group, stack, t, flow, sups)
-                    except Exception:
-                        entry[:2] = self._apart(group, live, sups, t, flow)
+    def _round(self, stacks, times, width, live, sups) -> bool:
+        """Evaluate each stack at the times it needs; False, all failed, if the flow refuses.
+
+        The times go in blocks of at most width, cut where exp(-ell t)
+        passes the cap, so that each block takes one form of a(t).
+        """
+        need = sorted(set().union(*(need for _group, _stack, need, _spans in stacks)))
+        within = [k for k in need if self.highest * times[k] <= EXPONENT_CAP]
+        for part in (within, need[len(within) :]):
+            for lo in range(0, len(part), width):
+                if not self._block(stacks, part[lo : lo + width], times, live, sups):
+                    return False
         return True
 
-    def _take(self, group, stack, t, flow, sups) -> None:
-        """Record the stack's distances at t with its rungs, indexed by group."""
-        for i, total in zip(group, self.gap_sq(stack, t, flow)):
-            sups[i][t] = math.sqrt(total)
+    def _block(self, stacks, block, times, live, sups) -> bool:
+        """Evaluate the stacks that need the times of block; False, all failed, if the flow refuses.
+
+        A block of several times that refuses runs again one time at a time,
+        so that each refusal keeps its rung, its time and its message.  With
+        more than one stack a block holds one time, so a stack needs all of
+        a block or none of it.
+        """
+        ts = [times[k] for k in block]
+        t = _column(ts)
+        try:
+            flow = self.flow(t)
+        except Exception as exc:
+            if len(block) > 1:
+                return all(self._block(stacks, [k], times, live, sups) for k in block)
+            for group, *_rest in stacks:
+                sups.update(dict.fromkeys(group, exc))
+            return False
+        for entry in stacks:
+            group, stack, need, _spans = entry
+            if group and block[0] in need:
+                try:
+                    self._take(group, stack, ts, t, flow, sups)
+                except Exception:
+                    if len(block) > 1:
+                        return all(self._block(stacks, [k], times, live, sups) for k in block)
+                    entry[:2] = self._apart(group, live, sups, ts[0], flow)
+        return True
+
+    def _take(self, group, stack, ts, t, flow, sups) -> None:
+        """Record the stack's distances at the times ts, the column t, with its rungs, indexed by group."""
+        for time, totals in zip(ts, self.gap_sq(stack, t, flow).tolist()):
+            for i, total in zip(group, totals):
+                sups[i][time] = math.sqrt(total)
 
     def _apart(self, group, live, sups, t=None, flow=None) -> tuple:
         """(survivors, their stack or None) once each rung was built, and taken at t, alone."""
@@ -724,7 +710,7 @@ class _SpectralGap:
             try:
                 stack = _Stack(self, [live[i]])
                 if t is not None:
-                    self._take([i], stack, t, flow, sups)
+                    self._take([i], stack, [t], _column([t]), flow, sups)
             except Exception as exc:
                 sups[i] = exc
             else:
@@ -732,6 +718,18 @@ class _SpectralGap:
         if not survivors:
             return [], None
         return survivors, _Stack(self, [live[i] for i in survivors])
+
+
+def _column(ts) -> np.ndarray:
+    """Ascending times as a column (times x 1 x 1) against the (times x rungs x values) blocks.
+
+    One time is a 0-d array: it broadcasts as a column of one, since every
+    per-value array of the sweep has a leading axis, and a ufunc takes it
+    as cheaply as a float.
+    """
+    if len(ts) == 1:
+        return np.array(float(ts[0]))
+    return np.array(ts, dtype=float).reshape(-1, 1, 1)
 
 
 def _rules_out(seen: dict, ta: float, tb: float, growth: float, floor: float, best: float) -> bool:
@@ -752,8 +750,6 @@ def _rules_out(seen: dict, ta: float, tb: float, growth: float, floor: float, be
     return bound * (1.0 + _BOUND_MARGIN) < best
 
 
-# values per batched QR of _fold: a chunk of 4096 pairs of nodes is a 128 KiB block per column
-_FOLD_CHUNK = 4096
 # values per stack of rungs in the sweep (_SpectralGap.sweep), so a (rungs x values) block
 # is at most 128 KiB: stacking gains least on wide rungs (measured table in ROADMAP)
 _STACK_VALUES = 16384
@@ -769,7 +765,7 @@ def _fold(weights, columns, distinct) -> np.ndarray:
     sqrt(w) [Im c0, Im H_1, ...] of the nodes of value u, batched per multiplicity.
 
     Each batch gathers its nodes straight from the columns and holds at
-    most _FOLD_CHUNK values; LAPACK factors every matrix of a batch on its own,
+    most _BATCH_VALUES values; LAPACK factors every matrix of a batch on its own,
     so the chunks give the bits of one batch.  Never the Gram matrix: its
     squares lose a gap where a c0 and b H nearly cancel, and underflow on
     tiny data.
@@ -782,8 +778,8 @@ def _fold(weights, columns, distinct) -> np.ndarray:
     factor = np.zeros((width, width, sizes.size))
     for size in np.flatnonzero(np.bincount(sizes)):
         groups = np.flatnonzero(sizes == size)
-        for lo in range(0, groups.size, _FOLD_CHUNK):
-            part = groups[lo : lo + _FOLD_CHUNK]
+        for lo in range(0, groups.size, _BATCH_VALUES):
+            part = groups[lo : lo + _BATCH_VALUES]
             nodes = order[starts[part][:, None] + np.arange(size)]
             block = np.empty(nodes.shape + (2, width))
             for j, c in enumerate(columns):
@@ -796,34 +792,46 @@ def _fold(weights, columns, distinct) -> np.ndarray:
     return factor
 
 
-def _spectral_study(problem, ladder, norm, times, spec):
-    """The rungs side by side: per time, the flow's terms once, then each stack's gaps.
+def _study(problem, ladder, norm, times, spec) -> list:
+    """The rungs side by side: per block of times, the flow's terms once, then each stack's gaps.
 
     No trajectory value is formed: the distances come from the real kernels
     of _SpectralGap.  Each rung is its minimizer, which holds its roots and
     its initial coefficient and nothing per time: a (times x nodes) block
-    would be as large as the whole sampled field.  The nodes fold before any rung
-    is built, so the fold's temporaries never sit on top of the rungs'
-    roots.  It runs serially: building a rung or its closed-form energy
-    takes about a millisecond.
+    would be as large as the whole sampled field.  The nodes fold before any
+    rung is built, so the fold's temporaries never sit on top of the rungs'
+    roots, and the gap goes before the energies, with its blocks and work
+    arrays.  A rung that raises anywhere becomes a failure entry, and the
+    other rungs go on.  It runs serially: building a rung or its
+    closed-form energy takes about a millisecond.
     """
-    w = problem.grid.weights
+    w = problem.weights
     if norm == "sup_vl":
         # the graph-norm weights of vl_norm, needed only while the nodes fold
         w = w * (1.0 + np.abs(problem.symbol_values))
-    gaps = [_SpectralGap(problem, w)]
+    gap = _SpectralGap(problem, w)
     del w
-
-    def sweep(live):
-        # popped, so that its blocks and work arrays are freed before the energies
-        return gaps.pop().sweep(live, times)
-
-    def finish(eps, m, sup):
-        energy, _crossed, source = m.energy(spec)
-        # minimizer_hat checks the root bundle at tol 1e-9 and raises on any violation
-        return LadderEntry(eps, sup, energy, 0, energy_source=source)
-
-    return _run_rungs(ladder, lambda eps: minimizer_hat(problem, eps), sweep, finish)
+    entries = [None] * len(ladder)
+    live = {}
+    for i, eps in enumerate(ladder):
+        try:
+            live[i] = minimizer_hat(problem, eps)
+        except Exception as exc:
+            entries[i] = LadderEntry.failed(eps, exc)
+    sups = gap.sweep(live, times) if live else {}
+    del gap
+    for i, m in live.items():
+        outcome = sups[i]
+        if not isinstance(outcome, Exception):
+            try:
+                energy, _crossed, source = m.energy(spec)
+                # minimizer_hat checks the root bundle at tol 1e-9 and raises on any violation
+                entries[i] = LadderEntry(ladder[i], outcome, energy, 0, energy_source=source)
+                continue
+            except Exception as exc:
+                outcome = exc
+        entries[i] = LadderEntry.failed(ladder[i], outcome)
+    return entries
 
 
 def convergence_study(
@@ -841,24 +849,23 @@ def convergence_study(
     reference over a dense grid on [0, horizon], its weighted energy, and
     the root-estimate violation count.  A failing rung is recorded and the
     study continues.  The fitted log-log rate is a diagnostic; the verdict
-    that matters is monotone decay of the error.  Both kinds of study run
-    their rungs side by side, serially, against one evaluation of the
-    reference.
+    that matters is monotone decay of the error.  An OdeProblem runs as its
+    modal view (the spectral problem on its eigenvalues, unit weights), so
+    both kinds of study run one sweep: the rungs side by side, serially,
+    against one evaluation of the reference per time.
     """
     ladder = _check_ladder(ladder)
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon, time_points)
     if norm not in ("sup_uniform", "sup_vl"):
         raise ValueError(f"unknown norm {norm!r}")
     times = np.linspace(0.0, float(horizon), time_points)
-    if isinstance(problem, SpectralProblem):
-        entries = _spectral_study(problem, ladder, norm, times, spec)
-    else:
+    if not isinstance(problem, SpectralProblem):
         from .ode import OdeProblem  # a spectral run never imports the ODE module
 
         if not isinstance(problem, OdeProblem):
             raise TypeError(f"unsupported problem type {type(problem).__name__}")
-        entries = _ode_study(problem, ladder, norm, times, spec)
+        problem = problem._modal
+    entries = _study(problem, ladder, norm, times, spec)
     ok = [e for e in entries if e.failure is None]
     errors = [e.sup_error for e in ok]
     rate, half_width = fit_rate([e.eps for e in ok], errors)

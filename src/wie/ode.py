@@ -9,7 +9,9 @@ an OdeProblem projects itself once onto that basis, and the selected
 minimizer and the first-order flow y' = -A*y + f(t) are the spectral
 solvers (SelectedSpectralMinimizer, SemigroupSolution) run on that modal
 view and mapped back.  Both paths thus share one set of kernels, one
-energy routine and one admissibility rule.
+energy routine and one admissibility rule, and a convergence study of a
+system (lab.convergence_study) is the spectral study of its modal view,
+one sweep for both.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forcing import ForcingTerm, _time_array
+from .forcing import ForcingTerm
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, _ReadOnly
 from .spectral import SelectedSpectralMinimizer, SemigroupSolution, _Distinct, _distinct
 
@@ -132,23 +134,13 @@ class OdeProblem(_ReadOnly):
 class _MappedBack:
     """A spectral solver's trajectory on the modal view, in the system's coordinates.
 
-    value(t) (also the call) gives the state at any t >= 0, values(times)
-    the states at a 1-D array of times from one evaluation of the modes,
-    row k bit for bit value(times[k]), and state(t) the pair (value,
-    derivative) from one evaluation.  Every call evaluates afresh.
+    value(t) (also the call) gives the state at any t >= 0, and state(t)
+    the pair (value, derivative) from one evaluation.  Every call evaluates
+    afresh.
     """
 
     def value(self, t: float) -> np.ndarray:
         return self.eigen.reconstruct(self._solver.value(t))
-
-    def values(self, times) -> np.ndarray:
-        modes = self._solver.value(_time_array(times))
-        # one matrix-vector product per row, as value() makes it: a single matrix
-        # product over all rows sums in another order and moves the last bits
-        out = np.empty(modes.shape)
-        for k, c in enumerate(modes):
-            out[k] = self.eigen.reconstruct(c)
-        return out
 
     def state(self, t: float):
         value, derivative = self._solver.state(t)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -73,15 +73,18 @@ def _refuse_past_cap(exponent: float) -> None:
         )
 
 
-def _exp_guarded(exponent) -> np.ndarray:
+def _exp_guarded(exponent, largest: Optional[float] = None) -> np.ndarray:
     """exp() of an array, refusing exponents past the cap instead of overflowing.
 
     The argument is consumed: a float array is clamped and exponentiated in
     place and returned, so callers pass a temporary they no longer need.
+    largest is its largest entry where the caller knows it without a search.
     """
     exponent = np.asarray(exponent, dtype=float)
-    if exponent.size:
-        _refuse_past_cap(float(exponent.max()))
+    if largest is None and exponent.size:
+        largest = float(exponent.max())
+    if largest is not None:
+        _refuse_past_cap(largest)
     np.maximum(exponent, -745.0, out=exponent)
     return np.exp(exponent, out=exponent)
 

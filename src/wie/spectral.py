@@ -336,30 +336,20 @@ def inequality_report(rd: RootData, tol: float = 1e-9) -> dict:
 # ---- Evolution and selection ----
 
 
-def _times(t):
-    """(t, tc): a float twice, or a 1-D array of times and its column to broadcast over nodes."""
-    if isinstance(t, np.ndarray) and t.ndim:
-        return t, t[:, None]
-    t = float(t)
-    return t, t
-
-
 class SemigroupSolution:
     """First-order flow u_hat' = -symbol * u_hat + f_hat on the grid.
 
     Every call evaluates afresh; nothing is kept per time.  The returned
     arrays are new, and the forcing terms are added into them in place.
-    value() also takes a 1-D array of times and returns one row per time,
-    row k bit for bit value(t[k]).
     """
 
     def __init__(self, problem: SpectralProblem):
         self.problem = problem
 
-    def value(self, t) -> np.ndarray:
-        t, tc = _times(t)
+    def value(self, t: float) -> np.ndarray:
+        t = float(t)
         p = self.problem
-        out = _exp_guarded(p.symbol_values * -tc) * p.initial_hat
+        out = _exp_guarded(p.symbol_values * -t) * p.initial_hat
         for profile, H in p.forcing_parts:
             out += H * profile.duhamel(-p.symbol_values, t)
         return out
@@ -413,9 +403,7 @@ class SelectedSpectralMinimizer:
     convolution and no tail, so slow_initial is the initial data itself;
     value adds +0.0 in their place, and state adds nothing, so its zeros
     may keep a negative sign.  The returned arrays are new; every further step runs in
-    place on them, in the dtype of the data.  value() also takes a 1-D
-    array of times and returns one row per time, row k bit for bit
-    value(t[k]).
+    place on them, in the dtype of the data.
     """
 
     def __init__(
@@ -448,7 +436,7 @@ class SelectedSpectralMinimizer:
         """A new array of the values' entries (last axis) gathered onto the nodes."""
         return np.take(per_value, self._inverse, axis=-1)
 
-    def _forced(self, kernel: Callable, t) -> Optional[np.ndarray]:
+    def _forced(self, kernel: Callable) -> Optional[np.ndarray]:
         """sum of H/z * kernel(profile) over the forcing parts, z the discriminant root.
 
         None for an unforced problem.
@@ -457,23 +445,23 @@ class SelectedSpectralMinimizer:
         if not p.forcing_parts:
             return None
         z = self._nodes(self.roots.disc_sqrt)
-        out = np.zeros(np.shape(t) + p.symbol_values.shape, dtype=p.forcing_parts[0][1].dtype)
+        out = np.zeros(p.symbol_values.shape, dtype=p.forcing_parts[0][1].dtype)
         for profile, H in p.forcing_parts:
             out += _over(H, z) * self._nodes(kernel(profile))
         return out
 
-    def _tail(self, t) -> Optional[np.ndarray]:
-        return self._forced(lambda g: g.shifted_tail(self.roots.fast, t, self.growth_rate), t)
+    def _tail(self, t: float) -> Optional[np.ndarray]:
+        return self._forced(lambda g: g.shifted_tail(self.roots.fast, t, self.growth_rate))
 
-    def _parts(self, t):
+    def _parts(self, t: float):
         """(decayed, convolution, tail) at t as new arrays; the last two None when unforced."""
-        t, tc = _times(t)
-        decayed = self._nodes(_exp_guarded(self.roots.slow * tc))
+        t = float(t)
+        decayed = self._nodes(_exp_guarded(self.roots.slow * t))
         decayed = decayed * self.slow_initial
-        conv = self._forced(lambda g: g.duhamel(self.roots.slow, t), t)
+        conv = self._forced(lambda g: g.duhamel(self.roots.slow, t))
         return decayed, conv, self._tail(t)
 
-    def value(self, t) -> np.ndarray:
+    def value(self, t: float) -> np.ndarray:
         out, conv, tail = self._parts(t)
         if tail is None:
             # adding the zero parts turned every -0.0 into +0.0; field dumps keep that

@@ -11,6 +11,7 @@ sample nodes and large tail arguments.
 import json
 import math
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from scipy import integrate, special
 
 import wie.cli as cli
 from oracles import decimal_exp_differences
+from wie import forcing, lab, symbols
 from wie.config import parse_config
 from wie.forcing import (
+    ForcingTerm,
     TimeProfile,
     _ExpDifference,
     _ExpSecondDifference,
@@ -40,7 +43,7 @@ from wie.quadrature import (
     laplace_tail_shifted,
     laplace_tail_shifted_batch,
 )
-from wie.spectral import semigroup_solution
+from wie.spectral import FrequencyGrid, SpectralProblem, minimizer_hat, semigroup_solution
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
@@ -371,43 +374,58 @@ BLOCK_PROFILES = [
     sampled_profile([0.0, 0.2, 0.5, 0.55, 1.3], [1.0, -2.0, 0.5, 3.0, 0.0]),
 ]
 BLOCK_IDS = ["constant", "exponential", "exponential-growing", "power", "power-integer", "sampled"]
-# t = 0 rows, the sample kinks, a time past the last sample and a dense grid
-BLOCK_TIMES = np.concatenate(([0.0, 0.0, 1e-9, 0.2, 0.55, 2.0], np.linspace(0.0, 1.5, 61)))
+# t = 0, the sample kinks, a time past the last sample and a dense grid, ascending
+BLOCK_TIMES = np.unique(np.concatenate(([0.0, 1e-9, 0.2, 0.55, 2.0], np.linspace(0.0, 1.5, 61))))
 
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
+def _block_study(p, nodes, ladder):
+    """(gap, stack) of the sweep: the symbol xi on the nodes, one part p, a rung per eps."""
+    grid = FrequencyGrid.explicit(nodes, np.ones(len(nodes)))
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbols.custom(lambda xi: xi),
+        initial_hat=np.cos(grid.nodes) + 0.5j,
+        forcing=ForcingTerm.from_multipliers([(p, lambda xi: np.exp(-0.5 * xi**2))]),
+    )
+    gap = lab._SpectralGap(prob, grid.weights)
+    return gap, lab._Stack(gap, [minimizer_hat(prob, eps) for eps in ladder])
+
+
 @pytest.mark.parametrize("p", BLOCK_PROFILES, ids=BLOCK_IDS)
 def test_block_rows_are_the_scalar_calls_bit_for_bit(p):
-    rng = np.random.default_rng(41)
-    lam = np.concatenate((-rng.uniform(0.0, 60.0, 7), [0.3, 0.0]))
-    mu = rng.uniform(1.5, 200.0, 9)
-    duhamel = p.duhamel(lam, BLOCK_TIMES)
-    tail = p.shifted_tail(mu, BLOCK_TIMES, 1.0)
-    assert duhamel.shape == tail.shape == (BLOCK_TIMES.size, 9)
+    # the sweep's flow and distances on a block of times: row k is bit for bit the
+    # call at times[k] alone
+    gap, stack = _block_study(p, [0.0, 0.3, 1.0, 2.5, 40.0], (1e-1, 1e-4))
+    arrays = lambda term: term if isinstance(term, tuple) else (term,)  # noqa: E731
+    decay, terms = gap.flow(lab._column(BLOCK_TIMES))
+    decay, terms = decay.copy(), [tuple(a.copy() for a in arrays(term)) for term in terms]
+    totals = gap.gap_sq(stack, lab._column(BLOCK_TIMES), gap.flow(lab._column(BLOCK_TIMES)))
+    assert decay.shape == (BLOCK_TIMES.size, 1, 5) and totals.shape == (BLOCK_TIMES.size, 2)
     for k, t in enumerate(BLOCK_TIMES):
-        np.testing.assert_array_equal(_bits(duhamel[k]), _bits(p.duhamel(lam, float(t))))
-        np.testing.assert_array_equal(_bits(tail[k]), _bits(p.shifted_tail(mu, float(t), 1.0)))
-    # t = 0 rows are +0.0, as the scalar call gives them, whatever the amplitude's sign
-    np.testing.assert_array_equal(_bits(duhamel[:2]), 0)
+        one = gap.flow(float(t))
+        np.testing.assert_array_equal(_bits(decay[k]).ravel(), _bits(one[0]).ravel())
+        for term, alone in zip(terms, one[1]):
+            for a, b in zip(term, arrays(alone)):
+                np.testing.assert_array_equal(_bits(a[k]).ravel(), _bits(b).ravel())
+        (want,) = gap.gap_sq(stack, float(t), one)
+        np.testing.assert_array_equal(_bits(totals[k]), _bits(want))
 
 
 @pytest.mark.parametrize("p", BLOCK_PROFILES, ids=BLOCK_IDS)
 def test_block_refuses_what_some_row_refuses(p):
-    times = np.array([0.0, 1.0, 2.5])
+    # the symbol value -300: exp(-ell t) passes the cap at t = 2.5 alone, and the slow
+    # root 309.6 of eps = 1e-4 at t = 2.3 alone
+    gap, stack = _block_study(p, [-300.0, 0.0, 1.0, 5.0], (1e-4, 1e-5))
     with pytest.raises(ExponentOverflowError):
-        p.duhamel(np.array([1.0, 300.0]), times)  # only the last row passes the cap
-    with pytest.raises(ValueError, match="nonnegative"):
-        p.duhamel(np.array([1.0]), np.array([0.5, -1.0]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        p.shifted_tail(np.array([5.0]), np.array([0.5, -1.0]))
-    with pytest.raises(DivergenceError):
-        p.shifted_tail(np.array([5.0, 2.0]), times, growth_rate=2.0)
-    with pytest.raises(ValueError, match="1-D"):
-        p.duhamel(np.array([1.0]), np.zeros((2, 2)))
-    assert p.duhamel(np.array([1.0, 2.0]), np.array([])).shape == (0, 2)
+        gap.flow(lab._column([0.0, 1.0, 2.5]))
+    flow = gap.flow(lab._column([0.0, 1.0, 2.3]))
+    with pytest.raises(ExponentOverflowError):
+        gap.gap_sq(stack, lab._column([0.0, 1.0, 2.3]), flow)
+    gap.gap_sq(stack, 1.0, gap.flow(1.0))
 
 
 @st.composite
@@ -452,14 +470,15 @@ def test_second_difference_matches_the_decimal_oracle(triple, weight):
     x0, delta, x2, t = triple
     e01, d12, d02, want = decimal_exp_differences(x0, delta, x2, t)
     kernel = _ExpSecondDifference(np.array([x0]), np.array([delta]), x2, weight)
-    got = kernel(t, *(np.array([float(v)]) for v in (e01, d12, d02)))
+    got = kernel(np.array(t), *(np.array([float(v)]) for v in (e01, d12, d02)))
     want *= Decimal(weight)
     tol = Decimal(8 * 2.0**-52 * (1.0 + t * max(abs(x0), abs(x0 + delta), abs(x2))))
     assert abs(Decimal(float(got[0])) - want) <= tol * abs(want)
     # the first difference as the spectral sweep forms it, with x1 - x2 from delta
     x1 = np.array([x0 + delta])
     first = _ExpDifference(x1, x2, gap=np.array([delta - (x2 - x0)]))
-    assert abs(Decimal(float(first(t, np.exp(x1 * t))[0])) - d12) <= tol * d12
+    top = np.maximum(np.exp(x1 * t), math.exp(x2 * t))
+    assert abs(Decimal(float(first(np.array(t), top)[0])) - d12) <= tol * d12
 
 
 def test_second_difference_takes_many_rates_at_once():
@@ -472,7 +491,7 @@ def test_second_difference_takes_many_rates_at_once():
     for t in (0.05, 0.8, 3.0):
         first = [decimal_exp_differences(*v, x2, t) for v in zip(x0, delta)]
         e01, d12, d02 = (np.array([float(d[k]) for d in first]) for k in range(3))
-        got = kernel(t, e01, d12, d02)
+        got = kernel(np.array(t), e01, d12, d02)
         for g, d, a, b in zip(got, first, x0, delta):
             want = Decimal(0.5) * d[3]
             tol = Decimal(8 * 2.0**-52 * (1.0 + t * max(abs(a), abs(a + b), abs(x2))))
@@ -485,25 +504,69 @@ def test_second_difference_takes_many_rates_at_once():
     x2=st.floats(-3.0, 3.0),
     weight=st.floats(0.1, 2.0),
     seed=st.integers(0, 2**32 - 1),
+    step=st.integers(0, 24),
 )
 @settings(deadline=None, max_examples=200)
-def test_difference_kernels_give_a_block_each_rows_own_bits(x0, rows, x2, weight, seed):
-    # a block of rate rows takes one Taylor order over the whole block and its series
-    # in chunks; every entry keeps the bits of its row's kernel alone, at every time,
-    # also where a chunk holds one lone rate
+def test_difference_kernels_give_a_block_each_rows_own_bits(x0, rows, x2, weight, seed, step):
+    # a block of rate rows, built a step of whole rows at a time, takes one Taylor order
+    # over the whole block and its series in chunks; every entry keeps the bits of its
+    # row's kernel alone, at every time, also where a chunk holds one lone rate
     rng = np.random.default_rng(seed)
     x0 = np.array(x0)
     delta = np.where(rng.uniform(size=(rows, x0.size)) < 0.2, 0.0, rng.uniform(0.0, 3.0, (rows, x0.size)))
-    block = _ExpSecondDifference(x0, delta, x2, weight)
+    with mock.patch.object(forcing, "_BATCH_VALUES", step):
+        block = _ExpSecondDifference(x0, delta, x2, weight)
     alone = [_ExpSecondDifference(x0, d, x2, weight) for d in delta]
     first = _ExpDifference(float(delta.max()), x2, gap=delta - (x2 - x0))
     first_alone = [_ExpDifference(float(d.max()), x2, gap=d - (x2 - x0)) for d in delta]
     e01, d12 = rng.uniform(-1.0, 1.0, (2, rows, x0.size))
     d02 = rng.uniform(-1.0, 1.0, x0.size)
     for t in np.geomspace(0.01, 20.0, 40):
-        got = block(float(t), e01, d12, d02)
-        got_first = first(float(t), np.exp(x0 * t) + 0.0 * delta)
+        top = np.maximum(np.exp(x0 * t), math.exp(x2 * t))
+        got = block(t, e01, d12, d02)
+        got_first = first(t, top + 0.0 * delta)
         for k in range(rows):
-            want = alone[k](float(t), e01[k], d12[k], d02)
+            want = alone[k](t, e01[k], d12[k], d02)
             assert got[k].tobytes() == want.tobytes()
-            assert got_first[k].tobytes() == first_alone[k](float(t), np.exp(x0 * t)).tobytes()
+            assert got_first[k].tobytes() == first_alone[k](t, top).tobytes()
+
+
+@given(
+    x0=st.lists(st.floats(-6.0, 2.0), min_size=1, max_size=5),
+    rows=st.integers(1, 3),
+    x2=st.floats(-3.0, 3.0),
+    weight=st.floats(0.1, 2.0),
+    times=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one time and one rate inside the radius: the lone column, summed in order
+@example(x0=[-1.0], rows=1, x2=-0.5, weight=1.0, times=[0.3], seed=0)
+@settings(deadline=None, max_examples=200)
+def test_difference_kernels_on_a_block_of_times_give_each_times_own_bits(
+    x0, rows, x2, weight, times, seed
+):
+    # each row of a block of times is bit for bit the call at that time alone: the
+    # first difference with flat gaps and gaps whose product with t is subnormal, the
+    # second with Taylor prefixes that differ across the block, one of its times at
+    # radius/spread exactly, and t = 0
+    rng = np.random.default_rng(seed)
+    x0 = np.array(x0)
+    delta = np.where(rng.uniform(size=(rows, x0.size)) < 0.2, 0.0, rng.uniform(0.0, 3.0, (rows, x0.size)))
+    second = _ExpSecondDifference(x0, delta, x2, weight)
+    spread = second.spread[second.spread > 0.0]
+    if spread.size:
+        times.append(0.5 / float(spread[rng.integers(spread.size)]))
+    times = np.unique(np.clip(times, 0.0, 8.0))
+    gap = rng.uniform(-3.0, 3.0, (rows, x0.size))
+    gap[rng.uniform(size=gap.shape) < 0.25] = 0.0  # flat: D is t exp(x t)
+    gap[rng.uniform(size=gap.shape) < 0.25] = 1e-309  # |gap| t below the smallest normal
+    first = _ExpDifference(2.0, x2, gap=gap)
+    shape = (times.size, rows, x0.size)
+    e01, d12, top = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape), rng.uniform(0.5, 2.0, shape)
+    d02 = rng.uniform(-1.0, 1.0, (times.size, 1, x0.size))
+    column = times.reshape(-1, 1, 1)
+    got_first = first(column, top)
+    got_second = second(column, e01, d12, d02)
+    for k, t in enumerate(times):
+        assert got_first[k].tobytes() == first(np.array(t), top[k]).tobytes()
+        assert got_second[k].tobytes() == second(np.array(t), e01[k], d12[k], d02[k]).tobytes()

@@ -274,13 +274,14 @@ def fit_rate(epsilons: Sequence[float], errors: Sequence[float]):
     """Log-log slope of error against eps, with a confidence half-width.
 
     Weighted least squares; the two smallest-eps points count double since
-    that is where the asymptotic regime lives.  Returns (rate, half_width),
-    or (None, None) when fewer than two errors are positive or their eps
-    are too close for the fit.
+    that is where the asymptotic regime lives.  An error that is zero, inf
+    or NaN has no logarithm to fit and is left out.  Returns (rate,
+    half_width), or (None, None) when fewer than two errors are positive
+    and finite or their eps are too close for the fit.
     """
     eps_arr = np.asarray(epsilons, dtype=float)
     err_arr = np.asarray(errors, dtype=float)
-    keep = err_arr > 0.0
+    keep = (err_arr > 0.0) & (err_arr < math.inf)
     if int(keep.sum()) < 2:
         return None, None
     x = np.log(eps_arr[keep])
@@ -371,9 +372,21 @@ class _ExponentialGap:
     with no cancellation.  Everything independent of t is built here, one
     row per rung; a rung refuses a tail rate f at or below the growth rate
     as shifted_tail(f, 0) did.
+
+    On a stack that bisects under the second-order bound (_SpectralGap.sweep)
+    it also gives |c M_b|, c the norm of the part's column of R and M_b the
+    majorant of |b''|.  With D' = s D + exp(r t) and E' = D - ell E,
+
+        |b''| <= |kappa| s^2 D + |A| delta |s - ell| D + ell^2 |A delta E|
+                 + (|kappa| |s + r| + |A| delta) exp(r t),
+
+    since D and E are integrals of positive exponentials, and
+    |c M_b| <= |c (the first three terms)| + exp(r t) |c (the last weight)|,
+    the last norm a number per rung, formed here.
     """
 
-    def __init__(self, amplitude, rate, ell, stack, delta):
+    def __init__(self, amplitude, rate, ell, stack, delta, norm=None):
+        self.amplitude = amplitude
         self.kappa = np.empty(delta.shape)
         for row, m in zip(self.kappa[0], stack.rungs):
             r = m.roots
@@ -382,11 +395,24 @@ class _ExponentialGap:
         # s - r = delta - (ell + r), which keeps the digits of a small delta
         self.first = _ExpDifference(stack.slow_max, rate, gap=np.subtract(delta, ell + rate))
         self.second = _ExpSecondDifference(-ell, delta, rate, amplitude)
+        if norm is None:
+            return
+        # the stack's rows, not the stack, so that no cycle outlives the sweep
+        self.rows, self.norm = (stack.bend, stack.slow_sq, stack.ell_sq), norm
+        weight = np.empty(delta.shape)
+        for row, m in zip(weight[0], stack.rungs):
+            np.add(m.roots.slow, rate, out=row)
+        np.abs(weight, out=weight)
+        weight *= np.abs(self.kappa)
+        weight += np.multiply(delta, abs(amplitude))
+        weight *= norm
+        self.reach = np.sqrt(np.vecdot(weight, weight))
 
-    def __call__(self, t: np.ndarray, a, grow, flow) -> np.ndarray:
+    def __call__(self, t: np.ndarray, a, grow, flow, bends=None) -> np.ndarray:
         """b at the times t from a = exp(s t) - exp(-ell t), grow() = exp(s t) and the flow's term.
 
-        The flow's term is (D[-ell, r], exp(r t)).
+        The flow's term is (D[-ell, r], exp(r t)).  When bends is a list,
+        |c M_b| is appended to it.
         """
         d02, exp_r = flow
         # the Taylor entries first, while no other per-time block of the part is alive
@@ -395,8 +421,26 @@ class _ExponentialGap:
         first = self.first(t, np.maximum(top, exp_r, out=top))
         del top
         b = self.second(t, a, first, d02, series)
-        b += np.multiply(self.kappa, first, out=first)
-        return b
+        if bends is None:
+            b += np.multiply(self.kappa, first, out=first)
+            return b
+        spread, slow_sq, ell_sq = self.rows
+        bend = np.multiply(spread, first)  # delta |s - ell| D
+        bend *= abs(self.amplitude)
+        first *= self.kappa
+        work = np.abs(first)
+        work *= slow_sq
+        bend += work
+        del work
+        # b = A delta E + kappa D, the same bits in kappa D's place
+        first += b
+        np.abs(b, out=b)
+        b *= ell_sq
+        bend += b
+        del b
+        bend *= self.norm
+        bends.append(np.sqrt(np.vecdot(bend, bend)) + exp_r.reshape(exp_r.shape[:-1]) * self.reach)
+        return first
 
 
 class _Stack:
@@ -410,6 +454,11 @@ class _Stack:
     rows tail_j(f, 0)/z.  The gap's work block (_SpectralGap.work), shared
     by its stacks, first holds each rung's delta = eps s^2 while the parts
     are built.
+
+    A stack that bisects under the second-order bound (gap.second_order)
+    also holds the row bend = delta |s - ell|, which the majorants of |a''|
+    and |b_j''| take (_SpectralGap.gap_sq); otherwise bend is None.  taylor
+    holds what its last evaluation left there.
     """
 
     def __init__(self, gap: "_SpectralGap", rungs: list):
@@ -423,10 +472,18 @@ class _Stack:
         self.slow_max = max(self.slow_maxima)
         self.alpha = gap.work(len(rungs))  # the work block of one time
         delta = np.multiply(self.slow_sq, self.eps, out=self.alpha)
+        self.bend = self.taylor = None
+        if gap.second_order:
+            # s - ell = delta - 2 ell
+            self.bend = np.subtract(delta, 2.0 * gap.ell)
+            np.abs(self.bend, out=self.bend)
+            self.bend *= delta
+            self.ell_sq = gap.ell_sq
         self.parts = []
-        for (g, _H), form in zip(gap.problem.forcing_parts, gap.forms):
+        for k, ((g, _H), form) in enumerate(zip(gap.problem.forcing_parts, gap.forms), 1):
             if form is not None:
-                self.parts.append(_ExponentialGap(*form, gap.ell, self, delta))
+                norm = gap.norms[k] if gap.second_order else None
+                self.parts.append(_ExponentialGap(*form, gap.ell, self, delta, norm))
                 continue
             tail0 = np.empty(shape)
             for row, m in zip(tail0[0], rungs):
@@ -483,6 +540,9 @@ class _SpectralGap:
             None if f is None else _ExpDifference(-ell, f[1], gap=-(ell + f[1]).reshape(1, 1, -1))
             for f in self.forms
         ]
+        # set by sweep for a study whose stacks bisect under the second-order bound
+        self.second_order = False
+        self.taylor = {}
 
     def work(self, rows: int, times: int = 1) -> np.ndarray:
         """A (times x rows x values) work block, shared by the stacks, since one stack runs at a time."""
@@ -511,13 +571,23 @@ class _SpectralGap:
             if d is None:
                 terms.append(np.array([[g.duhamel(-self.ell, tk)] for tk in times]))
                 continue
+            # refused before math.exp overflows, so that every refusal has the cap's message
+            _refuse_past_cap(d.rate * times[-1])
             exp_r = np.array([math.exp(d.rate * tk) for tk in times]).reshape(t.shape)
             # past the cap the clamped exp(-ell t) still gives each D[-ell, r] its exp(max(-ell, r) t)
             terms.append((d(t, np.maximum(decay, exp_r)), exp_r))
         return (None if self.highest * times[-1] > EXPONENT_CAP else decay), terms
 
     def gap_sq(self, stack: _Stack, t, flow: tuple) -> np.ndarray:
-        """Each rung's squared distance at the ascending times t: a (times x rungs) array."""
+        """Each rung's squared distance at the ascending times t: a (times x rungs) array.
+
+        On a stack that bisects under the second-order bound, within the
+        cap, it also leaves in stack.taylor each rung's (<g, g'>, |g'|^2, M)
+        at each time, a (times x rungs x 3) array, where g = R x and M is a
+        majorant of |g''|: the sum over the columns k of R of |c_k m_k|, c_k
+        the column's norm and m_k the majorant of |x_k''|.  Otherwise
+        stack.taylor is None.
+        """
         decay, terms = flow
         t = np.asarray(t)
         a = stack.alpha if t.size == 1 else self.work(len(stack.rungs), t.size)
@@ -541,10 +611,13 @@ class _SpectralGap:
             # exp(s t) as a new array; within the cap formed where it is read, so no block of it stays
             return decay + a if past_cap is None else past_cap.copy()
 
+        stack.taylor = None
+        # per column k of R, |c_k m_k|, m_k the majorant of |x_k''| (_ExponentialGap)
+        bends = [] if stack.bend is not None and past_cap is None else None
         x = [a]
         for (g, _H), part, term in zip(self.problem.forcing_parts, stack.parts, terms):
             if isinstance(part, _ExponentialGap):
-                x.append(part(t, a, grow, term))
+                x.append(part(t, a, grow, term, bends))
                 continue
             b = np.empty(a.shape)
             for rows, tk in zip(b, t.ravel().tolist()):
@@ -555,14 +628,48 @@ class _SpectralGap:
             b -= term
             b -= grow() * part
             x.append(b)
-        # y_i = sum_{k >= i} R_ik x_k, formed in place of x_i, which no later row reads
-        squares = []
+        slopes = None
+        if bends is not None:
+            # |a''| <= s^2 a + delta |s - ell| exp(-ell t)
+            bend = np.multiply(stack.bend, decay)
+            work = np.multiply(stack.slow_sq, a)
+            bend += work
+            bend *= self.norms[0]
+            bends.insert(0, np.sqrt(np.vecdot(bend, bend)))
+            del bend
+            # b_j' = s b_j + A delta D[-ell, r] + kappa exp(r t), by D[x, r]' = x D[x, r] + exp(r t),
+            # and a' = delta exp(s t) - ell a, formed in delta's place, with s = delta - ell
+            delta = np.multiply(stack.slow_sq, stack.eps, out=np.empty(a.shape))
+            slopes = [delta]
+            for part, (d02, exp_r), b in zip(stack.parts, terms, x[1:]):
+                slope = np.multiply(delta, d02)
+                slope *= part.amplitude
+                slope += np.multiply(part.kappa, exp_r, out=work)
+                slope += np.multiply(delta, b, out=work)
+                slope -= np.multiply(self.ell, b, out=work)
+                slopes.append(slope)
+            delta *= np.add(decay, a, out=work)
+            delta -= np.multiply(self.ell, a, out=work)
+            del work, delta
+        # y_i = sum_{k >= i} R_ik x_k, formed in place of x_i, which no later row reads,
+        # and y_i' so from the x_k'
+        squares, dots, steep = [], [], []
         for i, ((diagonal, right), y) in enumerate(zip(self.rows, x)):
             y *= diagonal
             for r, xk in zip(right, x[i + 1 :]):
                 y += r * xk
             # vecdot forms each rung's y . y at each time as np.dot does, bit for bit
             squares.append(np.vecdot(y, y))
+            if slopes is not None:
+                dy = slopes[i]
+                dy *= diagonal
+                for r, xk in zip(right, slopes[i + 1 :]):
+                    dy += r * xk
+                dots.append(np.vecdot(y, dy))
+                steep.append(np.vecdot(dy, dy))
+        if slopes is not None:
+            totals = [sum(column[1:], column[0]) for column in (dots, steep, bends)]
+            stack.taylor = np.stack(totals, -1)
         return sum(squares[1:], squares[0])
 
     def sweep(self, live: dict, times) -> dict:
@@ -572,36 +679,57 @@ class _SpectralGap:
         and each stack takes its times in blocks: rungs x times x values stay
         within _STACK_VALUES.  The sweep goes in rounds: each round forms the
         flow once per block of the times that some stack needs, in ascending
-        order, and evaluates only the stacks that need them.  A forced stack
-        needs every time in the first round, and then none.
+        order, and evaluates only the stacks that need them.
 
-        An unforced stack bisects the grid.  It needs the first and last
-        times, then, round by round, the midpoint of every interval
-        [t_a, t_b] between two evaluated times that one of its rungs cannot
-        rule out.  For 0 < t_a <= t <= t_b a rung's distance N obeys
+        A stack bisects the grid.  It needs the first and last times, then,
+        round by round, the midpoint of every interval [t_a, t_b] between two
+        evaluated times that one of its rungs cannot rule out.  A rung rules
+        the interval out when a bound on its distance N over [t_a, t_b],
+        raised by _BOUND_MARGIN, lies below the largest distance it has so
+        far (_rules_out).  So sup_error is still the maximum of the grid
+        values: every skipped time lies below one that was evaluated, and
+        each evaluated one has the bits of the full walk.  The bounds hold
+        for 0 < t_a <= t <= t_b, with h = t_b - t_a.
 
-            N(t) <= N(t_a) (t_b/t_a) exp(max(s_max, 0) (t_b - t_a)),
+        Unforced, N^2 = sum_u R_u^2 a_u^2, and
+
+            N(t) <= N(t_a) (t_b/t_a) exp(max(s_max, 0) h),
 
         since per value a(t)/a(t_a) = exp(-ell (t - t_a)) expm1(delta t)/expm1(delta t_a)
         <= (t/t_a) exp(s (t - t_a)) by delta >= 0 and phi1(x + y) <= e^y phi1(x)
-        for y >= 0, and N^2 = sum_u R_u^2 a_u^2.  A rung rules the interval
-        out when that bound, raised by _BOUND_MARGIN, lies below the largest
-        distance it has so far (_rules_out).  So sup_error is still the
-        maximum of the grid values: every skipped time lies below one that
-        was evaluated, and each evaluated one has the bits of the full walk.
-        A forced stack has no such bound: b_j(t) can change sign.
+        for y >= 0.
+
+        Forced, b_j(t) can change sign, and the bound is of second order in
+        g = R x, x = (a, b_1, ...).  By Taylor's theorem
+
+            N(t) <= max(N(t_a), |g(t_a) + h g'(t_a)|) + (h^2/2) max |g''|,
+
+        as |g + tau g'|^2 is convex in tau.  |g + h g'|^2 is
+        N^2 + 2h <g, g'> + h^2 |g'|^2, and |g''| is at most the M that
+        gap_sq forms at t_a from nonnegative terms: a, exp(-ell t),
+        exp(r t), D[s, r] and E[-ell, s, r] with positive weights.  Each
+        term at t is at most its value at t_a times (t_b/t_a)^2
+        exp(rho h), rho = max(s_max, r_max, 0): a by the bound above (-ell
+        <= s), and D and E, integrals of exp(c t) over c between their
+        rates, grow by (t/t_a) and (t/t_a)^2 times exp(max(c, 0) h).  So a
+        forced stack bisects when every part is constant or exponential
+        and its grid takes more than one block; otherwise, and at times
+        past the exponent cap, where gap_sq forms no Taylor data, it walks
+        every time.
 
         A stack that refuses when built is taken apart: each rung is built
         alone; a refusal there is that rung's failure, and the others are
         stacked again.  A block that refuses runs again one time at a time,
         and a stack that refuses at one time t is taken apart in the same
         way, each rung evaluated at t alone; the survivors go on with the
-        times and intervals the stack still had open.  Every refusal of an
-        unforced stack or of the flow starts at some time and holds at every
-        later one, with one message, so evaluating the last time first fails
-        the rungs the full walk fails, with the same text.
+        times and intervals the stack still had open.  Every refusal of a
+        stack that bisects or of the flow passes the exponent cap: it starts
+        at some time and holds at every later one, with one message, so
+        evaluating the last time first fails the rungs the full walk fails,
+        with the same text.
         """
         sups = {i: {} for i in live}  # per rung, its distance at each time evaluated
+        self.taylor = {i: {} for i in live}  # and its Taylor data, from _take
         ids = list(live)
         per = max(1, _STACK_VALUES // self.ell.size)
         rows = min(per, len(ids))
@@ -610,7 +738,13 @@ class _SpectralGap:
         self.work(rows, width)  # the largest block's, before any stack is built
         times = [float(t) for t in times]
         last = len(times) - 1
-        bisect = not self.problem.forcing_parts and last > 1
+        forced = bool(self.problem.forcing_parts)
+        self.second_order = False
+        if forced and 1 < last and width <= last and None not in self.forms:
+            self._use_second_order()
+        bisect = last > 1 and (self.second_order or not forced)
+        # every term of the bound grows at most at this rate beside each rung's s_max
+        lowest = max([0.0] + [f[1] for f in self.forms]) if self.second_order else 0.0
         # per stack: [its rungs' indices, the stack, the times it needs this round, its intervals]
         stacks = []
         for lo in range(0, len(ids), per):
@@ -622,8 +756,8 @@ class _SpectralGap:
             if group:
                 need = {0, last} if bisect else set(range(len(times)))
                 stacks.append([group, stack, need, [(0, last)] if bisect else []])
-        scale = float(np.abs(self.factor[0, 0]).max())
-        # a term R_u a_u that underflow touched is off by about R_u 2**-1074: while N(t_a)^2
+        scale = float(np.abs(self.factor).max())
+        # a term R_ik x_k that underflow touched is off by about R_ik 2**-1074: while N(t_a)^2
         # is above this floor, all of them move N(t_a) by far less than _BOUND_MARGIN
         floor = self.ell.size * max(scale * scale, 1.0) * 2.0**-1022 / _BOUND_MARGIN
         while stacks and self._round(stacks, times, width, live, sups):
@@ -633,7 +767,12 @@ class _SpectralGap:
                     continue  # every rung of the stack failed
                 # an interval stays open while one rung cannot rule it out
                 rungs = [
-                    (sups[i], max(s, 0.0), max([0.0, *sups[i].values()]))
+                    (
+                        sups[i],
+                        max(s, lowest),
+                        max([0.0, *sups[i].values()]),
+                        self.taylor[i] if self.second_order else None,
+                    )
                     for i, s in zip(group, stack.slow_maxima)
                 ]
                 spans = [
@@ -641,8 +780,8 @@ class _SpectralGap:
                     for a, b in spans
                     if b - a > 1
                     and not all(
-                        _rules_out(seen, times[a], times[b], growth, floor, best)
-                        for seen, growth, best in rungs
+                        _rules_out(seen, times[a], times[b], growth, floor, best, taylor)
+                        for seen, growth, best, taylor in rungs
                     )
                 ]
                 if spans:
@@ -653,6 +792,13 @@ class _SpectralGap:
         return {
             i: s if isinstance(s, Exception) else max([0.0, *s.values()]) for i, s in sups.items()
         }
+
+    def _use_second_order(self) -> None:
+        """Have the stacks built from now on form the Taylor data of the second-order bound."""
+        self.second_order = True
+        # per column k of R, its norm c_k, and ell^2, which the majorants take
+        self.norms = np.sqrt(np.square(self.factor).sum(axis=0))
+        self.ell_sq = np.square(self.ell)
 
     def _round(self, stacks, times, width, live, sups) -> bool:
         """Evaluate each stack at the times it needs; False, all failed, if the flow refuses.
@@ -702,6 +848,10 @@ class _SpectralGap:
         for time, totals in zip(ts, self.gap_sq(stack, t, flow).tolist()):
             for i, total in zip(group, totals):
                 sups[i][time] = math.sqrt(total)
+        if stack.taylor is not None:
+            for time, rows in zip(ts, stack.taylor.tolist()):
+                for i, data in zip(group, rows):
+                    self.taylor[i][time] = data
 
     def _apart(self, group, live, sups, t=None, flow=None) -> tuple:
         """(survivors, their stack or None) once each rung was built, and taken at t, alone."""
@@ -732,31 +882,57 @@ def _column(ts) -> np.ndarray:
     return np.array(ts, dtype=float).reshape(-1, 1, 1)
 
 
-def _rules_out(seen: dict, ta: float, tb: float, growth: float, floor: float, best: float) -> bool:
+def _rules_out(
+    seen: dict, ta: float, tb: float, growth: float, floor: float, best: float, taylor=None
+) -> bool:
     """Whether a rung's distance provably stays below best strictly between ta and tb.
 
-    seen holds the rung's distance at each evaluated time, ta among them.
-    At ta = 0 the distance is 0 and bounds nothing.  A left end whose square
-    lies below floor may have lost terms to underflow.  An inf or NaN bound
-    rules nothing out.  The rung was evaluated at the last time, so
-    growth * tb stays within the exponent cap and exp() cannot overflow.
+    seen holds the rung's distance at each evaluated time, ta among them;
+    taylor, for a forced rung, its Taylor data at each of them within the
+    cap (_SpectralGap.gap_sq), and None for an unforced one.  At ta = 0 the
+    distance is 0 and bounds nothing, and a forced bound grows without limit
+    there.  A left end whose square lies below floor may have lost terms to
+    underflow.  An inf or NaN bound rules nothing out.  The rung was
+    evaluated at the last time, so growth * tb stays within the exponent cap
+    and exp() cannot overflow.
     """
     if ta == 0.0:
         return False
     left = seen[ta]
     if not left * left >= floor:
         return False
-    bound = left * (tb / ta) * math.exp(growth * (tb - ta))
+    if taylor is None:
+        bound = left * (tb / ta) * math.exp(growth * (tb - ta))
+    elif ta in taylor:
+        bound = _reach(left, *taylor[ta], ta, tb, growth)
+    else:
+        return False  # past the cap, where no Taylor data is formed
     return bound * (1.0 + _BOUND_MARGIN) < best
+
+
+def _reach(left, dot, steep, bend, ta, tb, growth) -> float:
+    """The second-order bound on a forced rung's distance over [ta, tb] (_SpectralGap.sweep).
+
+    left is N(ta), dot <g, g'>, steep |g'|^2 and bend the majorant M of
+    |g''|, all at ta; inf where an input is not finite.
+    """
+    h = tb - ta
+    reach = left * left + h * (2.0 * dot + h * steep)
+    if not (math.isfinite(reach) and math.isfinite(bend)):
+        return math.inf
+    spread = (tb / ta) ** 2 * math.exp(growth * h)
+    return max(left, math.sqrt(max(reach, 0.0))) + 0.5 * h * h * bend * spread
 
 
 # values per stack of rungs in the sweep (_SpectralGap.sweep), so a (rungs x values) block
 # is at most 128 KiB: stacking gains least on wide rungs (measured table in ROADMAP)
 _STACK_VALUES = 16384
-# relative slack of the growth bound of the bisecting sweep (_SpectralGap.sweep).  Each
+# relative slack of the bounds of the bisecting sweep (_SpectralGap.sweep).  Each
 # distance it compares carries the rounding of exp and expm1 at arguments up to
 # EXPONENT_CAP: about 700 ulps, 1.6e-13 relative, and as much again for the bound's own
-# exp.  2**-30 (9.3e-10) covers their sum many times over and skips no fewer times.
+# exp; N^2 + 2h <g, g'> + h^2 |g'|^2 loses a few times as much against the larger of it
+# and N^2, since |<g, g'>| <= N |g'|.  2**-30 (9.3e-10) covers their sum many times over
+# and skips no fewer times.
 _BOUND_MARGIN = 2.0**-30
 
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -255,6 +256,15 @@ class TestFitRate:
         # or nearly singular, with an inverse whose variance entry comes out negative
         assert fit_rate([1.000000000000002e-06, 1e-06], [1e-3, 2e-3]) == (None, None)
 
+    def test_non_finite_errors_are_left_out(self):
+        # an overflowed rung has no logarithm: the rate is that of the finite rungs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit_rate([0.1, 0.01, 0.001], [math.inf, 1.0, 0.1])
+            assert got == fit_rate([0.01, 0.001], [1.0, 0.1])
+            assert fit_rate([0.1, 0.01], [math.nan, 1.0]) == (None, None)
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
+
 
 class TestConvergenceStudy:
     def test_scalar_decay_and_verdicts(self):
@@ -316,8 +326,8 @@ class TestSpectralStudy:
     LADDER = [1e-1, 1e-2, 1e-3, 1e-4]
 
     def test_one_reference_evaluation_per_time(self, monkeypatch):
-        # the flow covers each time at most once; a forced study, which has no growth
-        # bound, takes every time, and an unforced one skips the times its bound rules out
+        # the flow covers each time at most once, and a study, unforced or with a
+        # constant part, skips the times its bound rules out
         calls = []
         flow = lab._SpectralGap.flow
         monkeypatch.setattr(
@@ -326,13 +336,13 @@ class TestSpectralStudy:
             lambda self, t: calls.extend(np.ravel(t).tolist()) or flow(self, t),
         )
         forced = _gaussian_forcing(constant_profile(0.7))
-        for forcing, taken in [(None, range(2, 201)), (forced, [201])]:
+        for forcing in (None, forced):
             calls.clear()
             report = convergence_study(
                 _spectral_problem(forcing=forcing), self.LADDER, 1.0, time_points=201
             )
             assert report.verdicts["all_members_completed"]
-            assert len(calls) == len(set(calls)) and len(calls) in taken
+            assert len(calls) == len(set(calls)) and 2 <= len(calls) < 201
 
     def test_rungs_match_one_rung_at_a_time(self):
         # side by side, each rung gives the very floats it gives alone
@@ -752,7 +762,8 @@ def test_forced_rung_past_the_cap_fails_alone_in_a_shared_stack(monkeypatch):
     report = convergence_study(prob, ladder, 1.0)
     ((group, when),) = apart
     assert group == [0, 1, 2]
-    # the time is the first where the rung alone refuses
+    # the stack bisects, so it is taken apart at the last time, which it evaluates
+    # first; the rung alone refuses there and at every time from near t = 0.93 on
     gap = lab._SpectralGap(prob, grid.weights)
     alone = lab._Stack(gap, [minimizer_hat(prob, ladder[0])])
     refused = []
@@ -761,7 +772,8 @@ def test_forced_rung_past_the_cap_fails_alone_in_a_shared_stack(monkeypatch):
             gap.gap_sq(alone, float(t), gap.flow(float(t)))
         except ExponentOverflowError:
             refused.append(float(t))
-    assert 0.9 < when == refused[0] < 1.0
+    assert when == refused[-1] == 1.0 and 0.9 < refused[0] < 1.0
+    assert refused == [t for t in np.linspace(0.0, 1.0, 201).tolist() if t >= refused[0]]
     edge, *inner = report.entries
     assert edge.failure == "a mode grows past exp(700) at the requested time; shorten the horizon"
     assert all(e.failure is None and 0.0 < e.sup_error < math.inf for e in inner)
@@ -791,17 +803,27 @@ _WIDE_LADDERS = st.lists(st.floats(-6.0, -0.7), min_size=1, max_size=5, unique=T
 )
 
 
+@st.composite
+def _exact_profiles(draw):
+    """A constant or exponential profile, its rate above or below 0: what the sweep bisects."""
+    if draw(st.booleans()):
+        return constant_profile(draw(_AMPLITUDES))
+    return exponential_profile(draw(_AMPLITUDES), draw(st.floats(-3.0, 3.0)))
+
+
 @given(
     n=st.sampled_from([8, 16, 32]),
     dx=st.floats(0.05, 1.0),
     power=st.floats(0.5, 2.0),
     shift=st.one_of(st.just(0.0), st.floats(0.0, 60.0), st.just(650.0)),
     scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e100]),
+    parts=st.lists(_exact_profiles(), min_size=0, max_size=2),
     ladder=_WIDE_LADDERS,
     horizon=st.floats(0.1, 3.0),
     time_points=st.integers(2, 1001),
     norm=st.sampled_from(["sup_uniform", "sup_vl"]),
     per_stack=st.sampled_from([1, 2, None]),
+    width=st.sampled_from([1, 3]),
 )
 # symbol values down to -650: growing modes, the edge rung past the cap near t = 0.93
 @example(
@@ -810,30 +832,73 @@ _WIDE_LADDERS = st.lists(st.floats(-6.0, -0.7), min_size=1, max_size=5, unique=T
     power=2.0,
     shift=650.0,
     scale=1e-300,
+    parts=[],
     ladder=[1.8e-4, 1e-5],
     horizon=1.0,
     time_points=201,
     norm="sup_uniform",
     per_stack=None,
+    width=1,
+)
+# the same, forced: the forced stack bisects past where exp(-ell t) passes the cap
+@example(
+    n=32,
+    dx=0.25,
+    power=2.0,
+    shift=650.0,
+    scale=1e-300,
+    parts=[exponential_profile(0.5, -1.0)],
+    ladder=[1.8e-4, 1e-5],
+    horizon=1.0,
+    time_points=201,
+    norm="sup_vl",
+    per_stack=None,
+    width=1,
+)
+# a part whose exp(r t) passes the cap near t = 0.93 and overflows math.exp at t = 1
+@example(
+    n=16,
+    dx=0.5,
+    power=1.0,
+    shift=0.0,
+    scale=1.0,
+    parts=[constant_profile(1.0), exponential_profile(0.5, 750.0)],
+    ladder=[1e-4, 1e-5],
+    horizon=1.0,
+    time_points=201,
+    norm="sup_uniform",
+    per_stack=None,
+    width=3,
 )
 @settings(deadline=None, max_examples=100)
 def test_bisecting_sweep_reports_the_full_walk(
-    n, dx, power, shift, scale, ladder, horizon, time_points, norm, per_stack
+    n, dx, power, shift, scale, parts, ladder, horizon, time_points, norm, per_stack, width
 ):
-    # the unforced sweep skips the times its growth bound rules out and reports, repr
-    # for repr, what gap_sq at every time reports, failures included
+    # the sweep skips the times its bounds rule out, unforced and forced with constant
+    # and exponential parts, and reports, repr for repr, what gap_sq at every time
+    # reports, failures included
     grid = FrequencyGrid.uniform_fft(n, dx)
     prob = SpectralProblem(
         grid=grid,
         symbol=symbols.custom(lambda xi: np.abs(xi) ** power - shift),
         initial_hat=scale * (1.0 - 0.5j) * np.exp(-0.5 * grid.nodes**2),
+        forcing=ForcingTerm.from_multipliers(
+            [
+                (g, lambda xi, v=v: scale * np.exp(-0.5 * v * xi**2 + 1j * xi))
+                for g, v in zip(parts, (0.7, 1.9))
+            ]
+        ),
     )
-    budget = (per_stack or len(ladder)) * prob.distinct.values.size
+    # stacks of one or two rungs, or one stack of every rung taking blocks of width times
+    budget = (per_stack or len(ladder) * width) * prob.distinct.values.size
     study = lambda: convergence_study(  # noqa: E731
         prob, ladder, horizon, norm=norm, time_points=time_points
     ).as_dict()
-    # data of 1e100 grown by exp(650) overflow to inf, on both sides alike
-    with np.errstate(over="ignore"), mock.patch.object(lab, "_STACK_VALUES", budget):
+    # data of 1e100 grown by exp(650) overflow to inf, and a forced gap to inf - inf, on
+    # both sides alike
+    with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(
+        lab, "_STACK_VALUES", budget
+    ):
         bisected = study()
         with mock.patch.object(lab._SpectralGap, "sweep", _walk_every_time):
             walked = study()
@@ -857,19 +922,94 @@ def test_growth_bound_rules_out_only_what_it_proves():
         assert not lab._rules_out({0.5: left}, 0.5, 1.0, 0.0, floor, math.inf)
 
 
+def test_second_order_bound_rules_out_only_what_it_proves():
+    # N(0.5) = 1 with Taylor data (<g, g'>, |g'|^2, M) at 0.5, on [0.5, 1]: h = 0.5
+    floor, margin = 1e-300, lab._BOUND_MARGIN
+    seen = {0.0: 0.0, 0.5: 1.0}
+
+    def holds(bound, growth, taylor):
+        # rules out a best just above the bound raised by the margin, and none within it
+        slopes = {0.5: taylor}
+        above = lab._rules_out(seen, 0.5, 1.0, growth, floor, bound * (1.0 + 2.0 * margin), slopes)
+        within = lab._rules_out(seen, 0.5, 1.0, growth, floor, bound * (1.0 + 0.5 * margin), slopes)
+        return above and not within
+
+    # flat: N stays 1; a slope of 2 along g reaches |g + h g'| = 2; one against g
+    # reaches |g + h g'| = 0, so N(t_a) bounds the first-order part
+    assert holds(1.0, 0.0, (0.0, 0.0, 0.0))
+    assert holds(2.0, 0.0, (2.0, 4.0, 0.0))
+    assert holds(1.0, 0.0, (-2.0, 4.0, 0.0))
+    # a bend M adds (h^2/2) M (t_b/t_a)^2 exp(growth h)
+    assert holds(1.0 + 0.125 * 4.0, 0.0, (0.0, 0.0, 1.0))
+    assert holds(2.0 + 0.125 * 4.0 * math.exp(1.5), 3.0, (2.0, 4.0, 1.0))
+    # at t_a = 0 the bound grows without limit; past the cap t_a has no Taylor data
+    flat = {0.0: (0.0, 0.0, 0.0), 0.5: (0.0, 0.0, 0.0)}
+    assert not lab._rules_out(seen, 0.0, 0.5, 0.0, floor, 1e300, flat)
+    assert not lab._rules_out(seen, 0.5, 1.0, 0.0, floor, 1e300, {})
+    # an inf or NaN entry, or a left end whose square may have lost terms to underflow
+    for bad in (math.inf, -math.inf, math.nan):
+        for k in range(3):
+            taylor = [0.0, 0.0, 0.0]
+            taylor[k] = bad
+            assert not lab._rules_out(seen, 0.5, 1.0, 0.0, floor, 1e300, {0.5: tuple(taylor)})
+    for left in (math.inf, math.nan, 1e-151):
+        assert not lab._rules_out({0.5: left}, 0.5, 1.0, 0.0, floor, 1e300, flat)
+
+
+@given(
+    shift=st.sampled_from([0.0, 5.0]),
+    parts=st.lists(_exact_profiles(), min_size=1, max_size=2),
+    norm=st.sampled_from(["sup_uniform", "sup_vl"]),
+    ta=st.floats(1e-3, 1.0),
+    length=st.floats(1e-3, 1.0),
+)
+@settings(deadline=None, max_examples=40)
+def test_second_order_bound_holds_between_samples(shift, parts, norm, ta, length):
+    # the bound from the Taylor data at t_a, raised by the margin, lies above each
+    # rung's distance at 41 times across [t_a, t_b]
+    grid = FrequencyGrid.uniform_fft(32, 0.25)
+    xi = grid.nodes
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbols.custom(lambda xi: np.abs(xi) - shift),
+        initial_hat=(1.0 - 0.5j + xi) * np.exp(-0.5 * xi**2),
+        forcing=ForcingTerm.from_multipliers(
+            [
+                (g, lambda xi, v=v: np.exp(-0.5 * v * xi**2 + 1j * v * xi))
+                for g, v in zip(parts, (0.7, 1.9))
+            ]
+        ),
+    )
+    w = prob.grid.weights
+    if norm == "sup_vl":
+        w = w * (1.0 + np.abs(prob.symbol_values))
+    gap = lab._SpectralGap(prob, w)
+    gap._use_second_order()
+    stack = lab._Stack(gap, [minimizer_hat(prob, eps) for eps in (2e-2, 1e-2, 1e-3)])
+    rate = max([0.0] + [f[1] for f in gap.forms])
+    tb = ta + length
+    (left,) = np.sqrt(gap.gap_sq(stack, ta, gap.flow(ta)))
+    (taylor,) = stack.taylor.tolist()
+    dense = [np.sqrt(gap.gap_sq(stack, t, gap.flow(t)))[0] for t in np.linspace(ta, tb, 41)]
+    for k, (n_a, data, s) in enumerate(zip(left, taylor, stack.slow_maxima)):
+        bound = lab._reach(float(n_a), *data, ta, tb, max(s, rate))
+        assert max(row[k] for row in dense) <= bound * (1.0 + lab._BOUND_MARGIN)
+
+
 class TestSweepWorkGuard:
     """Work of the sweep on the benchmark's recipes, 201 times and four rungs.
 
     The counts repeat exactly; each call counts the times it covers.
-    spectral-wide (unforced, four stacks of one) bisects: 80 of 201 flows,
-    304 of 804 rung evaluations.  spectral-forced (one stack of four, one
-    time per block) takes every time once: 201 flows, 201 stack
-    evaluations.  ode-forced (one stack of four rungs of eight values)
+    spectral-wide (unforced, four stacks of one) bisects under its growth
+    bound: 80 of 201 flows, 304 of 804 rung evaluations.  spectral-forced
+    (one stack of four, one time per block) bisects under its second-order
+    bound: 24 of 201 flows, 24 stack evaluations, 96 of 804 rung
+    evaluations, and 27, 27 and 108 in the benchmark's sup_vl norm.  ode-forced (one stack of four rungs of eight values)
     takes every time in one block: one flow and one stack evaluation, each
     covering the 201 times.
     """
 
-    def _count(self, monkeypatch, problem):
+    def _count(self, monkeypatch, problem, norm="sup_uniform"):
         flows, stacks = [], []
         flow, gap_sq = lab._SpectralGap.flow, lab._SpectralGap.gap_sq
 
@@ -881,23 +1021,27 @@ class TestSweepWorkGuard:
             lab._SpectralGap, "flow", lambda s, t: flows.append(np.ravel(t).tolist()) or flow(s, t)
         )
         monkeypatch.setattr(lab._SpectralGap, "gap_sq", counted)
-        report = convergence_study(problem, TestSpectralStudy.LADDER, 1.0, time_points=201)
+        report = convergence_study(
+            problem, TestSpectralStudy.LADDER, 1.0, norm=norm, time_points=201
+        )
         assert report.verdicts["all_members_completed"]
         covered = [t for block in flows for t in block]
         assert len(covered) == len(set(covered))
         return flows, stacks
 
-    def _spectral(self, monkeypatch, recipe):
-        flows, stacks = self._count(monkeypatch, validate_config(recipe(1)).spectral_problem)
+    def _spectral(self, monkeypatch, recipe, norm="sup_uniform"):
+        problem = validate_config(recipe(1)).spectral_problem
+        flows, stacks = self._count(monkeypatch, problem, norm)
         return sum(map(len, flows)), sum(t for t, _r in stacks), sum(t * r for t, r in stacks)
 
     def test_unforced_sweep_evaluates_at_most_half_the_grid(self, monkeypatch):
         flows, _stacks, rungs = self._spectral(monkeypatch, workloads.spectral_wide)
         assert flows <= 100 and rungs <= 402
 
-    def test_forced_sweep_takes_every_time_once(self, monkeypatch):
-        flows, stacks, rungs = self._spectral(monkeypatch, workloads.spectral_forced)
-        assert (flows, stacks, rungs) == (201, 201, 804)
+    @pytest.mark.parametrize("norm", ["sup_uniform", "sup_vl"])
+    def test_forced_sweep_evaluates_at_most_a_fifth_of_the_grid(self, monkeypatch, norm):
+        flows, stacks, rungs = self._spectral(monkeypatch, workloads.spectral_forced, norm)
+        assert flows <= 40 and stacks <= 40 and rungs <= 160
 
     def test_ode_sweep_takes_every_time_in_one_block(self, monkeypatch):
         flows, stacks = self._count(monkeypatch, validate_config(workloads.ode_forced(1)).ode_problem)
@@ -922,7 +1066,8 @@ def test_stacks_hold_at_most_the_values_budget(recipe, values, sizes):
 
 
 class TestStackMemoryGuard:
-    """Transient memory of a stack of four forced rungs against a stack of one.
+    """Transient memory of a stack of four forced rungs against a stack of one,
+    and of its second-order Taylor data.
 
     Figures are tracemalloc counts in units of one float array of a rung's
     values (the distinct symbol values).
@@ -960,6 +1105,28 @@ class TestStackMemoryGuard:
         _, _, one_eval = self._traced(lambda: gap.gap_sq(one, t, flow), unit)
         _, _, four_eval = self._traced(lambda: gap.gap_sq(four, t, flow), unit)
         assert four_eval <= one_eval + len(rungs)
+
+    def test_second_order_data_take_one_row_and_one_block(self):
+        # a stack that bisects under the second-order bound keeps one more row per rung,
+        # delta |s - ell|, and its evaluation holds one more block: the derivatives and
+        # majorants are formed in place of the arrays that the evaluation already holds
+        prob = validate_config(workloads.spectral_forced(1)).spectral_problem
+        rungs = [minimizer_hat(prob, eps) for eps in TestSpectralStudy.LADDER]
+        unit = 8 * prob.distinct.values.size
+        figures = []
+        for second_order in (False, True):
+            gap = lab._SpectralGap(prob, prob.grid.weights)
+            gap.work(len(rungs))
+            if second_order:
+                gap._use_second_order()
+            stack, kept, _peak = self._traced(lambda: lab._Stack(gap, rungs), unit)
+            flow = gap.flow(0.5)
+            _, left, peak = self._traced(lambda: gap.gap_sq(stack, 0.5, flow), unit)
+            assert (stack.taylor is not None) == second_order and left < 0.1
+            figures.append((kept, peak))
+        (kept, peak), (second_kept, second_peak) = figures
+        assert second_kept <= kept + len(rungs) + 0.5
+        assert second_peak <= peak + len(rungs) + 0.5
 
 
 def test_fold_in_chunks_gives_the_bits_of_one_batch(monkeypatch):

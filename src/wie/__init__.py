@@ -13,8 +13,6 @@ that turns JSON configs into deterministic reports.
 # 42.3 MB when the CLI imports config after the solver modules (2-core
 # x86-64 VM, numpy 2.4.6)
 from . import config, symbols
-from .forcing import ForcingTerm, exponential_profile
-from .lab import branch_divergence, convergence_study
 from .spectral import FrequencyGrid, SpectralProblem, minimizer_hat, semigroup_solution
 
 __version__ = "0.1.0"
@@ -31,10 +29,6 @@ def __getattr__(name):
 
 __all__ = [
     "__version__",
-    "ForcingTerm",
-    "exponential_profile",
-    "branch_divergence",
-    "convergence_study",
     "OdeProblem",
     "FrequencyGrid",
     "SpectralProblem",

@@ -4,13 +4,16 @@ The validator walks the whole document and reports every violation it can
 find in one pass, so a config author fixes a file once instead of playing
 whack-a-mole with first-error-only messages.  Numbers may be written as
 decimal strings ("1e-4") to survive the round trip into reports verbatim.
+
+Each key is declared once: a mode is one table of rows (key, parser,
+default, doc), and a kinded object one table kind -> (fields, build).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, NamedTuple, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -28,8 +31,6 @@ from .spectral import FrequencyGrid, SpectralProblem
 from .symbols import EpsilonPolicy, MultiplierSymbol, build_symbol
 
 SCHEMA_VERSION = 1
-
-MODES = ("ode", "spectral", "lemma-tech", "branch-divergence", "bound-audit")
 
 
 class ConfigError(ValueError):
@@ -58,6 +59,8 @@ def _number(c: _Collector, raw: Any, path: str) -> Optional[float]:
         return c.fail(path, f"expected a number or decimal string, got {type(raw).__name__}")
     try:
         val = float(raw)
+    except OverflowError:  # an integer literal past the largest float
+        val = math.inf
     except ValueError:
         return c.fail(path, f"cannot parse {raw!r} as a number")
     if not math.isfinite(val):
@@ -81,15 +84,8 @@ def _integer(c: _Collector, raw: Any, path: str) -> Optional[int]:
 def _vector(c: _Collector, raw: Any, path: str) -> Optional[Tuple[float, ...]]:
     if not isinstance(raw, list) or not raw:
         return c.fail(path, "expected a non-empty list of numbers")
-    out = []
-    ok = True
-    for i, x in enumerate(raw):
-        v = _number(c, x, f"{path}[{i}]")
-        if v is None:
-            ok = False
-        else:
-            out.append(v)
-    return tuple(out) if ok else None
+    out = [_number(c, x, f"{path}[{i}]") for i, x in enumerate(raw)]
+    return None if None in out else tuple(out)
 
 
 def _matrix(c: _Collector, raw: Any, path: str) -> Optional[np.ndarray]:
@@ -118,374 +114,407 @@ def _dict(c: _Collector, raw: Any, path: str) -> Optional[dict]:
     return raw
 
 
-# ---- Component builders ----
+def _checked(parse, ok, message: str):
+    """A parser: parse, then refuse a value v with not ok(v), saying message.format(v)."""
+
+    def check(c: _Collector, raw: Any, path: str):
+        val = parse(c, raw, path)
+        if val is not None and not ok(val):
+            return c.fail(path, message.format(val))
+        return val
+
+    return check
 
 
-def _profile(c: _Collector, raw: Any, path: str):
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    kind = d.get("kind")
-    if kind == "constant":
-        _reject_unknown(c, d, path, {"kind", "amplitude"})
-        a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
-        return None if a is None else constant_profile(a)
-    if kind == "exponential":
-        _reject_unknown(c, d, path, {"kind", "amplitude", "rate"})
-        a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
-        r = _number(c, d.get("rate", 0.0), f"{path}.rate")
-        return None if a is None or r is None else exponential_profile(a, r)
-    if kind == "power":
-        _reject_unknown(c, d, path, {"kind", "amplitude", "degree"})
-        a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
-        p = _number(c, d.get("degree", 1.0), f"{path}.degree")
-        if a is None or p is None:
-            return None
-        if p < 0.0:
-            return c.fail(f"{path}.degree", "forcing profiles need degree >= 0")
-        return power_profile(a, p)
-    if kind == "sampled":
-        _reject_unknown(c, d, path, {"kind", "times", "values"})
-        t = _vector(c, d.get("times"), f"{path}.times")
-        v = _vector(c, d.get("values"), f"{path}.values")
-        if t is None or v is None:
-            return None
-        if len(t) != len(v):
-            return c.fail(path, "times and values have different lengths")
-        return sampled_profile(t, v)
-    return c.fail(f"{path}.kind", f"unknown profile kind {kind!r}")
+def _accepting(ok, message: str):
+    """A parser that passes raw through when ok(raw), else says message.format(raw)."""
+    return lambda c, raw, path: raw if ok(raw) else c.fail(path, message.format(raw))
 
 
-def _growth(c: _Collector, raw: Any, path: str) -> Optional[GrowthClass]:
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    kind = d.get("kind")
-    scale = _number(c, d.get("scale", 1.0), f"{path}.scale")
-    if scale is None:
-        return None
-    if kind == "bounded":
-        _reject_unknown(c, d, path, {"kind", "scale"})
-        return GrowthClass.bounded(scale)
-    if kind == "polynomial":
-        _reject_unknown(c, d, path, {"kind", "scale", "degree"})
-        deg = _number(c, d.get("degree", 1.0), f"{path}.degree")
-        return None if deg is None else GrowthClass.polynomial(deg, scale)
-    if kind == "subexponential":
-        _reject_unknown(c, d, path, {"kind", "scale", "rate"})
-        rate = _number(c, d.get("rate"), f"{path}.rate")
-        return None if rate is None else GrowthClass.subexponential(rate, scale)
-    return c.fail(f"{path}.kind", f"unknown growth kind {kind!r}")
-
-
-def _multiplier_fn(c: _Collector, raw: Any, path: str) -> Optional[Callable]:
-    """Spatial factor of a frequency-side forcing part, as a callable of xi."""
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    kind = d.get("kind")
-    if kind == "constant":
-        _reject_unknown(c, d, path, {"kind", "amplitude"})
-        a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
-        return None if a is None else (lambda xi, a=a: a * np.ones_like(np.asarray(xi, dtype=float)))
-    if kind == "gaussian":
-        _reject_unknown(c, d, path, {"kind", "amplitude", "variance"})
-        a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
-        v = _number(c, d.get("variance", 1.0), f"{path}.variance")
-        if a is None or v is None:
-            return None
-        if v <= 0.0:
-            return c.fail(f"{path}.variance", "must be positive")
-        return lambda xi, a=a, v=v: a * np.exp(-0.5 * v * np.asarray(xi, dtype=float) ** 2)
-    if kind == "table":
-        _reject_unknown(c, d, path, {"kind", "xi", "values"})
-        x = _vector(c, d.get("xi"), f"{path}.xi")
-        vals = _vector(c, d.get("values"), f"{path}.values")
-        if x is None or vals is None:
-            return None
-        if len(x) != len(vals):
-            return c.fail(path, "xi and values have different lengths")
-        xs = np.asarray(x)
-        vs = np.asarray(vals)
-        order = np.argsort(xs)
-        xs, vs = xs[order], vs[order]
-        return lambda xi, xs=xs, vs=vs: np.interp(np.asarray(xi, dtype=float), xs, vs)
-    return c.fail(f"{path}.kind", f"unknown multiplier kind {kind!r}")
-
-
-def _forcing(c: _Collector, raw: Any, path: str, space: str) -> Optional[ForcingTerm]:
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    _reject_unknown(c, d, path, {"parts", "growth"})
-    parts_raw = d.get("parts")
-    if not isinstance(parts_raw, list):
-        return c.fail(f"{path}.parts", "expected a list of parts")
-    growth = None
-    if "growth" in d:
-        growth = _growth(c, d["growth"], f"{path}.growth")
-        if growth is None:
-            return None
-    items = []
-    ok = True
-    for i, part_raw in enumerate(parts_raw):
-        ppath = f"{path}.parts[{i}]"
-        part = _dict(c, part_raw, ppath)
-        if part is None:
-            ok = False
-            continue
-        space_key = "vector" if space == "vector" else "multiplier"
-        _reject_unknown(c, part, ppath, {"profile", space_key})
-        prof = _profile(c, part.get("profile"), f"{ppath}.profile")
-        if space == "vector":
-            vec = _vector(c, part.get("vector"), f"{ppath}.vector")
-            if prof is None or vec is None:
-                ok = False
-            else:
-                items.append((prof, vec))
-        else:
-            mult = _multiplier_fn(c, part.get("multiplier"), f"{ppath}.multiplier")
-            if prof is None or mult is None:
-                ok = False
-            else:
-                items.append((prof, mult))
-    if not ok:
-        return None
-    if not items:
-        return ForcingTerm.zero()
-    if space == "vector":
-        return ForcingTerm.from_vectors(items, growth=growth)
-    return ForcingTerm.from_multipliers(items, growth=growth)
-
-
-def _symbol(c: _Collector, raw: Any, path: str) -> Optional[MultiplierSymbol]:
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    kind = d.get("kind")
-    if kind == "classical":
-        _reject_unknown(c, d, path, {"kind"})
-        return build_symbol("classical")
-    if kind == "fractional":
-        _reject_unknown(c, d, path, {"kind", "s"})
-        s = _number(c, d.get("s"), f"{path}.s")
-        if s is None:
-            return None
-        if not 0.0 < s < 1.0:
-            return c.fail(path, f"s outside (0,1): got {s}")
-        return build_symbol("fractional", order=s)
-    if kind == "zeroth_order":
-        _reject_unknown(c, d, path, {"kind", "mass", "kernel"})
-        mass = _number(c, d.get("mass"), f"{path}.mass")
-        kernel = _multiplier_fn(c, d.get("kernel"), f"{path}.kernel")
-        if mass is None or kernel is None:
-            return None
-        return build_symbol("zeroth_order", mass=mass, kernel_hat=kernel)
-    if kind == "table":
-        _reject_unknown(c, d, path, {"kind", "xi", "values"})
-        x = _vector(c, d.get("xi"), f"{path}.xi")
-        vals = _vector(c, d.get("values"), f"{path}.values")
-        if x is None or vals is None:
-            return None
-        try:
-            return build_symbol("table", xi_points=x, values=vals)
-        except ValueError as exc:
-            return c.fail(path, str(exc))
-    return c.fail(f"{path}.kind", f"unknown symbol kind {kind!r}")
-
-
-def _frequency_grid(c: _Collector, raw: Any, path: str) -> Optional[FrequencyGrid]:
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    kind = d.get("kind")
-    if kind == "uniform_fft":
-        _reject_unknown(c, d, path, {"kind", "n", "dx", "x0"})
-        n = _integer(c, d.get("n"), f"{path}.n")
-        dx = _number(c, d.get("dx"), f"{path}.dx")
-        x0 = _number(c, d["x0"], f"{path}.x0") if "x0" in d else None
-        if n is None or dx is None:
-            return None
-        if n < 2:
-            return c.fail(f"{path}.n", "need at least two samples")
-        if dx <= 0.0:
-            return c.fail(f"{path}.dx", "must be positive")
-        return FrequencyGrid.uniform_fft(n, dx, x0=x0)
-    if kind == "explicit":
-        _reject_unknown(c, d, path, {"kind", "nodes", "weights"})
-        nodes = _vector(c, d.get("nodes"), f"{path}.nodes")
-        weights = _vector(c, d.get("weights"), f"{path}.weights")
-        if nodes is None or weights is None:
-            return None
-        if len(nodes) != len(weights):
-            return c.fail(path, "nodes and weights have different lengths")
-        return FrequencyGrid.explicit(nodes, weights)
-    return c.fail(f"{path}.kind", f"unknown frequency grid kind {kind!r}")
-
-
-def _initial_hat(c: _Collector, raw: Any, path: str, grid: FrequencyGrid):
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    kind = d.get("kind")
-    if kind == "gaussian":
-        _reject_unknown(c, d, path, {"kind", "amplitude", "variance"})
-        a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
-        v = _number(c, d.get("variance", 1.0), f"{path}.variance")
-        if a is None or v is None:
-            return None
-        if v <= 0.0:
-            return c.fail(f"{path}.variance", "must be positive")
-        return (a * np.exp(-0.5 * v * grid.nodes**2)).astype(complex)
-    if kind == "samples":
-        _reject_unknown(c, d, path, {"kind", "real", "imag"})
-        re = _vector(c, d.get("real"), f"{path}.real")
-        if re is None:
-            return None
-        im = None
-        if "imag" in d:
-            im = _vector(c, d["imag"], f"{path}.imag")
-            if im is None:
-                return None
-            if len(im) != len(re):
-                return c.fail(path, "real and imag have different lengths")
-        if len(re) != grid.n:
-            return c.fail(path, f"expected {grid.n} samples to match the grid, got {len(re)}")
-        arr = np.asarray(re, dtype=float).astype(complex)
-        if im is not None:
-            arr = arr + 1j * np.asarray(im, dtype=float)
-        return arr
-    return c.fail(f"{path}.kind", f"unknown initial data kind {kind!r}")
-
-
-def _density(c: _Collector, raw: Any, path: str) -> Optional[TimeProfile]:
-    """Scalar time density for the weighted tail-average sweep.
-
-    A power density is built as a TimeProfile directly: power_profile
-    refuses the negative degrees an integrable density may have.
-    """
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    kind = d.get("kind")
-    if kind == "constant":
-        _reject_unknown(c, d, path, {"kind", "amplitude"})
-        a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
-        return None if a is None else constant_profile(a)
-    if kind == "power":
-        _reject_unknown(c, d, path, {"kind", "amplitude", "degree"})
-        a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
-        p = _number(c, d.get("degree"), f"{path}.degree")
-        if a is None or p is None:
-            return None
-        if p <= -1.0:
-            return c.fail(f"{path}.degree", "must exceed -1 for an integrable density")
-        return TimeProfile("power", amplitude=a, degree=p)
-    if kind == "exponential":
-        _reject_unknown(c, d, path, {"kind", "amplitude", "rate"})
-        a = _number(c, d.get("amplitude", 1.0), f"{path}.amplitude")
-        r = _number(c, d.get("rate"), f"{path}.rate")
-        return None if a is None or r is None else exponential_profile(a, r)
-    return c.fail(f"{path}.kind", f"unknown density kind {kind!r}")
-
-
-def _audit_grid(c: _Collector, raw: Any, path: str) -> Optional[np.ndarray]:
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    kind = d.get("kind")
-    if kind == "linspace":
-        _reject_unknown(c, d, path, {"kind", "lo", "hi", "points"})
-        lo = _number(c, d.get("lo"), f"{path}.lo")
-        hi = _number(c, d.get("hi"), f"{path}.hi")
-        n = _integer(c, d.get("points"), f"{path}.points")
-        if lo is None or hi is None or n is None:
-            return None
-        if hi <= lo:
-            return c.fail(path, "hi must exceed lo")
-        if n < 2:
-            return c.fail(f"{path}.points", "need at least two points")
-        return np.linspace(lo, hi, n)
-    if kind == "nodes":
-        _reject_unknown(c, d, path, {"kind", "values"})
-        vals = _vector(c, d.get("values"), f"{path}.values")
-        return None if vals is None else np.asarray(vals, dtype=float)
-    return c.fail(f"{path}.kind", f"unknown grid kind {kind!r}")
-
-
-def _quadrature(c: _Collector, raw: Any, path: str) -> Optional[QuadratureSpec]:
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    allowed = {"method", "nodes", "panel_tol", "max_panels", "abs_tol", "rel_tol", "variation_limit"}
-    _reject_unknown(c, d, path, allowed)
-    method = d.get("method", DEFAULT_SPEC.method)
-    if method not in ("gauss_laguerre", "adaptive"):
-        return c.fail(f"{path}.method", f"unknown method {method!r}")
-    nodes = _integer(c, d.get("nodes", DEFAULT_SPEC.nodes), f"{path}.nodes")
-    max_panels = _integer(c, d.get("max_panels", DEFAULT_SPEC.max_panels), f"{path}.max_panels")
-    nums = {}
-    ok = nodes is not None and max_panels is not None
-    for key in ("panel_tol", "abs_tol", "rel_tol", "variation_limit"):
-        val = _number(c, d.get(key, getattr(DEFAULT_SPEC, key)), f"{path}.{key}")
-        if val is None:
-            ok = False
-        else:
-            nums[key] = val
-    if not ok:
-        return None
-    if nodes < 4:
-        return c.fail(f"{path}.nodes", "need at least four nodes")
-    if max_panels < 8:
-        return c.fail(f"{path}.max_panels", "need at least eight panels")
-    return QuadratureSpec(method=method, nodes=nodes, max_panels=max_panels, **nums)
-
-
-def _policy(c: _Collector, raw: Any, path: str) -> Optional[EpsilonPolicy]:
-    d = _dict(c, raw, path)
-    if d is None:
-        return None
-    _reject_unknown(c, d, path, {"safety", "zero_bound_cap", "margin"})
-    safety = _number(c, d.get("safety", 1.0), f"{path}.safety")
-    cap = _number(c, d.get("zero_bound_cap", 0.5), f"{path}.zero_bound_cap")
-    margin = _number(c, d.get("margin", 0.0), f"{path}.margin")
-    if safety is None or cap is None or margin is None:
-        return None
-    try:
-        return EpsilonPolicy(safety=safety, zero_bound_cap=cap, margin=margin)
-    except ValueError as exc:
-        return c.fail(path, str(exc))
+_positive = _checked(_number, lambda x: x > 0.0, "must be positive")
+_points = _checked(_integer, lambda n: n >= 2, "need at least two points")
+_nodes = _checked(_integer, lambda n: n >= 4, "need at least four nodes")
+_panels = _checked(_integer, lambda n: n >= 8, "need at least eight panels")
+_epsilon = _checked(_number, lambda e: e > 0.0, "eps must be positive, got {}")
+_label = _accepting(lambda s: isinstance(s, str) and s != "", "expected a non-empty string")
+_flag = _accepting(lambda b: isinstance(b, bool), "expected a boolean")
+_norm = _accepting(lambda s: s in ("sup_uniform", "sup_vl"), "expected sup_uniform or sup_vl, got {!r}")
+_method = _accepting(lambda m: m in ("gauss_laguerre", "adaptive"), "unknown method {!r}")
 
 
 def _ladder(c: _Collector, raw: Any, path: str) -> Optional[Tuple[float, ...]]:
     vals = _vector(c, raw, path)
     if vals is None:
         return None
-    bad = False
+    faults = len(c.errors)
     for i, e in enumerate(vals):
         if e <= 0.0:
             c.fail(f"{path}[{i}]", f"eps must be positive, got {e}")
-            bad = True
-    for i in range(1, len(vals)):
-        if vals[i] >= vals[i - 1]:
-            c.fail(path, "ladder must decrease strictly")
-            bad = True
-            break
-    return None if bad else vals
+    if any(b >= a for a, b in zip(vals, vals[1:])):
+        c.fail(path, "ladder must decrease strictly")
+    return None if len(c.errors) > faults else vals
 
 
-def _check_policy(c, path, eps_values, raw_values, policy, bound):
-    """Reject ladder rungs past the policy cap for the symbol's lower bound."""
+def _horizons(c: _Collector, raw: Any, path: str) -> Optional[Tuple[float, ...]]:
+    horizons = _vector(c, raw, path)
+    if horizons and any(b <= a for a, b in zip(horizons, horizons[1:])):
+        c.fail(path, "must increase strictly")
+    if horizons and any(T <= 0.0 for T in horizons):
+        c.fail(path, "all horizons must be positive")
+    return horizons
+
+
+def _field_times(c: _Collector, raw: Any, path: str) -> Optional[Tuple[float, ...]]:
+    times = _vector(c, raw, path)
+    # the selection problem is posed on the half-line t >= 0
+    for i, t in enumerate(times or ()):
+        if t < 0.0:
+            c.fail(f"{path}[{i}]", "must be nonnegative")
+    return times
+
+
+# ---- Objects from field tables ----
+
+# A field is (name, parser, default[, doc]); the parser reads
+# d.get(name, default), so a field with default None must be given.  A field
+# with default _OPTIONAL is None when left out, and its fault does not stop
+# the build.  doc is what `wie schema` prints for the field.
+_OPTIONAL = object()
+
+
+def _fields(c: _Collector, raw: Any, path: str, fields, *also) -> Optional[list]:
+    """The fields of an object in table order; None if a field it needs failed."""
+    d = _dict(c, raw, path)
+    if d is None:
+        return None
+    _reject_unknown(c, d, path, {*also, *(field[0] for field in fields)})
+    values, ok = [], True
+    for name, parse, default, *_ in fields:
+        if default is _OPTIONAL and name not in d:
+            values.append(None)
+        else:
+            values.append(parse(c, d.get(name, default), f"{path}.{name}"))
+            ok = ok and (values[-1] is not None or default is _OPTIONAL)
+    return values if ok else None
+
+
+class _Refused(Exception):
+    """A build's refusal of its fields: (field, message), field "" for the whole object."""
+
+
+def _built(c: _Collector, path: str, values, build, *context):
+    """build(*context, *values), or None where values is None or the build refuses."""
+    try:
+        return None if values is None else build(*context, *values)
+    except _Refused as refused:
+        field, message = refused.args
+        return c.fail(f"{path}.{field}" if field else path, message)
+
+
+def _refusing(make):
+    """make, its ValueError a refusal of the whole object."""
+
+    def build(*values):
+        try:
+            return make(*values)
+        except ValueError as exc:
+            raise _Refused("", str(exc)) from None
+
+    return build
+
+
+def _object(fields, build):
+    """The parser of an object with these fields, made by build."""
+    return lambda c, raw, path: _built(c, path, _fields(c, raw, path, fields), build)
+
+
+def _kinded(c: _Collector, raw: Any, path: str, what: str, kinds: dict, *context):
+    """The object of raw's kind: build(*context, *its fields), from kinds[kind] = (fields, build)."""
+    d = _dict(c, raw, path)
+    if d is None:
+        return None
+    kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        return c.fail(f"{path}.kind", f"unknown {what} kind {kind!r}")
+    fields, build = kinds[kind]
+    return _built(c, path, _fields(c, d, path, fields, "kind"), build, *context)
+
+
+def _parser(what: str, kinds: dict):
+    return lambda c, raw, path: _kinded(c, raw, path, what, kinds)
+
+
+def _paired(first: str, second: str, make):
+    """A kind of two lists of numbers of one length, made into make(first, second)."""
+
+    def build(x, y):
+        if len(x) != len(y):
+            raise _Refused("", f"{first} and {second} have different lengths")
+        return make(x, y)
+
+    return ((first, _vector, None, "list"), (second, _vector, None, "list, same length")), build
+
+
+def _docs(fields) -> dict:
+    return {name: doc for name, _, _, doc in fields}
+
+
+_AMPLITUDE = ("amplitude", _number, 1.0, "default 1")
+_VARIANCE = ("variance", _number, 1.0, "> 0, default 1")
+_SCALE = ("scale", _number, 1.0, "default 1")
+
+
+def _power(a, p):
+    if p < 0.0:
+        raise _Refused("degree", "forcing profiles need degree >= 0")
+    return power_profile(a, p)
+
+
+_PROFILES = {
+    "constant": ((_AMPLITUDE,), constant_profile),
+    "exponential": ((_AMPLITUDE, ("rate", _number, 0.0, "default 0")), exponential_profile),
+    "power": ((_AMPLITUDE, ("degree", _number, 1.0, ">= 0, default 1")), _power),
+    "sampled": _paired("times", "values", sampled_profile),
+}
+_profile = _parser("profile", _PROFILES)
+
+# the scale is parsed (again) last, in the order of GrowthClass's arguments
+_GROWTHS = {
+    "bounded": ((_SCALE,), GrowthClass.bounded),
+    "polynomial": ((("degree", _number, 1.0, "default 1"), _SCALE), GrowthClass.polynomial),
+    "subexponential": ((("rate", _number, None, "required"), _SCALE), GrowthClass.subexponential),
+}
+
+
+def _growth(c: _Collector, raw: Any, path: str) -> Optional[GrowthClass]:
+    # the scale is read before the kind, so a bad scale hides an unknown kind
+    if isinstance(raw, dict) and _number(c, raw.get("scale", 1.0), f"{path}.scale") is None:
+        return None
+    return _kinded(c, raw, path, "growth", _GROWTHS)
+
+
+def _bell(a, v):
+    """a exp(-v xi^2 / 2) as a callable of xi."""
+    if v <= 0.0:
+        raise _Refused("variance", "must be positive")
+    return lambda xi: a * np.exp(-0.5 * v * np.asarray(xi, dtype=float) ** 2)
+
+
+def _interpolant(x, vals):
+    order = np.argsort(x)
+    xs, vs = np.asarray(x)[order], np.asarray(vals)[order]
+    return lambda xi: np.interp(np.asarray(xi, dtype=float), xs, vs)
+
+
+# the spatial factor of a frequency-side forcing part, as a callable of xi
+_MULTIPLIERS = {
+    "constant": ((_AMPLITUDE,), lambda a: lambda xi: a * np.ones_like(np.asarray(xi, dtype=float))),
+    "gaussian": ((_AMPLITUDE, _VARIANCE), _bell),
+    "table": _paired("xi", "values", _interpolant),
+}
+_multiplier = _parser("multiplier", _MULTIPLIERS)
+
+
+def _fractional(s):
+    if not 0.0 < s < 1.0:
+        raise _Refused("", f"s outside (0,1): got {s}")
+    return build_symbol("fractional", order=s)
+
+
+_symbol = _parser(
+    "symbol",
+    {
+        "classical": ((), lambda: build_symbol("classical")),
+        "fractional": ((("s", _number, None),), _fractional),
+        "zeroth_order": (
+            (("mass", _number, None), ("kernel", _multiplier, None)),
+            lambda mass, kernel: build_symbol("zeroth_order", mass=mass, kernel_hat=kernel),
+        ),
+        "table": (
+            (("xi", _vector, None), ("values", _vector, None)),
+            _refusing(lambda x, vals: build_symbol("table", xi_points=x, values=vals)),
+        ),
+    },
+)
+
+
+def _uniform_fft(n, dx, x0):
+    if n < 2:
+        raise _Refused("n", "need at least two samples")
+    if dx <= 0.0:
+        raise _Refused("dx", "must be positive")
+    return FrequencyGrid.uniform_fft(n, dx, x0=x0)
+
+
+_frequency_grid = _parser(
+    "frequency grid",
+    {
+        "uniform_fft": ((("n", _integer, None), ("dx", _number, None), ("x0", _number, _OPTIONAL)), _uniform_fft),
+        "explicit": _paired("nodes", "weights", FrequencyGrid.explicit),
+    },
+)
+
+
+def _samples(grid, re, im):
+    if im is not None and len(im) != len(re):
+        raise _Refused("", "real and imag have different lengths")
+    if len(re) != grid.nodes.size:
+        raise _Refused("", f"expected {grid.nodes.size} samples to match the grid, got {len(re)}")
+    arr = np.asarray(re, dtype=float).astype(complex)
+    return arr if im is None else arr + 1j * np.asarray(im, dtype=float)
+
+
+# initial frequency data (values on the grid's nodes, or a callable of xi);
+# each build takes the grid first
+_INITIALS = {
+    "gaussian": ((_AMPLITUDE, _VARIANCE), lambda grid, a, v: _bell(a, v)),
+    "samples": ((("real", _vector, None), ("imag", _vector, _OPTIONAL)), _samples),
+}
+
+
+def _power_density(a, p):
+    # a TimeProfile built directly: power_profile refuses the negative
+    # degrees an integrable density may have
+    if p <= -1.0:
+        raise _Refused("degree", "must exceed -1 for an integrable density")
+    return TimeProfile("power", amplitude=a, degree=p)
+
+
+# scalar time density for the weighted tail-average sweep
+_density = _parser(
+    "density",
+    {
+        "constant": ((_AMPLITUDE,), constant_profile),
+        "power": ((_AMPLITUDE, ("degree", _number, None)), _power_density),
+        "exponential": ((_AMPLITUDE, ("rate", _number, None)), exponential_profile),
+    },
+)
+
+
+def _linspace(lo, hi, n):
+    if hi <= lo:
+        raise _Refused("", "hi must exceed lo")
+    if n < 2:
+        raise _Refused("points", "need at least two points")
+    return np.linspace(lo, hi, n)
+
+
+_audit_grid = _parser(
+    "grid",
+    {
+        "linspace": ((("lo", _number, None), ("hi", _number, None), ("points", _integer, None)), _linspace),
+        "nodes": ((("values", _vector, None),), lambda vals: np.asarray(vals, dtype=float)),
+    },
+)
+
+
+def _forcing(space: str, parse_space, make):
+    """A parser of separable parts {profile, <space>}, made into make(parts, growth)."""
+    fields = (("profile", _profile, None), (space, parse_space, None))
+
+    def parse(c: _Collector, raw: Any, path: str) -> Optional[ForcingTerm]:
+        d = _dict(c, raw, path)
+        if d is None:
+            return None
+        _reject_unknown(c, d, path, {"parts", "growth"})
+        parts_raw = d.get("parts")
+        if not isinstance(parts_raw, list):
+            return c.fail(f"{path}.parts", "expected a list of parts")
+        growth = _growth(c, d["growth"], f"{path}.growth") if "growth" in d else None
+        if "growth" in d and growth is None:
+            return None
+        items = [_fields(c, part, f"{path}.parts[{i}]", fields) for i, part in enumerate(parts_raw)]
+        if None in items:
+            return None
+        return make(items, growth=growth) if items else ForcingTerm.zero()
+
+    return parse
+
+
+_vector_forcing = _forcing("vector", _vector, ForcingTerm.from_vectors)
+_multiplier_forcing = _forcing("multiplier", _multiplier, ForcingTerm.from_multipliers)
+
+
+# in the order of QuadratureSpec's arguments
+_QUADRATURE = (
+    ("method", _method, DEFAULT_SPEC.method, "gauss_laguerre | adaptive"),
+    ("nodes", _nodes, DEFAULT_SPEC.nodes, "int >= 4 (default 64)"),
+    ("panel_tol", _number, DEFAULT_SPEC.panel_tol, "number (default 1e-12)"),
+    ("max_panels", _panels, DEFAULT_SPEC.max_panels, "int >= 8 (default 4096)"),
+    ("abs_tol", _number, DEFAULT_SPEC.abs_tol, "number (default 1e-12)"),
+    ("rel_tol", _number, DEFAULT_SPEC.rel_tol, "number (default 1e-10)"),
+    ("variation_limit", _number, DEFAULT_SPEC.variation_limit, "number (default 1e6)"),
+)
+# in the order of EpsilonPolicy's arguments
+_POLICY = (
+    ("safety", _number, 1.0, "number in (0, 1] (default 1.0)"),
+    ("zero_bound_cap", _number, 0.5, "cap for nonnegative symbols (default 0.5)"),
+    ("margin", _number, 0.0, "number >= 0 subtracted from the grid lower bound (default 0.0)"),
+)
+# (write_field, field_times)
+_OUTPUT = (
+    ("write_field", _flag, False, "bool; spectral mode dumps field.bin + field_meta.json"),
+    ("field_times", _field_times, _OPTIONAL, "list of nonnegative sample times (default: 9 evenly spaced)"),
+)
+
+
+# ---- What spans keys: each mode's steps after the walk ----
+
+
+def _check_policy(c: _Collector, root: dict, v: dict, key: str, values) -> None:
+    """Reject the rungs of key past the policy cap for the lower bound of values."""
+    if v[key] is None or values is None:
+        return
+    policy = v["epsilon_policy"]
+    bound = min(0.0, float(np.min(values)) - policy.margin)
     emax = policy.epsilon_threshold(bound)
-    for i, eps in enumerate(eps_values):
+    raw = root[key]
+    for i, eps in enumerate(v[key] if isinstance(raw, list) else (v[key],)):
         if eps > emax:
-            raw = raw_values[i] if isinstance(raw_values, list) and i < len(raw_values) else eps
-            c.fail(
-                f"{path}[{i}]" if isinstance(raw_values, list) else path,
-                f"eps {raw!r} exceeds the policy bound {emax!r} "
-                f"for symbol lower bound {bound!r}",
-            )
-    return emax
+            path, shown = (f"{key}[{i}]", raw[i]) if isinstance(raw, list) else (key, eps)
+            c.fail(path, f"eps {shown!r} exceeds the policy bound {emax!r} for symbol lower bound {bound!r}")
+
+
+def _system_steps(c, root, v):
+    """The system, then the policy check of its ladder (or `epsilon`) and the range of `direction`."""
+    from .ode import OdeProblem  # a spectral run never imports the ODE module
+
+    problem = None
+    if v["matrix"] is not None and v["initial"] is not None:
+        try:
+            initial = np.asarray(v["initial"], dtype=float)
+            forcing = v["forcing"] or ForcingTerm.zero()
+            problem = OdeProblem(matrix=v["matrix"], initial=initial, forcing=forcing)
+        except ValueError as exc:
+            c.fail("matrix", str(exc))
+    key = "epsilon_ladder" if "epsilon_ladder" in v else "epsilon"
+    _check_policy(c, root, v, key, None if problem is None else problem.eigen.values)
+    if "direction" in v and v["matrix"] is not None and not 0 <= v["direction"] < len(v["matrix"]):
+        c.fail("direction", f"must lie in [0, {len(v['matrix'])})")
+    return {"ode_problem": problem}
+
+
+def _spectral_steps(c, root, v):
+    grid, problem = v["frequency_grid"], None
+    # the initial data are parsed against the grid, once the grid parses
+    init = None
+    if grid is not None and "initial" in root:
+        init = _kinded(c, root["initial"], "initial", "initial data", _INITIALS, grid)
+    if v["symbol"] is not None and init is not None:
+        forcing = v["forcing"] or ForcingTerm.zero()
+        try:
+            problem = SpectralProblem(grid=grid, symbol=v["symbol"], initial_hat=init, forcing=forcing)
+        except ValueError as exc:
+            c.fail("symbol", str(exc))
+    _check_policy(c, root, v, "epsilon_ladder", None if problem is None else problem.symbol_values)
+    return {"spectral_problem": problem}
+
+
+def _audit_steps(c, root, v):
+    symbol, grid = v["symbol"], v["grid"]
+    if symbol is not None and grid is not None:
+        _check_policy(c, root, v, "epsilon_ladder", symbol(grid))
+    return {"audit_grid": grid, "audit_tol": v["tol"]}
 
 
 # ---- Top-level config ----
@@ -515,32 +544,70 @@ class ExperimentConfig(NamedTuple):
     horizons: Tuple[float, ...] = ()
 
 
-_COMMON_KEYS = {"schema_version", "mode", "problem_id", "quadrature", "epsilon_policy", "output"}
+# A row is (key, parser, default, doc).  The parser reads the key's value;
+# the default stands in where the key is left out or its value fails, and a
+# _REQUIRED key stands as None.  A row without a parser is read by its
+# mode's steps.  doc is what `wie schema` prints for the key.
+_REQUIRED = object()
 
-_MODE_KEYS = {
-    "ode": {"matrix", "initial", "forcing", "epsilon_ladder", "horizon", "norm", "time_points"},
-    "spectral": {
-        "symbol",
-        "frequency_grid",
-        "initial",
-        "forcing",
-        "epsilon_ladder",
-        "horizon",
-        "norm",
-        "time_points",
-    },
-    "lemma-tech": {"density", "epsilon_ladder", "horizon", "time_points"},
-    "branch-divergence": {"matrix", "initial", "forcing", "epsilon", "delta", "direction", "horizons"},
-    "bound-audit": {"symbol", "grid", "epsilon_ladder", "tol"},
+_COMMON = (
+    ("problem_id", _label, None, "string label echoed into reports (default: the mode)"),
+    ("quadrature", _object(_QUADRATURE, QuadratureSpec), DEFAULT_SPEC, _docs(_QUADRATURE)),
+    ("epsilon_policy", _object(_POLICY, _refusing(EpsilonPolicy)), EpsilonPolicy(), _docs(_POLICY)),
+    ("output", _object(_OUTPUT, lambda *values: values), (False, None), _docs(_OUTPUT)),
+)
+
+_MATRIX = ("matrix", _matrix, _REQUIRED, "symmetric matrix as list of rows (required)")
+_STATE = ("initial", _vector, _REQUIRED, "state vector (required)")
+_LADDER = ("epsilon_ladder", _ladder, _REQUIRED, "strictly decreasing positive list (required)")
+_HORIZON = ("horizon", _positive, _REQUIRED, "positive number (required)")
+
+
+# mode -> (its rows in the order they are parsed, its steps after the walk)
+_MODES = {
+    "ode": ((
+        _MATRIX,
+        _STATE,
+        ("forcing", _vector_forcing, None, "optional {parts: [{profile, vector}], growth}"),
+        _LADDER,
+        _HORIZON,
+        ("norm", _norm, "sup_uniform", "sup_uniform | sup_vl (default sup_uniform)"),
+        ("time_points", _points, 201, "int >= 2 (default 201)"),
+    ), _system_steps),
+    "spectral": ((
+        ("symbol", _symbol, _REQUIRED, "{kind: classical} | {kind: fractional, s} | {kind: zeroth_order, mass, kernel} | {kind: table, xi, values}"),
+        ("frequency_grid", _frequency_grid, _REQUIRED, "{kind: uniform_fft, n, dx, x0?} | {kind: explicit, nodes, weights}"),
+        ("initial", None, _REQUIRED, "{kind: gaussian, amplitude?, variance?} | {kind: samples, real, imag?}"),
+        ("forcing", _multiplier_forcing, None, "optional {parts: [{profile, multiplier}], growth}"),
+        _LADDER,
+        _HORIZON,
+        ("norm", _norm, "sup_vl", "sup_uniform | sup_vl (default sup_vl)"),
+        ("time_points", _points, 201, "int >= 2 (default 201)"),
+    ), _spectral_steps),
+    "lemma-tech": ((
+        ("density", _density, _REQUIRED, "{kind: constant, amplitude?} | {kind: power, amplitude?, degree > -1} | {kind: exponential, amplitude?, rate}"),
+        _LADDER,
+        _HORIZON,
+        ("time_points", _points, 801, "int >= 2 (default 801)"),
+    ), lambda c, root, v: {}),
+    "branch-divergence": ((
+        _MATRIX,
+        _STATE,
+        ("forcing", _vector_forcing, None, "optional, as in ode mode"),
+        ("epsilon", _epsilon, _REQUIRED, "positive number within policy (required)"),
+        ("delta", _number, _REQUIRED, "perturbation of the rejected-branch coefficient (required)"),
+        ("horizons", _horizons, _REQUIRED, "strictly increasing positive list (required)"),
+        ("direction", _integer, 0, "eigencoordinate index to perturb (default 0)"),
+    ), _system_steps),
+    "bound-audit": ((
+        ("symbol", _symbol, _REQUIRED, "as in spectral mode"),
+        ("grid", _audit_grid, _REQUIRED, "{kind: linspace, lo, hi, points} | {kind: nodes, values}"),
+        _LADDER,
+        ("tol", _positive, 1e-9, "margin tolerance for the estimate audit (default 1e-9)"),
+    ), _audit_steps),
 }
 
-_REQUIRED = {
-    "ode": ("matrix", "initial", "epsilon_ladder", "horizon"),
-    "spectral": ("symbol", "frequency_grid", "initial", "epsilon_ladder", "horizon"),
-    "lemma-tech": ("density", "epsilon_ladder", "horizon"),
-    "branch-divergence": ("matrix", "initial", "epsilon", "delta", "horizons"),
-    "bound-audit": ("symbol", "grid", "epsilon_ladder"),
-}
+MODES = tuple(_MODES)
 
 
 def validate_config(raw: Any) -> ExperimentConfig:
@@ -561,184 +628,33 @@ def validate_config(raw: Any) -> ExperimentConfig:
         c.fail("mode", f"expected one of {list(MODES)}, got {mode!r}")
         raise ConfigError(c.errors)
 
-    _reject_unknown(c, root, "", _COMMON_KEYS | _MODE_KEYS[mode])
-    for key in _REQUIRED[mode]:
-        if key not in root:
+    rows, steps = _MODES[mode]
+    _reject_unknown(c, root, "", {"schema_version", "mode", *(row[0] for row in _COMMON + rows)})
+    for key, _, default, _ in rows:
+        if default is _REQUIRED and key not in root:
             c.fail(key, "missing required key")
 
-    problem_id = root.get("problem_id", mode)
-    if not isinstance(problem_id, str) or not problem_id:
-        c.fail("problem_id", "expected a non-empty string")
-        problem_id = mode
-
-    quad = DEFAULT_SPEC
-    if "quadrature" in root:
-        quad = _quadrature(c, root["quadrature"], "quadrature") or DEFAULT_SPEC
-    policy = EpsilonPolicy()
-    if "epsilon_policy" in root:
-        policy = _policy(c, root["epsilon_policy"], "epsilon_policy") or EpsilonPolicy()
-
-    write_field = False
-    field_times: Tuple[float, ...] = ()
-    if "output" in root:
-        out = _dict(c, root["output"], "output")
-        if out is not None:
-            _reject_unknown(c, out, "output", {"write_field", "field_times"})
-            wf = out.get("write_field", False)
-            if not isinstance(wf, bool):
-                c.fail("output.write_field", "expected a boolean")
-            else:
-                write_field = wf
-            if "field_times" in out:
-                ft = _vector(c, out["field_times"], "output.field_times")
-                if ft is not None:
-                    # the selection problem is posed on the half-line t >= 0
-                    for i, t in enumerate(ft):
-                        if t < 0.0:
-                            c.fail(f"output.field_times[{i}]", "must be nonnegative")
-                    field_times = ft
-
-    fields: dict = {}
-
-    if mode in ("ode", "branch-divergence"):
-        from .ode import OdeProblem  # a spectral run never imports the ODE module
-
-        matrix = _matrix(c, root.get("matrix"), "matrix") if "matrix" in root else None
-        initial = _vector(c, root.get("initial"), "initial") if "initial" in root else None
-        forcing = None
-        if "forcing" in root:
-            forcing = _forcing(c, root["forcing"], "forcing", space="vector")
-        problem = None
-        if matrix is not None and initial is not None:
-            try:
-                problem = OdeProblem(
-                    matrix=matrix,
-                    initial=np.asarray(initial, dtype=float),
-                    forcing=forcing if forcing is not None else ForcingTerm.zero(),
-                )
-            except ValueError as exc:
-                c.fail("matrix", str(exc))
-        fields["ode_problem"] = problem
-
-        if mode == "ode":
-            ladder = _ladder(c, root.get("epsilon_ladder"), "epsilon_ladder") if "epsilon_ladder" in root else None
-            if ladder is not None and problem is not None:
-                bound = min(0.0, float(problem.eigen.values[0]) - policy.margin)
-                _check_policy(c, "epsilon_ladder", ladder, root.get("epsilon_ladder"), policy, bound)
-            fields["epsilon_ladder"] = ladder or ()
-            _study_tail(c, root, fields, default_norm="sup_uniform")
-        else:
-            eps = _number(c, root.get("epsilon"), "epsilon") if "epsilon" in root else None
-            if eps is not None:
-                if eps <= 0.0:
-                    c.fail("epsilon", f"eps must be positive, got {eps}")
-                elif problem is not None:
-                    bound = min(0.0, float(problem.eigen.values[0]) - policy.margin)
-                    _check_policy(c, "epsilon", (eps,), root.get("epsilon"), policy, bound)
-            delta = _number(c, root.get("delta"), "delta") if "delta" in root else None
-            horizons = _vector(c, root.get("horizons"), "horizons") if "horizons" in root else None
-            if horizons is not None:
-                for i in range(1, len(horizons)):
-                    if horizons[i] <= horizons[i - 1]:
-                        c.fail("horizons", "must increase strictly")
-                        break
-                if any(T <= 0.0 for T in horizons):
-                    c.fail("horizons", "all horizons must be positive")
-            direction = 0
-            if "direction" in root:
-                direction = _integer(c, root["direction"], "direction")
-                if direction is not None and matrix is not None and not 0 <= direction < len(matrix):
-                    c.fail("direction", f"must lie in [0, {len(matrix)})")
-            fields.update(
-                epsilon=eps, delta=delta, horizons=horizons or (), direction=direction or 0
-            )
-
-    elif mode == "spectral":
-        symbol = _symbol(c, root.get("symbol"), "symbol") if "symbol" in root else None
-        grid = _frequency_grid(c, root.get("frequency_grid"), "frequency_grid") if "frequency_grid" in root else None
-        init = None
-        if grid is not None and "initial" in root:
-            init = _initial_hat(c, root["initial"], "initial", grid)
-        forcing = None
-        if "forcing" in root:
-            forcing = _forcing(c, root["forcing"], "forcing", space="multiplier")
-        problem = None
-        if symbol is not None and grid is not None and init is not None:
-            try:
-                problem = SpectralProblem(
-                    grid=grid,
-                    symbol=symbol,
-                    initial_hat=init,
-                    forcing=forcing if forcing is not None else ForcingTerm.zero(),
-                )
-            except ValueError as exc:
-                c.fail("symbol", str(exc))
-        fields["spectral_problem"] = problem
-        fields["symbol"] = symbol
-        ladder = _ladder(c, root.get("epsilon_ladder"), "epsilon_ladder") if "epsilon_ladder" in root else None
-        if ladder is not None and problem is not None:
-            bound = min(0.0, float(np.min(problem.symbol_values)) - policy.margin)
-            _check_policy(c, "epsilon_ladder", ladder, root.get("epsilon_ladder"), policy, bound)
-        fields["epsilon_ladder"] = ladder or ()
-        _study_tail(c, root, fields, default_norm="sup_vl")
-
-    elif mode == "lemma-tech":
-        fields["density"] = _density(c, root["density"], "density") if "density" in root else None
-        ladder = _ladder(c, root.get("epsilon_ladder"), "epsilon_ladder") if "epsilon_ladder" in root else None
-        fields["epsilon_ladder"] = ladder or ()
-        horizon = _number(c, root.get("horizon"), "horizon") if "horizon" in root else None
-        if horizon is not None and horizon <= 0.0:
-            c.fail("horizon", "must be positive")
-        fields["horizon"] = horizon
-        tp = _integer(c, root.get("time_points", 801), "time_points")
-        if tp is not None and tp < 2:
-            c.fail("time_points", "need at least two points")
-        fields["time_points"] = tp or 801
-
-    elif mode == "bound-audit":
-        symbol = _symbol(c, root.get("symbol"), "symbol") if "symbol" in root else None
-        grid = _audit_grid(c, root.get("grid"), "grid") if "grid" in root else None
-        fields["symbol"] = symbol
-        fields["audit_grid"] = grid
-        ladder = _ladder(c, root.get("epsilon_ladder"), "epsilon_ladder") if "epsilon_ladder" in root else None
-        if ladder is not None and symbol is not None and grid is not None:
-            bound = policy.lower_bound(symbol, grid)
-            _check_policy(c, "epsilon_ladder", ladder, root.get("epsilon_ladder"), policy, bound)
-        fields["epsilon_ladder"] = ladder or ()
-        tol = _number(c, root.get("tol", 1e-9), "tol")
-        if tol is not None and tol <= 0.0:
-            c.fail("tol", "must be positive")
-        fields["audit_tol"] = tol or 1e-9
+    v = {}
+    for key, parse, default, _ in _COMMON + rows:
+        value = parse(c, root[key], key) if parse is not None and key in root else None
+        v[key] = default if value is None and default is not _REQUIRED else value
+    built = steps(c, root, v)
 
     if c.errors:
         raise ConfigError(c.errors)
 
+    write_field, field_times = v["output"]
     return ExperimentConfig(
         mode=mode,
-        problem_id=problem_id,
+        problem_id=v["problem_id"] or mode,
         raw=root,
-        quadrature=quad,
-        policy=policy,
+        quadrature=v["quadrature"],
+        policy=v["epsilon_policy"],
         write_field=write_field,
-        field_times=field_times,
-        **fields,
+        field_times=field_times or (),
+        **{key: v[key] for key, *_ in rows if key in ExperimentConfig._fields},
+        **built,
     )
-
-
-def _study_tail(c: _Collector, root: dict, fields: dict, default_norm: str) -> None:
-    horizon = _number(c, root.get("horizon"), "horizon") if "horizon" in root else None
-    if horizon is not None and horizon <= 0.0:
-        c.fail("horizon", "must be positive")
-    fields["horizon"] = horizon
-    norm = root.get("norm", default_norm)
-    if norm not in ("sup_uniform", "sup_vl"):
-        c.fail("norm", f"expected sup_uniform or sup_vl, got {norm!r}")
-        norm = default_norm
-    fields["norm"] = norm
-    tp = _integer(c, root.get("time_points", 201), "time_points")
-    if tp is not None and tp < 2:
-        c.fail("time_points", "need at least two points")
-    fields["time_points"] = tp or 201
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -759,83 +675,12 @@ SCHEMA = {
     "common": {
         "schema_version": "int, required, must equal 1",
         "mode": f"one of {list(MODES)}",
-        "problem_id": "string label echoed into reports (default: the mode)",
-        "quadrature": {
-            "method": "gauss_laguerre | adaptive",
-            "nodes": "int >= 4 (default 64)",
-            "panel_tol": "number (default 1e-12)",
-            "max_panels": "int >= 8 (default 4096)",
-            "abs_tol": "number (default 1e-12)",
-            "rel_tol": "number (default 1e-10)",
-            "variation_limit": "number (default 1e6)",
-        },
-        "epsilon_policy": {
-            "safety": "number in (0, 1] (default 1.0)",
-            "zero_bound_cap": "cap for nonnegative symbols (default 0.5)",
-            "margin": "number >= 0 subtracted from the grid lower bound (default 0.0)",
-        },
-        "output": {
-            "write_field": "bool; spectral mode dumps field.bin + field_meta.json",
-            "field_times": "list of nonnegative sample times (default: 9 evenly spaced)",
-        },
+        **_docs(_COMMON),
         "numbers": "every numeric field also accepts a decimal string, e.g. \"1e-4\"",
     },
-    "modes": {
-        "ode": {
-            "matrix": "symmetric matrix as list of rows (required)",
-            "initial": "state vector (required)",
-            "forcing": "optional {parts: [{profile, vector}], growth}",
-            "epsilon_ladder": "strictly decreasing positive list (required)",
-            "horizon": "positive number (required)",
-            "norm": "sup_uniform | sup_vl (default sup_uniform)",
-            "time_points": "int >= 2 (default 201)",
-        },
-        "spectral": {
-            "symbol": "{kind: classical} | {kind: fractional, s} | {kind: zeroth_order, mass, kernel} | {kind: table, xi, values}",
-            "frequency_grid": "{kind: uniform_fft, n, dx, x0?} | {kind: explicit, nodes, weights}",
-            "initial": "{kind: gaussian, amplitude?, variance?} | {kind: samples, real, imag?}",
-            "forcing": "optional {parts: [{profile, multiplier}], growth}",
-            "epsilon_ladder": "strictly decreasing positive list (required)",
-            "horizon": "positive number (required)",
-            "norm": "sup_uniform | sup_vl (default sup_vl)",
-            "time_points": "int >= 2 (default 201)",
-        },
-        "lemma-tech": {
-            "density": "{kind: constant, amplitude?} | {kind: power, amplitude?, degree > -1} | {kind: exponential, amplitude?, rate}",
-            "epsilon_ladder": "strictly decreasing positive list (required)",
-            "horizon": "positive number (required)",
-            "time_points": "int >= 2 (default 801)",
-        },
-        "branch-divergence": {
-            "matrix": "symmetric matrix as list of rows (required)",
-            "initial": "state vector (required)",
-            "forcing": "optional, as in ode mode",
-            "epsilon": "positive number within policy (required)",
-            "delta": "perturbation of the rejected-branch coefficient (required)",
-            "direction": "eigencoordinate index to perturb (default 0)",
-            "horizons": "strictly increasing positive list (required)",
-        },
-        "bound-audit": {
-            "symbol": "as in spectral mode",
-            "grid": "{kind: linspace, lo, hi, points} | {kind: nodes, values}",
-            "epsilon_ladder": "strictly decreasing positive list (required)",
-            "tol": "margin tolerance for the estimate audit (default 1e-9)",
-        },
-    },
-    "profiles": {
-        "constant": {"amplitude": "default 1"},
-        "exponential": {"amplitude": "default 1", "rate": "required"},
-        "power": {"amplitude": "default 1", "degree": ">= 0"},
-        "sampled": {"times": "list", "values": "list, same length"},
-    },
-    "multipliers": {
-        "constant": {"amplitude": "default 1"},
-        "gaussian": {"amplitude": "default 1", "variance": "> 0, default 1"},
-        "table": {"xi": "list", "values": "list, same length"},
-    },
-    "growth": {
-        "bounded": {"scale": "default 1"},
-        "polynomial": {"degree": "default 1", "scale": "default 1"},
-        "subexponential": {"rate": "required", "scale": "default 1"},
+    "modes": {mode: _docs(rows) for mode, (rows, _) in _MODES.items()},
+    **{
+        name: {kind: _docs(fields) for kind, (fields, _) in kinds.items()}
+        for name, kinds in (("profiles", _PROFILES), ("multipliers", _MULTIPLIERS), ("growth", _GROWTHS))
     },
 }

@@ -55,6 +55,10 @@ def _spectral_config(**overrides):
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# (config, violations) pairs: each key of each mode missing, of a wrong type
+# and unknown, an unknown kind of each kinded object, and each range check
+ERROR_CORPUS = json.loads((GOLDEN / "config_errors.json").read_text())
+
 
 def _write(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -127,6 +131,34 @@ class TestValidateConfig:
         text = "\n".join(err.value.violations)
         assert "exceeds the policy bound" in text
         assert "'0.2'" in text
+
+    @pytest.mark.parametrize("entry", ERROR_CORPUS, ids=[e["name"] for e in ERROR_CORPUS])
+    def test_corpus_config_gives_exactly_its_violations(self, entry):
+        with pytest.raises(ConfigError) as err:
+            validate_config(entry["config"])
+        assert err.value.violations == entry["violations"]
+
+    @pytest.mark.parametrize("imag", [None, ["0", "1", "0", "-1"]], ids=["real", "complex"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"kind": "uniform_fft", "n": 4, "dx": "0.5"},
+            {"kind": "explicit", "nodes": ["-1", "0", "0.5", "2"], "weights": ["1", "1", "1", "1"]},
+        ],
+        ids=["uniform_fft", "explicit"],
+    )
+    def test_sampled_initial_data_on_either_grid(self, grid, imag):
+        initial = {"kind": "samples", "real": ["1", "2", "3", "4"]}
+        if imag is not None:
+            initial["imag"] = imag
+        cfg = validate_config(_spectral_config(frequency_grid=grid, initial=initial))
+        expected = np.array([1.0, 2.0, 3.0, 4.0]) + 1j * (np.array(imag, dtype=float) if imag else 0.0)
+        np.testing.assert_array_equal(cfg.spectral_problem.initial_hat, expected)
+        initial["real"] = initial["real"][:3]
+        initial.pop("imag", None)
+        with pytest.raises(ConfigError) as err:
+            validate_config(_spectral_config(frequency_grid=grid, initial=initial))
+        assert err.value.violations == ["initial: expected 4 samples to match the grid, got 3"]
 
     def test_wrong_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -455,9 +487,13 @@ class TestCliRun:
 
     def test_schema_subcommand(self, capsys):
         assert cli.main(["schema"]) == 0
-        schema = json.loads(capsys.readouterr().out)
-        assert schema["schema_version"] == 1
-        assert "modes" in schema
+        assert capsys.readouterr().out == (GOLDEN / "schema.json").read_text()
+
+    def test_integer_literal_past_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        path = _write(tmp_path, _ode_config(horizon=10**340))
+        assert "1" + "0" * 340 in Path(path).read_text()
+        assert cli.main(["validate", path]) == 2
+        assert capsys.readouterr().err == "invalid: horizon: must be finite\n"
 
     def test_env_out_dir_and_flag_override(self, tmp_path, monkeypatch):
         cfg = _write(tmp_path, _ode_config())

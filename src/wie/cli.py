@@ -131,10 +131,19 @@ class RunOutcome:
         self.rows = rows
 
 
-def _certify_ladder(cfg: ExperimentConfig, forcing, gram, epsilons):
-    """One certificate per eps, or the failure entries that block the run."""
+def _certified(cfg: ExperimentConfig, epsilons) -> RunOutcome:
+    """The outcome of certifying cfg.problem's forcing at each eps.
+
+    An unforced problem needs no certificate and leaves the outcome empty;
+    otherwise it holds one certificate per eps, and a failure entry for
+    each eps that blocks the run.
+    """
+    forcing = cfg.problem.forcing
+    outcome = RunOutcome({}, {}, [])
+    if forcing.is_zero:
+        return outcome
+    gram = cfg.problem.forcing_gram()
     certificates = []
-    failures = []
     for eps in epsilons:
         try:
             cert = certify_transformable(forcing, eps, gram=gram, spec=cfg.quadrature)
@@ -148,41 +157,26 @@ def _certify_ladder(cfg: ExperimentConfig, forcing, gram, epsilons):
                 }
             )
         except TransformabilityError as exc:
-            failures.append(
+            outcome.failures.append(
                 {"verdict": "transformability violated", "epsilon": eps, "detail": str(exc)}
             )
         except QuadratureError as exc:
             # a declared growth that understates a rate can leave the weighted norm divergent
             detail = f"transformability certificate at eps={eps:g}: {exc}"
             verdict = "transformability not certified"
-            failures.append({"verdict": verdict, "epsilon": eps, "detail": detail})
-    return certificates, failures
+            outcome.failures.append({"verdict": verdict, "epsilon": eps, "detail": detail})
+    outcome.results["transformability"] = certificates
+    outcome.verdicts["transformability_certified"] = not outcome.failures
+    return outcome
 
 
 def _run_study(cfg: ExperimentConfig):
-    problem = cfg.ode_problem if cfg.mode == "ode" else cfg.spectral_problem
-    forcing = problem.forcing
-    results: dict = {}
-    failures: list = []
-    verdicts: dict = {}
-
-    if not forcing.is_zero:
-        if cfg.mode == "ode":
-            gram = forcing.gram()
-        else:
-            grid = problem.grid
-            inner = lambda ha, hb: float(
-                np.real(np.sum(grid.weights * np.conj(ha(grid.nodes)) * hb(grid.nodes)))
-            )
-            gram = forcing.gram(space_inner=inner)
-        certificates, failures = _certify_ladder(cfg, forcing, gram, cfg.epsilon_ladder)
-        results["transformability"] = certificates
-        verdicts["transformability_certified"] = not failures
-        if failures:
-            return RunOutcome(results, verdicts, failures)
+    outcome = _certified(cfg, cfg.epsilon_ladder)
+    if outcome.failures:
+        return outcome
 
     report = convergence_study(
-        problem,
+        cfg.problem,
         cfg.epsilon_ladder,
         cfg.horizon,
         norm=cfg.norm,
@@ -190,14 +184,13 @@ def _run_study(cfg: ExperimentConfig):
         spec=cfg.quadrature,
         problem_id=cfg.problem_id,
     )
-    results["study"] = report.as_dict()
-    verdicts.update(report.verdicts)
-
-    rows = [
+    outcome.results["study"] = report.as_dict()
+    outcome.verdicts.update(report.verdicts)
+    outcome.header = ("epsilon", "sup_error", "energy", "audit_violations", "failure")
+    outcome.rows = [
         (e.eps, e.sup_error, e.energy, e.audit_violations, e.failure) for e in report.entries
     ]
-    header = ("epsilon", "sup_error", "energy", "audit_violations", "failure")
-    return RunOutcome(results, verdicts, failures, header, rows)
+    return outcome
 
 
 def _run_lemma(cfg: ExperimentConfig):
@@ -227,22 +220,13 @@ def _run_lemma(cfg: ExperimentConfig):
 
 
 def _run_branch(cfg: ExperimentConfig):
-    problem = cfg.ode_problem
-    forcing = problem.forcing
-    failures: list = []
-    results: dict = {}
-    verdicts: dict = {}
-
-    if not forcing.is_zero:
-        certificates, failures = _certify_ladder(cfg, forcing, forcing.gram(), (cfg.epsilon,))
-        results["transformability"] = certificates
-        verdicts["transformability_certified"] = not failures
-        if failures:
-            return RunOutcome(results, verdicts, failures)
+    outcome = _certified(cfg, (cfg.epsilon,))
+    if outcome.failures:
+        return outcome
 
     try:
         res = branch_divergence(
-            problem,
+            cfg.problem,
             cfg.epsilon,
             cfg.delta,
             cfg.horizons,
@@ -250,25 +234,28 @@ def _run_branch(cfg: ExperimentConfig):
             spec=cfg.quadrature,
         )
     except AdmissibilityError as exc:
-        failures.append(
+        outcome.failures.append(
             {"verdict": "admissibility violated", "epsilon": cfg.epsilon, "detail": str(exc)}
         )
-        return RunOutcome(results, verdicts, failures)
+        return outcome
     except QuadratureFailure as exc:
-        failures.append(
+        outcome.failures.append(
             {"verdict": "quadrature contract missed", "epsilon": cfg.epsilon, "detail": str(exc)}
         )
-        return RunOutcome(results, verdicts, failures)
-    mu = problem.eigen.values[cfg.direction]
+        return outcome
+    mu = cfg.problem.eigen.values[cfg.direction]
     z = math.sqrt(float(admissible_discriminant(mu, cfg.epsilon)[0]))
-    results["branch"] = res.as_dict()
-    results["divergence_rate"] = z / cfg.epsilon
-    verdicts["log_energy_table_present"] = len(res.log_energies) == len(cfg.horizons) and all(
+    outcome.results["branch"] = res.as_dict()
+    outcome.results["divergence_rate"] = z / cfg.epsilon
+    complete = len(res.log_energies) == len(cfg.horizons)
+    outcome.verdicts["log_energy_table_present"] = complete and all(
         v is not None for v in res.log_energies
     )
-    header = ("horizon", "numeric_energy", "log_energy", "closed_form_log")
-    rows = list(zip(res.horizons, res.numeric_energies, res.log_energies, res.closed_form_log))
-    return RunOutcome(results, verdicts, failures, header, rows)
+    outcome.header = ("horizon", "numeric_energy", "log_energy", "closed_form_log")
+    outcome.rows = list(
+        zip(res.horizons, res.numeric_energies, res.log_energies, res.closed_form_log)
+    )
+    return outcome
 
 
 def _run_audit(cfg: ExperimentConfig):
@@ -287,8 +274,8 @@ def _write_field(cfg: ExperimentConfig, out_dir: Path) -> list:
     so the dump holds one row of the field, whatever the number of times.
     """
     eps = cfg.epsilon_ladder[-1]
-    grid = cfg.spectral_problem.grid
-    m = minimizer_hat(cfg.spectral_problem, eps)
+    grid = cfg.problem.grid
+    m = minimizer_hat(cfg.problem, eps)
     times = np.asarray(cfg.field_times or np.linspace(0.0, cfg.horizon, 9), dtype=float)
     rows = (SpectralField.sample(m, grid, [t]).to_bytes() for t in times)
     _atomic_write(out_dir / FIELD_NAME, rows)

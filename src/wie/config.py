@@ -209,18 +209,8 @@ def _built(c: _Collector, path: str, values, build, *context):
     except _Refused as refused:
         field, message = refused.args
         return c.fail(f"{path}.{field}" if field else path, message)
-
-
-def _refusing(make):
-    """make, its ValueError a refusal of the whole object."""
-
-    def build(*values):
-        try:
-            return make(*values)
-        except ValueError as exc:
-            raise _Refused("", str(exc)) from None
-
-    return build
+    except (ValueError, OverflowError) as exc:  # a value type refuses the whole object
+        return c.fail(path, str(exc))
 
 
 def _object(fields, build):
@@ -332,7 +322,7 @@ _symbol = _parser(
         ),
         "table": (
             (("xi", _vector, None), ("values", _vector, None)),
-            _refusing(lambda x, vals: build_symbol("table", xi_points=x, values=vals)),
+            lambda x, vals: build_symbol("table", xi_points=x, values=vals),
         ),
     },
 )
@@ -426,7 +416,10 @@ def _forcing(space: str, parse_space, make):
         items = [_fields(c, part, f"{path}.parts[{i}]", fields) for i, part in enumerate(parts_raw)]
         if None in items:
             return None
-        return make(items, growth=growth) if items else ForcingTerm.zero()
+        try:
+            return make(items, growth=growth) if items else ForcingTerm.zero()
+        except ValueError as exc:
+            return c.fail(path, str(exc))
 
     return parse
 
@@ -491,7 +484,7 @@ def _system_steps(c, root, v):
     _check_policy(c, root, v, key, None if problem is None else problem.eigen.values)
     if "direction" in v and v["matrix"] is not None and not 0 <= v["direction"] < len(v["matrix"]):
         c.fail("direction", f"must lie in [0, {len(v['matrix'])})")
-    return {"ode_problem": problem}
+    return {"problem": problem}
 
 
 def _spectral_steps(c, root, v):
@@ -507,7 +500,7 @@ def _spectral_steps(c, root, v):
         except ValueError as exc:
             c.fail("symbol", str(exc))
     _check_policy(c, root, v, "epsilon_ladder", None if problem is None else problem.symbol_values)
-    return {"spectral_problem": problem}
+    return {"problem": problem}
 
 
 def _audit_steps(c, root, v):
@@ -530,17 +523,17 @@ class ExperimentConfig(NamedTuple):
     field_times: Tuple[float, ...] = ()
     epsilon_ladder: Tuple[float, ...] = ()
     horizon: Optional[float] = None
-    time_points: int = 201
-    norm: str = "sup_uniform"
-    ode_problem: Optional[OdeProblem] = None
-    spectral_problem: Optional[SpectralProblem] = None
+    time_points: Optional[int] = None
+    norm: Optional[str] = None
+    # an OdeProblem in the ode and branch-divergence modes
+    problem: Optional[SpectralProblem] = None
     symbol: Optional[MultiplierSymbol] = None
     audit_grid: Optional[np.ndarray] = None
-    audit_tol: float = 1e-9
+    audit_tol: Optional[float] = None
     density: Optional[TimeProfile] = None
     epsilon: Optional[float] = None
     delta: Optional[float] = None
-    direction: int = 0
+    direction: Optional[int] = None
     horizons: Tuple[float, ...] = ()
 
 
@@ -553,7 +546,7 @@ _REQUIRED = object()
 _COMMON = (
     ("problem_id", _label, None, "string label echoed into reports (default: the mode)"),
     ("quadrature", _object(_QUADRATURE, QuadratureSpec), DEFAULT_SPEC, _docs(_QUADRATURE)),
-    ("epsilon_policy", _object(_POLICY, _refusing(EpsilonPolicy)), EpsilonPolicy(), _docs(_POLICY)),
+    ("epsilon_policy", _object(_POLICY, EpsilonPolicy), EpsilonPolicy(), _docs(_POLICY)),
     ("output", _object(_OUTPUT, lambda *values: values), (False, None), _docs(_OUTPUT)),
 )
 

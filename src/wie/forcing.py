@@ -719,25 +719,20 @@ class ForcingTerm(_ReadOnly):
             return complex(acc) if np.iscomplexobj(acc) else float(acc)
         return acc
 
-    def gram(self, space_inner: Optional[Callable] = None) -> np.ndarray:
-        """Gram matrix of the spatial parts.
+    def gram(self) -> np.ndarray:
+        """Euclidean Gram matrix of the coordinate vectors.
 
-        Vector parts use the Euclidean inner product; spectral parts need a
-        space_inner(h_a, h_b) callable supplied by the caller, typically a
-        frequency-grid quadrature.
+        Spectral parts have an inner product only on a frequency grid:
+        SpectralProblem.forcing_gram forms theirs.
         """
+        if self.mode == "spectral":
+            raise ValueError("spectral parts take the Gram matrix of their grid")
         n = len(self.parts)
         G = np.zeros((n, n))
         for a in range(n):
             for b in range(a, n):
                 pa, pb = self.parts[a], self.parts[b]
-                if self.mode == "vector":
-                    v = float(np.dot(pa.space_vec, pb.space_vec))
-                else:
-                    if space_inner is None:
-                        raise ValueError("spectral parts need a space_inner callable")
-                    v = float(np.real(space_inner(pa.space_hat, pb.space_hat)))
-                G[a, b] = G[b, a] = v
+                G[a, b] = G[b, a] = float(np.dot(pa.space_vec, pb.space_vec))
         return G
 
     def norm_sq_profile(self, gram: Optional[np.ndarray] = None) -> Callable:
@@ -856,12 +851,15 @@ def _exponential_weighted_norm(
     )
 
 
+# T doubles until the envelope tail beyond it is at most this share of the weighted norm
+_TAIL_FRACTION = 1e-12
+
+
 def certify_transformable(
     forcing: ForcingTerm,
     eps: float,
     gram: Optional[np.ndarray] = None,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    tail_fraction: float = 1e-12,
 ) -> TransformabilityCertificate:
     """Check the declared growth against the weight and measure the result.
 
@@ -880,7 +878,7 @@ def certify_transformable(
     weighted = _exponential_weighted_norm(forcing, eps, gram)
     if weighted is None:
         weighted = weighted_halfline(forcing.norm_sq_profile(gram=gram), eps, spec, batched=True)
-    target = tail_fraction * max(weighted, growth.scale * eps, 1e-300)
+    target = _TAIL_FRACTION * max(weighted, growth.scale * eps, 1e-300)
     T = max(1.0, 2.0 * growth.degree / (1.0 / eps - growth.rate))
     for _ in range(200):
         bound = _envelope_tail(growth, eps, T)

@@ -12,7 +12,7 @@ report writer can serialize them without knowing their internals.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -200,11 +200,11 @@ def branch_divergence(
         b <= a for a, b in zip(horizons, horizons[1:])
     ):
         raise ValueError("horizons must be positive and strictly increasing")
-    m = selected_minimizer(problem, eps, spec)
+    m = selected_minimizer(problem, eps)
     i = int(direction)
     if not 0 <= i < problem.size:
         raise ValueError(f"direction {i} out of range for a system of size {problem.size}")
-    k = int(problem._modal.distinct.inverse[i])  # the roots are per distinct eigenvalue
+    k = int(problem.distinct.inverse[i])  # the roots are per distinct eigenvalue
     lam = float(m.spectrum.slow[k])
     mu = float(m.spectrum.fast[k])
     z = float(m.spectrum.disc_sqrt[k])
@@ -517,8 +517,8 @@ class _SpectralGap:
     serves the whole block, and the generic kernels, whose series and
     continued fractions stop when every entry of a call has converged, run
     one rung at one time.  Each rung's sum at each time keeps the bits it
-    has in a stack of its own at that time alone.  An OdeProblem's modal
-    view is such a problem, with the eigenvalues as symbol values.
+    has in a stack of its own at that time alone.  An OdeProblem is such a
+    problem, with its eigenvalues as symbol values and unit weights.
     """
 
     def __init__(self, problem: SpectralProblem, weights: np.ndarray):
@@ -1011,7 +1011,7 @@ def _study(problem, ladder, norm, times, spec) -> list:
 
 
 def convergence_study(
-    problem: Union[OdeProblem, SpectralProblem],
+    problem: SpectralProblem,
     ladder: Sequence[float],
     horizon: float,
     norm: str = "sup_uniform",
@@ -1025,22 +1025,18 @@ def convergence_study(
     reference over a dense grid on [0, horizon], its weighted energy, and
     the root-estimate violation count.  A failing rung is recorded and the
     study continues.  The fitted log-log rate is a diagnostic; the verdict
-    that matters is monotone decay of the error.  An OdeProblem runs as its
-    modal view (the spectral problem on its eigenvalues, unit weights), so
-    both kinds of study run one sweep: the rungs side by side, serially,
-    against one evaluation of the reference per time.
+    that matters is monotone decay of the error.  An OdeProblem is the
+    spectral problem of its modes (its eigenvalues, unit weights), so a
+    system and a multiplier run one sweep: the rungs side by side,
+    serially, against one evaluation of the reference per time.
     """
     ladder = _check_ladder(ladder)
     _check_horizon(horizon, time_points)
     if norm not in ("sup_uniform", "sup_vl"):
         raise ValueError(f"unknown norm {norm!r}")
-    times = np.linspace(0.0, float(horizon), time_points)
     if not isinstance(problem, SpectralProblem):
-        from .ode import OdeProblem  # a spectral run never imports the ODE module
-
-        if not isinstance(problem, OdeProblem):
-            raise TypeError(f"unsupported problem type {type(problem).__name__}")
-        problem = problem._modal
+        raise TypeError(f"unsupported problem type {type(problem).__name__}")
+    times = np.linspace(0.0, float(horizon), time_points)
     entries = _study(problem, ladder, norm, times, spec)
     ok = [e for e in entries if e.failure is None]
     errors = [e.sup_error for e in ok]

@@ -5,13 +5,13 @@ one-parameter family of solutions; exactly one of them keeps the weighted
 energy finite.  In the orthonormal eigenbasis of A the system decouples
 into one scalar problem per eigenvalue, which is the spectral path's
 per-node problem with the eigenvalue as symbol value and unit weight.  So
-an OdeProblem projects itself once onto that basis, and the selected
-minimizer and the first-order flow y' = -A*y + f(t) are the spectral
-solvers (SelectedSpectralMinimizer, SemigroupSolution) run on that modal
-view and mapped back.  Both paths thus share one set of kernels, one
-energy routine and one admissibility rule, and a convergence study of a
-system (lab.convergence_study) is the spectral study of its modal view,
-one sweep for both.
+an OdeProblem is a SpectralProblem: it projects itself once onto that
+basis, on an explicit grid whose nodes are the eigenvalues, and every
+solver, study and report reads it as one.  The selected minimizer and the
+first-order flow y' = -A*y + f(t) are the spectral solvers
+(SelectedSpectralMinimizer, SemigroupSolution) run on it and mapped back
+to the system's coordinates.  Both paths thus share one set of kernels,
+one energy routine, one admissibility rule and one convergence sweep.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .forcing import ForcingTerm
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _ReadOnly
-from .spectral import SelectedSpectralMinimizer, SemigroupSolution, _Distinct, _distinct
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .spectral import FrequencyGrid, SelectedSpectralMinimizer, SemigroupSolution, SpectralProblem
 
 __all__ = [
     "OdeProblem",
@@ -65,35 +65,15 @@ def eigendecompose(matrix) -> EigenData:
     return EigenData(values=vals, vectors=vecs)
 
 
-class _ModalView(NamedTuple):
-    """An OdeProblem in its eigenbasis, in the form the spectral solvers read.
-
-    The eigenvalues stand where symbol values do, each with weight one, so a
-    repeated eigenvalue is just a repeated node, and distinct maps the
-    modes onto the distinct eigenvalues as on a spectral problem.  Every
-    array is real.
-    """
-
-    symbol_values: np.ndarray
-    distinct: _Distinct  # of symbol_values
-    weights: np.ndarray
-    initial_hat: np.ndarray
-    forcing_parts: tuple  # (profile, eigenbasis coordinates of the part's vector)
-    amplitude_growth_rate: float
-
-    def forcing_values(self, t: float) -> np.ndarray:
-        out = np.zeros(self.symbol_values.shape)
-        for profile, H in self.forcing_parts:
-            out += profile(float(t)) * H
-        return out
-
-
-class OdeProblem(_ReadOnly):
+class OdeProblem(SpectralProblem):
     """Symmetric system data: matrix, initial state, forcing term.
 
     Construction decomposes the matrix once (eigen, or ValueError when it
-    is not symmetric) and projects the problem onto that basis for the
-    solvers.
+    is not symmetric) and poses the system in that basis as the spectral
+    problem of its modes: the eigenvalues are the nodes of an explicit
+    grid with unit weights and the symbol values, so a repeated eigenvalue
+    is just a repeated node.  There is no multiplier symbol (symbol is
+    None), and every array is real.
     """
 
     def __init__(self, matrix: np.ndarray, initial: np.ndarray, forcing: ForcingTerm):
@@ -115,24 +95,29 @@ class OdeProblem(_ReadOnly):
         if f.parts:
             # one matrix product for all parts: the closed-form energies are pinned to its bits
             columns = eigen.project(np.stack([p.space_vec for p in f.parts], axis=1)).T
-        modal = _ModalView(
+        vars(self).update(
+            matrix=A,
+            initial=y0,
+            forcing=f,
+            eigen=eigen,
+            grid=FrequencyGrid.explicit(eigen.values, np.ones(A.shape[0])),
+            symbol=None,
             symbol_values=eigen.values,
-            distinct=_distinct(eigen.values),
-            weights=np.ones(A.shape[0]),
             initial_hat=eigen.project(y0),
             forcing_parts=tuple((p.profile, h) for p, h in zip(f.parts, columns)),
-            # the declared envelope covers the squared norm; amplitudes grow half as fast
-            amplitude_growth_rate=f.declared_growth().rate / 2.0,
         )
-        vars(self).update(matrix=A, initial=y0, forcing=f, eigen=eigen, _modal=modal)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    def forcing_gram(self) -> np.ndarray:
+        """Euclidean Gram matrix of the coordinate vectors, which the orthonormal basis keeps."""
+        return self.forcing.gram()
+
 
 class _MappedBack:
-    """A spectral solver's trajectory on the modal view, in the system's coordinates.
+    """A spectral solver's trajectory on the modes, in the system's coordinates.
 
     value(t) (also the call) gives the state at any t >= 0, and state(t)
     the pair (value, derivative) from one evaluation.  Every call evaluates
@@ -158,29 +143,26 @@ class SelectedOdeMinimizer(_MappedBack):
     derivative() is analytic, not a difference quotient.
     """
 
-    def __init__(self, problem: OdeProblem, eps: float, spec: QuadratureSpec = DEFAULT_SPEC):
+    def __init__(self, problem: OdeProblem, eps: float):
         self.problem = problem
         self.eps = float(eps)
-        self.spec = spec
         self.eigen = problem.eigen
-        self._solver = SelectedSpectralMinimizer(problem._modal, eps)
+        self._solver = SelectedSpectralMinimizer(problem, eps)
         self.spectrum = self._solver.roots
 
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]
 
-    def energy(self):
+    def energy(self, spec: QuadratureSpec = DEFAULT_SPEC):
         """(value, crossed_at, source) of the weighted energy, as SelectedSpectralMinimizer.energy.
 
         The basis is orthonormal, so the modal energy is the system's.
         """
-        return self._solver.energy(self.spec)
+        return self._solver.energy(spec)
 
 
-def selected_minimizer(
-    problem: OdeProblem, eps: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> SelectedOdeMinimizer:
-    return SelectedOdeMinimizer(problem, eps, spec)
+def selected_minimizer(problem: OdeProblem, eps: float) -> SelectedOdeMinimizer:
+    return SelectedOdeMinimizer(problem, eps)
 
 
 class ExactOdeSolution(_MappedBack):
@@ -189,7 +171,7 @@ class ExactOdeSolution(_MappedBack):
     def __init__(self, problem: OdeProblem):
         self.problem = problem
         self.eigen = problem.eigen
-        self._solver = SemigroupSolution(problem._modal)
+        self._solver = SemigroupSolution(problem)
 
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]

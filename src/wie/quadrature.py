@@ -186,12 +186,15 @@ def _needs_fallback(vals: np.ndarray, weights: np.ndarray, limit: float) -> bool
     return sig.max() / lo > limit
 
 
+# bisections of [a, b] past which finite_interval retires a panel
+_MAX_DEPTH = 60
+
+
 def finite_interval(
     f: Callable,
     a: float,
     b: float,
     tol: float,
-    max_depth: int = 60,
     max_panels: int = 200_000,
 ):
     """Worst-first adaptive Gauss-Legendre refinement on [a, b].
@@ -231,7 +234,7 @@ def finite_interval(
         neg_err, _, lo, hi, val, depth = heapq.heappop(heap)
         err = -neg_err
         floor_here = 1e-15 * (abs_scale + abs(val))
-        if depth >= max_depth or err <= floor_here or (hi - lo) <= width_floor:
+        if depth >= _MAX_DEPTH or err <= floor_here or (hi - lo) <= width_floor:
             continue  # retired: its contribution and error stay counted
         if panels + 2 > max_panels:
             raise QuadratureFailure(

@@ -171,7 +171,11 @@ def _distinct(node_values: np.ndarray) -> _Distinct:
 
 
 class SpectralProblem(_ReadOnly):
-    """Initial frequency data plus symbol and forcing on a fixed grid."""
+    """Initial frequency data plus symbol and forcing on a fixed grid.
+
+    Its data are complex.  An OdeProblem is the subclass with real data,
+    its eigenvalues the nodes of an explicit grid.
+    """
 
     def __init__(
         self,
@@ -208,11 +212,22 @@ class SpectralProblem(_ReadOnly):
         return _distinct(self.symbol_values)
 
     def forcing_values(self, t: float) -> np.ndarray:
-        """f_hat(t, .) on the grid nodes."""
-        out = np.zeros(self.grid.nodes.shape, dtype=complex)
+        """f_hat(t, .) on the grid nodes, in the dtype of the data."""
+        out = np.zeros(self.grid.nodes.shape, dtype=self.initial_hat.dtype)
         for profile, H in self.forcing_parts:
             out += profile(float(t)) * H
         return out
+
+    def forcing_gram(self) -> np.ndarray:
+        """Gram matrix of the forcing's spatial parts in the grid's weighted inner product."""
+        w, xi = self.grid.weights, self.grid.nodes
+        parts = self.forcing.parts
+        G = np.zeros((len(parts), len(parts)))
+        for a, pa in enumerate(parts):
+            for b in range(a, len(parts)):
+                ha, hb = pa.space_hat, parts[b].space_hat
+                G[a, b] = G[b, a] = float(np.real(np.sum(w * np.conj(ha(xi)) * hb(xi))))
+        return G
 
     @property
     def amplitude_growth_rate(self) -> float:
@@ -378,8 +393,8 @@ def _over(H, z) -> np.ndarray:
 
     numpy divides a complex array by a real one as a product with 1/z, so
     the real parts of complex data would part from real data in the last
-    bit; this way real data (the eigenbasis view of a system) and the real
-    parts of complex data give the same bits.
+    bit; this way real data (an OdeProblem's) and the real parts of
+    complex data give the same bits.
     """
     pairs = H.view(float).reshape(H.shape + (-1,))
     return (pairs / z[:, None]).view(H.dtype).reshape(H.shape)
@@ -406,18 +421,12 @@ class SelectedSpectralMinimizer:
     place on them, in the dtype of the data.
     """
 
-    def __init__(
-        self,
-        problem: SpectralProblem,
-        eps: float,
-        *,
-        lower_bound: Optional[float] = None,
-    ):
+    def __init__(self, problem: SpectralProblem, eps: float):
         self.problem = problem
         self.eps = float(eps)
         distinct = problem.distinct
         try:
-            self.roots = root_data(distinct.values, eps, lower_bound=lower_bound)
+            self.roots = root_data(distinct.values, eps)
         except AdmissibilityError:
             admissible_discriminant(problem.symbol_values, eps)  # count the nodes, not the values
             raise
@@ -522,13 +531,8 @@ class SelectedSpectralMinimizer:
     __call__ = value
 
 
-def minimizer_hat(
-    problem: SpectralProblem,
-    eps: float,
-    *,
-    lower_bound: Optional[float] = None,
-) -> SelectedSpectralMinimizer:
-    return SelectedSpectralMinimizer(problem, eps, lower_bound=lower_bound)
+def minimizer_hat(problem: SpectralProblem, eps: float) -> SelectedSpectralMinimizer:
+    return SelectedSpectralMinimizer(problem, eps)
 
 
 # ---- Norms, energies, bounds ----
@@ -559,7 +563,6 @@ def energy_spectral(
     problem: SpectralProblem,
     eps: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    ceiling: float = ENERGY_CEILING,
 ):
     """Weighted action evaluated with frequency-side norms.
 
@@ -580,7 +583,7 @@ def energy_spectral(
         if problem.forcing_parts:
             f = problem.forcing_values(t)
             quad = quad - float(np.real(np.sum(w * f * np.conj(u))))
-        if not math.isfinite(quad) or abs(quad) * math.exp(-float(tk)) > ceiling:
+        if not math.isfinite(quad) or abs(quad) * math.exp(-float(tk)) > ENERGY_CEILING:
             return math.inf, t
         vals[k] = quad
     return eps * float((gl_w * vals).sum()), None

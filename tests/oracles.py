@@ -101,8 +101,8 @@ def decimal_sup_distance(problem, eps, times, norm="sup_vl", digits=40):
     """sup_t ||u_eps(t) - u_0(t)|| in `digits`-digit decimal arithmetic.
 
     For any number of constant or exponential parts a_k exp(r_k t) H_k, on
-    a SpectralProblem or on the eigenbasis view of an OdeProblem (its
-    `_modal`: eigenvalues as symbol values, unit weights, real data).
+    any SpectralProblem, an OdeProblem included (its eigenvalues as symbol
+    values, unit weights, real data).
     Every input double (symbol values, weights, data, eps, times) is taken
     exactly, and the roots and exponentials are evaluated at `digits`
     digits, so the result is the exact sup distance of the discretized

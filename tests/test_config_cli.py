@@ -19,7 +19,8 @@ import pytest
 import wie.cli as cli
 from wie.config import ConfigError, parse_config, validate_config
 from wie.quadrature import DEFAULT_SPEC
-from wie.spectral import FrequencyGrid
+from wie.ode import OdeProblem
+from wie.spectral import FrequencyGrid, SpectralProblem
 
 
 def _ode_config(**overrides):
@@ -76,8 +77,27 @@ class TestValidateConfig:
         assert cfg.norm == "sup_uniform"
         assert cfg.raw is raw
         np.testing.assert_allclose(
-            cfg.ode_problem.matrix, [[2.0, 1.0], [1.0, 2.0]]
+            cfg.problem.matrix, [[2.0, 1.0], [1.0, 2.0]]
         )
+
+    def test_each_problem_mode_sets_the_one_problem(self):
+        branch = _ode_config(mode="branch-divergence", epsilon="0.1", delta="1e-6", horizons=["1.0"])
+        for key in ("epsilon_ladder", "horizon", "time_points"):
+            del branch[key]
+        cases = ((_ode_config(), OdeProblem), (branch, OdeProblem), (_spectral_config(), SpectralProblem))
+        for raw, kind in cases:
+            cfg = validate_config(raw)
+            assert type(cfg.problem) is kind, raw["mode"]
+        grid = FrequencyGrid.uniform_fft(32, 0.5)
+        np.testing.assert_array_equal(cfg.problem.grid.nodes, grid.nodes)
+
+    def test_fields_a_mode_does_not_set_are_none(self):
+        # a mode's own rows give its values: the record restates no default of its own
+        ode = validate_config(_ode_config())
+        assert (ode.direction, ode.audit_tol, ode.symbol) == (None, None, None)
+        lemma = {"schema_version": 1, "mode": "lemma-tech", "density": {"kind": "constant"}}
+        lemma = validate_config({**lemma, "epsilon_ladder": ["1e-1"], "horizon": "1.0"})
+        assert (lemma.time_points, lemma.norm, lemma.problem) == (801, None, None)
 
     def test_asymmetric_matrix_and_bad_direction_both_reported(self):
         raw = {
@@ -153,7 +173,7 @@ class TestValidateConfig:
             initial["imag"] = imag
         cfg = validate_config(_spectral_config(frequency_grid=grid, initial=initial))
         expected = np.array([1.0, 2.0, 3.0, 4.0]) + 1j * (np.array(imag, dtype=float) if imag else 0.0)
-        np.testing.assert_array_equal(cfg.spectral_problem.initial_hat, expected)
+        np.testing.assert_array_equal(cfg.problem.initial_hat, expected)
         initial["real"] = initial["real"][:3]
         initial.pop("imag", None)
         with pytest.raises(ConfigError) as err:
@@ -588,7 +608,7 @@ class TestFieldDump:
         block = meta["frequency_grid"]
         assert block["kind"] == "uniform_fft"
         rebuilt = FrequencyGrid.uniform_fft(block["n"], block["dx"], block["x0"])
-        grid = parse_config(str(GOLDEN / case / "config.json")).spectral_problem.grid
+        grid = parse_config(str(GOLDEN / case / "config.json")).problem.grid
         for name in ("nodes", "weights", "x"):
             assert getattr(rebuilt, name).tobytes() == getattr(grid, name).tobytes(), name
 

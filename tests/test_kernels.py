@@ -136,7 +136,7 @@ def _run(tmp_path, profile):
 @pytest.mark.parametrize("profile", [POWER, SAMPLED], ids=["power-0.5", "sampled-kink"])
 def test_selected_minimizer_and_flow_match_quad(tmp_path, profile):
     cfg, eps, field = _run(tmp_path, profile)
-    problem = cfg.spectral_problem
+    problem = cfg.problem
     g = problem.forcing.parts[0].profile
     kinks = KINKS if g.kind == "sampled" else ()
     H = np.asarray(problem.forcing_parts[0][1])

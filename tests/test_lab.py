@@ -728,8 +728,7 @@ def _study_problems(draw):
 def test_blocks_of_times_give_the_bits_of_one_time_blocks(prob, ladder, horizon, time_points, norm):
     # blocks of one time, of two and of every time (while every rung builds): each
     # entry, failures included, is repr for repr the same
-    modal = prob if isinstance(prob, SpectralProblem) else prob._modal
-    rows = len(ladder) * modal.distinct.values.size
+    rows = len(ladder) * prob.distinct.values.size
     studies = []
     for width in (1, 2, time_points):
         with mock.patch.object(lab, "_STACK_VALUES", width * rows):
@@ -1030,7 +1029,7 @@ class TestSweepWorkGuard:
         return flows, stacks
 
     def _spectral(self, monkeypatch, recipe, norm="sup_uniform"):
-        problem = validate_config(recipe(1)).spectral_problem
+        problem = validate_config(recipe(1)).problem
         flows, stacks = self._count(monkeypatch, problem, norm)
         return sum(map(len, flows)), sum(t for t, _r in stacks), sum(t * r for t, r in stacks)
 
@@ -1044,7 +1043,7 @@ class TestSweepWorkGuard:
         assert flows <= 40 and stacks <= 40 and rungs <= 160
 
     def test_ode_sweep_takes_every_time_in_one_block(self, monkeypatch):
-        flows, stacks = self._count(monkeypatch, validate_config(workloads.ode_forced(1)).ode_problem)
+        flows, stacks = self._count(monkeypatch, validate_config(workloads.ode_forced(1)).problem)
         assert [len(block) for block in flows] == [201]
         assert stacks == [(201, 4)]
 
@@ -1056,7 +1055,7 @@ class TestSweepWorkGuard:
 def test_stacks_hold_at_most_the_values_budget(recipe, values, sizes):
     # the four rungs of a 4096-node grid share one stack; a rung of 32769 values is
     # a stack of its own
-    prob = validate_config(recipe(1)).spectral_problem
+    prob = validate_config(recipe(1)).problem
     assert prob.distinct.values.size == values
     built = []
     with _counting_stacks(built):
@@ -1089,7 +1088,7 @@ class TestStackMemoryGuard:
         # blocks allocated once and filled rung by rung: the peak above the blocks kept
         # is what building one rung takes, where blocks formed whole would hold four
         # rungs' temporaries at once
-        prob = validate_config(workloads.spectral_forced(1)).spectral_problem
+        prob = validate_config(workloads.spectral_forced(1)).problem
         rungs = [minimizer_hat(prob, eps) for eps in TestSpectralStudy.LADDER]
         gap = lab._SpectralGap(prob, prob.grid.weights)
         gap.work(len(rungs))  # as the sweep does before any stack is built
@@ -1110,7 +1109,7 @@ class TestStackMemoryGuard:
         # a stack that bisects under the second-order bound keeps one more row per rung,
         # delta |s - ell|, and its evaluation holds one more block: the derivatives and
         # majorants are formed in place of the arrays that the evaluation already holds
-        prob = validate_config(workloads.spectral_forced(1)).spectral_problem
+        prob = validate_config(workloads.spectral_forced(1)).problem
         rungs = [minimizer_hat(prob, eps) for eps in TestSpectralStudy.LADDER]
         unit = 8 * prob.distinct.values.size
         figures = []
@@ -1156,7 +1155,7 @@ _GOLDEN = Path(__file__).parent / "golden"
 )
 def test_sup_error_matches_the_decimal_oracle(case, rel):
     cfg = parse_config(_GOLDEN / case / "config.json")
-    prob = cfg.spectral_problem
+    prob = cfg.problem
     # a forced case also runs eps 1e-3 and 1e-4, where O(1) kernel terms that cancel
     # down to O(eps) would show
     ladder = list(cfg.epsilon_ladder) + ([1e-3, 1e-4] if prob.forcing_parts else [])
@@ -1197,17 +1196,17 @@ class TestOdeStudy:
     @pytest.mark.parametrize("norm", ["sup_uniform", "sup_vl"])
     def test_rungs_match_one_rung_at_a_time(self, norm):
         # side by side in one block of every time, each rung gives the very floats of a
-        # time-by-time walk of that rung alone, on the modal view
+        # time-by-time walk of that rung alone, on the system's modes
         prob = self._problem()
         weights = np.ones(4) if norm == "sup_uniform" else 1.0 + np.abs(prob.eigen.values)
-        gap = lab._SpectralGap(prob._modal, weights)
+        gap = lab._SpectralGap(prob, weights)
         times = np.linspace(0.0, 1.0, 201)
         together = convergence_study(prob, self.LADDER, 1.0, norm=norm)
         for entry, eps in zip(together.entries, self.LADDER):
             (alone,) = convergence_study(prob, [eps], 1.0, norm=norm).entries
             assert entry.as_dict() == alone.as_dict()
             assert entry.energy_source == "exact"
-            (walked,) = _walk_every_time(gap, {0: minimizer_hat(prob._modal, eps)}, times).values()
+            (walked,) = _walk_every_time(gap, {0: minimizer_hat(prob, eps)}, times).values()
             assert entry.sup_error == walked
 
     def test_rung_failing_mid_sweep_leaves_the_others(self, monkeypatch):
@@ -1270,7 +1269,7 @@ class TestOdeStudy:
 
 def _ode_forced_workload() -> OdeProblem:
     # the benchmark's ode-forced recipe at seed 1, read back from its config as `wie run` does
-    return validate_config(workloads.ode_forced(1)).ode_problem
+    return validate_config(workloads.ode_forced(1)).problem
 
 
 def _double_eigenvalue_problem() -> OdeProblem:
@@ -1288,7 +1287,7 @@ def _double_eigenvalue_problem() -> OdeProblem:
 
 def _golden_ode_case():
     cfg = parse_config(_GOLDEN / "ode_forced_small" / "config.json")
-    return cfg.ode_problem, cfg.epsilon_ladder, cfg.time_points
+    return cfg.problem, cfg.epsilon_ladder, cfg.time_points
 
 
 @pytest.mark.parametrize(
@@ -1301,14 +1300,14 @@ def _golden_ode_case():
 )
 @pytest.mark.parametrize("norm", ["sup_uniform", "sup_vl"])
 def test_ode_sup_error_matches_the_decimal_oracle(case, norm):
-    # the study's modal distances against the eigenbasis view in decimal: the real kernels
+    # the study's modal distances against the system's modes in decimal: the real kernels
     # of the spectral sweep, with no cancellation of u_eps - u_0
     prob, ladder, time_points = case()
     report = convergence_study(prob, ladder, 1.0, norm=norm, time_points=time_points)
     assert report.verdicts["all_members_completed"]
     times = np.linspace(0.0, 1.0, time_points)
     for entry in report.entries:
-        want = decimal_sup_distance(prob._modal, entry.eps, times, norm=norm)
+        want = decimal_sup_distance(prob, entry.eps, times, norm=norm)
         assert abs(Decimal(entry.sup_error) - want) <= Decimal(1e-15) * want, entry.eps
 
 

@@ -132,11 +132,52 @@ class TestModalView:
             ]
         )
         prob = _problem([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0], forcing)
-        modal = prob._modal
+        modal = prob
         np.testing.assert_array_equal(modal.symbol_values, prob.eigen.values)
         np.testing.assert_array_equal(modal.weights, np.ones(2))
         direct = prob.eigen.project(forcing.vector(t))
         np.testing.assert_allclose(modal.forcing_values(t), direct, atol=1e-13)
+
+    def test_an_ode_problem_is_the_spectral_problem_of_its_modes(self):
+        # an explicit grid whose nodes are the eigenvalues, unit weights, no multiplier symbol
+        rng = np.random.default_rng(17)
+        prob = _problem(random_symmetric(rng, 3), rng.uniform(-1.0, 1.0, 3))
+        assert isinstance(prob, SpectralProblem)
+        assert prob.grid.kind == "explicit" and prob.symbol is None
+        np.testing.assert_array_equal(prob.grid.nodes, prob.eigen.values)
+        np.testing.assert_array_equal(prob.weights, np.ones(3))
+        np.testing.assert_array_equal(prob.initial_hat, prob.eigen.project(prob.initial))
+
+    def test_ode_data_stay_real_and_spectral_data_complex(self):
+        profile = exponential_profile(1.0, -0.5)
+        vectors = ForcingTerm.from_vectors([(profile, (1.0, 0.5))])
+        ode = _problem([[2.0, 1.0], [1.0, 2.0]], [1.0, 0.0], vectors)
+        grid = FrequencyGrid.explicit([0.5, 1.0], [1.0, 1.0])
+        forcing = ForcingTerm.from_multipliers([(profile, lambda xi: np.ones_like(xi))])
+        spectral = SpectralProblem(grid, symbols.custom(lambda xi: xi), np.ones(2), forcing)
+        for prob, flow, dtype in (
+            (ode, exact_solution(ode), np.float64),
+            (spectral, semigroup_solution(spectral), np.complex128),
+        ):
+            assert prob.forcing_values(0.5).dtype == dtype
+            assert [v.dtype for v in flow.state(0.5)] == [dtype, dtype]
+
+    def test_each_problem_forms_its_forcing_gram(self):
+        # a system's coordinate vectors in the Euclidean product, a grid's parts in its weighted one
+        forcing = ForcingTerm.from_vectors(
+            [(constant_profile(1.0), (1.0, 0.0)), (constant_profile(1.0), (1.0, 1.0))]
+        )
+        ode = _problem([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0], forcing)
+        np.testing.assert_array_equal(ode.forcing_gram(), [[1.0, 1.0], [1.0, 2.0]])
+        grid = FrequencyGrid.explicit([-1.0, 0.0, 2.0], [0.5, 1.0, 0.25])
+        hats = [lambda xi: np.ones_like(xi), lambda xi: 1j * xi]
+        parts = ForcingTerm.from_multipliers([(constant_profile(1.0), h) for h in hats])
+        spectral = SpectralProblem(grid, symbols.classical(), np.zeros(3), parts)
+        w, xi = grid.weights, grid.nodes
+        want = [[float(np.real(np.sum(w * np.conj(ha(xi)) * hb(xi)))) for hb in hats] for ha in hats]
+        np.testing.assert_array_equal(spectral.forcing_gram(), want)
+        with pytest.raises(ValueError, match="Gram matrix of their grid"):
+            parts.gram()
 
 
 class TestSelectionInitial:
@@ -269,8 +310,8 @@ class TestExactEnergy:
         m = selected_minimizer(_problem(A, rng.uniform(-1.0, 1.0, 3), forcing), 0.05)
         value, crossed, source = m.energy()
         assert source == "gauss_laguerre"
-        # the fallback is the spectral path's, on the modal view
-        assert (value, crossed) == energy_spectral(m._solver.state, m.problem._modal, 0.05)
+        # the fallback is the spectral path's, on the problem itself
+        assert (value, crossed) == energy_spectral(m._solver.state, m.problem, 0.05)
 
 
     @pytest.mark.parametrize("crosses", [False, True], ids=["at_edge", "past_edge"])

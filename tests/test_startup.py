@@ -8,7 +8,8 @@ import costs.
 The value types are plain classes, not dataclasses, because defining a
 frozen dataclass costs a run about 0.3 ms each and importing dataclasses
 0.5 ms more; test_value_type_keeps_its_constructor_and_is_read_only pins
-what they kept of the dataclass contract.
+what they kept of the dataclass contract, and the numpy floor that
+pyproject.toml declares is checked against what wie calls.
 """
 
 import inspect
@@ -215,6 +216,14 @@ def _holds(value, expected) -> bool:
     if isinstance(value, np.ndarray):
         return np.array_equal(value, expected)
     return expected(value) if callable(expected) else value == expected
+
+
+def test_the_declared_numpy_floor_has_what_wie_calls():
+    # wie.lab calls np.vecdot, which numpy added in 2.0
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    (floor,) = re.findall(r'"numpy>=([0-9.]+)"', text)
+    assert tuple(int(part) for part in floor.split(".")[:2]) >= (2, 0)
+    assert hasattr(np, "vecdot")
 
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)

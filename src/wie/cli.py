@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import SCHEMA, ConfigError, ExperimentConfig, parse_config
 from .forcing import TransformabilityError, certify_transformable
-from .lab import bound_audit, branch_divergence, convergence_study, lemma_tech_profile
+from .lab import bound_audit, convergence_study, lemma_tech_profile
 from .quadrature import QuadratureError, QuadratureFailure
 from .spectral import SpectralField, minimizer_hat
 from .symbols import AdmissibilityError, admissible_discriminant
@@ -129,6 +129,7 @@ class RunOutcome:
         self.failures = failures
         self.header = header
         self.rows = rows
+        self.rung = None  # a study's last rung when it completed, which the field dump samples
 
 
 def _certified(cfg: ExperimentConfig, epsilons) -> RunOutcome:
@@ -184,6 +185,7 @@ def _run_study(cfg: ExperimentConfig):
         spec=cfg.quadrature,
         problem_id=cfg.problem_id,
     )
+    outcome.rung = report.minimizer
     outcome.results["study"] = report.as_dict()
     outcome.verdicts.update(report.verdicts)
     outcome.header = ("epsilon", "sup_error", "energy", "audit_violations", "failure")
@@ -220,6 +222,7 @@ def _run_lemma(cfg: ExperimentConfig):
 
 
 def _run_branch(cfg: ExperimentConfig):
+    from .ode import branch_divergence  # a spectral run never imports the ODE module
     outcome = _certified(cfg, (cfg.epsilon,))
     if outcome.failures:
         return outcome
@@ -267,15 +270,15 @@ def _run_audit(cfg: ExperimentConfig):
     return RunOutcome(results, verdicts, [], header, rows)
 
 
-def _write_field(cfg: ExperimentConfig, out_dir: Path) -> list:
-    """Dump the best-resolved minimizer trajectory for offline plotting.
+def _write_field(cfg: ExperimentConfig, out_dir: Path, m=None) -> list:
+    """Dump the best-resolved trajectory for offline plotting: m, else a rung built at the last eps.
 
     Each time is sampled as a one-row field and written before the next,
     so the dump holds one row of the field, whatever the number of times.
     """
     eps = cfg.epsilon_ladder[-1]
     grid = cfg.problem.grid
-    m = minimizer_hat(cfg.problem, eps)
+    m = minimizer_hat(cfg.problem, eps) if m is None else m
     times = np.asarray(cfg.field_times or np.linspace(0.0, cfg.horizon, 9), dtype=float)
     rows = (SpectralField.sample(m, grid, [t]).to_bytes() for t in times)
     _atomic_write(out_dir / FIELD_NAME, rows)
@@ -314,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", log_level: int = _LOG_LEV
 
     written = [REPORT_NAME, SUMMARY_NAME]
     if cfg.mode == "spectral" and cfg.write_field and not failures:
-        written += _write_field(cfg, out)
+        written += _write_field(cfg, out, outcome.rung)
 
     report = {
         "schema_version": 1,

@@ -472,12 +472,20 @@ def _system_steps(c, root, v):
     """The system, then the policy check of its ladder (or `epsilon`) and the range of `direction`."""
     from .ode import OdeProblem  # a spectral run never imports the ODE module
 
-    problem = None
-    if v["matrix"] is not None and v["initial"] is not None:
+    problem, matrix = None, v["matrix"]
+    if matrix is not None and v["initial"] is not None:
+        initial = np.asarray(v["initial"], dtype=float)
+        forcing = v["forcing"] or ForcingTerm.zero()
+        # each length at its own key, checked against a square matrix; any other is the matrix's fault
+        n, faults = len(matrix), len(c.errors)
+        if matrix.shape == (n, n) and initial.shape != (n,):
+            c.fail("initial", f"initial state has shape {initial.shape}, matrix is {matrix.shape}")
+        for i, part in enumerate(forcing.parts):
+            if matrix.shape == (n, n) and len(part.space_vec) != n:
+                c.fail(f"forcing.parts[{i}].vector", f"forcing dimension {len(part.space_vec)} does not match system size {n}")
         try:
-            initial = np.asarray(v["initial"], dtype=float)
-            forcing = v["forcing"] or ForcingTerm.zero()
-            problem = OdeProblem(matrix=v["matrix"], initial=initial, forcing=forcing)
+            if len(c.errors) == faults:
+                problem = OdeProblem(matrix=matrix, initial=initial, forcing=forcing)
         except ValueError as exc:
             c.fail("matrix", str(exc))
     key = "epsilon_ladder" if "epsilon_ladder" in v else "epsilon"

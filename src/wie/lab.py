@@ -1,12 +1,12 @@
-"""Convergence ladders, divergence demos, decay profiles, bound audits.
+"""Convergence ladders, decay profiles, bound audits.
 
 The routines here orchestrate the solvers into the desk-scale experiments
 the package exists to run: shrink the regularization along a ladder and
-watch the selected trajectory approach the first-order flow, perturb the
-selection and watch the truncated energy explode, sweep the weighted decay
-profile of a forcing density, and grind every root estimate against every
-grid node.  Results come back as named tuples with as_dict() views so the
-report writer can serialize them without knowing their internals.
+watch the selected trajectory approach the first-order flow, sweep the
+weighted decay profile of a forcing density, and grind every root estimate
+against every grid node (the divergence demo is wie.ode.branch_divergence).
+Results come back as named tuples with as_dict() views so the report
+writer can serialize them without knowing their internals.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from .quadrature import (
     DEFAULT_SPEC,
     EXPONENT_CAP,
     ExponentOverflowError,
-    QuadratureFailure,
     QuadratureSpec,
     _exp_guarded,
     _refuse_past_cap,
-    finite_interval,
 )
 from .spectral import (
     SpectralProblem,
@@ -48,8 +46,6 @@ from .symbols import MultiplierSymbol
 __all__ = [
     "LemmaTechProfile",
     "lemma_tech_profile",
-    "BranchDivergenceResult",
-    "branch_divergence",
     "LadderEntry",
     "ConvergenceReport",
     "convergence_study",
@@ -134,139 +130,6 @@ def lemma_tech_profile(
     return LemmaTechProfile(eps=float(eps), horizon=float(horizon), times=times, values=values)
 
 
-# ---- Perturbed-selection divergence ----
-
-
-class BranchDivergenceResult(NamedTuple):
-    """Truncated weighted energies of a perturbed selection, per horizon.
-
-    log_energies is always populated: the log of the numerical integral
-    where it is representable, and of the closed-form leading term beyond
-    the overflow horizon.  numeric_energies holds None past that point.
-    """
-
-    eps: float
-    delta: float
-    direction: int
-    horizons: tuple
-    numeric_energies: tuple
-    log_energies: tuple
-    closed_form_log: tuple
-    slopes: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "delta": self.delta,
-            "direction": self.direction,
-            "horizons": list(self.horizons),
-            "numeric_energies": list(self.numeric_energies),
-            "log_energies": list(self.log_energies),
-            "closed_form_log": list(self.closed_form_log),
-            "slopes": list(self.slopes),
-        }
-
-
-def _log_leading_term(delta: float, eps: float, z: float, horizon: float) -> Optional[float]:
-    """log of (delta^2 eps / Z) (exp(Z T / eps) - 1), computed stably."""
-    if delta == 0.0:
-        return None
-    x = z * horizon / eps
-    return 2.0 * math.log(abs(delta)) + math.log(eps / z) + x + math.log1p(-math.exp(-x))
-
-
-def branch_divergence(
-    problem: OdeProblem,
-    eps: float,
-    delta: float,
-    horizons: Sequence[float],
-    direction: int = 0,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> BranchDivergenceResult:
-    """Push the fast-branch initial coefficient off the selected value.
-
-    The perturbed trajectory keeps the same initial state: the slow branch
-    absorbs -delta while the fast branch takes +delta, in eigendirection
-    `direction`.  Per horizon T the result records the truncated weighted
-    energy int_0^T exp(-t/eps) |y(t)|^2 dt.  delta = 0 reproduces the
-    selected trajectory, whose truncated energy saturates.  Each energy
-    meets the QuadratureSpec contract abs_tol + rel_tol*|value| by its
-    error estimate, or the call raises QuadratureFailure naming eps and T.
-    """
-    from .ode import selected_minimizer
-
-    horizons = [float(T) for T in horizons]
-    if any(T <= 0.0 for T in horizons) or any(
-        b <= a for a, b in zip(horizons, horizons[1:])
-    ):
-        raise ValueError("horizons must be positive and strictly increasing")
-    m = selected_minimizer(problem, eps)
-    i = int(direction)
-    if not 0 <= i < problem.size:
-        raise ValueError(f"direction {i} out of range for a system of size {problem.size}")
-    k = int(problem.distinct.inverse[i])  # the roots are per distinct eigenvalue
-    lam = float(m.spectrum.slow[k])
-    mu = float(m.spectrum.fast[k])
-    z = float(m.spectrum.disc_sqrt[k])
-    w = m.eigen.vectors[:, i]
-    half_rate = 0.5 / eps
-
-    def weighted_sq(t: float) -> float:
-        # exp(-t/eps) |y(t)|^2, the weight split and folded in before squaring
-        y = math.exp(-half_rate * t) * m.value(t)
-        if delta != 0.0:
-            bump = delta * (math.exp((mu - half_rate) * t) - math.exp((lam - half_rate) * t))
-            y = y + bump * w
-        return float(y @ y)
-
-    def member(T: float):
-        lead_log = _log_leading_term(delta, eps, z, T)
-        # integrand peak ~ delta^2 exp(Z T / eps); stay inside double range
-        if delta != 0.0 and (z * T / eps + 2.0 * math.log(abs(delta))) > 690.0:
-            return None, lead_log, lead_log
-        scale = math.exp(lead_log) if lead_log is not None else 1.0
-        where = f"branch divergence at eps={eps:g}, T={T:g}"
-        tol = spec.abs_tol + spec.rel_tol * scale
-        try:
-            for _attempt in range(2):
-                val, err = finite_interval(weighted_sq, 0.0, T, tol, max_panels=spec.max_panels)
-                bound = spec.abs_tol + spec.rel_tol * abs(val)
-                if err <= bound:
-                    break
-                # the value came out below the scale asked for: ask at its own contract
-                tol = 0.5 * bound
-        except QuadratureFailure as exc:
-            raise QuadratureFailure(
-                f"{where}: {exc}", partial=exc.partial, error_estimate=exc.error_estimate
-            ) from exc
-        if err > bound:
-            raise QuadratureFailure(
-                f"{where}: error estimate {err:.3e} misses the contract {bound:.3e}",
-                partial=val,
-                error_estimate=err,
-            )
-        return float(val), (math.log(val) if val > 0.0 else -math.inf), lead_log
-
-    rows = [member(T) for T in horizons]
-    numeric = [r[0] for r in rows]
-    logs = [r[1] for r in rows]
-    closed = [r[2] for r in rows]
-    slopes = tuple(
-        (lb - la) / (Tb - Ta)
-        for (la, lb, Ta, Tb) in zip(logs, logs[1:], horizons, horizons[1:])
-    )
-    return BranchDivergenceResult(
-        eps=float(eps),
-        delta=float(delta),
-        direction=i,
-        horizons=tuple(horizons),
-        numeric_energies=tuple(numeric),
-        log_energies=tuple(logs),
-        closed_form_log=tuple(closed),
-        slopes=slopes,
-    )
-
-
 # ---- Ladder studies ----
 
 
@@ -338,6 +201,7 @@ class ConvergenceReport(NamedTuple):
     fitted_rate: Optional[float]
     rate_half_width: Optional[float]
     verdicts: dict
+    minimizer: Optional[object] = None  # the last rung's, when it completed; not in as_dict
 
     def as_dict(self) -> dict:
         return {
@@ -391,7 +255,7 @@ class _ExponentialGap:
         for row, m in zip(self.kappa[0], stack.rungs):
             r = m.roots
             _refuse_slow_tail(r.fast, max(m.growth_rate, rate))
-            np.divide(amplitude * (r.slow + rate), r.fast - rate, out=row)
+            np.divide(amplitude * (r.slow[: ell.size] + rate), r.fast[: ell.size] - rate, out=row)
         # s - r = delta - (ell + r), which keeps the digits of a small delta
         self.first = _ExpDifference(stack.slow_max, rate, gap=np.subtract(delta, ell + rate))
         self.second = _ExpSecondDifference(-ell, delta, rate, amplitude)
@@ -401,7 +265,7 @@ class _ExponentialGap:
         self.rows, self.norm = (stack.bend, stack.slow_sq, stack.ell_sq), norm
         weight = np.empty(delta.shape)
         for row, m in zip(weight[0], stack.rungs):
-            np.add(m.roots.slow, rate, out=row)
+            np.add(m.roots.slow[: ell.size], rate, out=row)
         np.abs(weight, out=weight)
         weight *= np.abs(self.kappa)
         weight += np.multiply(delta, abs(amplitude))
@@ -462,31 +326,37 @@ class _Stack:
     """
 
     def __init__(self, gap: "_SpectralGap", rungs: list):
-        shape = (1, len(rungs), gap.ell.size)
         self.rungs = rungs
         self.eps = np.array([[[m.eps] for m in rungs]])
-        self.slow_sq = np.empty(shape)
-        for row, m in zip(self.slow_sq[0], rungs):
-            np.multiply(m.roots.slow, m.roots.slow, out=row)
+        # over every value, so that no refusal or growth bound depends on the screen
         self.slow_maxima = [float(m.roots.slow.max()) for m in rungs]
         self.slow_max = max(self.slow_maxima)
-        self.alpha = gap.work(len(rungs))  # the work block of one time
-        delta = np.multiply(self.slow_sq, self.eps, out=self.alpha)
+        self.narrow(gap)
+
+    def narrow(self, gap: "_SpectralGap") -> None:
+        """Build the per-value rows on the values the gap keeps (gap.kept), in place of any before."""
+        ell = gap.kept
+        shape = (1, len(self.rungs), ell.size)
+        self.slow_sq = np.empty(shape)
+        for row, m in zip(self.slow_sq[0], self.rungs):
+            np.multiply(m.roots.slow[: ell.size], m.roots.slow[: ell.size], out=row)
+        self.alpha = gap.work(len(self.rungs))  # the work block of one time
+        delta = np.multiply(self.slow_sq, self.eps, out=self.alpha[..., : ell.size])
         self.bend = self.taylor = None
         if gap.second_order:
             # s - ell = delta - 2 ell
-            self.bend = np.subtract(delta, 2.0 * gap.ell)
+            self.bend = np.subtract(delta, 2.0 * ell)
             np.abs(self.bend, out=self.bend)
             self.bend *= delta
-            self.ell_sq = gap.ell_sq
+            self.ell_sq, self.norms = gap.ell_sq[: ell.size], gap.norms[..., : ell.size]
         self.parts = []
         for k, ((g, _H), form) in enumerate(zip(gap.problem.forcing_parts, gap.forms), 1):
             if form is not None:
-                norm = gap.norms[k] if gap.second_order else None
-                self.parts.append(_ExponentialGap(*form, gap.ell, self, delta, norm))
+                norm = self.norms[k] if gap.second_order else None
+                self.parts.append(_ExponentialGap(*form, ell, self, delta, norm))
                 continue
-            tail0 = np.empty(shape)
-            for row, m in zip(tail0[0], rungs):
+            tail0 = np.empty(shape)  # never screened: every value is kept
+            for row, m in zip(tail0[0], self.rungs):
                 r = m.roots
                 np.divide(g.shifted_tail(r.fast, 0.0, m.growth_rate), r.disc_sqrt, out=row)
             self.parts.append(tail0)
@@ -529,20 +399,25 @@ class _SpectralGap:
         columns = [problem.initial_hat] + [H for _g, H in problem.forcing_parts]
         # with leading axes of one, as the stacks' per-value arrays have
         self.factor = _fold(weights, columns, distinct)[:, :, None, None, :]
-        # per fold row i, R_ii and the R_ik right of it
-        self.rows = [(row[i], row[i + 1 :]) for i, row in enumerate(self.factor)]
         self._work, self._decay = np.empty((0, ell.size)), np.empty((0, 1, ell.size))
         forms = [_exponential_form([g]) for g, _H in problem.forcing_parts]
         # (amplitude, rate) of each constant or exponential part, None for the others
         self.forms = [None if f is None else (f[0][0], f[1][0]) for f in forms]
-        # the flow's D[-ell, r], its rate arrays formed once per study
+        self._keep(ell.size)
+        # set by sweep for a study whose stacks bisect under the second-order bound
+        self.second_order = False
+        self.taylor = {}
+
+    def _keep(self, size: int) -> None:
+        """Have the flow, gap_sq and the stacks built from now on form the first size values (sweep)."""
+        ell = self.kept = self.ell[:size]
+        # per fold row i, R_ii and the R_ik right of it
+        self.rows = [(row[i, ..., :size], row[i + 1 :, ..., :size]) for i, row in enumerate(self.factor)]
+        # the flow's D[-ell, r], its rate arrays formed once per size
         self.flows = [
             None if f is None else _ExpDifference(-ell, f[1], gap=-(ell + f[1]).reshape(1, 1, -1))
             for f in self.forms
         ]
-        # set by sweep for a study whose stacks bisect under the second-order bound
-        self.second_order = False
-        self.taylor = {}
 
     def work(self, rows: int, times: int = 1) -> np.ndarray:
         """A (times x rows x values) work block, shared by the stacks, since one stack runs at a time."""
@@ -562,9 +437,9 @@ class _SpectralGap:
         t = np.asarray(t)
         if len(self._decay) < t.size:
             self._decay = np.empty((t.size, 1, self.ell.size))
-        decay = self._decay[: t.size]
+        decay = self._decay[: t.size, :, : self.kept.size]
         # the values ascend, so -ell t is largest at the first value and the last time
-        _exp_guarded(np.multiply(self.ell, -t, out=decay), self.ell.item(0) * -t.item(-1))
+        _exp_guarded(np.multiply(self.kept, -t, out=decay), self.ell.item(0) * -t.item(-1))
         times = t.ravel().tolist()
         terms = []
         for (g, _H), d in zip(self.problem.forcing_parts, self.flows):
@@ -590,7 +465,9 @@ class _SpectralGap:
         """
         decay, terms = flow
         t = np.asarray(t)
-        a = stack.alpha if t.size == 1 else self.work(len(stack.rungs), t.size)
+        ell = self.kept
+        block = stack.alpha if t.size == 1 else self.work(len(stack.rungs), t.size)
+        a = block[..., : ell.size]
         np.multiply(stack.slow_sq, np.multiply(stack.eps, t), out=a)
         if decay is not None:
             _refuse_past_cap(stack.slow_max * t.item(-1))  # the largest exponent of exp(s t)
@@ -600,7 +477,7 @@ class _SpectralGap:
         else:
             past_cap = np.empty(a.shape)
             for k, m in enumerate(stack.rungs):
-                np.multiply(m.roots.slow, t.reshape(-1, 1), out=past_cap[:, k])
+                np.multiply(m.roots.slow[: ell.size], t.reshape(-1, 1), out=past_cap[:, k])
             _exp_guarded(past_cap)
             np.negative(a, out=a)
             np.expm1(a, out=a)
@@ -634,7 +511,7 @@ class _SpectralGap:
             bend = np.multiply(stack.bend, decay)
             work = np.multiply(stack.slow_sq, a)
             bend += work
-            bend *= self.norms[0]
+            bend *= stack.norms[0]
             bends.insert(0, np.sqrt(np.vecdot(bend, bend)))
             del bend
             # b_j' = s b_j + A delta D[-ell, r] + kappa exp(r t), by D[x, r]' = x D[x, r] + exp(r t),
@@ -646,20 +523,20 @@ class _SpectralGap:
                 slope *= part.amplitude
                 slope += np.multiply(part.kappa, exp_r, out=work)
                 slope += np.multiply(delta, b, out=work)
-                slope -= np.multiply(self.ell, b, out=work)
+                slope -= np.multiply(ell, b, out=work)
                 slopes.append(slope)
             delta *= np.add(decay, a, out=work)
-            delta -= np.multiply(self.ell, a, out=work)
+            delta -= np.multiply(ell, a, out=work)
             del work, delta
-        # y_i = sum_{k >= i} R_ik x_k, formed in place of x_i, which no later row reads,
-        # and y_i' so from the x_k'
+        # y_i = sum_{k >= i} R_ik x_k, formed in the block in place of a = x_0, which no
+        # later row reads, and y_i' in place of x_i'
         squares, dots, steep = [], [], []
-        for i, ((diagonal, right), y) in enumerate(zip(self.rows, x)):
-            y *= diagonal
+        for i, ((diagonal, right), xi) in enumerate(zip(self.rows, x)):
+            y = np.multiply(xi, diagonal, out=a)
             for r, xk in zip(right, x[i + 1 :]):
                 y += r * xk
-            # vecdot forms each rung's y . y at each time as np.dot does, bit for bit
-            squares.append(np.vecdot(y, y))
+            # vecdot forms each rung's y . y at each time as np.dot does, bit for bit, over the block
+            squares.append(np.vecdot(block, block))
             if slopes is not None:
                 dy = slopes[i]
                 dy *= diagonal
@@ -686,7 +563,7 @@ class _SpectralGap:
         evaluated times that one of its rungs cannot rule out.  A rung rules
         the interval out when a bound on its distance N over [t_a, t_b],
         raised by _BOUND_MARGIN, lies below the largest distance it has so
-        far (_rules_out).  So sup_error is still the maximum of the grid
+        far, best (_rules_out).  So sup_error is still the maximum of the grid
         values: every skipped time lies below one that was evaluated, and
         each evaluated one has the bits of the full walk.  The bounds hold
         for 0 < t_a <= t <= t_b, with h = t_b - t_a.
@@ -717,6 +594,20 @@ class _SpectralGap:
         past the exponent cap, where gap_sq forms no Taylor data, it walks
         every time.
 
+        A sweep that bisects screens its stacks once, after the first round
+        (_screen).  Over [0, T] per value, 0 <= a <= min(1, delta T) exp(max(s, 0) T)
+        and |b_j| <= (|kappa_j| T + |A_j| delta T^2/2) exp(max(s, r_j, 0) T);
+        with the norms of R's columns they bound |R_u x_u| by B_u.  A rung
+        needs the ascending values before the first k with sum_{u >= k} B_u^2
+        < _SCREEN best^2; every stack keeps the widest such prefix, which the
+        flow forms once for all (spectral-wide 12038 of 32769 values and
+        spectral-forced 756 of 2049; 12152 and 765 in sup_vl), and each best
+        drops by the root of its rung's sum left out.  The work block, zeroed
+        once past the kept values, is summed whole by vecdot: that kept the
+        full sum's bits at all 804 (rung, time) pairs of both recipes, where
+        a sum over the kept values alone moved 443 of spectral-wide's.
+        Exempt: a grid in one block, a power or sampled part, best = 0.
+
         A stack that refuses when built is taken apart: each rung is built
         alone; a refusal there is that rung's failure, and the others are
         stacked again.  A block that refuses runs again one time at a time,
@@ -730,6 +621,8 @@ class _SpectralGap:
         """
         sups = {i: {} for i in live}  # per rung, its distance at each time evaluated
         self.taylor = {i: {} for i in live}  # and its Taylor data, from _take
+        self.screened = dict.fromkeys(live, 0.0)  # and a bound on what the screen left out
+        self._keep(self.ell.size)
         ids = list(live)
         per = max(1, _STACK_VALUES // self.ell.size)
         rows = min(per, len(ids))
@@ -760,7 +653,11 @@ class _SpectralGap:
         # a term R_ik x_k that underflow touched is off by about R_ik 2**-1074: while N(t_a)^2
         # is above this floor, all of them move N(t_a) by far less than _BOUND_MARGIN
         floor = self.ell.size * max(scale * scale, 1.0) * 2.0**-1022 / _BOUND_MARGIN
+        screen = bisect and width <= last  # a grid in one block has no later round to spare
         while stacks and self._round(stacks, times, width, live, sups):
+            if screen:
+                self._screen(stacks, sups, times[last])
+                screen = False
             running = []
             for group, stack, _need, spans in stacks:
                 if not group:
@@ -770,7 +667,8 @@ class _SpectralGap:
                     (
                         sups[i],
                         max(s, lowest),
-                        max([0.0, *sups[i].values()]),
+                        # less the distance of the values the screen left out, which no bound holds
+                        max([0.0, *sups[i].values()]) - self.screened[i],
                         self.taylor[i] if self.second_order else None,
                     )
                     for i, s in zip(group, stack.slow_maxima)
@@ -792,6 +690,40 @@ class _SpectralGap:
         return {
             i: s if isinstance(s, Exception) else max([0.0, *s.values()]) for i, s in sups.items()
         }
+
+    def _screen(self, stacks, sups, horizon: float) -> None:
+        """Keep the values that could still move a rung's sup (sweep); then rebuild the stacks."""
+        # the column norms c_k of R, by hypot so that tiny data do not underflow; unforced, R_00
+        # alone, whose sign the square drops.  The bounds form in the work block, their tails in
+        # slow_sq, which narrow rebuilds
+        norms = (np.hypot.reduce(self.factor, axis=0) if self.second_order else self.factor[0])[:, 0]
+        stacks, cut = [entry[:2] for entry in stacks if entry[0]], 0
+        for group, stack in stacks:
+            bound = np.multiply(stack.slow_sq, stack.eps * horizon, out=stack.alpha)
+            grow = stack.slow_sq
+            for row, m in zip(grow[0], stack.rungs):
+                np.maximum(m.roots.slow, 0.0, out=row)
+            np.exp(np.multiply(grow, horizon, out=grow), out=grow)  # exp(max(s, 0) T)
+            terms = [
+                (np.abs(part.kappa) * horizon + abs(amplitude) * horizon / 2.0 * bound)
+                * (c * np.maximum(grow, math.exp(rate * horizon)))
+                for c, part, (amplitude, rate) in zip(norms[1:], stack.parts, self.forms)
+            ]
+            np.minimum(bound, 1.0, out=bound)
+            bound *= grow
+            bound *= norms[0]
+            bound += sum(terms, 0.0)
+            np.cumsum(np.square(bound, out=bound)[..., ::-1], axis=-1, out=grow[..., ::-1])  # tails
+            for i, tail in zip(group, grow[0]):
+                # a tail does not increase, so the values below _SCREEN best^2 are a suffix
+                best = max(sups[i].values())
+                kept = tail.size - np.count_nonzero(tail < _SCREEN * best * best) if best < math.inf else tail.size
+                self.screened[i] = math.sqrt(tail[kept]) if kept < tail.size else 0.0
+                cut = max(cut, kept)
+        self._keep(cut)
+        for _group, stack in stacks:
+            stack.narrow(self)
+        self._work[:, cut:] = 0.0  # and past the cut, which no stack writes from now on
 
     def _use_second_order(self) -> None:
         """Have the stacks built from now on form the Taylor data of the second-order bound."""
@@ -934,6 +866,9 @@ _STACK_VALUES = 16384
 # and N^2, since |<g, g'>| <= N |g'|.  2**-30 (9.3e-10) covers their sum many times over
 # and skips no fewer times.
 _BOUND_MARGIN = 2.0**-30
+# the sweep leaves out the highest values whose summed bound on |R_u x_u|^2 stays below
+# this fraction of a rung's largest squared distance (_SpectralGap._screen)
+_SCREEN = 2.0**-110
 
 
 def _fold(weights, columns, distinct) -> np.ndarray:
@@ -968,7 +903,7 @@ def _fold(weights, columns, distinct) -> np.ndarray:
     return factor
 
 
-def _study(problem, ladder, norm, times, spec) -> list:
+def _study(problem, ladder, norm, times, spec) -> tuple:
     """The rungs side by side: per block of times, the flow's terms once, then each stack's gaps.
 
     No trajectory value is formed: the distances come from the real kernels
@@ -979,7 +914,8 @@ def _study(problem, ladder, norm, times, spec) -> list:
     roots, and the gap goes before the energies, with its blocks and work
     arrays.  A rung that raises anywhere becomes a failure entry, and the
     other rungs go on.  It runs serially: building a rung or its
-    closed-form energy takes about a millisecond.
+    closed-form energy takes about a millisecond.  It returns the entries
+    and the last rung's minimizer, or None when that rung failed.
     """
     w = problem.weights
     if norm == "sup_vl":
@@ -1007,7 +943,7 @@ def _study(problem, ladder, norm, times, spec) -> list:
             except Exception as exc:
                 outcome = exc
         entries[i] = LadderEntry.failed(ladder[i], outcome)
-    return entries
+    return entries, None if entries[-1].failure else live[len(ladder) - 1]
 
 
 def convergence_study(
@@ -1037,7 +973,7 @@ def convergence_study(
     if not isinstance(problem, SpectralProblem):
         raise TypeError(f"unsupported problem type {type(problem).__name__}")
     times = np.linspace(0.0, float(horizon), time_points)
-    entries = _study(problem, ladder, norm, times, spec)
+    entries, last = _study(problem, ladder, norm, times, spec)
     ok = [e for e in entries if e.failure is None]
     errors = [e.sup_error for e in ok]
     rate, half_width = fit_rate([e.eps for e in ok], errors)
@@ -1057,6 +993,7 @@ def convergence_study(
         fitted_rate=rate,
         rate_half_width=half_width,
         verdicts=verdicts,
+        minimizer=last,
     )
 
 

@@ -12,16 +12,18 @@ first-order flow y' = -A*y + f(t) are the spectral solvers
 (SelectedSpectralMinimizer, SemigroupSolution) run on it and mapped back
 to the system's coordinates.  Both paths thus share one set of kernels,
 one energy routine, one admissibility rule and one convergence sweep.
+branch_divergence perturbs the selection and watches the energy explode.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .forcing import ForcingTerm
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureFailure, QuadratureSpec, finite_interval
 from .spectral import FrequencyGrid, SelectedSpectralMinimizer, SemigroupSolution, SpectralProblem
 
 __all__ = [
@@ -32,6 +34,8 @@ __all__ = [
     "selected_minimizer",
     "ExactOdeSolution",
     "exact_solution",
+    "BranchDivergenceResult",
+    "branch_divergence",
 ]
 
 
@@ -179,3 +183,131 @@ class ExactOdeSolution(_MappedBack):
 
 def exact_solution(problem: OdeProblem) -> ExactOdeSolution:
     return ExactOdeSolution(problem)
+
+
+class BranchDivergenceResult(NamedTuple):
+    """Truncated weighted energies of a perturbed selection, per horizon.
+
+    log_energies is always populated: the log of the numerical integral
+    where it is representable, and of the closed-form leading term beyond
+    the overflow horizon.  numeric_energies holds None past that point.
+    """
+
+    eps: float
+    delta: float
+    direction: int
+    horizons: tuple
+    numeric_energies: tuple
+    log_energies: tuple
+    closed_form_log: tuple
+    slopes: tuple
+
+    def as_dict(self) -> dict:
+        return {
+            "eps": self.eps,
+            "delta": self.delta,
+            "direction": self.direction,
+            "horizons": list(self.horizons),
+            "numeric_energies": list(self.numeric_energies),
+            "log_energies": list(self.log_energies),
+            "closed_form_log": list(self.closed_form_log),
+            "slopes": list(self.slopes),
+        }
+
+
+def _log_leading_term(delta: float, eps: float, z: float, horizon: float) -> Optional[float]:
+    """log of (delta^2 eps / Z) (exp(Z T / eps) - 1), computed stably."""
+    if delta == 0.0:
+        return None
+    x = z * horizon / eps
+    return 2.0 * math.log(abs(delta)) + math.log(eps / z) + x + math.log1p(-math.exp(-x))
+
+
+def branch_divergence(
+    problem: OdeProblem,
+    eps: float,
+    delta: float,
+    horizons: Sequence[float],
+    direction: int = 0,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+) -> BranchDivergenceResult:
+    """Push the fast-branch initial coefficient off the selected value.
+
+    The perturbed trajectory keeps the same initial state: the slow branch
+    absorbs -delta while the fast branch takes +delta, in eigendirection
+    `direction`.  Per horizon T the result records the truncated weighted
+    energy int_0^T exp(-t/eps) |y(t)|^2 dt.  delta = 0 reproduces the
+    selected trajectory, whose truncated energy saturates.  Each energy
+    meets the QuadratureSpec contract abs_tol + rel_tol*|value| by its
+    error estimate, or the call raises QuadratureFailure naming eps and T.
+    """
+    horizons = [float(T) for T in horizons]
+    if any(T <= 0.0 for T in horizons) or any(
+        b <= a for a, b in zip(horizons, horizons[1:])
+    ):
+        raise ValueError("horizons must be positive and strictly increasing")
+    m = selected_minimizer(problem, eps)
+    i = int(direction)
+    if not 0 <= i < problem.size:
+        raise ValueError(f"direction {i} out of range for a system of size {problem.size}")
+    k = int(problem.distinct.inverse[i])  # the roots are per distinct eigenvalue
+    lam = float(m.spectrum.slow[k])
+    mu = float(m.spectrum.fast[k])
+    z = float(m.spectrum.disc_sqrt[k])
+    w = m.eigen.vectors[:, i]
+    half_rate = 0.5 / eps
+
+    def weighted_sq(t: float) -> float:
+        # exp(-t/eps) |y(t)|^2, the weight split and folded in before squaring
+        y = math.exp(-half_rate * t) * m.value(t)
+        if delta != 0.0:
+            bump = delta * (math.exp((mu - half_rate) * t) - math.exp((lam - half_rate) * t))
+            y = y + bump * w
+        return float(y @ y)
+
+    def member(T: float):
+        lead_log = _log_leading_term(delta, eps, z, T)
+        # integrand peak ~ delta^2 exp(Z T / eps); stay inside double range
+        if delta != 0.0 and (z * T / eps + 2.0 * math.log(abs(delta))) > 690.0:
+            return None, lead_log, lead_log
+        scale = math.exp(lead_log) if lead_log is not None else 1.0
+        where = f"branch divergence at eps={eps:g}, T={T:g}"
+        tol = spec.abs_tol + spec.rel_tol * scale
+        try:
+            for _attempt in range(2):
+                val, err = finite_interval(weighted_sq, 0.0, T, tol, max_panels=spec.max_panels)
+                bound = spec.abs_tol + spec.rel_tol * abs(val)
+                if err <= bound:
+                    break
+                # the value came out below the scale asked for: ask at its own contract
+                tol = 0.5 * bound
+        except QuadratureFailure as exc:
+            raise QuadratureFailure(
+                f"{where}: {exc}", partial=exc.partial, error_estimate=exc.error_estimate
+            ) from exc
+        if err > bound:
+            raise QuadratureFailure(
+                f"{where}: error estimate {err:.3e} misses the contract {bound:.3e}",
+                partial=val,
+                error_estimate=err,
+            )
+        return float(val), (math.log(val) if val > 0.0 else -math.inf), lead_log
+
+    rows = [member(T) for T in horizons]
+    numeric = [r[0] for r in rows]
+    logs = [r[1] for r in rows]
+    closed = [r[2] for r in rows]
+    slopes = tuple(
+        (lb - la) / (Tb - Ta)
+        for (la, lb, Ta, Tb) in zip(logs, logs[1:], horizons, horizons[1:])
+    )
+    return BranchDivergenceResult(
+        eps=float(eps),
+        delta=float(delta),
+        direction=i,
+        horizons=tuple(horizons),
+        numeric_energies=tuple(numeric),
+        log_energies=tuple(logs),
+        closed_form_log=tuple(closed),
+        slopes=slopes,
+    )

@@ -20,7 +20,7 @@ import wie.cli as cli
 from wie.config import ConfigError, parse_config, validate_config
 from wie.quadrature import DEFAULT_SPEC
 from wie.ode import OdeProblem
-from wie.spectral import FrequencyGrid, SpectralProblem
+from wie.spectral import FrequencyGrid, SelectedSpectralMinimizer, SpectralProblem
 
 
 def _ode_config(**overrides):
@@ -151,6 +151,21 @@ class TestValidateConfig:
         text = "\n".join(err.value.violations)
         assert "exceeds the policy bound" in text
         assert "'0.2'" in text
+
+    def test_each_wrong_length_is_reported_at_its_own_key(self):
+        # against a square matrix of size 2: the initial state and both forcing vectors,
+        # each at its key, and no problem built; a matrix that is not square is its own fault
+        parts = [{"profile": {"kind": "constant"}, "vector": ["1.0", "2.0", "3.0"]}] * 2
+        with pytest.raises(ConfigError) as err:
+            validate_config(_ode_config(initial=["1.0"], forcing={"parts": parts}))
+        assert err.value.violations == [
+            "initial: initial state has shape (1,), matrix is (2, 2)",
+            "forcing.parts[0].vector: forcing dimension 3 does not match system size 2",
+            "forcing.parts[1].vector: forcing dimension 3 does not match system size 2",
+        ]
+        with pytest.raises(ConfigError) as err:
+            validate_config(_ode_config(matrix=[["1.0", "0.0"]], initial=["1.0"]))
+        assert err.value.violations == ["matrix: matrix must be square, got (1, 2)"]
 
     @pytest.mark.parametrize("entry", ERROR_CORPUS, ids=[e["name"] for e in ERROR_CORPUS])
     def test_corpus_config_gives_exactly_its_violations(self, entry):
@@ -611,6 +626,28 @@ class TestFieldDump:
         grid = parse_config(str(GOLDEN / case / "config.json")).problem.grid
         for name in ("nodes", "weights", "x"):
             assert getattr(rebuilt, name).tobytes() == getattr(grid, name).tobytes(), name
+
+    def test_dump_samples_the_studys_last_rung(self, tmp_path, monkeypatch):
+        # the run builds one rung per eps and the dump samples the last one, with the
+        # golden bytes; called on its own, the dump builds that rung itself
+        golden = GOLDEN / "spectral_unforced_field"
+        built = []
+        init = SelectedSpectralMinimizer.__init__
+        monkeypatch.setattr(
+            SelectedSpectralMinimizer,
+            "__init__",
+            lambda self, problem, eps: built.append(eps) or init(self, problem, eps),
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", str(golden / "config.json"), "--out-dir", str(out)]) == 0
+        assert built == [0.1, 0.01]
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        cli._write_field(parse_config(str(golden / "config.json")), alone)
+        assert built == [0.1, 0.01, 0.01]
+        for name in ("field.bin", "field_meta.json"):
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+            assert (alone / name).read_bytes() == (golden / name).read_bytes(), name
 
     def test_explicit_grid_echoes_its_nodes_and_weights(self, tmp_path):
         nodes = [float(x) for x in np.linspace(-3.0, 3.0, 7)] + [-0.0, 1e-320]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import erfcx
 
 from oracles import decimal_sup_distance, lemma_tail, random_symmetric
-from wie import lab, symbols
+from wie import lab, ode, symbols
 from wie.config import parse_config, validate_config
 from wie.forcing import (
     ForcingTerm,
@@ -28,12 +28,11 @@ from wie.forcing import (
 )
 from wie.lab import (
     bound_audit,
-    branch_divergence,
     convergence_study,
     fit_rate,
     lemma_tech_profile,
 )
-from wie.ode import OdeProblem
+from wie.ode import OdeProblem, branch_divergence
 from wie.quadrature import (
     DEFAULT_SPEC,
     DivergenceError,
@@ -231,7 +230,7 @@ class TestBranchDivergence:
         result = branch_divergence(prob, eps, delta, [1.0, 2.0], direction=2)
         z = math.sqrt(1.0 + 4.0 * eps * 3.0)
         for T, closed in zip(result.horizons, result.closed_form_log):
-            assert closed == lab._log_leading_term(delta, eps, z, T)
+            assert closed == ode._log_leading_term(delta, eps, z, T)
 
     def test_as_dict_roundtrip(self):
         prob = _scalar_problem(1.0)
@@ -1005,15 +1004,20 @@ class TestSweepWorkGuard:
     bound: 24 of 201 flows, 24 stack evaluations, 96 of 804 rung
     evaluations, and 27, 27 and 108 in the benchmark's sup_vl norm.  ode-forced (one stack of four rungs of eight values)
     takes every time in one block: one flow and one stack evaluation, each
-    covering the 201 times.
+    covering the 201 times.  After its first round, times 0 and T, each
+    stack of the two spectral recipes is screened: every later flow and
+    evaluation of spectral-wide forms 12038 of its 32769 values (37%; 12152
+    in sup_vl), of spectral-forced 756 of 2049 (37%; 765 in sup_vl).
+    ode-forced's stack keeps all eight.
     """
 
     def _count(self, monkeypatch, problem, norm="sup_uniform"):
-        flows, stacks = [], []
+        flows, stacks, sizes = [], [], []
         flow, gap_sq = lab._SpectralGap.flow, lab._SpectralGap.gap_sq
 
         def counted(self, stack, t, terms):
             stacks.append((np.size(t), len(stack.rungs)))
+            sizes.append((self.kept.size, stack.slow_sq.shape[-1], self.ell.size))
             return gap_sq(self, stack, t, terms)
 
         monkeypatch.setattr(
@@ -1026,6 +1030,7 @@ class TestSweepWorkGuard:
         assert report.verdicts["all_members_completed"]
         covered = [t for block in flows for t in block]
         assert len(covered) == len(set(covered))
+        self.sizes = sizes  # per evaluation: the values the flow forms, its stack's, and all
         return flows, stacks
 
     def _spectral(self, monkeypatch, recipe, norm="sup_uniform"):
@@ -1046,6 +1051,171 @@ class TestSweepWorkGuard:
         flows, stacks = self._count(monkeypatch, validate_config(workloads.ode_forced(1)).problem)
         assert [len(block) for block in flows] == [201]
         assert stacks == [(201, 4)]
+        assert self.sizes == [(8, 8, 8)]
+
+    @pytest.mark.parametrize(
+        "recipe, norm, first",
+        [
+            (workloads.spectral_wide, "sup_uniform", 8),
+            (workloads.spectral_wide, "sup_vl", 8),
+            (workloads.spectral_forced, "sup_uniform", 2),
+            (workloads.spectral_forced, "sup_vl", 2),
+        ],
+    )
+    def test_screened_sweep_forms_at_most_two_fifths_of_the_values(
+        self, monkeypatch, recipe, norm, first
+    ):
+        # the first round takes every value at times 0 and T, once per stack (four
+        # stacks of one, or one of four); every later flow and evaluation forms at most
+        # 40% of the values
+        self._spectral(monkeypatch, recipe, norm)
+        head, rest = self.sizes[:first], self.sizes[first:]
+        assert all(flow == stack == every for flow, stack, every in head)
+        assert rest and all(flow == stack <= 0.4 * every for flow, stack, every in rest)
+
+
+def _narrowing(sizes):
+    """A spy on lab._Stack.narrow that records (values kept, every value) of each build."""
+    narrow = lab._Stack.narrow
+
+    def spied(stack, gap):
+        sizes.append((gap.kept.size, gap.ell.size))
+        return narrow(stack, gap)
+
+    return mock.patch.object(lab._Stack, "narrow", spied)
+
+
+def test_a_planted_high_frequency_mode_stays_in_the_sweep():
+    # Gaussian data leave the top of the grid to the screen, but an amplitude of 10
+    # planted at xi = 18 (ell = 324) peaks near t = 0.005 and is gone by t = T: only the
+    # bound over [0, T], not the mode's values at the first round's times, keeps it
+    grid = FrequencyGrid.uniform_fft(256, 0.125)
+    data = np.exp(-0.5 * grid.nodes**2).astype(complex)
+    planted = int(np.argmin(np.abs(grid.nodes - 18.0)))
+    prob = SpectralProblem(grid=grid, symbol=symbols.classical(), initial_hat=data)
+    ladder = [1e-1, 1e-2, 1e-3]
+    bare = convergence_study(prob, ladder, 1.0)
+    data[planted] = 10.0
+    prob = SpectralProblem(grid=grid, symbol=symbols.classical(), initial_hat=data)
+    sizes = []
+    with _narrowing(sizes):
+        screened = convergence_study(prob, ladder, 1.0)
+    with mock.patch.object(lab, "_SCREEN", 0.0):
+        full = convergence_study(prob, ladder, 1.0)
+    assert repr(screened.as_dict()) == repr(full.as_dict())
+    # the planted mode sets each sup, and the screen cut the grid just past it
+    for got, without in zip(screened.entries, bare.entries):
+        assert got.sup_error > 10.0 * without.sup_error
+    cuts = [size for size, every in sizes if size < every]
+    assert len(cuts) == 1 and cuts[0] == prob.distinct.inverse[planted] + 1
+
+
+@st.composite
+def _decaying_problems(draw):
+    """An unforced or exponentially forced problem whose data decay fast at high frequency."""
+    # |xi| reaches pi/dx >= 15, where exp(-v xi^2) is below exp(-110)
+    grid = FrequencyGrid.uniform_fft(draw(st.sampled_from([64, 128, 256])), draw(st.floats(0.1, 0.2)))
+    xi = grid.nodes
+    decay = lambda v: np.exp(-v * xi**2 + 1j * draw(st.floats(-1.0, 1.0)) * xi)  # noqa: E731
+    parts = draw(st.lists(_exact_profiles(), min_size=0, max_size=2))
+    return SpectralProblem(
+        grid=grid,
+        symbol=draw(st.sampled_from([symbols.classical(), symbols.fractional(0.5)])),
+        initial_hat=draw(st.floats(0.5, 2.0)) * decay(draw(st.floats(0.5, 2.0))),
+        forcing=ForcingTerm.from_multipliers(
+            [(g, lambda _xi, h=decay(draw(st.floats(0.5, 2.0))): h) for g in parts]
+        ),
+    )
+
+
+@given(
+    prob=_decaying_problems(),
+    ladder=_LADDERS,
+    norm=st.sampled_from(["sup_uniform", "sup_vl"]),
+    time_points=st.integers(3, 401),
+    per_stack=st.sampled_from([1, 2]),
+)
+@settings(deadline=None, max_examples=40)
+def test_screened_sweep_gives_the_bits_of_the_unscreened_one(
+    prob, ladder, norm, time_points, per_stack
+):
+    # with the screen's constant at 0 no value is screened.  Stacks of one or two rungs
+    # take a time or two per block, so no grid fits one block, and the screen cuts each
+    # of these grids; each sup keeps its bits
+    study = lambda: convergence_study(  # noqa: E731
+        prob, ladder, 1.0, norm=norm, time_points=time_points
+    ).as_dict()
+    sizes = []
+    with mock.patch.object(lab, "_STACK_VALUES", per_stack * prob.distinct.values.size):
+        with _narrowing(sizes):
+            screened = study()
+        with mock.patch.object(lab, "_SCREEN", 0.0):
+            full = study()
+    assert repr(screened) == repr(full)
+    assert any(size < every for size, every in sizes)
+
+
+@given(
+    shift=st.sampled_from([0.0, 20.0]),
+    parts=st.lists(_exact_profiles(), min_size=0, max_size=2),
+    norm=st.sampled_from(["sup_uniform", "sup_vl"]),
+)
+@settings(deadline=None, max_examples=30)
+def test_the_screened_distance_bounds_what_the_screen_left_out(shift, parts, norm):
+    # at 41 times across [0, T] each rung's full distance lies within its kept one plus
+    # the screened distance the sweep takes from best; growing modes (shift 20) too
+    grid = FrequencyGrid.uniform_fft(128, 0.125)
+    xi = grid.nodes
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbols.custom(lambda xi: np.abs(xi) - shift),
+        initial_hat=(1.0 - 0.5j + xi) * np.exp(-0.5 * xi**2),
+        forcing=ForcingTerm.from_multipliers(
+            [(g, lambda xi, v=v: np.exp(-0.5 * v * xi**2 + 1j * xi)) for g, v in zip(parts, (0.7, 1.9))]
+        ),
+    )
+    w = prob.grid.weights * ((1.0 + np.abs(prob.symbol_values)) if norm == "sup_vl" else 1.0)
+    gap = lab._SpectralGap(prob, w)
+    if parts:
+        gap._use_second_order()
+    # eps below 1/(8 shift), where the dip of the symbol stays admissible
+    stack = lab._Stack(gap, [minimizer_hat(prob, eps) for eps in (5e-3, 1e-3, 1e-4)])
+    times = np.linspace(0.0, 1.0, 41)
+    every = [np.sqrt(gap.gap_sq(stack, t, gap.flow(t))[0]) for t in times]
+    group = list(range(len(stack.rungs)))
+    sups = {i: {0.0: float(every[0][i]), 1.0: float(every[-1][i])} for i in group}
+    gap.screened = dict.fromkeys(group, 0.0)
+    gap._screen([[group, stack, None, None]], sups, 1.0)
+    assert stack.slow_sq.shape[-1] == gap.kept.size < gap.ell.size
+    for t, full in zip(times, every):
+        kept = np.sqrt(gap.gap_sq(stack, t, gap.flow(t))[0])
+        for i in group:
+            assert full[i] <= (kept[i] + gap.screened[i]) * (1.0 + 2.0**-40)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        _spectral_problem(forcing=_gaussian_forcing(power_profile(1.0, 1.0))),
+        _spectral_problem(forcing=_gaussian_forcing(sampled_profile([0.0, 0.5, 1.0], [1.0, 0.5, 0.2]))),
+        validate_config(workloads.ode_forced(1)).problem,
+        _scalar_problem(2.0),
+        SpectralProblem(
+            grid=FrequencyGrid.uniform_fft(4096, 0.125),
+            symbol=symbols.fractional(0.5),
+            initial_hat=np.zeros(4096, dtype=complex),
+        ),
+    ],
+    ids=["power-part", "sampled-part", "ode-forced", "one-block", "best-zero"],
+)
+def test_walking_stacks_and_one_block_grids_are_never_screened(problem):
+    # a power or sampled part walks every time, as a grid in one block does, and a rung
+    # whose best distance is 0 keeps every value
+    sizes = []
+    with _narrowing(sizes):
+        report = convergence_study(problem, TestSpectralStudy.LADDER, 1.0)
+    assert report.verdicts["all_members_completed"]
+    assert sizes and all(size == every for size, every in sizes)
 
 
 @pytest.mark.parametrize(

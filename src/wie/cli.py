@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .config import SCHEMA, ConfigError, ExperimentConfig, parse_config
+from .contract import QuadratureError, QuadratureFailure
 from .forcing import TransformabilityError, certify_transformable
-from .lab import bound_audit, convergence_study, lemma_tech_profile
-from .quadrature import QuadratureError, QuadratureFailure
+from .lab import convergence_study, lemma_tech_profile
 from .spectral import SpectralField, minimizer_hat
 from .symbols import AdmissibilityError, admissible_discriminant
 
@@ -262,6 +262,7 @@ def _run_branch(cfg: ExperimentConfig):
 
 
 def _run_audit(cfg: ExperimentConfig):
+    from .audit import bound_audit  # only an audit run imports the audit
     res = bound_audit(cfg.symbol, cfg.epsilon_ladder, cfg.audit_grid, tol=cfg.audit_tol)
     results = {"audit": res.as_dict()}
     verdicts = {"zero_violations": res.clean}

@@ -17,6 +17,7 @@ from typing import Any, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .contract import DEFAULT_SPEC, QuadratureSpec
 from .forcing import (
     ForcingTerm,
     GrowthClass,
@@ -26,7 +27,6 @@ from .forcing import (
     power_profile,
     sampled_profile,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .spectral import FrequencyGrid, SpectralProblem
 from .symbols import EpsilonPolicy, MultiplierSymbol, build_symbol
 

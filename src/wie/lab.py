@@ -1,10 +1,10 @@
-"""Convergence ladders, decay profiles, bound audits.
+"""Convergence ladders and decay profiles.
 
 The routines here orchestrate the solvers into the desk-scale experiments
 the package exists to run: shrink the regularization along a ladder and
-watch the selected trajectory approach the first-order flow, sweep the
-weighted decay profile of a forcing density, and grind every root estimate
-against every grid node (the divergence demo is wie.ode.branch_divergence).
+watch the selected trajectory approach the first-order flow, and sweep the
+weighted decay profile of a forcing density (the root-estimate audit is
+wie.audit.bound_audit, the divergence demo wie.ode.branch_divergence).
 Results come back as named tuples with as_dict() views so the report
 writer can serialize them without knowing their internals.
 """
@@ -16,32 +16,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .forcing import (
-    TimeProfile,
-    _BATCH_VALUES,
-    _ExpDifference,
-    _ExpSecondDifference,
-    _exponential_form,
-    _phi,
-    _power_tail,
-    _refuse_slow_tail,
-)
-from .quadrature import (
-    DEFAULT_SPEC,
-    EXPONENT_CAP,
-    ExponentOverflowError,
-    QuadratureSpec,
-    _exp_guarded,
-    _refuse_past_cap,
-)
-from .spectral import (
-    SpectralProblem,
-    inequality_report,
-    minimizer_hat,
-    root_data,
-    root_margins,
-)
-from .symbols import MultiplierSymbol
+from .contract import DEFAULT_SPEC, EXPONENT_CAP, ExponentOverflowError, QuadratureSpec, _exp_guarded, _refuse_past_cap
+from .forcing import TimeProfile, _BATCH_VALUES, _exponential_form
+from .spectral import SpectralProblem, minimizer_hat
 
 __all__ = [
     "LemmaTechProfile",
@@ -50,9 +27,6 @@ __all__ = [
     "ConvergenceReport",
     "convergence_study",
     "fit_rate",
-    "AuditEntry",
-    "BoundAuditResult",
-    "bound_audit",
 ]
 
 
@@ -106,7 +80,7 @@ def lemma_tech_profile(
     for any rate, at or above 1/eps too.  A power density a s^d, d > -1,
     gives |a| (tail(t) - exp(-w/eps) tail(T)), where tail is its shifted
     Laplace tail at the rate 1/eps, an incomplete-gamma function of t/eps
-    (forcing._power_tail), taken over the whole grid at once.  A rate whose
+    (kummer._power_tail), taken over the whole grid at once.  A rate whose
     exponent r T passes the overflow cap raises ExponentOverflowError
     naming eps.
     """
@@ -120,8 +94,10 @@ def lemma_tech_profile(
                 f"lemma-tech sweep at eps={eps:g}: the density's exponent {r * horizon:g} "
                 f"at T={horizon:g} passes the cap {EXPONENT_CAP:g}"
             )
+        from .kernels import _phi
         values = np.exp(r * times) * w * _phi(1, (r - 1.0 / eps) * w)
     elif density.kind == "power":
+        from .kummer import _power_tail
         tail = _power_tail(density.degree, 1.0 / eps, times)
         values = tail - np.exp(-w / eps) * tail[-1]  # the grid ends at T
     else:
@@ -224,100 +200,17 @@ def _check_ladder(ladder) -> list:
     return ladder
 
 
-class _ExponentialGap:
-    """b(t) of one part A exp(r t) on a stack of rungs, from one first and one second difference.
-
-    With f - s = z/eps and f + s = 1/eps, the generic route's terms collapse:
-
-        b(t) = A D[s, r] (s + r)/(f - r) + A (D[s, r] - D[-ell, r]),
-
-    D the first divided difference of x -> exp(x t) and the last term
-    A delta E[-ell, s, r] (forcing._ExpSecondDifference).  Both are O(eps)
-    with no cancellation.  Everything independent of t is built here, one
-    row per rung; a rung refuses a tail rate f at or below the growth rate
-    as shifted_tail(f, 0) did.
-
-    On a stack that bisects under the second-order bound (_SpectralGap.sweep)
-    it also gives |c M_b|, c the norm of the part's column of R and M_b the
-    majorant of |b''|.  With D' = s D + exp(r t) and E' = D - ell E,
-
-        |b''| <= |kappa| s^2 D + |A| delta |s - ell| D + ell^2 |A delta E|
-                 + (|kappa| |s + r| + |A| delta) exp(r t),
-
-    since D and E are integrals of positive exponentials, and
-    |c M_b| <= |c (the first three terms)| + exp(r t) |c (the last weight)|,
-    the last norm a number per rung, formed here.
-    """
-
-    def __init__(self, amplitude, rate, ell, stack, delta, norm=None):
-        self.amplitude = amplitude
-        self.kappa = np.empty(delta.shape)
-        for row, m in zip(self.kappa[0], stack.rungs):
-            r = m.roots
-            _refuse_slow_tail(r.fast, max(m.growth_rate, rate))
-            np.divide(amplitude * (r.slow[: ell.size] + rate), r.fast[: ell.size] - rate, out=row)
-        # s - r = delta - (ell + r), which keeps the digits of a small delta
-        self.first = _ExpDifference(stack.slow_max, rate, gap=np.subtract(delta, ell + rate))
-        self.second = _ExpSecondDifference(-ell, delta, rate, amplitude)
-        if norm is None:
-            return
-        # the stack's rows, not the stack, so that no cycle outlives the sweep
-        self.rows, self.norm = (stack.bend, stack.slow_sq, stack.ell_sq), norm
-        weight = np.empty(delta.shape)
-        for row, m in zip(weight[0], stack.rungs):
-            np.add(m.roots.slow[: ell.size], rate, out=row)
-        np.abs(weight, out=weight)
-        weight *= np.abs(self.kappa)
-        weight += np.multiply(delta, abs(amplitude))
-        weight *= norm
-        self.reach = np.sqrt(np.vecdot(weight, weight))
-
-    def __call__(self, t: np.ndarray, a, grow, flow, bends=None) -> np.ndarray:
-        """b at the times t from a = exp(s t) - exp(-ell t), grow() = exp(s t) and the flow's term.
-
-        The flow's term is (D[-ell, r], exp(r t)).  When bends is a list,
-        |c M_b| is appended to it.
-        """
-        d02, exp_r = flow
-        # the Taylor entries first, while no other per-time block of the part is alive
-        series = self.second.series(t)
-        top = grow()  # exp(max(s, r) t), formed in place of exp(s t)
-        first = self.first(t, np.maximum(top, exp_r, out=top))
-        del top
-        b = self.second(t, a, first, d02, series)
-        if bends is None:
-            b += np.multiply(self.kappa, first, out=first)
-            return b
-        spread, slow_sq, ell_sq = self.rows
-        bend = np.multiply(spread, first)  # delta |s - ell| D
-        bend *= abs(self.amplitude)
-        first *= self.kappa
-        work = np.abs(first)
-        work *= slow_sq
-        bend += work
-        del work
-        # b = A delta E + kappa D, the same bits in kappa D's place
-        first += b
-        np.abs(b, out=b)
-        b *= ell_sq
-        bend += b
-        del b
-        bend *= self.norm
-        bends.append(np.sqrt(np.vecdot(bend, bend)) + exp_r.reshape(exp_r.shape[:-1]) * self.reach)
-        return first
-
-
 class _Stack:
     """Rungs side by side: each per-value array of a rung is one row of a (1 x rungs x values) block.
 
     The leading axis of one broadcasts against the times of a block, with
     no ufunc call paying to line up arrays of different dimensions.  Each
     block is allocated once and filled rung by rung, so building a stack
-    holds no temporary larger than one rung's.  parts holds per
-    forcing part its _ExponentialGap, or for a power or sampled part the
-    rows tail_j(f, 0)/z.  The gap's work block (_SpectralGap.work), shared
-    by its stacks, first holds each rung's delta = eps s^2 while the parts
-    are built.
+    holds no temporary larger than one rung's.  parts holds per forcing
+    part its _ExponentialGap (wie.kernels) or, for a power or sampled part,
+    its _GenericGap (wie.kummer).  The gap's work block (_SpectralGap.work),
+    shared by its stacks, first holds each rung's delta = eps s^2 while the
+    parts are built.
 
     A stack that bisects under the second-order bound (gap.second_order)
     also holds the row bend = delta |s - ell|, which the majorants of |a''|
@@ -351,15 +244,13 @@ class _Stack:
             self.ell_sq, self.norms = gap.ell_sq[: ell.size], gap.norms[..., : ell.size]
         self.parts = []
         for k, ((g, _H), form) in enumerate(zip(gap.problem.forcing_parts, gap.forms), 1):
-            if form is not None:
-                norm = self.norms[k] if gap.second_order else None
-                self.parts.append(_ExponentialGap(*form, ell, self, delta, norm))
+            if form is None:
+                from .kummer import _GenericGap
+                self.parts.append(_GenericGap(g, self.rungs, shape))
                 continue
-            tail0 = np.empty(shape)  # never screened: every value is kept
-            for row, m in zip(tail0[0], self.rungs):
-                r = m.roots
-                np.divide(g.shifted_tail(r.fast, 0.0, m.growth_rate), r.disc_sqrt, out=row)
-            self.parts.append(tail0)
+            from .kernels import _ExponentialGap
+            norm = self.norms[k] if gap.second_order else None
+            self.parts.append(_ExponentialGap(*form, ell, self, delta, norm))
 
 
 class _SpectralGap:
@@ -414,6 +305,8 @@ class _SpectralGap:
         # per fold row i, R_ii and the R_ik right of it
         self.rows = [(row[i, ..., :size], row[i + 1 :, ..., :size]) for i, row in enumerate(self.factor)]
         # the flow's D[-ell, r], its rate arrays formed once per size
+        if any(self.forms):
+            from .kernels import _ExpDifference  # a study with no exponential part never compiles it
         self.flows = [
             None if f is None else _ExpDifference(-ell, f[1], gap=-(ell + f[1]).reshape(1, 1, -1))
             for f in self.forms
@@ -492,42 +385,12 @@ class _SpectralGap:
         # per column k of R, |c_k m_k|, m_k the majorant of |x_k''| (_ExponentialGap)
         bends = [] if stack.bend is not None and past_cap is None else None
         x = [a]
-        for (g, _H), part, term in zip(self.problem.forcing_parts, stack.parts, terms):
-            if isinstance(part, _ExponentialGap):
-                x.append(part(t, a, grow, term, bends))
-                continue
-            b = np.empty(a.shape)
-            for rows, tk in zip(b, t.ravel().tolist()):
-                for row, m in zip(rows, stack.rungs):
-                    r = m.roots
-                    np.add(g.duhamel(r.slow, tk), g.shifted_tail(r.fast, tk, m.growth_rate), out=row)
-                    row /= r.disc_sqrt
-            b -= term
-            b -= grow() * part
-            x.append(b)
+        for part, term in zip(stack.parts, terms):
+            x.append(part(t, a, grow, term, bends))
         slopes = None
         if bends is not None:
-            # |a''| <= s^2 a + delta |s - ell| exp(-ell t)
-            bend = np.multiply(stack.bend, decay)
-            work = np.multiply(stack.slow_sq, a)
-            bend += work
-            bend *= stack.norms[0]
-            bends.insert(0, np.sqrt(np.vecdot(bend, bend)))
-            del bend
-            # b_j' = s b_j + A delta D[-ell, r] + kappa exp(r t), by D[x, r]' = x D[x, r] + exp(r t),
-            # and a' = delta exp(s t) - ell a, formed in delta's place, with s = delta - ell
-            delta = np.multiply(stack.slow_sq, stack.eps, out=np.empty(a.shape))
-            slopes = [delta]
-            for part, (d02, exp_r), b in zip(stack.parts, terms, x[1:]):
-                slope = np.multiply(delta, d02)
-                slope *= part.amplitude
-                slope += np.multiply(part.kappa, exp_r, out=work)
-                slope += np.multiply(delta, b, out=work)
-                slope -= np.multiply(ell, b, out=work)
-                slopes.append(slope)
-            delta *= np.add(decay, a, out=work)
-            delta -= np.multiply(ell, a, out=work)
-            del work, delta
+            from .kernels import _slopes  # already imported by the stack's _ExponentialGap
+            slopes = _slopes(stack, ell, a, decay, x, terms, bends)
         # y_i = sum_{k >= i} R_ik x_k, formed in the block in place of a = x_0, which no
         # later row reads, and y_i' in place of x_i'
         squares, dots, steep = [], [], []
@@ -728,8 +591,9 @@ class _SpectralGap:
     def _use_second_order(self) -> None:
         """Have the stacks built from now on form the Taylor data of the second-order bound."""
         self.second_order = True
-        # per column k of R, its norm c_k, and ell^2, which the majorants take
-        self.norms = np.sqrt(np.square(self.factor).sum(axis=0))
+        # per column k of R, its norm c_k, by hypot so that tiny data do not underflow to 0,
+        # and ell^2, which the majorants take
+        self.norms = np.hypot.reduce(self.factor, axis=0)
         self.ell_sq = np.square(self.ell)
 
     def _round(self, stacks, times, width, live, sups) -> bool:
@@ -836,24 +700,11 @@ def _rules_out(
     if taylor is None:
         bound = left * (tb / ta) * math.exp(growth * (tb - ta))
     elif ta in taylor:
+        from .kernels import _reach  # a forced stack has imported it already
         bound = _reach(left, *taylor[ta], ta, tb, growth)
     else:
         return False  # past the cap, where no Taylor data is formed
     return bound * (1.0 + _BOUND_MARGIN) < best
-
-
-def _reach(left, dot, steep, bend, ta, tb, growth) -> float:
-    """The second-order bound on a forced rung's distance over [ta, tb] (_SpectralGap.sweep).
-
-    left is N(ta), dot <g, g'>, steep |g'|^2 and bend the majorant M of
-    |g''|, all at ta; inf where an input is not finite.
-    """
-    h = tb - ta
-    reach = left * left + h * (2.0 * dot + h * steep)
-    if not (math.isfinite(reach) and math.isfinite(bend)):
-        return math.inf
-    spread = (tb / ta) ** 2 * math.exp(growth * h)
-    return max(left, math.sqrt(max(reach, 0.0))) + 0.5 * h * h * bend * spread
 
 
 # values per stack of rungs in the sweep (_SpectralGap.sweep), so a (rungs x values) block
@@ -994,78 +845,4 @@ def convergence_study(
         rate_half_width=half_width,
         verdicts=verdicts,
         minimizer=last,
-    )
-
-
-# ---- Root-estimate audits ----
-
-
-class AuditEntry(NamedTuple):
-    eps: float
-    counts: dict
-    total_violations: int
-
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "counts": {k: dict(v) for k, v in self.counts.items()},
-            "total_violations": self.total_violations,
-        }
-
-
-class BoundAuditResult(NamedTuple):
-    symbol_name: str
-    lower_bound: float
-    entries: tuple
-    violating_triples: tuple
-
-    @property
-    def clean(self) -> bool:
-        return all(e.total_violations == 0 for e in self.entries)
-
-    def as_dict(self) -> dict:
-        return {
-            "symbol_name": self.symbol_name,
-            "lower_bound": self.lower_bound,
-            "clean": self.clean,
-            "entries": [e.as_dict() for e in self.entries],
-            "violating_triples": [list(t) for t in self.violating_triples],
-        }
-
-
-def bound_audit(
-    symbol: MultiplierSymbol,
-    ladder: Sequence[float],
-    grid,
-    tol: float = 1e-9,
-    max_triples: int = 100,
-) -> BoundAuditResult:
-    """Grind the whole root-estimate bundle over grid x ladder.
-
-    Violations are data, not errors: the result carries counts per
-    inequality and eps, plus up to max_triples (frequency, eps, name)
-    witnesses.  An eps outside the admissible range is a policy error and
-    root_data raises before any audit happens.
-    """
-    ladder = _check_ladder(ladder)
-    nodes = np.asarray(grid, dtype=float)
-    vals = symbol(nodes)
-    lower = min(0.0, float(np.min(vals)))
-    entries = []
-    triples = []
-    for eps in ladder:
-        rd = root_data(vals, eps, lower_bound=lower, check=False)
-        counts = inequality_report(rd, tol=tol)
-        total = sum(v["violations"] for v in counts.values())
-        if total:
-            for name, margin in root_margins(rd).items():
-                for idx in np.flatnonzero(np.asarray(margin) < -tol):
-                    if len(triples) < max_triples:
-                        triples.append((float(nodes[idx]), float(eps), name))
-        entries.append(AuditEntry(eps=eps, counts=counts, total_violations=total))
-    return BoundAuditResult(
-        symbol_name=symbol.name,
-        lower_bound=lower,
-        entries=tuple(entries),
-        violating_triples=tuple(triples),
     )

@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .contract import DEFAULT_SPEC, QuadratureFailure, QuadratureSpec
 from .forcing import ForcingTerm
-from .quadrature import DEFAULT_SPEC, QuadratureFailure, QuadratureSpec, finite_interval
 from .spectral import FrequencyGrid, SelectedSpectralMinimizer, SemigroupSolution, SpectralProblem
 
 __all__ = [
@@ -241,6 +241,7 @@ def branch_divergence(
     meets the QuadratureSpec contract abs_tol + rel_tol*|value| by its
     error estimate, or the call raises QuadratureFailure naming eps and T.
     """
+    from .quadrature import finite_interval  # an ODE study never compiles the adaptive engine
     horizons = [float(T) for T in horizons]
     if any(T <= 0.0 for T in horizons) or any(
         b <= a for a, b in zip(horizons, horizons[1:])

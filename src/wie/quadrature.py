@@ -9,22 +9,31 @@ depends on the weight scale, and tail integrals of the form
 are always computed with the damping factor kept inside the integrand.
 Pulling exp(-mu*t) out and multiplying back in is exactly the overflow
 trap these helpers exist to avoid.
+
+These are the fallbacks of the closed forms, imported only by a run that
+falls back: a power or sampled certificate, a Gauss-Laguerre energy or a
+branch divergence.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .contract import (
+    DEFAULT_SPEC,
+    EXPONENT_CAP,
+    DivergenceError,
+    ExponentOverflowError,
+    QuadratureError,
+    QuadratureFailure,
+    QuadratureSpec,
+)
+
 __all__ = [
-    "QuadratureSpec",
-    "QuadratureError",
-    "QuadratureFailure",
-    "DivergenceError",
-    "ExponentOverflowError",
     "weighted_halfline",
     "laplace_tail_shifted",
     "convolution_integral",
@@ -32,117 +41,7 @@ __all__ = [
     "laplace_tail_shifted_batch",
     "poincare_sides",
     "finite_interval",
-    "DEFAULT_SPEC",
-    "ENERGY_CEILING",
 ]
-
-# exp() overflows just above 709; stay clear of the edge
-EXPONENT_CAP = 700.0
-ENERGY_CEILING = 1e12
-
-
-class QuadratureError(Exception):
-    """Base class for quadrature failures."""
-
-
-class QuadratureFailure(QuadratureError):
-    """Adaptive refinement exhausted its panel budget.
-
-    Carries the partial value and the error estimate accumulated so far.
-    """
-
-    def __init__(self, message: str, partial, error_estimate: float):
-        super().__init__(message)
-        self.partial = partial
-        self.error_estimate = error_estimate
-
-
-class DivergenceError(QuadratureError):
-    """The requested integral diverges for the declared growth rate."""
-
-
-class ExponentOverflowError(QuadratureError):
-    """An exponent exceeded the overflow cap; work in log space instead."""
-
-
-def _refuse_past_cap(exponent: float) -> None:
-    """Raise ExponentOverflowError when the largest exponent of a kernel passes the cap."""
-    if exponent > EXPONENT_CAP:
-        raise ExponentOverflowError(
-            "a mode grows past exp(700) at the requested time; shorten the horizon"
-        )
-
-
-def _exp_guarded(exponent, largest: Optional[float] = None) -> np.ndarray:
-    """exp() of an array, refusing exponents past the cap instead of overflowing.
-
-    The argument is consumed: a float array is clamped and exponentiated in
-    place and returned, so callers pass a temporary they no longer need.
-    largest is its largest entry where the caller knows it without a search.
-    """
-    exponent = np.asarray(exponent, dtype=float)
-    if largest is None and exponent.size:
-        largest = float(exponent.max())
-    if largest is not None:
-        _refuse_past_cap(largest)
-    np.maximum(exponent, -745.0, out=exponent)
-    return np.exp(exponent, out=exponent)
-
-
-class _ReadOnly:
-    """A value set once, by __init__ through vars(self); assigning or deleting raises."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is read-only")
-
-
-class QuadratureSpec(_ReadOnly):
-    """Numerical policy for the weighted integrals.
-
-    method:          "gauss_laguerre" uses a fixed substituted rule with an
-                     adaptive fallback; "adaptive" always uses panels.
-    nodes:           Gauss-Laguerre node count (>= 4).
-    panel_tol:       per-panel absolute tolerance of the adaptive engine.
-    max_panels:      panel budget before the engine gives up.
-    abs_tol/rel_tol: accuracy contract |result - exact| <= abs + rel*|result|
-                     for integrands in their declared growth class.
-    variation_limit: spread of significant integrand values beyond which the
-                     fixed rule is distrusted and panels take over.
-    """
-
-    def __init__(
-        self,
-        method: str = "gauss_laguerre",
-        nodes: int = 64,
-        panel_tol: float = 1e-12,
-        max_panels: int = 4096,
-        abs_tol: float = 1e-12,
-        rel_tol: float = 1e-10,
-        variation_limit: float = 1e6,
-    ):
-        if method not in ("gauss_laguerre", "adaptive"):
-            raise ValueError(f"unknown quadrature method {method!r}")
-        if nodes < 4:
-            raise ValueError("need at least 4 Gauss-Laguerre nodes")
-        if min(panel_tol, abs_tol, rel_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if max_panels < 8:
-            raise ValueError("max_panels too small to be useful")
-        vars(self).update(
-            method=method,
-            nodes=nodes,
-            panel_tol=panel_tol,
-            max_panels=max_panels,
-            abs_tol=abs_tol,
-            rel_tol=rel_tol,
-            variation_limit=variation_limit,
-        )
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 @lru_cache(maxsize=None)
@@ -442,86 +341,6 @@ def laplace_tail_shifted_batch(
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand returned a non-finite value")
     return (vals * w[None, :]).sum(axis=1) / mu
-
-
-def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):
-    """Weighted energy of the selected modes in closed form, +inf, or None where it has none.
-
-    Mode i with symbol value ell_i and slow root s_i is driven by
-    f_i = sum_k b_ik exp(r_k t), b = amplitudes of shape (modes x parts), a
-    constant part having r = 0.  Its selected trajectory is
-
-        u = c0 exp(s t) + sum_k beta_k D(r_k, s, t),   u' = s u + sum_k beta_k exp(r_k t),
-
-    with beta_k = b_k / (eps (f - r_k)), f the fast root, and
-    D(r, s, t) = (exp(r t) - exp(s t)) / (r - s).  With p = 1/eps the
-    weighted integrals are rational in the rates:
-
-        int exp(-p t) exp((a + b) t)     = 1 / (p - a - b)
-        int exp(-p t) exp(a t) D(r, s)   = 1 / ((p - a - r)(p - a - s))
-        int exp(-p t) D(r1, s) D(r2, s)  = (2p - r1 - r2 - 2s)
-                                           / ((p - r1 - r2)(p - r1 - s)(p - r2 - s)(p - 2s))
-
-    None of them subtracts nearby exponentials, so r = s needs no special
-    case.  Returns sum_i weights_i int exp(-t/eps) [(eps/2)|u'|^2 +
-    (ell/2)|u|^2 - Re(conj(f) u)] dt.  The energy diverges, and the value is
-    +inf, when the parts at some rate r >= p/2 leave a nonzero amplitude on
-    some mode; such parts that cancel on every mode are dropped.  None when
-    a slow root is not below p/2 (admissibility keeps it there) or the sum
-    is not finite.
-    """
-    p = 1.0 / eps
-    s = np.asarray(slow, dtype=float)
-    ell = np.asarray(ell, dtype=float)
-    c0 = np.asarray(c0)
-    gap_ss = 2.0 * s
-    np.subtract(p, gap_ss, out=gap_ss)  # p - 2 s, formed in place
-    if gap_ss.size and float(gap_ss.min()) <= 0.0:
-        return None
-    rates = [float(r) for r in part_rates]
-    b = np.asarray(amplitudes)
-    for r in {r for r in rates if p - 2.0 * r <= 0.0}:
-        if np.any(sum(b[:, k] for k, rk in enumerate(rates) if rk == r)):
-            return math.inf
-    kept = [k for k, r in enumerate(rates) if p - 2.0 * r > 0.0]
-    rates = [rates[k] for k in kept]
-    # int exp(-p t) |c0 exp(s t)|^2: all of int |u|^2 when unforced, where u' = s u
-    sq = np.abs(c0)
-    np.square(sq, out=sq)
-    sq /= gap_ss
-    if not rates:
-        factor = np.multiply(s, eps, out=gap_ss)  # p - 2 s is read no more
-        factor *= s
-        factor += ell
-        sq *= factor
-        sq *= weights
-        value = 0.5 * float(np.sum(sq))
-        return value if math.isfinite(value) else None
-    # every kept rate is below p/2 < f, so no denominator below vanishes
-    gap_rr = [[p - rj - rk for rk in rates] for rj in rates]
-    gap_rs = [(p - s) - r for r in rates]  # f - r_k, per mode
-    b = [b[:, k] for k in kept]
-    beta = [bk / (eps * g) for bk, g in zip(b, gap_rs)]
-    # A = int |u|^2, B_k = int exp(r_k t) u, C = int |sum beta_k exp(r_k t)|^2
-    A = sq
-    B = []
-    C = 0.0
-    for j, rj in enumerate(rates):
-        A = A + 2.0 * np.real(np.conj(c0) * beta[j]) / (gap_rs[j] * gap_ss)
-        inner = c0
-        for k, rk in enumerate(rates):
-            pair = np.real(np.conj(beta[j]) * beta[k])
-            A = A + pair * (2.0 * p - rj - rk - 2.0 * s) / (
-                gap_rr[j][k] * gap_rs[j] * gap_rs[k] * gap_ss
-            )
-            C = C + pair / gap_rr[j][k]
-            inner = inner + beta[k] / gap_rr[j][k]
-        B.append(inner / gap_rs[j])
-    cross = sum(np.real(beta[k] * np.conj(B[k])) for k in range(len(rates)))
-    drive = sum(np.real(np.conj(b[k]) * B[k]) for k in range(len(rates)))
-    per_mode = 0.5 * eps * (s * s * A + 2.0 * s * cross + C) + 0.5 * ell * A - drive
-    value = float(np.sum(weights * per_mode))
-    return value if math.isfinite(value) else None
 
 
 def poincare_sides(

@@ -20,17 +20,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .contract import DEFAULT_SPEC, ENERGY_CEILING, ExponentOverflowError, QuadratureSpec, _exp_guarded, _ReadOnly
 from .forcing import ForcingTerm, _exponential_form
-from .quadrature import (
-    DEFAULT_SPEC,
-    ENERGY_CEILING,
-    ExponentOverflowError,
-    QuadratureSpec,
-    _exp_guarded,
-    _laguerre_rule,
-    _modal_energy,
-    _ReadOnly,
-)
 from .symbols import AdmissibilityError, MultiplierSymbol, admissible_discriminant
 
 __all__ = [
@@ -558,6 +549,86 @@ def vl_norm(u_hat, weights, symbol_values) -> float:
     return math.sqrt(_weighted_sq_sum(np.asarray(u_hat), w))
 
 
+def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):
+    """Weighted energy of the selected modes in closed form, +inf, or None where it has none.
+
+    Mode i with symbol value ell_i and slow root s_i is driven by
+    f_i = sum_k b_ik exp(r_k t), b = amplitudes of shape (modes x parts), a
+    constant part having r = 0.  Its selected trajectory is
+
+        u = c0 exp(s t) + sum_k beta_k D(r_k, s, t),   u' = s u + sum_k beta_k exp(r_k t),
+
+    with beta_k = b_k / (eps (f - r_k)), f the fast root, and
+    D(r, s, t) = (exp(r t) - exp(s t)) / (r - s).  With p = 1/eps the
+    weighted integrals are rational in the rates:
+
+        int exp(-p t) exp((a + b) t)     = 1 / (p - a - b)
+        int exp(-p t) exp(a t) D(r, s)   = 1 / ((p - a - r)(p - a - s))
+        int exp(-p t) D(r1, s) D(r2, s)  = (2p - r1 - r2 - 2s)
+                                           / ((p - r1 - r2)(p - r1 - s)(p - r2 - s)(p - 2s))
+
+    None of them subtracts nearby exponentials, so r = s needs no special
+    case.  Returns sum_i weights_i int exp(-t/eps) [(eps/2)|u'|^2 +
+    (ell/2)|u|^2 - Re(conj(f) u)] dt.  The energy diverges, and the value is
+    +inf, when the parts at some rate r >= p/2 leave a nonzero amplitude on
+    some mode; such parts that cancel on every mode are dropped.  None when
+    a slow root is not below p/2 (admissibility keeps it there) or the sum
+    is not finite.
+    """
+    p = 1.0 / eps
+    s = np.asarray(slow, dtype=float)
+    ell = np.asarray(ell, dtype=float)
+    c0 = np.asarray(c0)
+    gap_ss = 2.0 * s
+    np.subtract(p, gap_ss, out=gap_ss)  # p - 2 s, formed in place
+    if gap_ss.size and float(gap_ss.min()) <= 0.0:
+        return None
+    rates = [float(r) for r in part_rates]
+    b = np.asarray(amplitudes)
+    for r in {r for r in rates if p - 2.0 * r <= 0.0}:
+        if np.any(sum(b[:, k] for k, rk in enumerate(rates) if rk == r)):
+            return math.inf
+    kept = [k for k, r in enumerate(rates) if p - 2.0 * r > 0.0]
+    rates = [rates[k] for k in kept]
+    # int exp(-p t) |c0 exp(s t)|^2: all of int |u|^2 when unforced, where u' = s u
+    sq = np.abs(c0)
+    np.square(sq, out=sq)
+    sq /= gap_ss
+    if not rates:
+        factor = np.multiply(s, eps, out=gap_ss)  # p - 2 s is read no more
+        factor *= s
+        factor += ell
+        sq *= factor
+        sq *= weights
+        value = 0.5 * float(np.sum(sq))
+        return value if math.isfinite(value) else None
+    # every kept rate is below p/2 < f, so no denominator below vanishes
+    gap_rr = [[p - rj - rk for rk in rates] for rj in rates]
+    gap_rs = [(p - s) - r for r in rates]  # f - r_k, per mode
+    b = [b[:, k] for k in kept]
+    beta = [bk / (eps * g) for bk, g in zip(b, gap_rs)]
+    # A = int |u|^2, B_k = int exp(r_k t) u, C = int |sum beta_k exp(r_k t)|^2
+    A = sq
+    B = []
+    C = 0.0
+    for j, rj in enumerate(rates):
+        A = A + 2.0 * np.real(np.conj(c0) * beta[j]) / (gap_rs[j] * gap_ss)
+        inner = c0
+        for k, rk in enumerate(rates):
+            pair = np.real(np.conj(beta[j]) * beta[k])
+            A = A + pair * (2.0 * p - rj - rk - 2.0 * s) / (
+                gap_rr[j][k] * gap_rs[j] * gap_rs[k] * gap_ss
+            )
+            C = C + pair / gap_rr[j][k]
+            inner = inner + beta[k] / gap_rr[j][k]
+        B.append(inner / gap_rs[j])
+    cross = sum(np.real(beta[k] * np.conj(B[k])) for k in range(len(rates)))
+    drive = sum(np.real(np.conj(b[k]) * B[k]) for k in range(len(rates)))
+    per_mode = 0.5 * eps * (s * s * A + 2.0 * s * cross + C) + 0.5 * ell * A - drive
+    value = float(np.sum(weights * per_mode))
+    return value if math.isfinite(value) else None
+
+
 def energy_spectral(
     state: Callable,
     problem: SpectralProblem,
@@ -571,6 +642,7 @@ def energy_spectral(
     gives the trajectory and its derivative as one (value, derivative)
     pair.  Returns (value, crossed_at) like the finite-dimensional energy.
     """
+    from .quadrature import _laguerre_rule  # the fallback of the closed forms
     w = problem.weights
     w_ell = w * problem.symbol_values
     work = np.empty(w.shape)
@@ -632,7 +704,11 @@ class SpectralField(NamedTuple):
 
     @classmethod
     def sample(cls, solution, grid: FrequencyGrid, times):
+        """The solution's values at the times; one time's field is its fresh row, not a copy of it."""
         times = np.asarray(times, dtype=float)
+        if times.size == 1:
+            row = solution.value(times.item())
+            return cls(times=times, grid=grid, values=row.reshape(times.shape + row.shape))
         vals = np.empty(times.shape + grid.nodes.shape, dtype=complex)
         for row, t in zip(vals, times):
             row[...] = solution.value(float(t))
@@ -641,8 +717,8 @@ class SpectralField(NamedTuple):
     def to_bytes(self) -> memoryview:
         """The stored bytes as a view of the sampled array, not a copy.
 
-        Little-endian complex128 is interleaved float64 (re, im), row-major;
-        on a little-endian machine the sampled array already is that layout.
+        Little-endian complex128 is interleaved float64 (re, im), row-major:
+        a complex field on a little-endian machine; a real row is converted.
         """
         return memoryview(np.ascontiguousarray(self.values, dtype="<c16")).cast("B")
 

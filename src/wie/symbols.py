@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import _ReadOnly
+from .contract import _ReadOnly
 
 __all__ = [
     "MultiplierSymbol",

@@ -26,10 +26,9 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
+from wie.contract import ENERGY_CEILING, EXPONENT_CAP
 from wie.quadrature import (
     DEFAULT_SPEC,
-    ENERGY_CEILING,
-    EXPONENT_CAP,
     QuadratureError,
     _halfline_adaptive,
     _laguerre_rule,

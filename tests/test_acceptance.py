@@ -19,7 +19,8 @@ from oracles import (
 )
 from wie import symbols
 from wie.forcing import ForcingTerm, TimeProfile, constant_profile, exponential_profile
-from wie.lab import bound_audit, convergence_study, lemma_tech_profile
+from wie.audit import bound_audit
+from wie.lab import convergence_study, lemma_tech_profile
 from wie.ode import OdeProblem, branch_divergence, exact_solution, selected_minimizer
 from wie.quadrature import DEFAULT_SPEC, poincare_sides
 from wie.spectral import (

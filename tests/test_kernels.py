@@ -21,18 +21,17 @@ from scipy import integrate, special
 
 import wie.cli as cli
 from oracles import decimal_exp_differences
-from wie import forcing, lab, symbols
+from wie import kernels, lab, symbols
 from wie.config import parse_config
 from wie.forcing import (
     ForcingTerm,
     TimeProfile,
-    _ExpDifference,
-    _ExpSecondDifference,
     constant_profile,
     exponential_profile,
     power_profile,
     sampled_profile,
 )
+from wie.kernels import _ExpDifference, _ExpSecondDifference
 from wie.quadrature import (
     QuadratureSpec,
     DivergenceError,
@@ -514,7 +513,7 @@ def test_difference_kernels_give_a_block_each_rows_own_bits(x0, rows, x2, weight
     rng = np.random.default_rng(seed)
     x0 = np.array(x0)
     delta = np.where(rng.uniform(size=(rows, x0.size)) < 0.2, 0.0, rng.uniform(0.0, 3.0, (rows, x0.size)))
-    with mock.patch.object(forcing, "_BATCH_VALUES", step):
+    with mock.patch.object(kernels, "_BATCH_VALUES", step):
         block = _ExpSecondDifference(x0, delta, x2, weight)
     alone = [_ExpSecondDifference(x0, d, x2, weight) for d in delta]
     first = _ExpDifference(float(delta.max()), x2, gap=delta - (x2 - x0))

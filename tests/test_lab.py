@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from scipy.special import erfcx
 
 from oracles import decimal_sup_distance, lemma_tail, random_symmetric
-from wie import lab, ode, symbols
+from wie import kernels, lab, ode, symbols
+from wie.audit import bound_audit
 from wie.config import parse_config, validate_config
 from wie.forcing import (
     ForcingTerm,
@@ -26,12 +27,7 @@ from wie.forcing import (
     power_profile,
     sampled_profile,
 )
-from wie.lab import (
-    bound_audit,
-    convergence_study,
-    fit_rate,
-    lemma_tech_profile,
-)
+from wie.lab import convergence_study, fit_rate, lemma_tech_profile
 from wie.ode import OdeProblem, branch_divergence
 from wie.quadrature import (
     DEFAULT_SPEC,
@@ -990,8 +986,26 @@ def test_second_order_bound_holds_between_samples(shift, parts, norm, ta, length
     (taylor,) = stack.taylor.tolist()
     dense = [np.sqrt(gap.gap_sq(stack, t, gap.flow(t)))[0] for t in np.linspace(ta, tb, 41)]
     for k, (n_a, data, s) in enumerate(zip(left, taylor, stack.slow_maxima)):
-        bound = lab._reach(float(n_a), *data, ta, tb, max(s, rate))
+        bound = kernels._reach(float(n_a), *data, ta, tb, max(s, rate))
         assert max(row[k] for row in dense) <= bound * (1.0 + lab._BOUND_MARGIN)
+
+
+def test_column_norms_of_tiny_data_stay_positive():
+    # data near 1e-300 have squares below the smallest subnormal; the column norms of R,
+    # which scale the majorant M of the second-order bound, must not underflow to 0
+    grid = FrequencyGrid.explicit(np.array([0.5, 1.0, 2.0]), np.ones(3))
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbols.fractional(0.5),
+        initial_hat=np.full(3, 1e-300, dtype=complex),
+        forcing=ForcingTerm.from_multipliers(
+            [(exponential_profile(0.5, -1.0), lambda xi: np.full(np.shape(xi), 3e-300j))]
+        ),
+    )
+    gap = lab._SpectralGap(prob, prob.grid.weights)
+    gap._use_second_order()
+    assert gap.norms.shape == (2, 1, 1, 3)
+    assert np.all(gap.norms > 0.0)
 
 
 class TestSweepWorkGuard:
@@ -1191,6 +1205,32 @@ def test_the_screened_distance_bounds_what_the_screen_left_out(shift, parts, nor
         kept = np.sqrt(gap.gap_sq(stack, t, gap.flow(t))[0])
         for i in group:
             assert full[i] <= (kept[i] + gap.screened[i]) * (1.0 + 2.0**-40)
+
+
+@pytest.mark.parametrize("forcing", [None, _gaussian_forcing(exponential_profile(0.5, -1.0))])
+def test_every_rule_out_takes_best_less_the_screened_distance(monkeypatch, forcing):
+    # a skipped time lies below the sup only if its bound on the kept values lies below
+    # best less the distance the screen left out.  No end-to-end check shows a sweep that
+    # forgets the subtraction, even with a coarse cut (CHANGES.md), so the rule's input is
+    # checked where the sweep forms it; the coarse cut leaves out a distance to subtract
+    gaps, calls = [], []
+    init, rules_out = lab._SpectralGap.__init__, lab._rules_out
+
+    def spied(seen, ta, tb, growth, floor, best, taylor=None):
+        calls.append((max(seen.values()), best))
+        return rules_out(seen, ta, tb, growth, floor, best, taylor)
+
+    monkeypatch.setattr(lab._SpectralGap, "__init__", lambda g, *a: gaps.append(g) or init(g, *a))
+    monkeypatch.setattr(lab, "_rules_out", spied)
+    monkeypatch.setattr(lab, "_SCREEN", 2.0**-10)
+    report = convergence_study(_spectral_problem(forcing=forcing), TestSpectralStudy.LADDER, 1.0)
+    assert report.verdicts["all_members_completed"]
+    (gap,) = gaps
+    screened = sorted(gap.screened.values())
+    assert screened[-1] > 0.0
+    # top - best is a rung's screened distance, up to the rounding of the subtraction
+    assert all(any(abs(top - best - s) <= 2.0**-50 * top for s in screened) for top, best in calls)
+    assert max(top - best for top, best in calls) > 0.5 * screened[-1]
 
 
 @pytest.mark.parametrize(

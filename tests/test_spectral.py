@@ -20,19 +20,14 @@ from wie.forcing import (
     sampled_profile,
 )
 from wie.lab import convergence_study
-from wie.quadrature import (
-    DEFAULT_SPEC,
-    DivergenceError,
-    ExponentOverflowError,
-    _exp_guarded,
-    _laguerre_rule,
-    _modal_energy,
-)
+from wie.contract import _exp_guarded
+from wie.quadrature import DEFAULT_SPEC, DivergenceError, ExponentOverflowError, _laguerre_rule
 from wie.spectral import (
     FrequencyGrid,
     SelectedSpectralMinimizer,
     SpectralField,
     SpectralProblem,
+    _modal_energy,
     apriori_bound,
     energy_spectral,
     inequality_report,
@@ -769,6 +764,24 @@ class TestSpectralField:
         assert meta["shape"] == [3, 64]
         assert meta["times"] == [0.0, 0.1, 0.2]
         assert meta["frequency_grid"] == {"kind": "uniform_fft", "n": 64, "dx": 0.25, "x0": -8.0}
+
+    def test_one_time_field_is_its_fresh_row(self):
+        # the dump samples one time per field: the row value(t) returns is the field
+        # itself, with no second array to copy it into, and gives the bytes of a wider field
+        g = _grid()
+        m = minimizer_hat(_gaussian_problem(g), 0.05)
+        rows = []
+
+        class Spy:
+            def value(self, t):
+                rows.append(m.value(t))
+                return rows[-1]
+
+        field = SpectralField.sample(Spy(), g, [0.1])
+        assert field.values.shape == (1, g.n)
+        assert np.shares_memory(field.values, rows[0])
+        wide = SpectralField.sample(m, g, [0.1, 0.2]).to_bytes()
+        assert bytes(field.to_bytes()) == bytes(wide)[: 16 * g.n]
 
     def test_problem_rejects_bad_inputs(self):
         g = _grid()

@@ -1,9 +1,10 @@
 """What a `wie run` imports: each mode loads only the modules its run uses.
 
 A fresh interpreter runs wie.cli.main on a golden config and reports the
-names in sys.modules.  Module names, not timings, so the check is
-deterministic.  `python -X importtime -c "import wie.cli"` shows what each
-import costs.
+names in sys.modules.  Module names, and the tokens their files hold, not
+timings, so the check is deterministic.  `python -X importtime -c "import
+wie.cli"` shows what each import costs; with no bytecode cache, compiling
+is most of it.
 
 The value types are plain classes, not dataclasses, because defining a
 frozen dataclass costs a run about 0.3 ms each and importing dataclasses
@@ -18,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 from typing import NamedTuple
 
@@ -79,6 +81,36 @@ def test_no_run_imports_logging_dataclasses_copy_or_heapq(tmp_path, case):
     # only the adaptive engine, which these runs never reach, imports heapq
     modules = _modules_of_a_run(case, tmp_path)
     assert sorted(modules & {"logging", "dataclasses", "copy", "heapq"}) == []
+
+
+# the wie modules every run imports, and those each study or lemma-tech golden adds: an
+# unforced spectral study no kernel module, a forced one the kernels of its exponential parts
+# (wie.kernels), a power density its closed forms alone (wie.kummer), and none of them the
+# adaptive fallbacks (wie.quadrature); with at most this many tokens compiled in all
+EVERY_RUN = {"wie", "wie.cli", "wie.config", "wie.contract", "wie.forcing", "wie.lab", "wie.spectral", "wie.symbols"}
+RUNS = {
+    "spectral_unforced_field": (set(), 24_500),
+    "spectral_forced_small": ({"wie.kernels"}, 27_500),
+    "ode_forced_small": ({"wie.kernels", "wie.ode"}, 30_000),
+    "lemma_power_small": ({"wie.kummer"}, 26_500),
+}
+
+
+def _tokens(module: str) -> int:
+    """Tokens of a wie module's file, as the parser reads them: without comments and NL."""
+    path = SRC.joinpath(*module.split("."))
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    with open(path, encoding="utf-8") as fh:
+        skip = (tokenize.COMMENT, tokenize.NL)
+        return sum(1 for tok in tokenize.generate_tokens(fh.readline) if tok.type not in skip)
+
+
+@pytest.mark.parametrize("case", RUNS)
+def test_a_run_compiles_only_the_kernels_its_mode_and_forcing_need(tmp_path, case):
+    extra, budget = RUNS[case]
+    loaded = set(_loaded(_modules_of_a_run(case, tmp_path), "wie"))
+    assert loaded == EVERY_RUN | extra
+    assert sum(_tokens(m) for m in loaded) <= budget
 
 
 _G = constant_profile(2.0)

@@ -67,7 +67,7 @@ def bound_audit(
     entries = []
     triples = []
     for eps in ladder:
-        rd = root_data(vals, eps, lower_bound=lower, check=False)
+        rd = root_data(vals, eps, check=False)
         counts = inequality_report(rd, tol=tol)
         total = sum(v["violations"] for v in counts.values())
         if total:

@@ -28,7 +28,7 @@ from .forcing import (
     sampled_profile,
 )
 from .spectral import FrequencyGrid, SpectralProblem
-from .symbols import EpsilonPolicy, MultiplierSymbol, build_symbol
+from .symbols import EpsilonPolicy, MultiplierSymbol, classical, fractional, from_table, zeroth_order
 
 SCHEMA_VERSION = 1
 
@@ -308,21 +308,21 @@ _multiplier = _parser("multiplier", _MULTIPLIERS)
 def _fractional(s):
     if not 0.0 < s < 1.0:
         raise _Refused("", f"s outside (0,1): got {s}")
-    return build_symbol("fractional", order=s)
+    return fractional(s)
 
 
 _symbol = _parser(
     "symbol",
     {
-        "classical": ((), lambda: build_symbol("classical")),
+        "classical": ((), classical),
         "fractional": ((("s", _number, None),), _fractional),
         "zeroth_order": (
             (("mass", _number, None), ("kernel", _multiplier, None)),
-            lambda mass, kernel: build_symbol("zeroth_order", mass=mass, kernel_hat=kernel),
+            zeroth_order,
         ),
         "table": (
             (("xi", _vector, None), ("values", _vector, None)),
-            lambda x, vals: build_symbol("table", xi_points=x, values=vals),
+            from_table,
         ),
     },
 )
@@ -459,7 +459,7 @@ def _check_policy(c: _Collector, root: dict, v: dict, key: str, values) -> None:
     if v[key] is None or values is None:
         return
     policy = v["epsilon_policy"]
-    bound = min(0.0, float(np.min(values)) - policy.margin)
+    bound = policy.lower_bound(values)
     emax = policy.epsilon_threshold(bound)
     raw = root[key]
     for i, eps in enumerate(v[key] if isinstance(raw, list) else (v[key],)):
@@ -526,7 +526,6 @@ class ExperimentConfig(NamedTuple):
     problem_id: str
     raw: dict
     quadrature: QuadratureSpec
-    policy: EpsilonPolicy
     write_field: bool = False
     field_times: Tuple[float, ...] = ()
     epsilon_ladder: Tuple[float, ...] = ()
@@ -650,7 +649,6 @@ def validate_config(raw: Any) -> ExperimentConfig:
         problem_id=v["problem_id"] or mode,
         raw=root,
         quadrature=v["quadrature"],
-        policy=v["epsilon_policy"],
         write_field=write_field,
         field_times=field_times or (),
         **{key: v[key] for key, *_ in rows if key in ExperimentConfig._fields},

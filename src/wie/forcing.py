@@ -195,30 +195,28 @@ def sampled_profile(times: Sequence[float], values: Sequence[float]) -> TimeProf
 class GrowthClass(NamedTuple):
     """Envelope for the squared spatial norm of the forcing.
 
-    ||f(t, .)||^2 <= scale * (1+t)^degree * exp(rate*t).  The kind tag is
-    redundant with the exponents but keeps reports readable.
+    ||f(t, .)||^2 <= scale * (1+t)^degree * exp(rate*t).
     """
 
-    kind: str
     degree: float = 0.0
     rate: float = 0.0
     scale: float = 1.0
 
     @classmethod
     def bounded(cls, scale: float = 1.0):
-        return cls("bounded", scale=scale)
+        return cls(scale=scale)
 
     @classmethod
     def polynomial(cls, degree: float, scale: float = 1.0):
         if degree < 0.0:
             raise ValueError("polynomial growth needs a nonnegative degree")
-        return cls("polynomial", degree=degree, scale=scale)
+        return cls(degree=degree, scale=scale)
 
     @classmethod
     def subexponential(cls, rate: float, scale: float = 1.0):
         if rate < 0.0:
             raise ValueError("declare decaying envelopes as bounded instead")
-        return cls("subexponential", rate=rate, scale=scale)
+        return cls(rate=rate, scale=scale)
 
 
 # ---- Forcing terms ----
@@ -239,10 +237,10 @@ class ForcingPart(_ReadOnly):
 class ForcingTerm(_ReadOnly):
     """Sum of separable parts, all in the same spatial representation.
 
-    parts with coordinate vectors drive the finite-dimensional solvers
-    through vector(); parts with frequency callables drive the multiplier
-    solvers through hat().  growth, when set, overrides the conservative
-    envelope derived from the profiles.
+    Coordinate vectors drive the finite-dimensional solvers and frequency
+    callables the multiplier solvers, which read f(t) as
+    problem.forcing_values(t).  growth, when set, overrides the
+    conservative envelope derived from the profiles.
     """
 
     def __init__(
@@ -301,30 +299,6 @@ class ForcingTerm(_ReadOnly):
             out = out + g * np.asarray(p.space_vec)
         return out[0] if scalar else out
 
-    def hat(self, t, xi):
-        """Frequency-side value sum_j g_j(t) h_j(xi).
-
-        Scalar t with array xi gives an array over xi; array t with array xi
-        gives the (len(t), len(xi)) tensor.
-        """
-        if self.mode == "vector":
-            raise ValueError("this forcing term has no frequency representation")
-        t_arr = np.asarray(t, dtype=float)
-        xi_arr = np.asarray(xi)
-        if self.is_zero:
-            shape = t_arr.shape + xi_arr.shape[:1] if xi_arr.ndim else t_arr.shape
-            z = np.zeros(shape)
-            return complex(z) if z.ndim == 0 else z
-        acc = None
-        for p in self.parts:
-            g = np.asarray(p.profile(t_arr))
-            h = np.asarray(p.space_hat(xi_arr))
-            term = np.multiply.outer(g, h) if (g.ndim and h.ndim) else g * h
-            acc = term if acc is None else acc + term
-        if acc.ndim == 0:
-            return complex(acc) if np.iscomplexobj(acc) else float(acc)
-        return acc
-
     def gram(self) -> np.ndarray:
         """Euclidean Gram matrix of the coordinate vectors.
 
@@ -376,12 +350,7 @@ class ForcingTerm(_ReadOnly):
             degree = max(degree, d)
             rate = max(rate, r)
         # squared envelope: the amplitude sum squares, exponents double
-        kind = "bounded"
-        if rate > 0.0:
-            kind = "subexponential"
-        elif degree > 0.0:
-            kind = "polynomial"
-        return GrowthClass(kind, degree=2.0 * degree, rate=2.0 * rate, scale=float(scale_amp) ** 2)
+        return GrowthClass(degree=2.0 * degree, rate=2.0 * rate, scale=float(scale_amp) ** 2)
 
 
 # ---- Certification ----

@@ -5,8 +5,8 @@ the package exists to run: shrink the regularization along a ladder and
 watch the selected trajectory approach the first-order flow, and sweep the
 weighted decay profile of a forcing density (the root-estimate audit is
 wie.audit.bound_audit, the divergence demo wie.ode.branch_divergence).
-Results come back as named tuples with as_dict() views so the report
-writer can serialize them without knowing their internals.
+A study comes back as named tuples with as_dict() views so the report
+writer can serialize it without knowing their internals.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ def _check_horizon(horizon: float, time_points: int) -> None:
 class LemmaTechProfile(NamedTuple):
     """G(t) = int_t^T exp(-(s-t)/eps) |g(s)| ds on a dense t grid."""
 
-    eps: float
-    horizon: float
     times: np.ndarray
     values: np.ndarray
 
@@ -56,16 +54,6 @@ class LemmaTechProfile(NamedTuple):
     @property
     def argmax(self) -> float:
         return float(self.times[int(np.argmax(self.values))])
-
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "horizon": self.horizon,
-            "sup": self.sup,
-            "argmax": self.argmax,
-            "times": [float(t) for t in self.times],
-            "values": [float(v) for v in self.values],
-        }
 
 
 def lemma_tech_profile(
@@ -103,7 +91,7 @@ def lemma_tech_profile(
     else:
         raise ValueError(f"the lemma-tech sweep has no closed form for a {density.kind} density")
     values *= abs(density.amplitude)
-    return LemmaTechProfile(eps=float(eps), horizon=float(horizon), times=times, values=values)
+    return LemmaTechProfile(times=times, values=values)
 
 
 # ---- Ladder studies ----
@@ -787,7 +775,7 @@ def _study(problem, ladder, norm, times, spec) -> tuple:
         outcome = sups[i]
         if not isinstance(outcome, Exception):
             try:
-                energy, _crossed, source = m.energy(spec)
+                energy, source = m.energy(spec)
                 # minimizer_hat checks the root bundle at tol 1e-9 and raises on any violation
                 entries[i] = LadderEntry(ladder[i], outcome, energy, 0, energy_source=source)
                 continue

@@ -158,7 +158,7 @@ class SelectedOdeMinimizer(_MappedBack):
         return self.state(t)[1]
 
     def energy(self, spec: QuadratureSpec = DEFAULT_SPEC):
-        """(value, crossed_at, source) of the weighted energy, as SelectedSpectralMinimizer.energy.
+        """(value, source) of the weighted energy, as SelectedSpectralMinimizer.energy.
 
         The basis is orthonormal, so the modal energy is the system's.
         """

@@ -165,7 +165,6 @@ def _halfline_adaptive(phi: Callable, eps: float, spec: QuadratureSpec):
     err = 0.0
     quiet = 0
     k = 0
-    panels_used = 0
     while True:
         if k >= spec.max_panels:
             raise QuadratureFailure(
@@ -177,7 +176,6 @@ def _halfline_adaptive(phi: Callable, eps: float, spec: QuadratureSpec):
         val, e = finite_interval(weighted, float(k), float(k + 1), panel_tol)
         acc = acc + val
         err += e
-        panels_used += 1
         stop_level = max(spec.abs_tol / max(eps, 1e-300), spec.rel_tol * abs(acc)) * 1e-2
         if abs(val) <= stop_level:
             quiet += 1
@@ -265,59 +263,10 @@ def convolution_integral_batch(
     t: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ):
-    """convolution_integral for a whole array of rates at once.
-
-    phi must accept ndarray input.  Panels are refined until the worst rate
-    meets tolerance, so all rates share one set of profile evaluations.
-    """
+    """convolution_integral for each rate of an array, as a complex array of its shape."""
     lam = np.asarray(lam, dtype=float)
-    if t < 0.0:
-        raise ValueError("upper limit must be nonnegative")
-    out = np.zeros(lam.shape, dtype=complex)
-    if t == 0.0:
-        return out
-    if lam.size and float(lam.max()) * t > EXPONENT_CAP:
-        raise ExponentOverflowError("a rate in the batch would overflow exp()")
-
-    x_lo, w_lo = _legendre_rule(7)
-    x_hi, w_hi = _legendre_rule(15)
-
-    def panel(lo: float, hi: float):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u_lo = mid + half * x_lo
-        u_hi = mid + half * x_hi
-        p_lo = np.asarray(phi(t - u_lo))
-        p_hi = np.asarray(phi(t - u_hi))
-        k_lo = np.exp(np.outer(lam, u_lo))
-        k_hi = np.exp(np.outer(lam, u_hi))
-        i_lo = half * (k_lo * (w_lo * p_lo)).sum(axis=1)
-        i_hi = half * (k_hi * (w_hi * p_hi)).sum(axis=1)
-        return i_lo, i_hi
-
-    rough_lo, rough_hi = panel(0.0, t)
-    scale = float(np.abs(rough_hi).max()) if rough_hi.size else 0.0
-    tol = spec.abs_tol + spec.rel_tol * scale
-    stack = [(0.0, float(t), tol, 0)]
-    panels = 0
-    while stack:
-        lo, hi, tl, depth = stack.pop()
-        panels += 1
-        if panels > spec.max_panels:
-            raise QuadratureFailure(
-                "batched convolution exhausted its panel budget",
-                partial=out,
-                error_estimate=float("nan"),
-            )
-        i_lo, i_hi = panel(lo, hi)
-        err = float(np.abs(i_hi - i_lo).max())
-        floor = 1e-15 * (scale + float(np.abs(i_hi).max()))
-        if err <= max(tl, floor) or depth >= 60:
-            out = out + i_hi
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, 0.5 * tl, depth + 1))
-            stack.append((mid, hi, 0.5 * tl, depth + 1))
-    return out
+    vals = [convolution_integral(phi, float(r), t, spec) for r in lam.ravel()]
+    return np.array(vals, dtype=complex).reshape(lam.shape)
 
 
 def laplace_tail_shifted_batch(
@@ -327,20 +276,10 @@ def laplace_tail_shifted_batch(
     spec: QuadratureSpec = DEFAULT_SPEC,
     growth_rate: float = 0.0,
 ):
-    """Shifted tails integral_t0^inf exp(-mu_m*(s-t0)) phi(s) ds per rate.
-
-    Uses the substituted fixed rule; phi must accept ndarray input and decay
-    (or grow slower than every mu_m, as declared).
-    """
+    """laplace_tail_shifted for each rate of an array, as an array of its shape."""
     mu = np.asarray(mu, dtype=float)
-    if mu.size and float(mu.min()) <= growth_rate:
-        raise DivergenceError("a tail rate in the batch sits below the declared growth")
-    tau, w = _laguerre_rule(spec.nodes)
-    grid = t0 + tau[None, :] / mu[:, None]
-    vals = np.asarray(phi(grid))
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand returned a non-finite value")
-    return (vals * w[None, :]).sum(axis=1) / mu
+    vals = [laplace_tail_shifted(phi, float(m), t0, spec, growth_rate) for m in mu.ravel()]
+    return np.array(vals).reshape(mu.shape)
 
 
 def poincare_sides(

@@ -67,9 +67,14 @@ class FrequencyGrid(_ReadOnly):
         weights: np.ndarray,
         n: Optional[int] = None,
         dx: Optional[float] = None,
-        x: Optional[np.ndarray] = None,
+        x0: Optional[float] = None,
     ):
-        vars(self).update(kind=kind, nodes=nodes, weights=weights, n=n, dx=dx, x=x)
+        vars(self).update(kind=kind, nodes=nodes, weights=weights, n=n, dx=dx, x0=x0)
+
+    @property
+    def x(self) -> Optional[np.ndarray]:
+        """The physical points x0 + dx*k, formed on each read; None on an explicit grid."""
+        return None if self.x0 is None else self.x0 + self.dx * np.arange(self.n)
 
     @classmethod
     def uniform_fft(cls, n: int, dx: float, x0: Optional[float] = None):
@@ -88,7 +93,7 @@ class FrequencyGrid(_ReadOnly):
             weights=np.full(n, dxi),
             n=n,
             dx=float(dx),
-            x=x0 + dx * np.arange(n),
+            x0=x0 + 0.0,  # a -0.0 origin reads 0.0, as the first entry of x does
         )
 
     @classmethod
@@ -109,14 +114,14 @@ class FrequencyGrid(_ReadOnly):
         """Inverse transform onto the physical grid x; complex output."""
         self._require_fft()
         u_hat = np.asarray(u_hat, dtype=complex)
-        phased = u_hat * np.exp(1j * self.nodes * self.x[0])
+        phased = u_hat * np.exp(1j * self.nodes * self.x0)
         return (math.sqrt(_TWO_PI) / self.dx) * np.fft.ifft(phased)
 
     def from_physical(self, u) -> np.ndarray:
         self._require_fft()
         u = np.asarray(u, dtype=complex)
         return (self.dx / math.sqrt(_TWO_PI)) * np.fft.fft(u) * np.exp(
-            -1j * self.nodes * self.x[0]
+            -1j * self.nodes * self.x0
         )
 
     def conjugate_symmetry_residual(self, u_hat) -> float:
@@ -304,23 +309,14 @@ def _root_checks(rd: RootData, tol: float = 1e-9) -> dict:
     return checks
 
 
-def root_data(
-    symbol_values,
-    eps: float,
-    lower_bound: Optional[float] = None,
-    check: bool = True,
-) -> RootData:
+def root_data(symbol_values, eps: float, check: bool = True) -> RootData:
     disc = admissible_discriminant(symbol_values, eps)
     ell = np.atleast_1d(np.asarray(symbol_values, dtype=float))
-    if lower_bound is None:
-        lower_bound = min(0.0, float(ell.min()))
-    elif lower_bound > 0.0:
-        raise ValueError("lower_bound is capped at zero by convention")
     z = np.sqrt(disc)
     rd = RootData(
         eps=float(eps),
         symbol_values=ell,
-        lower_bound=float(lower_bound),
+        lower_bound=min(0.0, float(ell.min())),
         disc_sqrt=z,
         slow=-2.0 * ell / (1.0 + z),
         fast=(1.0 + z) / (2.0 * eps),
@@ -493,14 +489,12 @@ class SelectedSpectralMinimizer:
         return self.state(t)[1]
 
     def energy(self, spec: QuadratureSpec = DEFAULT_SPEC):
-        """(value, crossed_at, source) of the weighted energy.
+        """(value, source) of the weighted energy.
 
         Unforced, constant and exponential forcing give every node a closed
-        form (source "exact").  When that diverges the value is +inf and
-        crossed_at is where the weighted integrand first passed the ceiling
-        at the Gauss-Laguerre nodes of spec, None if it never did there.
-        Power and sampled parts, or a closed form that is not finite, take
-        energy_spectral at those nodes (source "gauss_laguerre").
+        form (source "exact"), +inf where it diverges.  Power and sampled
+        parts, or a closed form that is not finite, take energy_spectral at
+        the Gauss-Laguerre nodes of spec (source "gauss_laguerre").
         """
         p = self.problem
         form = _exponential_form([profile for profile, _H in p.forcing_parts])
@@ -512,12 +506,9 @@ class SelectedSpectralMinimizer:
                 p.symbol_values, self._nodes(self.roots.slow), p.weights, p.initial_hat,
                 amplitudes, rates, self.eps,
             )
-            if value == math.inf:
-                return value, energy_spectral(self.state, p, self.eps, spec)[1], "exact"
             if value is not None:
-                return value, None, "exact"
-        value, crossed = energy_spectral(self.state, p, self.eps, spec)
-        return value, crossed, "gauss_laguerre"
+                return value, "exact"
+        return energy_spectral(self.state, p, self.eps, spec), "gauss_laguerre"
 
     __call__ = value
 
@@ -640,7 +631,7 @@ def energy_spectral(
     integral exp(-t/eps) [ (eps/2)||u'||^2 + (1/2)<symbol u, u> - Re<f, u> ]
     over the half line, at the substituted Gauss-Laguerre nodes.  state(t)
     gives the trajectory and its derivative as one (value, derivative)
-    pair.  Returns (value, crossed_at) like the finite-dimensional energy.
+    pair.  +inf once the weighted integrand at a node passes the ceiling.
     """
     from .quadrature import _laguerre_rule  # the fallback of the closed forms
     w = problem.weights
@@ -656,9 +647,9 @@ def energy_spectral(
             f = problem.forcing_values(t)
             quad = quad - float(np.real(np.sum(w * f * np.conj(u))))
         if not math.isfinite(quad) or abs(quad) * math.exp(-float(tk)) > ENERGY_CEILING:
-            return math.inf, t
+            return math.inf
         vals[k] = quad
-    return eps * float((gl_w * vals).sum()), None
+    return eps * float((gl_w * vals).sum())
 
 
 def apriori_bound(
@@ -730,7 +721,7 @@ class SpectralField(NamedTuple):
         """
         g = self.grid
         if g.kind == "uniform_fft":
-            grid = {"kind": g.kind, "n": g.n, "dx": g.dx, "x0": float(g.x[0])}
+            grid = {"kind": g.kind, "n": g.n, "dx": g.dx, "x0": float(g.x0)}
         else:
             grid = {"kind": g.kind, "nodes": g.nodes.tolist(), "weights": g.weights.tolist()}
         return {

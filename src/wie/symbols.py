@@ -13,7 +13,7 @@ frequency that matters.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,11 +26,9 @@ __all__ = [
     "zeroth_order",
     "custom",
     "from_table",
-    "build_symbol",
     "EpsilonPolicy",
     "AdmissibilityError",
     "admissible_discriminant",
-    "audit_lower_bound",
 ]
 
 
@@ -45,15 +43,15 @@ def _normalize_points(xi):
 
 
 class MultiplierSymbol(_ReadOnly):
-    """A real one-dimensional frequency multiplier with its bookkeeping.
+    """A real one-dimensional frequency multiplier and its name.
 
     func receives an (M,) batch of frequencies and must return (M,) real
     values.  Calling the symbol accepts a scalar or a batch and mirrors the
-    input arity back.  params defaults to a new empty dict.
+    input arity back.
     """
 
-    def __init__(self, name: str, func: Callable, params: Optional[dict] = None):
-        vars(self).update(name=name, func=func, params={} if params is None else params)
+    def __init__(self, name: str, func: Callable):
+        vars(self).update(name=name, func=func)
 
     def __call__(self, xi):
         pts, scalar = _normalize_points(xi)
@@ -76,7 +74,7 @@ def fractional(s: float) -> MultiplierSymbol:
     """(|xi|^2)^s for an order s strictly between 0 and 1."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {s}")
-    return MultiplierSymbol("fractional", lambda p: (p * p) ** s, params={"order": s})
+    return MultiplierSymbol("fractional", lambda p: (p * p) ** s)
 
 
 def zeroth_order(mass: float, kernel_hat: Callable) -> MultiplierSymbol:
@@ -86,7 +84,7 @@ def zeroth_order(mass: float, kernel_hat: Callable) -> MultiplierSymbol:
     so truncated or unnormalized kernels are representable as-is.
     """
     f = lambda p: mass - np.asarray(kernel_hat(p), dtype=float)
-    return MultiplierSymbol("zeroth_order", f, params={"mass": mass})
+    return MultiplierSymbol("zeroth_order", f)
 
 
 def custom(fn: Callable, name: str = "custom") -> MultiplierSymbol:
@@ -108,27 +106,7 @@ def from_table(xi_points, values, name: str = "table") -> MultiplierSymbol:
     x, v = x[order], v[order]
     if np.any(np.diff(x) == 0.0):
         raise ValueError("table points must be distinct")
-    return MultiplierSymbol(name, lambda p: np.interp(p, x, v), params={"samples": x.size})
-
-
-_BUILDERS = {
-    "classical": lambda p: classical(),
-    "fractional": lambda p: fractional(p["order"]),
-    "zeroth_order": lambda p: zeroth_order(p["mass"], p["kernel_hat"]),
-    "custom": lambda p: custom(p["fn"], name=p.get("name", "custom")),
-    "table": lambda p: from_table(p["xi_points"], p["values"], name=p.get("name", "table")),
-}
-
-
-def build_symbol(kind: str, **params) -> MultiplierSymbol:
-    """Factory dispatch on the symbol kind; see the named constructors."""
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown symbol kind {kind!r}; expected one of {sorted(_BUILDERS)}"
-        ) from None
-    return builder(params)
+    return MultiplierSymbol(name, lambda p: np.interp(p, x, v))
 
 
 class EpsilonPolicy(_ReadOnly):
@@ -148,9 +126,9 @@ class EpsilonPolicy(_ReadOnly):
             raise ValueError("margin must be nonnegative")
         vars(self).update(safety=safety, zero_bound_cap=zero_bound_cap, margin=margin)
 
-    def lower_bound(self, symbol: MultiplierSymbol, grid) -> float:
-        vals = symbol(np.asarray(grid, dtype=float))
-        return min(0.0, float(np.min(vals)) - self.margin)
+    def lower_bound(self, values) -> float:
+        """The lowest of the symbol values (or eigenvalues) less margin, capped at zero."""
+        return min(0.0, float(np.min(values)) - self.margin)
 
     def epsilon_threshold(self, bound: float) -> float:
         """Largest admissible regularization for a symbol bounded below by `bound`.
@@ -163,9 +141,6 @@ class EpsilonPolicy(_ReadOnly):
         if bound == 0.0:
             return self.zero_bound_cap
         return self.safety / (8.0 * abs(bound))
-
-    def threshold_for(self, symbol: MultiplierSymbol, grid) -> float:
-        return self.epsilon_threshold(self.lower_bound(symbol, grid))
 
 
 class AdmissibilityError(ValueError):
@@ -191,14 +166,3 @@ def admissible_discriminant(values, eps: float) -> np.ndarray:
             "lower eps"
         )
     return disc
-
-
-def audit_lower_bound(symbol: MultiplierSymbol, grid, bound: float):
-    """Count grid nodes where the symbol dips below the claimed bound.
-
-    Returns (violations, worst_value); violations are data for the caller
-    to report, not an error.
-    """
-    vals = symbol(np.asarray(grid, dtype=float))
-    below = vals < bound
-    return int(np.count_nonzero(below)), float(np.min(vals))

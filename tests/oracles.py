@@ -296,7 +296,8 @@ def energy_physical(state, problem, eps, spec=DEFAULT_SPEC, ceiling=ENERGY_CEILI
     generator is applied spectrally and transported too, and all three
     quadratic terms are dx-sums.  Agreement with energy_spectral is a
     transform-consistency check, so this routine deliberately shares no
-    norm code with it.
+    norm code with it.  +inf, as there, once the weighted integrand passes
+    ceiling.
     """
     grid = problem.grid
     grid._require_fft()
@@ -317,9 +318,9 @@ def energy_physical(state, problem, eps, spec=DEFAULT_SPEC, ceiling=ENERGY_CEILI
             - dx * float(np.real(np.sum(f_phys * np.conj(u))))
         )
         if not math.isfinite(quad) or abs(quad) * math.exp(-float(tk)) > ceiling:
-            return math.inf, t
+            return math.inf
         vals[k] = quad
-    return eps * float((gl_w * vals).sum()), None
+    return eps * float((gl_w * vals).sum())
 
 
 def el_residual(minimizer, problem, t: float, h: float = 1e-3):

@@ -83,24 +83,9 @@ class TestForcingTerm:
         np.testing.assert_allclose(out, [[2.0, 3.0]] * 3)
 
     def test_wrong_representation_raises(self):
-        vec = ForcingTerm.from_vectors([(constant_profile(1.0), (1.0,))])
-        with pytest.raises(ValueError):
-            vec.hat(0.0, np.array([1.0]))
         spec = ForcingTerm.from_multipliers([(constant_profile(1.0), lambda xi: xi)])
         with pytest.raises(ValueError):
             spec.vector(0.0)
-
-    def test_hat_outer_product_shapes(self):
-        f = ForcingTerm.from_multipliers(
-            [(exponential_profile(1.0, -1.0), lambda xi: np.asarray(xi) ** 2)]
-        )
-        xi = np.array([1.0, 2.0, 3.0])
-        one_t = f.hat(0.0, xi)
-        assert one_t.shape == (3,)
-        np.testing.assert_allclose(one_t, xi**2)
-        many_t = f.hat(np.array([0.0, 1.0]), xi)
-        assert many_t.shape == (2, 3)
-        np.testing.assert_allclose(many_t[1], math.exp(-1.0) * xi**2)
 
     def test_gram_euclidean(self):
         f = ForcingTerm.from_vectors(

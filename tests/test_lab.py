@@ -126,12 +126,6 @@ class TestLemmaSweep:
         bound = DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * np.abs(exact)
         assert np.all(np.abs(profile.values - exact) <= bound)
 
-    def test_as_dict_shape(self):
-        profile = lemma_tech_profile(TimeProfile("constant"), 0.1, 1.0, time_points=11)
-        d = profile.as_dict()
-        assert set(d) == {"eps", "horizon", "sup", "argmax", "times", "values"}
-        assert len(d["times"]) == len(d["values"]) == 11
-
     def test_validation(self):
         with pytest.raises(ValueError, match="horizon"):
             lemma_tech_profile(TimeProfile("constant"), 0.1, 0.0)
@@ -469,7 +463,7 @@ class TestSpectralStudy:
         report = convergence_study(prob, [1e-1, 1e-2], 1.0)
         for entry in report.entries:
             assert entry.energy_source == "gauss_laguerre"
-            want, _ = energy_spectral(minimizer_hat(prob, entry.eps).state, prob, entry.eps)
+            want = energy_spectral(minimizer_hat(prob, entry.eps).state, prob, entry.eps)
             assert entry.energy == want
 
 

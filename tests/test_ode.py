@@ -232,7 +232,7 @@ class TestSelectedMinimizer:
         prob = _problem(A, y0)
         eps = 0.1
         m = selected_minimizer(prob, eps)
-        e_min, _, source = m.energy()
+        e_min, source = m.energy()
         assert source == "exact"
         flow = exact_solution(prob)
         e_flow, _ = energy_ode(flow.state, A, prob.forcing, eps)
@@ -298,9 +298,9 @@ class TestExactEnergy:
         prob = _problem(A, rng.uniform(-1.0, 1.0, 4), forcing)
         for eps in (0.1, 0.01, 0.001):
             m = selected_minimizer(prob, eps)
-            value, crossed, source = m.energy()
+            value, source = m.energy()
             gl, _ = energy_ode(m.state, A, forcing, eps)
-            assert (crossed, source) == (None, "exact")
+            assert source == "exact"
             assert abs(value - gl) <= DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * abs(gl)
 
     def test_power_part_takes_gauss_laguerre(self):
@@ -308,10 +308,10 @@ class TestExactEnergy:
         A = random_symmetric(rng, 3)
         forcing = ForcingTerm.from_vectors([(power_profile(0.5, 2.0), (1.0, 0.0, -0.5))])
         m = selected_minimizer(_problem(A, rng.uniform(-1.0, 1.0, 3), forcing), 0.05)
-        value, crossed, source = m.energy()
+        value, source = m.energy()
         assert source == "gauss_laguerre"
         # the fallback is the spectral path's, on the problem itself
-        assert (value, crossed) == energy_spectral(m._solver.state, m.problem, 0.05)
+        assert value == energy_spectral(m._solver.state, m.problem, 0.05)
 
 
     @pytest.mark.parametrize("crosses", [False, True], ids=["at_edge", "past_edge"])
@@ -323,7 +323,7 @@ class TestExactEnergy:
         m = selected_minimizer(_problem(A, [1.0], forcing), eps)
         gl, gl_crossed = energy_ode(m.state, A, forcing, eps)
         assert (gl == math.inf) == crosses == (gl_crossed is not None)
-        assert m.energy() == (math.inf, gl_crossed, "exact")
+        assert m.energy() == (math.inf, "exact")
 
 
 class TestOneModalCore:
@@ -352,8 +352,8 @@ class TestOneModalCore:
                 np.testing.assert_array_equal(m.value(t), ref.value(t).real)
             # the closed form divides the amplitudes by real denominators; complex spectral data
             # divide by multiplying with the reciprocal, so the energies may part in the last bits
-            (value, crossed, source), (want, *rest) = m.energy(), ref.energy()
-            assert [crossed, source] == rest == [None, "exact"]
+            (value, source), (want, ref_source) = m.energy(), ref.energy()
+            assert source == ref_source == "exact"
             assert value == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import el_residual, energy_physical, real_field
-from wie import symbols
+from wie import spectral, symbols
 from wie.forcing import (
     ForcingTerm,
     _exponential_form,
@@ -75,6 +75,18 @@ class TestFrequencyGrid:
         # default spatial window is centered at the origin
         np.testing.assert_allclose(g.x, -2.0 + 0.5 * np.arange(8))
 
+    @pytest.mark.parametrize(
+        "n, dx, x0", [(8, 0.5, None), (7, 0.3, -0.0), (16, 0.125, 0.0), (5, 0.1, 1.7), (9, 0.25, -3)]
+    )
+    def test_x_is_formed_from_x0_bit_for_bit(self, n, dx, x0):
+        # the grid keeps x0 alone; x and the meta's origin read as when x was stored,
+        # so a -0.0 origin prints as 0.0, the first entry of x0 + dx*arange(n)
+        g = FrequencyGrid.uniform_fft(n, dx, x0)
+        stored = (-0.5 * n * dx if x0 is None else x0) + dx * np.arange(n)
+        assert g.x.tobytes() == stored.tobytes()
+        meta = SpectralField(np.zeros(1), g, None).meta()["frequency_grid"]
+        assert repr(meta["x0"]) == repr(float(stored[0]))
+
     def test_plancherel_is_discrete_exact(self):
         g = _grid()
         rng = np.random.default_rng(7)
@@ -136,8 +148,6 @@ class TestRootData:
     def test_refuses_bad_scalars(self):
         with pytest.raises(ValueError, match="positive"):
             root_data(np.array([1.0]), 0.0)
-        with pytest.raises(ValueError, match="capped at zero"):
-            root_data(np.array([1.0]), 0.1, lower_bound=0.5)
 
     def test_margin_bundle_keys_and_signs(self):
         g = _grid()
@@ -275,9 +285,9 @@ class TestSelectedMinimizer:
         for eps in (0.1, 0.02):
             m = minimizer_hat(prob, eps)
             flow = semigroup_solution(prob)
-            j_min, crossed = energy_spectral(m.state, prob, eps)
-            j_flow, _ = energy_spectral(flow.state, prob, eps)
-            assert crossed is None
+            j_min = energy_spectral(m.state, prob, eps)
+            j_flow = energy_spectral(flow.state, prob, eps)
+            assert math.isfinite(j_min)
             assert j_min <= j_flow + 1e-12
 
     def test_gap_to_semigroup_shrinks_with_eps(self):
@@ -323,8 +333,7 @@ class TestStreaming:
         monkeypatch.setattr(
             SelectedSpectralMinimizer, "_parts", lambda self, t: times.append(t) or parts(self, t)
         )
-        value, crossed = energy(m.state, prob, 0.1)
-        assert crossed is None and math.isfinite(value)
+        assert math.isfinite(energy(m.state, prob, 0.1))
         assert len(times) == len(set(times)) == DEFAULT_SPEC.nodes
 
     def test_state_pairs_value_and_derivative(self):
@@ -466,7 +475,7 @@ class TestDistinctRoots:
             assert m.value(float(t)).tobytes() == value.tobytes()
             for got, want in zip(m.state(float(t)), state):
                 assert got.tobytes() == want.tobytes()
-        got_energy, _crossed, source = m.energy()
+        got_energy, source = m.energy()
         assert source == "exact"
         assert repr(got_energy) == repr(energy)
 
@@ -640,8 +649,8 @@ class TestExactEnergy:
         parts = [(exponential_profile(1.0, rate), h1), (exponential_profile(0.5, second_rate), h2)]
         prob = _one_node_problem(ell, c0, parts)
         m = minimizer_hat(prob, eps)
-        value, crossed, source = m.energy()
-        assert (crossed, source) == (None, "exact")
+        value, source = m.energy()
+        assert source == "exact"
         want, err, scale = _quad_energy(m, prob, eps)
         assert abs(value - want) <= 1e-10 * scale + 2.0 * err + 1e-15
 
@@ -651,9 +660,9 @@ class TestExactEnergy:
         slow = float(root_data([ell], eps).slow[0])
         prob = _one_node_problem(ell, 1.0 - 0.5j, [(exponential_profile(1.0, slow), 0.3 + 1.0j)])
         m = minimizer_hat(prob, eps)
-        value, crossed, source = m.energy()
+        value, source = m.energy()
         want, err, scale = _quad_energy(m, prob, eps)
-        assert (crossed, source) == (None, "exact")
+        assert source == "exact"
         assert abs(value - want) <= 1e-12 * scale + 2.0 * err
 
     def test_matches_gauss_laguerre_within_contract(self):
@@ -666,8 +675,8 @@ class TestExactEnergy:
         prob = _gaussian_problem(_grid(), symbol=symbols.fractional(0.5), forcing=forcing)
         for eps in (1e-1, 1e-2, 1e-3):
             m = minimizer_hat(prob, eps)
-            value, _, source = m.energy()
-            gl, _ = energy_spectral(m.state, prob, eps)
+            value, source = m.energy()
+            gl = energy_spectral(m.state, prob, eps)
             assert source == "exact"
             assert abs(value - gl) <= DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * abs(gl)
 
@@ -681,19 +690,27 @@ class TestExactEnergy:
             _grid(), forcing=ForcingTerm.from_multipliers([(profile, lambda xi: np.exp(-(xi**2)))])
         )
         m = minimizer_hat(prob, 0.05)
-        value, crossed, source = m.energy()
+        value, source = m.energy()
         assert source == "gauss_laguerre"
-        assert (value, crossed) == energy_spectral(m.state, prob, 0.05)
+        assert value == energy_spectral(m.state, prob, 0.05)
 
-    def test_divergent_closed_form_is_inf_and_reports_crossing(self):
+    def test_divergent_closed_form_is_inf_and_runs_no_fallback(self, monkeypatch):
         # a forcing rate past 1/(2 eps), still below the fast root, makes the energy diverge
         eps = 0.1
         rate = 0.9 * float(root_data([1.0], eps).fast[0])
         prob = _one_node_problem(1.0, 1.0, [(exponential_profile(1.0, rate), 1.0)])
         m = minimizer_hat(prob, eps)
-        value, crossed, source = m.energy()
-        assert (value, crossed) == energy_spectral(m.state, prob, eps)
-        assert value == math.inf and crossed is not None and source == "exact"
+        calls = []
+        monkeypatch.setattr(
+            spectral, "energy_spectral", lambda *a: calls.append(a) or energy_spectral(*a)
+        )
+        assert m.energy() == (math.inf, "exact")
+        assert calls == []
+        # the spy does see a fallback: a power part takes Gauss-Laguerre
+        power = _one_node_problem(1.0, 1.0, [(power_profile(1.0, 1.0), 1.0)])
+        assert minimizer_hat(power, eps).energy()[1] == "gauss_laguerre" and len(calls) == 1
+        # and the Gauss-Laguerre route alone crosses the ceiling on the divergent problem
+        assert energy_spectral(m.state, prob, eps) == math.inf
 
     def test_divergence_the_nodes_miss_is_still_inf(self):
         # at rate 1/(2 eps) the weighted integrand stays bounded at every node, so the
@@ -701,9 +718,8 @@ class TestExactEnergy:
         eps = 0.1
         prob = _one_node_problem(1.0, 1.0, [(exponential_profile(1.0, 5.0), 1.0)])
         m = minimizer_hat(prob, eps)
-        gl, gl_crossed = energy_spectral(m.state, prob, eps)
-        assert math.isfinite(gl) and gl_crossed is None
-        assert m.energy() == (math.inf, None, "exact")
+        assert math.isfinite(energy_spectral(m.state, prob, eps))
+        assert m.energy() == (math.inf, "exact")
 
     def test_parts_cancelling_past_the_edge_are_dropped(self):
         eps = 0.1
@@ -712,7 +728,7 @@ class TestExactEnergy:
         with_parts = minimizer_hat(_one_node_problem(1.0, 1.0, [tame, *cancelling]), eps)
         without = minimizer_hat(_one_node_problem(1.0, 1.0, [tame]), eps)
         assert with_parts.energy() == without.energy()
-        assert without.energy()[2] == "exact"
+        assert without.energy()[1] == "exact"
 
 
 class TestNormsAndBounds:
@@ -730,8 +746,8 @@ class TestNormsAndBounds:
         prob = _gaussian_problem(g, forcing=fc)
         eps = 0.05
         m = minimizer_hat(prob, eps)
-        j_spec, _ = energy_spectral(m.state, prob, eps)
-        j_phys, _ = energy_physical(m.state, prob, eps)
+        j_spec = energy_spectral(m.state, prob, eps)
+        j_phys = energy_physical(m.state, prob, eps)
         assert j_phys == pytest.approx(j_spec, rel=1e-10)
 
     def test_apriori_bound_values(self):

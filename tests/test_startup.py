@@ -89,10 +89,10 @@ def test_no_run_imports_logging_dataclasses_copy_or_heapq(tmp_path, case):
 # adaptive fallbacks (wie.quadrature); with at most this many tokens compiled in all
 EVERY_RUN = {"wie", "wie.cli", "wie.config", "wie.contract", "wie.forcing", "wie.lab", "wie.spectral", "wie.symbols"}
 RUNS = {
-    "spectral_unforced_field": (set(), 24_500),
-    "spectral_forced_small": ({"wie.kernels"}, 27_500),
-    "ode_forced_small": ({"wie.kernels", "wie.ode"}, 30_000),
-    "lemma_power_small": ({"wie.kummer"}, 26_500),
+    "spectral_unforced_field": (set(), 23_700),
+    "spectral_forced_small": ({"wie.kernels"}, 26_600),
+    "ode_forced_small": ({"wie.kernels", "wie.ode"}, 28_600),
+    "lemma_power_small": ({"wie.kummer"}, 25_500),
 }
 
 
@@ -172,9 +172,7 @@ VALUE_TYPES = {
             (lambda: ForcingTerm((_VEC,), dim=3), "declared dim 3 but parts have length 2"),
         ],
     ),
-    MultiplierSymbol: _Case(
-        ("name", "func", "params"), ("square", np.square, {"p": 2}), {"params": {}}, []
-    ),
+    MultiplierSymbol: _Case(("name", "func"), ("square", np.square), {}, []),
     EpsilonPolicy: _Case(
         ("safety", "zero_bound_cap", "margin"),
         (0.5, 0.25, 0.1),
@@ -187,9 +185,9 @@ VALUE_TYPES = {
         ],
     ),
     FrequencyGrid: _Case(
-        ("kind", "nodes", "weights", "n", "dx", "x"),
-        ("uniform_fft", _NODES, np.ones(3), 3, 0.5, _NODES / 2),
-        {"n": None, "dx": None, "x": None},
+        ("kind", "nodes", "weights", "n", "dx", "x0"),
+        ("uniform_fft", _NODES, np.ones(3), 3, 0.5, -0.75),
+        {"n": None, "dx": None, "x0": None},
         [
             (lambda: FrequencyGrid.uniform_fft(1, 0.5), "need n >= 2 samples and a positive"),
             (lambda: FrequencyGrid.uniform_fft(8, 0.0), "need n >= 2 samples and a positive"),

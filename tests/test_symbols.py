@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from wie.symbols import (
     EpsilonPolicy,
-    audit_lower_bound,
-    build_symbol,
     classical,
     custom,
     fractional,
@@ -65,13 +63,6 @@ class TestFactories:
         assert sym.name == "shifted"
         assert sym(-3.0) == pytest.approx(4.0)
 
-    def test_build_symbol_dispatch(self):
-        assert build_symbol("classical")(2.0) == 4.0
-        assert build_symbol("fractional", order=0.5)(4.0) == pytest.approx(4.0)
-        assert build_symbol("fractional", order=0.25)(4.0) == pytest.approx(2.0)
-        with pytest.raises(ValueError, match="unknown symbol kind"):
-            build_symbol("nope")
-
 
 class TestEpsilonPolicy:
     def test_negative_bound_threshold(self):
@@ -90,18 +81,19 @@ class TestEpsilonPolicy:
 
     def test_lower_bound_caps_at_zero(self):
         grid = np.linspace(-5.0, 5.0, 101)
-        assert EpsilonPolicy().lower_bound(classical(), grid) == 0.0
+        assert EpsilonPolicy().lower_bound(classical()(grid)) == 0.0
 
     def test_margin_shifts_bound(self):
         grid = np.linspace(-5.0, 5.0, 101)
         pol = EpsilonPolicy(margin=0.25)
-        assert pol.lower_bound(classical(), grid) == pytest.approx(-0.25)
+        assert pol.lower_bound(classical()(grid)) == pytest.approx(-0.25)
 
     def test_threshold_for_negative_symbol(self):
         kernel = lambda xi: 2.0 * np.exp(-0.5 * np.asarray(xi) ** 2)
         sym = zeroth_order(1.0, kernel)          # dips to -1 at the origin
         grid = np.linspace(-10.0, 10.0, 201)
-        assert EpsilonPolicy().threshold_for(sym, grid) == pytest.approx(0.125)
+        pol = EpsilonPolicy()
+        assert pol.epsilon_threshold(pol.lower_bound(sym(grid))) == pytest.approx(0.125)
 
     @given(bound=st.floats(-50.0, -0.01))
     @settings(deadline=None, max_examples=60)
@@ -109,17 +101,3 @@ class TestEpsilonPolicy:
         eps = EpsilonPolicy().epsilon_threshold(bound)
         assert 1.0 + 4.0 * eps * bound >= 0.5 - 1e-12
 
-
-class TestAuditLowerBound:
-    def test_counts_dips(self):
-        sym = from_table([-1.0, 0.0, 1.0], [0.5, -0.2, 0.5])
-        grid = np.linspace(-1.0, 1.0, 21)
-        violations, worst = audit_lower_bound(sym, grid, 0.0)
-        assert violations > 0
-        assert worst == pytest.approx(-0.2)
-
-    def test_clean_for_true_bound(self):
-        grid = np.linspace(-3.0, 3.0, 61)
-        violations, worst = audit_lower_bound(classical(), grid, 0.0)
-        assert violations == 0
-        assert worst >= 0.0

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import SCHEMA, ConfigError, ExperimentConfig, parse_config
-from .contract import QuadratureError, QuadratureFailure
+from .contract import ExponentOverflowError, QuadratureError, QuadratureFailure
 from .forcing import TransformabilityError, certify_transformable
 from .lab import convergence_study, lemma_tech_profile
 from .spectral import SpectralField, minimizer_hat
@@ -246,6 +246,11 @@ def _run_branch(cfg: ExperimentConfig):
             {"verdict": "quadrature contract missed", "epsilon": cfg.epsilon, "detail": str(exc)}
         )
         return outcome
+    except ExponentOverflowError as exc:
+        outcome.failures.append(
+            {"verdict": "exponent cap passed", "epsilon": cfg.epsilon, "detail": str(exc)}
+        )
+        return outcome
     mu = cfg.problem.eigen.values[cfg.direction]
     z = math.sqrt(float(admissible_discriminant(mu, cfg.epsilon)[0]))
     outcome.results["branch"] = res.as_dict()
@@ -276,13 +281,21 @@ def _write_field(cfg: ExperimentConfig, out_dir: Path, m=None) -> list:
 
     Each time is sampled as a one-row field and written before the next,
     so the dump holds one row of the field, whatever the number of times.
+    A time past the exponent cap raises ExponentOverflowError naming it,
+    and leaves no field file.
     """
     eps = cfg.epsilon_ladder[-1]
     grid = cfg.problem.grid
     m = minimizer_hat(cfg.problem, eps) if m is None else m
     times = np.asarray(cfg.field_times or np.linspace(0.0, cfg.horizon, 9), dtype=float)
-    rows = (SpectralField.sample(m, grid, [t]).to_bytes() for t in times)
-    _atomic_write(out_dir / FIELD_NAME, rows)
+
+    def row(t):
+        try:
+            return SpectralField.sample(m, grid, [t]).to_bytes()
+        except ExponentOverflowError as exc:
+            raise ExponentOverflowError(f"field dump at eps={eps:g}, t={t:g}: {exc}") from exc
+
+    _atomic_write(out_dir / FIELD_NAME, map(row, times))
     meta = SpectralField(times, grid, None).meta()
     meta["epsilon"] = eps
     _atomic_write(out_dir / FIELD_META_NAME, [_dump_json(meta)])
@@ -318,7 +331,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=".", log_level: int = _LOG_LEV
 
     written = [REPORT_NAME, SUMMARY_NAME]
     if cfg.mode == "spectral" and cfg.write_field and not failures:
-        written += _write_field(cfg, out, outcome.rung)
+        try:
+            written += _write_field(cfg, out, outcome.rung)
+        except ExponentOverflowError as exc:
+            failures.append({"verdict": "field dump failed", "detail": str(exc)})
 
     report = {
         "schema_version": 1,

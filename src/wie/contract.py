@@ -41,12 +41,14 @@ class ExponentOverflowError(QuadratureError):
     """An exponent exceeded the overflow cap; work in log space instead."""
 
 
+# the message of every refusal past the cap
+_PAST_CAP = "a mode grows past exp(700) at the requested time; shorten the horizon"
+
+
 def _refuse_past_cap(exponent: float) -> None:
     """Raise ExponentOverflowError when the largest exponent of a kernel passes the cap."""
     if exponent > EXPONENT_CAP:
-        raise ExponentOverflowError(
-            "a mode grows past exp(700) at the requested time; shorten the horizon"
-        )
+        raise ExponentOverflowError(_PAST_CAP)
 
 
 def _exp_guarded(exponent, largest: Optional[float] = None) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .contract import _refuse_past_cap
-from .forcing import _BATCH_VALUES, _refuse_slow_tail
+from .forcing import _BATCH_VALUES
 
 
 _SERIES_RADIUS = 0.5
@@ -272,8 +272,7 @@ class _ExponentialGap:
     D the first divided difference of x -> exp(x t) and the last term
     A delta E[-ell, s, r] (_ExpSecondDifference).  Both are O(eps)
     with no cancellation.  Everything independent of t is built here, one
-    row per rung; a rung refuses a tail rate f at or below the growth rate
-    as shifted_tail(f, 0) did.
+    row per rung.
 
     On a stack that bisects under the second-order bound (lab._SpectralGap.sweep)
     it also gives |c M_b|, c the norm of the part's column of R and M_b the
@@ -292,7 +291,6 @@ class _ExponentialGap:
         self.kappa = np.empty(delta.shape)
         for row, m in zip(self.kappa[0], stack.rungs):
             r = m.roots
-            _refuse_slow_tail(r.fast, max(m.growth_rate, rate))
             np.divide(amplitude * (r.slow[: ell.size] + rate), r.fast[: ell.size] - rate, out=row)
         # s - r = delta - (ell + r), which keeps the digits of a small delta
         self.first = _ExpDifference(stack.slow_max, rate, gap=np.subtract(delta, ell + rate))

@@ -16,7 +16,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .contract import DEFAULT_SPEC, EXPONENT_CAP, ExponentOverflowError, QuadratureSpec, _exp_guarded, _refuse_past_cap
+from .contract import DEFAULT_SPEC, EXPONENT_CAP, _PAST_CAP, ExponentOverflowError, QuadratureSpec
+from .contract import _exp_guarded, _refuse_past_cap
 from .forcing import TimeProfile, _BATCH_VALUES, _exponential_form
 from .spectral import SpectralProblem, minimizer_hat
 
@@ -459,88 +460,89 @@ class _SpectralGap:
         a sum over the kept values alone moved 443 of spectral-wide's.
         Exempt: a grid in one block, a power or sampled part, best = 0.
 
-        A stack that refuses when built is taken apart: each rung is built
-        alone; a refusal there is that rung's failure, and the others are
-        stacked again.  A block that refuses runs again one time at a time,
-        and a stack that refuses at one time t is taken apart in the same
-        way, each rung evaluated at t alone; the survivors go on with the
-        times and intervals the stack still had open.  Every refusal of a
-        stack that bisects or of the flow passes the exponent cap: it starts
-        at some time and holds at every later one, with one message, so
-        evaluating the last time first fails the rungs the full walk fails,
-        with the same text.
+        A rung whose largest exponent on [0, T], max(s_max, r_max) T with
+        r_max the largest rate of the constant and exponential parts, passes
+        the exponent cap is refused, with the cap's message, before any stack
+        is built: D[s, r] peaks at max(s, r), the Taylor centres of E lie
+        below it, and the flow's exp(-ell t) and duhamel(-ell, t) stay below
+        exp(s t), as -ell <= s for ell < 0.  No kernel of the rungs left
+        refuses; should anything raise in the rounds all the same, every rung
+        still running fails with its message.
         """
-        sups = {i: {} for i in live}  # per rung, its distance at each time evaluated
-        self.taylor = {i: {} for i in live}  # and its Taylor data, from _take
-        self.screened = dict.fromkeys(live, 0.0)  # and a bound on what the screen left out
+        times = [float(t) for t in times]
+        last = len(times) - 1
+        rates = [f[1] for f in self.forms if f]
+        failed = {
+            i: ExponentOverflowError(_PAST_CAP)
+            for i, m in live.items()
+            if max([m.roots.slow.max(), *rates]) * times[last] > EXPONENT_CAP
+        }
+        ids = [i for i in live if i not in failed]
+        if not ids:
+            return failed
+        sups = {i: {} for i in ids}  # per rung, its distance at each time evaluated
+        self.taylor = {i: {} for i in ids}  # and its Taylor data, from _take
+        self.screened = dict.fromkeys(ids, 0.0)  # and a bound on what the screen left out
         self._keep(self.ell.size)
-        ids = list(live)
         per = max(1, _STACK_VALUES // self.ell.size)
         rows = min(per, len(ids))
         # times per block; above one only when every rung shares a single stack
         width = max(1, _STACK_VALUES // (rows * self.ell.size))
         self.work(rows, width)  # the largest block's, before any stack is built
-        times = [float(t) for t in times]
-        last = len(times) - 1
         forced = bool(self.problem.forcing_parts)
         self.second_order = False
         if forced and 1 < last and width <= last and None not in self.forms:
             self._use_second_order()
         bisect = last > 1 and (self.second_order or not forced)
         # every term of the bound grows at most at this rate beside each rung's s_max
-        lowest = max([0.0] + [f[1] for f in self.forms]) if self.second_order else 0.0
+        lowest = max([0.0, *rates]) if self.second_order else 0.0
         # per stack: [its rungs' indices, the stack, the times it needs this round, its intervals]
-        stacks = []
-        for lo in range(0, len(ids), per):
-            group = ids[lo : lo + per]
-            try:
-                stack = _Stack(self, [live[i] for i in group])
-            except Exception:
-                group, stack = self._apart(group, live, sups)
-            if group:
-                need = {0, last} if bisect else set(range(len(times)))
-                stacks.append([group, stack, need, [(0, last)] if bisect else []])
+        need = {0, last} if bisect else set(range(len(times)))
+        stacks = [
+            [group, _Stack(self, [live[i] for i in group]), need, [(0, last)] if bisect else []]
+            for group in (ids[lo : lo + per] for lo in range(0, len(ids), per))
+        ]
         scale = float(np.abs(self.factor).max())
         # a term R_ik x_k that underflow touched is off by about R_ik 2**-1074: while N(t_a)^2
         # is above this floor, all of them move N(t_a) by far less than _BOUND_MARGIN
         floor = self.ell.size * max(scale * scale, 1.0) * 2.0**-1022 / _BOUND_MARGIN
         screen = bisect and width <= last  # a grid in one block has no later round to spare
-        while stacks and self._round(stacks, times, width, live, sups):
-            if screen:
-                self._screen(stacks, sups, times[last])
-                screen = False
-            running = []
-            for group, stack, _need, spans in stacks:
-                if not group:
-                    continue  # every rung of the stack failed
-                # an interval stays open while one rung cannot rule it out
-                rungs = [
-                    (
-                        sups[i],
-                        max(s, lowest),
-                        # less the distance of the values the screen left out, which no bound holds
-                        max([0.0, *sups[i].values()]) - self.screened[i],
-                        self.taylor[i] if self.second_order else None,
-                    )
-                    for i, s in zip(group, stack.slow_maxima)
-                ]
-                spans = [
-                    (a, b)
-                    for a, b in spans
-                    if b - a > 1
-                    and not all(
-                        _rules_out(seen, times[a], times[b], growth, floor, best, taylor)
-                        for seen, growth, best, taylor in rungs
-                    )
-                ]
-                if spans:
-                    mids = [(a + b) // 2 for a, b in spans]
-                    halves = [h for (a, b), m in zip(spans, mids) for h in ((a, m), (m, b))]
-                    running.append([group, stack, set(mids), halves])
-            stacks = running
-        return {
-            i: s if isinstance(s, Exception) else max([0.0, *s.values()]) for i, s in sups.items()
-        }
+        try:
+            while stacks:
+                self._round(stacks, times, width, sups)
+                if screen:
+                    self._screen(stacks, sups, times[last])
+                    screen = False
+                running = []
+                for group, stack, _need, spans in stacks:
+                    # an interval stays open while one rung cannot rule it out
+                    rungs = [
+                        (
+                            sups[i],
+                            max(s, lowest),
+                            # less what the values the screen left out add, which no bound holds
+                            max([0.0, *sups[i].values()]) - self.screened[i],
+                            self.taylor[i] if self.second_order else None,
+                        )
+                        for i, s in zip(group, stack.slow_maxima)
+                    ]
+                    spans = [
+                        (a, b)
+                        for a, b in spans
+                        if b - a > 1
+                        and not all(
+                            _rules_out(seen, times[a], times[b], growth, floor, best, taylor)
+                            for seen, growth, best, taylor in rungs
+                        )
+                    ]
+                    if spans:
+                        mids = [(a + b) // 2 for a, b in spans]
+                        halves = [h for (a, b), m in zip(spans, mids) for h in ((a, m), (m, b))]
+                        running.append([group, stack, set(mids), halves])
+                stacks = running
+        except Exception as exc:
+            failed.update((i, exc) for group, *_rest in stacks for i in group)
+        return {**{i: max([0.0, *s.values()]) for i, s in sups.items()}, **failed}
 
     def _screen(self, stacks, sups, horizon: float) -> None:
         """Keep the values that could still move a rung's sup (sweep); then rebuild the stacks."""
@@ -548,7 +550,7 @@ class _SpectralGap:
         # alone, whose sign the square drops.  The bounds form in the work block, their tails in
         # slow_sq, which narrow rebuilds
         norms = (np.hypot.reduce(self.factor, axis=0) if self.second_order else self.factor[0])[:, 0]
-        stacks, cut = [entry[:2] for entry in stacks if entry[0]], 0
+        stacks, cut = [entry[:2] for entry in stacks], 0
         for group, stack in stacks:
             bound = np.multiply(stack.slow_sq, stack.eps * horizon, out=stack.alpha)
             grow = stack.slow_sq
@@ -584,48 +586,25 @@ class _SpectralGap:
         self.norms = np.hypot.reduce(self.factor, axis=0)
         self.ell_sq = np.square(self.ell)
 
-    def _round(self, stacks, times, width, live, sups) -> bool:
-        """Evaluate each stack at the times it needs; False, all failed, if the flow refuses.
+    def _round(self, stacks, times, width, sups) -> None:
+        """Evaluate each stack at the times it needs.
 
         The times go in blocks of at most width, cut where exp(-ell t)
-        passes the cap, so that each block takes one form of a(t).
+        passes the cap, so that each block takes one form of a(t).  With
+        more than one stack a block holds one time, so a stack needs all of
+        a block or none of it.
         """
         need = sorted(set().union(*(need for _group, _stack, need, _spans in stacks)))
         within = [k for k in need if self.highest * times[k] <= EXPONENT_CAP]
         for part in (within, need[len(within) :]):
             for lo in range(0, len(part), width):
-                if not self._block(stacks, part[lo : lo + width], times, live, sups):
-                    return False
-        return True
-
-    def _block(self, stacks, block, times, live, sups) -> bool:
-        """Evaluate the stacks that need the times of block; False, all failed, if the flow refuses.
-
-        A block of several times that refuses runs again one time at a time,
-        so that each refusal keeps its rung, its time and its message.  With
-        more than one stack a block holds one time, so a stack needs all of
-        a block or none of it.
-        """
-        ts = [times[k] for k in block]
-        t = _column(ts)
-        try:
-            flow = self.flow(t)
-        except Exception as exc:
-            if len(block) > 1:
-                return all(self._block(stacks, [k], times, live, sups) for k in block)
-            for group, *_rest in stacks:
-                sups.update(dict.fromkeys(group, exc))
-            return False
-        for entry in stacks:
-            group, stack, need, _spans = entry
-            if group and block[0] in need:
-                try:
-                    self._take(group, stack, ts, t, flow, sups)
-                except Exception:
-                    if len(block) > 1:
-                        return all(self._block(stacks, [k], times, live, sups) for k in block)
-                    entry[:2] = self._apart(group, live, sups, ts[0], flow)
-        return True
+                block = part[lo : lo + width]
+                ts = [times[k] for k in block]
+                t = _column(ts)
+                flow = self.flow(t)
+                for group, stack, wants, _spans in stacks:
+                    if block[0] in wants:
+                        self._take(group, stack, ts, t, flow, sups)
 
     def _take(self, group, stack, ts, t, flow, sups) -> None:
         """Record the stack's distances at the times ts, the column t, with its rungs, indexed by group."""
@@ -636,22 +615,6 @@ class _SpectralGap:
             for time, rows in zip(ts, stack.taylor.tolist()):
                 for i, data in zip(group, rows):
                     self.taylor[i][time] = data
-
-    def _apart(self, group, live, sups, t=None, flow=None) -> tuple:
-        """(survivors, their stack or None) once each rung was built, and taken at t, alone."""
-        survivors = []
-        for i in group:
-            try:
-                stack = _Stack(self, [live[i]])
-                if t is not None:
-                    self._take([i], stack, [t], _column([t]), flow, sups)
-            except Exception as exc:
-                sups[i] = exc
-            else:
-                survivors.append(i)
-        if not survivors:
-            return [], None
-        return survivors, _Stack(self, [live[i] for i in survivors])
 
 
 def _column(ts) -> np.ndarray:
@@ -751,10 +714,11 @@ def _study(problem, ladder, norm, times, spec) -> tuple:
     would be as large as the whole sampled field.  The nodes fold before any
     rung is built, so the fold's temporaries never sit on top of the rungs'
     roots, and the gap goes before the energies, with its blocks and work
-    arrays.  A rung that raises anywhere becomes a failure entry, and the
-    other rungs go on.  It runs serially: building a rung or its
-    closed-form energy takes about a millisecond.  It returns the entries
-    and the last rung's minimizer, or None when that rung failed.
+    arrays.  A rung refused when built, by the sweep or by its energy
+    becomes a failure entry, and the other rungs go on.  It runs serially:
+    building a rung or its closed-form energy takes about a millisecond.
+    It returns the entries and the last rung's minimizer, or None when that
+    rung failed.
     """
     w = problem.weights
     if norm == "sup_vl":
@@ -769,7 +733,7 @@ def _study(problem, ladder, norm, times, spec) -> tuple:
             live[i] = minimizer_hat(problem, eps)
         except Exception as exc:
             entries[i] = LadderEntry.failed(eps, exc)
-    sups = gap.sweep(live, times) if live else {}
+    sups = gap.sweep(live, times)
     del gap
     for i, m in live.items():
         outcome = sups[i]

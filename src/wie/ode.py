@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .contract import DEFAULT_SPEC, QuadratureFailure, QuadratureSpec
+from .contract import DEFAULT_SPEC, ExponentOverflowError, QuadratureFailure, QuadratureSpec
 from .forcing import ForcingTerm
 from .spectral import FrequencyGrid, SelectedSpectralMinimizer, SemigroupSolution, SpectralProblem
 
@@ -239,7 +239,9 @@ def branch_divergence(
     energy int_0^T exp(-t/eps) |y(t)|^2 dt.  delta = 0 reproduces the
     selected trajectory, whose truncated energy saturates.  Each energy
     meets the QuadratureSpec contract abs_tol + rel_tol*|value| by its
-    error estimate, or the call raises QuadratureFailure naming eps and T.
+    error estimate, or the call raises QuadratureFailure naming eps and T;
+    a trajectory past the exponent cap raises ExponentOverflowError, named
+    the same way.
     """
     from .quadrature import finite_interval  # an ODE study never compiles the adaptive engine
     horizons = [float(T) for T in horizons]
@@ -286,6 +288,8 @@ def branch_divergence(
             raise QuadratureFailure(
                 f"{where}: {exc}", partial=exc.partial, error_estimate=exc.error_estimate
             ) from exc
+        except ExponentOverflowError as exc:
+            raise ExponentOverflowError(f"{where}: {exc}") from exc
         if err > bound:
             raise QuadratureFailure(
                 f"{where}: error estimate {err:.3e} misses the contract {bound:.3e}",

@@ -445,6 +445,39 @@ class TestCliRun:
         assert report["failures"] == []
         assert len(report["results"]["branch"]["numeric_energies"]) == 3
 
+    def test_branch_trajectory_past_the_cap_is_a_failure_entry(self, tmp_path, capsys):
+        # the eigenvalue -650 grows the selected trajectory past exp(700) before T = 2;
+        # pushed off the selected value, both horizons take the closed form instead
+        raw = {
+            "schema_version": 1,
+            "mode": "branch-divergence",
+            "matrix": [[-650.0, 0.0], [0.0, 1.0]],
+            "initial": [1e-300, 1.0],
+            "epsilon": "1.8e-4",
+            "delta": 0.0,
+            "horizons": [0.5, 2.0],
+            "direction": 1,
+        }
+        out = tmp_path / "out"
+        assert cli.main(["run", _write(tmp_path, raw), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"WARNING 1 failure(s); see {out / 'report.json'}\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == [
+            {
+                "verdict": "exponent cap passed",
+                "epsilon": 1.8e-4,
+                "detail": "branch divergence at eps=0.00018, T=2: a mode grows past exp(700)"
+                " at the requested time; shorten the horizon",
+            }
+        ]
+        assert "branch" not in report["results"]
+        raw["delta"] = "1e-3"
+        pushed = tmp_path / "pushed"
+        assert cli.main(["run", _write(tmp_path, raw), "--out-dir", str(pushed)]) == 0
+        branch = json.loads((pushed / "report.json").read_text())["results"]["branch"]
+        assert branch["numeric_energies"] == [None, None]
+        assert branch["log_energies"] == branch["closed_form_log"]
+
     @pytest.mark.parametrize(
         "density, code",
         [
@@ -676,6 +709,29 @@ class TestFieldDump:
             tracemalloc.stop()
         assert (tmp_path / "field.bin").stat().st_size == nbytes
         assert peak - nbytes < nbytes / 3
+
+    def test_time_past_the_cap_is_a_failure_entry(self, tmp_path, capsys):
+        # a part growing as exp(0.5 t) passes exp(700) long before t = 2000: the study
+        # passes, the dump fails, and the report and summary are written without it
+        example = Path(__file__).parent.parent / "examples" / "spectral_fractional_forced.json"
+        raw = json.loads(example.read_text())
+        raw["forcing"]["parts"][0]["profile"]["rate"] = "0.5"
+        raw["output"] = {"write_field": True, "field_times": [0.0, 2000.0]}
+        out = tmp_path / "out"
+        assert cli.main(["run", _write(tmp_path, raw), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"WARNING 1 failure(s); see {out / 'report.json'}\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == [
+            {
+                "verdict": "field dump failed",
+                "detail": "field dump at eps=0.0001, t=2000: a mode grows past exp(700)"
+                " at the requested time; shorten the horizon",
+            }
+        ]
+        assert report["verdicts"]["all_members_completed"]
+        assert report["artifacts"] == ["report.json", "summary.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "summary.csv"]
+        assert len((out / "summary.csv").read_text().splitlines()) == 5
 
 
 class TestMemoryGuard:

@@ -31,7 +31,6 @@ from wie.lab import convergence_study, fit_rate, lemma_tech_profile
 from wie.ode import OdeProblem, branch_divergence
 from wie.quadrature import (
     DEFAULT_SPEC,
-    DivergenceError,
     ExponentOverflowError,
     QuadratureFailure,
     QuadratureSpec,
@@ -363,19 +362,6 @@ class TestSpectralStudy:
             assert len(totals) == len(rungs) and min(totals) >= 0.0
         assert calls == []
 
-    def test_rung_refuses_a_tail_rate_below_the_growth_rate(self):
-        # as the generic route's shifted_tail(f, 0) did, with the same message
-        profile = exponential_profile(0.5, -1.0)
-        prob = _spectral_problem(forcing=_gaussian_forcing(profile))
-        m = minimizer_hat(prob, 1e-2)
-        m.growth_rate = 1e3  # above every fast root
-        gap = lab._SpectralGap(prob, prob.grid.weights)
-        with pytest.raises(DivergenceError) as got:
-            lab._Stack(gap, [m])
-        with pytest.raises(DivergenceError) as want:
-            profile.shifted_tail(m.roots.fast, 0.0, m.growth_rate)
-        assert str(got.value) == str(want.value)
-
     def test_failing_rung_is_recorded_while_the_others_complete(self):
         # symbol xi^2 - 1 dips to -1: 1 + 4*eps*(-1) <= 1/2 refuses eps = 0.2 only
         prob = _spectral_problem(symbol=symbols.custom(lambda xi: xi * xi - 1.0))
@@ -388,30 +374,40 @@ class TestSpectralStudy:
             assert entry.sup_error > 0.0
         assert not report.verdicts["all_members_completed"]
 
-    def test_rung_failing_mid_sweep_leaves_the_others(self, monkeypatch):
-        # the four rungs share one stack; the stack that holds eps = 1e-2 refuses
+    def test_sweep_that_raises_fails_every_rung_it_holds(self, monkeypatch):
+        # the symbol dips to -650: eps = 0.2 is refused when built and eps = 1.8e-4 past
+        # the cap before any stack, each with its own message; a stack that raises in the
+        # rounds fails the two rungs it holds with the raised message.  Tiny data keep
+        # every norm finite.
         gap_sq = lab._SpectralGap.gap_sq
-        stacked = []
+        held = []
 
         def flaky(self, stack, t, flow):
-            stacked.append(len(stack.rungs))
-            if any(m.eps == 1e-2 for m in stack.rungs) and t > 0.5:
-                raise ExponentOverflowError("rung gave up")
+            held.extend(m.eps for m in stack.rungs)
+            if np.max(t) > 0.5:
+                raise ValueError("rung gave up")
             return gap_sq(self, stack, t, flow)
 
         monkeypatch.setattr(lab._SpectralGap, "gap_sq", flaky)
-        report = convergence_study(_spectral_problem(), self.LADDER, 1.0)
-        assert stacked[0] == 4 and stacked[-1] == 3
-        failed = [e for e in report.entries if e.failure is not None]
-        assert [e.eps for e in failed] == [1e-2]
-        assert failed[0].failure == "rung gave up"
-        assert sum(e.failure is None for e in report.entries) == 3
+        grid = FrequencyGrid.uniform_fft(64, 0.25)
+        prob = SpectralProblem(
+            grid=grid,
+            symbol=symbols.custom(lambda xi: xi * xi - 650.0),
+            initial_hat=1e-300 * np.exp(-0.5 * grid.nodes**2).astype(complex),
+        )
+        report = convergence_study(prob, [0.2, 1.8e-4, 1e-5, 5e-6], 1.0)
+        refused, edge, *held_rungs = report.entries
+        assert "1 + 4*eps*symbol <= 1/2" in refused.failure
+        assert edge.failure == lab._PAST_CAP
+        assert [e.failure for e in held_rungs] == ["rung gave up"] * 2
+        assert set(held) == {1e-5, 5e-6}
+        assert all(math.isnan(e.sup_error) and e.energy_source is None for e in report.entries)
 
     def test_reference_failure_fails_every_live_rung(self, monkeypatch):
         flow = lab._SpectralGap.flow
 
         def flaky(self, t):
-            if t > 0.5:
+            if np.max(t) > 0.5:
                 raise ExponentOverflowError("reference gave up")
             return flow(self, t)
 
@@ -739,19 +735,19 @@ def test_forced_rung_past_the_cap_fails_alone_in_a_shared_stack(monkeypatch):
         forcing=ForcingTerm.from_multipliers([(exponential_profile(0.5, -1.0), tiny)]),
     )
     ladder = [1.8e-4, 1e-5, 5e-6]
-    apart = []
-    take_apart = lab._SpectralGap._apart
+    stacked = []
+    init = lab._Stack.__init__
 
-    def spied(self, group, live, sups, t=None, flow=None):
-        apart.append((list(group), t))
-        return take_apart(self, group, live, sups, t, flow)
+    def spied(self, gap, rungs):
+        stacked.append([m.eps for m in rungs])
+        init(self, gap, rungs)
 
-    monkeypatch.setattr(lab._SpectralGap, "_apart", spied)
+    monkeypatch.setattr(lab._Stack, "__init__", spied)
     report = convergence_study(prob, ladder, 1.0)
-    ((group, when),) = apart
-    assert group == [0, 1, 2]
-    # the stack bisects, so it is taken apart at the last time, which it evaluates
-    # first; the rung alone refuses there and at every time from near t = 0.93 on
+    monkeypatch.undo()
+    # the edge rung is refused before any stack is built, and never enters one
+    assert stacked == [ladder[1:]]
+    # built alone, it refuses at the last time and at every time from near t = 0.93 on
     gap = lab._SpectralGap(prob, grid.weights)
     alone = lab._Stack(gap, [minimizer_hat(prob, ladder[0])])
     refused = []
@@ -760,10 +756,33 @@ def test_forced_rung_past_the_cap_fails_alone_in_a_shared_stack(monkeypatch):
             gap.gap_sq(alone, float(t), gap.flow(float(t)))
         except ExponentOverflowError:
             refused.append(float(t))
-    assert when == refused[-1] == 1.0 and 0.9 < refused[0] < 1.0
+    assert refused[-1] == 1.0 and 0.9 < refused[0] < 1.0
     assert refused == [t for t in np.linspace(0.0, 1.0, 201).tolist() if t >= refused[0]]
     edge, *inner = report.entries
     assert edge.failure == "a mode grows past exp(700) at the requested time; shorten the horizon"
+    assert all(e.failure is None and 0.0 < e.sup_error < math.inf for e in inner)
+    for entry, eps in zip(report.entries, ladder):
+        (solo,) = convergence_study(prob, [eps], 1.0).entries
+        assert repr(entry.as_dict()) == repr(solo.as_dict())
+
+
+def test_rung_past_the_cap_fails_alone_beside_a_power_part():
+    # a power part has no second-order bound, so the stack walks every time, here in
+    # one block; the symbol dips to -650, and the edge rung's slow root passes the cap
+    # near t = 0.93 while the others stay near 654.  Tiny data keep every norm finite
+    grid = FrequencyGrid.uniform_fft(64, 0.25)
+    tiny = lambda xi: 1e-300 * np.exp(-0.5 * xi**2)  # noqa: E731
+    parts = [(power_profile(0.5, 0.5), tiny), (exponential_profile(0.5, -1.0), tiny)]
+    prob = SpectralProblem(
+        grid=grid,
+        symbol=symbols.custom(lambda xi: xi * xi - 650.0),
+        initial_hat=tiny(grid.nodes).astype(complex),
+        forcing=ForcingTerm.from_multipliers(parts),
+    )
+    ladder = [1.8e-4, 1e-5, 5e-6]
+    report = convergence_study(prob, ladder, 1.0)
+    edge, *inner = report.entries
+    assert edge.failure == lab._PAST_CAP
     assert all(e.failure is None and 0.0 < e.sup_error < math.inf for e in inner)
     for entry, eps in zip(report.entries, ladder):
         (solo,) = convergence_study(prob, [eps], 1.0).entries
@@ -1413,23 +1432,32 @@ class TestOdeStudy:
             (walked,) = _walk_every_time(gap, {0: minimizer_hat(prob, eps)}, times).values()
             assert entry.sup_error == walked
 
-    def test_rung_failing_mid_sweep_leaves_the_others(self, monkeypatch):
-        # the block of every time refuses and runs again one time at a time; the stack
-        # is taken apart at the first time past 0.5, where the rung eps = 1e-2 refuses
+    def test_sweep_that_raises_fails_every_rung_it_holds(self, monkeypatch):
+        # the block of every time raises: the one stack's rungs fail with its message,
+        # while the rung refused when built and the rung past the cap keep their own
         gap_sq = lab._SpectralGap.gap_sq
 
         def flaky(self, stack, t, flow):
-            if any(m.eps == 1e-2 for m in stack.rungs) and np.max(t) > 0.5:
-                raise ExponentOverflowError("rung gave up")
+            if np.max(t) > 0.5:
+                raise ValueError("rung gave up")
             return gap_sq(self, stack, t, flow)
 
         monkeypatch.setattr(lab._SpectralGap, "gap_sq", flaky)
-        report = convergence_study(self._problem(), self.LADDER, 1.0)
-        failed = [e for e in report.entries if e.failure is not None]
-        assert [e.eps for e in failed] == [1e-2]
-        assert failed[0].failure == "rung gave up"
-        assert math.isnan(failed[0].sup_error) and failed[0].energy_source is None
-        assert sum(e.failure is None for e in report.entries) == 3
+        # the eigenvalue -650 grows the slow root of eps = 1.8e-4 past the cap near t = 0.93
+        q, _ = np.linalg.qr(np.random.default_rng(59).standard_normal((3, 3)))
+        matrix = q @ np.diag([-650.0, 1.0, 2.0]) @ q.T
+        part = (exponential_profile(1.0, -1.0), (1e-300, 0.0, 2e-300))
+        forcing = ForcingTerm.from_vectors([part])
+        prob = OdeProblem(0.5 * (matrix + matrix.T), np.array([1e-300, -1e-300, 2e-300]), forcing)
+        report = convergence_study(prob, [0.1, 1.8e-4, 1e-5, 5e-6], 1.0)
+        assert [e.failure for e in report.entries] == [
+            "1 node(s) or eigenvalue(s) have 1 + 4*eps*symbol <= 1/2 at eps=0.1, the lowest"
+            " value being -650; the root estimates fail there, lower eps",
+            lab._PAST_CAP,
+            "rung gave up",
+            "rung gave up",
+        ]
+        assert all(math.isnan(e.sup_error) and e.energy_source is None for e in report.entries)
         assert not report.verdicts["all_members_completed"]
 
     def test_reference_failure_fails_every_live_rung(self, monkeypatch):

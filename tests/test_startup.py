@@ -89,10 +89,10 @@ def test_no_run_imports_logging_dataclasses_copy_or_heapq(tmp_path, case):
 # adaptive fallbacks (wie.quadrature); with at most this many tokens compiled in all
 EVERY_RUN = {"wie", "wie.cli", "wie.config", "wie.contract", "wie.forcing", "wie.lab", "wie.spectral", "wie.symbols"}
 RUNS = {
-    "spectral_unforced_field": (set(), 23_700),
-    "spectral_forced_small": ({"wie.kernels"}, 26_600),
-    "ode_forced_small": ({"wie.kernels", "wie.ode"}, 28_600),
-    "lemma_power_small": ({"wie.kummer"}, 25_500),
+    "spectral_unforced_field": (set(), 23_500),
+    "spectral_forced_small": ({"wie.kernels"}, 26_400),
+    "ode_forced_small": ({"wie.kernels", "wie.ode"}, 28_350),
+    "lemma_power_small": ({"wie.kummer"}, 25_250),
 }
 
 

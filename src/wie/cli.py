@@ -241,24 +241,19 @@ def _run_branch(cfg: ExperimentConfig):
             {"verdict": "admissibility violated", "epsilon": cfg.epsilon, "detail": str(exc)}
         )
         return outcome
-    except QuadratureFailure as exc:
-        outcome.failures.append(
-            {"verdict": "quadrature contract missed", "epsilon": cfg.epsilon, "detail": str(exc)}
-        )
-        return outcome
-    except ExponentOverflowError as exc:
-        outcome.failures.append(
-            {"verdict": "exponent cap passed", "epsilon": cfg.epsilon, "detail": str(exc)}
-        )
-        return outcome
+    except (QuadratureFailure, ExponentOverflowError) as exc:
+        verdict = "quadrature contract missed" if isinstance(exc, QuadratureFailure) else "exponent cap passed"
+        outcome.failures.append({"verdict": verdict, "epsilon": cfg.epsilon, "detail": str(exc)})
+        # the horizons before the failing one keep their rows
+        res = exc.completed
+        if res is None:
+            return outcome
     mu = cfg.problem.eigen.values[cfg.direction]
     z = math.sqrt(float(admissible_discriminant(mu, cfg.epsilon)[0]))
     outcome.results["branch"] = res.as_dict()
     outcome.results["divergence_rate"] = z / cfg.epsilon
-    complete = len(res.log_energies) == len(cfg.horizons)
-    outcome.verdicts["log_energy_table_present"] = complete and all(
-        v is not None for v in res.log_energies
-    )
+    if not outcome.failures:
+        outcome.verdicts["log_energy_table_present"] = all(v is not None for v in res.log_energies)
     outcome.header = ("horizon", "numeric_energy", "log_energy", "closed_form_log")
     outcome.rows = list(
         zip(res.horizons, res.numeric_energies, res.log_energies, res.closed_form_log)

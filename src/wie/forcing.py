@@ -285,20 +285,6 @@ class ForcingTerm(_ReadOnly):
             return "empty"
         return "vector" if self.parts[0].space_vec is not None else "spectral"
 
-    def vector(self, t):
-        """f(t) as a coordinate vector; t may be scalar or (M,)."""
-        if self.mode == "spectral":
-            raise ValueError("this forcing term has no coordinate representation")
-        if self.dim is None:
-            raise ValueError("zero forcing of unknown dimension; set dim")
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        out = np.zeros((1 if scalar else t_arr.shape[0], self.dim))
-        for p in self.parts:
-            g = np.asarray(p.profile(t_arr), dtype=float).reshape(-1, 1)
-            out = out + g * np.asarray(p.space_vec)
-        return out[0] if scalar else out
-
     def gram(self) -> np.ndarray:
         """Euclidean Gram matrix of the coordinate vectors.
 

@@ -123,9 +123,8 @@ class OdeProblem(SpectralProblem):
 class _MappedBack:
     """A spectral solver's trajectory on the modes, in the system's coordinates.
 
-    value(t) (also the call) gives the state at any t >= 0, and state(t)
-    the pair (value, derivative) from one evaluation.  Every call evaluates
-    afresh.
+    value(t) gives the state at any t >= 0, and state(t) the pair (value,
+    derivative) from one evaluation.  Every call evaluates afresh.
     """
 
     def value(self, t: float) -> np.ndarray:
@@ -134,8 +133,6 @@ class _MappedBack:
     def state(self, t: float):
         value, derivative = self._solver.state(t)
         return self.eigen.reconstruct(value), self.eigen.reconstruct(derivative)
-
-    __call__ = value
 
 
 class SelectedOdeMinimizer(_MappedBack):
@@ -241,7 +238,9 @@ def branch_divergence(
     meets the QuadratureSpec contract abs_tol + rel_tol*|value| by its
     error estimate, or the call raises QuadratureFailure naming eps and T;
     a trajectory past the exponent cap raises ExponentOverflowError, named
-    the same way.
+    the same way.  Either error carries as `completed` the result of the
+    horizons before T, the same as a call with those horizons alone gives
+    (None when T is the first).
     """
     from .quadrature import finite_interval  # an ODE study never compiles the adaptive engine
     horizons = [float(T) for T in horizons]
@@ -298,21 +297,28 @@ def branch_divergence(
             )
         return float(val), (math.log(val) if val > 0.0 else -math.inf), lead_log
 
-    rows = [member(T) for T in horizons]
-    numeric = [r[0] for r in rows]
-    logs = [r[1] for r in rows]
-    closed = [r[2] for r in rows]
-    slopes = tuple(
-        (lb - la) / (Tb - Ta)
-        for (la, lb, Ta, Tb) in zip(logs, logs[1:], horizons, horizons[1:])
-    )
-    return BranchDivergenceResult(
-        eps=float(eps),
-        delta=float(delta),
-        direction=i,
-        horizons=tuple(horizons),
-        numeric_energies=tuple(numeric),
-        log_energies=tuple(logs),
-        closed_form_log=tuple(closed),
-        slopes=slopes,
-    )
+    def result(rows) -> BranchDivergenceResult:
+        numeric, logs, closed = (tuple(r[k] for r in rows) for k in range(3))
+        slopes = tuple(
+            (lb - la) / (Tb - Ta)
+            for (la, lb, Ta, Tb) in zip(logs, logs[1:], horizons, horizons[1:])
+        )
+        return BranchDivergenceResult(
+            eps=float(eps),
+            delta=float(delta),
+            direction=i,
+            horizons=tuple(horizons[: len(rows)]),
+            numeric_energies=numeric,
+            log_energies=logs,
+            closed_form_log=closed,
+            slopes=slopes,
+        )
+
+    rows = []
+    for T in horizons:
+        try:
+            rows.append(member(T))
+        except (QuadratureFailure, ExponentOverflowError) as exc:
+            exc.completed = result(rows) if rows else None
+            raise
+    return result(rows)

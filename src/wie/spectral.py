@@ -1,9 +1,9 @@
 """Frequency-side solvers for multiplier generators.
 
-Everything here works on a fixed set of frequency nodes.  A uniform FFT
-grid adds exact physical-side transforms under the unitary convention with
-angular frequency, so squared norms agree between the two sides to
-roundoff; an explicit grid is just nodes and quadrature weights.
+Everything here works on a fixed set of frequency nodes with quadrature
+weights: the angular FFT frequencies of a uniform physical grid, or an
+explicit set of nodes.  No solver leaves the frequency side; a uniform
+grid keeps its physical window (n, dx, x0) only to describe a field dump.
 
 The characteristic-root bundle per node mirrors the finite-dimensional
 case: a tame branch of size comparable to the symbol and a fast branch of
@@ -47,17 +47,16 @@ _TWO_PI = 2.0 * math.pi
 _DISC_SQRT_FLOOR = 1.0 / math.sqrt(2.0)
 
 
-# ---- Grids and transforms ----
+# ---- Grids ----
 
 
 class FrequencyGrid(_ReadOnly):
     """Frequency nodes with quadrature weights, optionally FFT-backed.
 
-    Transforms use the unitary convention with angular frequency: the
-    forward integral carries exp(-i xi x) and a prefactor (2 pi)^(-1/2).
-    On a uniform grid the discrete sums then satisfy the discrete identity
-    sum |u|^2 dx = sum |u_hat|^2 dxi with no error at all, which the energy
-    cross-checks rely on.
+    A uniform_fft grid holds the nodes 2 pi fftfreq(n, dx) of n physical
+    samples at spacing dx from x0, each weighted 2 pi/(n dx), under the
+    unitary convention with angular frequency; an explicit grid holds the
+    nodes and weights it is given.
     """
 
     def __init__(
@@ -70,11 +69,6 @@ class FrequencyGrid(_ReadOnly):
         x0: Optional[float] = None,
     ):
         vars(self).update(kind=kind, nodes=nodes, weights=weights, n=n, dx=dx, x0=x0)
-
-    @property
-    def x(self) -> Optional[np.ndarray]:
-        """The physical points x0 + dx*k, formed on each read; None on an explicit grid."""
-        return None if self.x0 is None else self.x0 + self.dx * np.arange(self.n)
 
     @classmethod
     def uniform_fft(cls, n: int, dx: float, x0: Optional[float] = None):
@@ -93,7 +87,7 @@ class FrequencyGrid(_ReadOnly):
             weights=np.full(n, dxi),
             n=n,
             dx=float(dx),
-            x0=x0 + 0.0,  # a -0.0 origin reads 0.0, as the first entry of x does
+            x0=x0 + 0.0,  # a -0.0 origin reads 0.0, as the first point x0 + 0*dx does
         )
 
     @classmethod
@@ -105,31 +99,6 @@ class FrequencyGrid(_ReadOnly):
         if np.any(weights <= 0.0):
             raise ValueError("weights must be positive")
         return cls(kind="explicit", nodes=nodes, weights=weights)
-
-    def _require_fft(self):
-        if self.kind != "uniform_fft":
-            raise ValueError("physical-side transforms need a uniform_fft grid")
-
-    def to_physical(self, u_hat) -> np.ndarray:
-        """Inverse transform onto the physical grid x; complex output."""
-        self._require_fft()
-        u_hat = np.asarray(u_hat, dtype=complex)
-        phased = u_hat * np.exp(1j * self.nodes * self.x0)
-        return (math.sqrt(_TWO_PI) / self.dx) * np.fft.ifft(phased)
-
-    def from_physical(self, u) -> np.ndarray:
-        self._require_fft()
-        u = np.asarray(u, dtype=complex)
-        return (self.dx / math.sqrt(_TWO_PI)) * np.fft.fft(u) * np.exp(
-            -1j * self.nodes * self.x0
-        )
-
-    def conjugate_symmetry_residual(self, u_hat) -> float:
-        """Largest mismatch between u_hat(-xi) and conj(u_hat(xi))."""
-        self._require_fft()
-        u_hat = np.asarray(u_hat, dtype=complex)
-        neg = (-np.arange(self.n)) % self.n
-        return float(np.abs(u_hat[neg] - np.conj(u_hat)).max())
 
 
 # ---- Problems ----
@@ -292,10 +261,11 @@ def root_margins(rd: RootData) -> dict:
     return dict(_margins(rd))
 
 
-def _root_checks(rd: RootData, tol: float = 1e-9) -> dict:
-    """Counts per estimate, each margin reduced as soon as it is formed.
+def inequality_report(rd: RootData, tol: float = 1e-9) -> dict:
+    """Per estimate: the nodes checked, the margins below -tol, the worst margin.
 
-    So one margin array is alive at a time, not all ten of root_margins.
+    Each margin is reduced as soon as it is formed, so one margin array is
+    alive at a time, not all ten of root_margins.
     """
     checks = {}
     for name, m in _margins(rd):
@@ -322,17 +292,12 @@ def root_data(symbol_values, eps: float, check: bool = True) -> RootData:
         fast=(1.0 + z) / (2.0 * eps),
     )
     if check:
-        report = _root_checks(rd)
+        report = inequality_report(rd)
         broken = {k: v for k, v in report.items() if v["violations"]}
         if broken:
             names = ", ".join(sorted(broken))
             raise AssertionError(f"root estimate(s) violated at construction: {names}")
     return rd
-
-
-def inequality_report(rd: RootData, tol: float = 1e-9) -> dict:
-    """Margins and violation counts for the root estimate bundle."""
-    return _root_checks(rd, tol=tol)
 
 
 # ---- Evolution and selection ----
@@ -367,8 +332,6 @@ class SemigroupSolution:
 
     def derivative(self, t: float) -> np.ndarray:
         return self.state(t)[1]
-
-    __call__ = value
 
 
 def semigroup_solution(problem: SpectralProblem):
@@ -509,8 +472,6 @@ class SelectedSpectralMinimizer:
             if value is not None:
                 return value, "exact"
         return energy_spectral(self.state, p, self.eps, spec), "gauss_laguerre"
-
-    __call__ = value
 
 
 def minimizer_hat(problem: SpectralProblem, eps: float) -> SelectedSpectralMinimizer:

@@ -24,7 +24,6 @@ __all__ = [
     "classical",
     "fractional",
     "zeroth_order",
-    "custom",
     "from_table",
     "EpsilonPolicy",
     "AdmissibilityError",
@@ -85,10 +84,6 @@ def zeroth_order(mass: float, kernel_hat: Callable) -> MultiplierSymbol:
     """
     f = lambda p: mass - np.asarray(kernel_hat(p), dtype=float)
     return MultiplierSymbol("zeroth_order", f)
-
-
-def custom(fn: Callable, name: str = "custom") -> MultiplierSymbol:
-    return MultiplierSymbol(name, lambda p: np.asarray(fn(p), dtype=float))
 
 
 def from_table(xi_points, values, name: str = "table") -> MultiplierSymbol:

@@ -18,7 +18,10 @@ real_field, energy_physical, el_residual and viscous_residual are checks
 that no run needs: the physical-side energy, a transform-consistency check
 of energy_spectral, and the centered-difference residuals of the
 second-order balance on each path.  They live with the tests, so a run
-does not compile them.
+does not compile them, and so do the references they stand on: the
+physical points and transform pair of a uniform FFT grid (grid_points,
+to_physical, from_physical) and the coordinate form of a system's forcing
+(forcing_vector).
 """
 
 import math
@@ -272,11 +275,57 @@ def energy_ode(state, matrix, forcing, eps, spec=DEFAULT_SPEC, ceiling=ENERGY_CE
         yv, dv = (np.asarray(v, dtype=float) for v in state(t))
         quad = 0.5 * eps * float(dv @ dv) + 0.5 * float(yv @ (A @ yv))
         if not forcing.is_zero:
-            quad -= float(np.dot(forcing.vector(t), yv))
+            quad -= float(np.dot(forcing_vector(forcing, t), yv))
         if not math.isfinite(quad) or abs(quad) * math.exp(-float(tk)) > ceiling:
             return math.inf, t
         vals[k] = quad
     return eps * float((w * vals).sum()), None
+
+
+def forcing_vector(forcing, t):
+    """f(t) of a coordinate-vector forcing term; t may be scalar or (M,)."""
+    if forcing.mode == "spectral":
+        raise ValueError("this forcing term has no coordinate representation")
+    if forcing.dim is None:
+        raise ValueError("zero forcing of unknown dimension; set dim")
+    t_arr = np.asarray(t, dtype=float)
+    scalar = t_arr.ndim == 0
+    out = np.zeros((1 if scalar else t_arr.shape[0], forcing.dim))
+    for p in forcing.parts:
+        g = np.asarray(p.profile(t_arr), dtype=float).reshape(-1, 1)
+        out = out + g * np.asarray(p.space_vec)
+    return out[0] if scalar else out
+
+
+# Transforms of a uniform FFT grid use the unitary convention with angular frequency:
+# the forward integral carries exp(-i xi x) and a prefactor (2 pi)^(-1/2).  The discrete
+# sums then satisfy sum |u|^2 dx = sum |u_hat|^2 dxi with no error at all, which the
+# energy cross-check relies on.
+
+
+def require_fft(grid):
+    if grid.kind != "uniform_fft":
+        raise ValueError("physical-side transforms need a uniform_fft grid")
+
+
+def grid_points(grid):
+    """The physical points x0 + dx*k of a uniform FFT grid."""
+    require_fft(grid)
+    return grid.x0 + grid.dx * np.arange(grid.n)
+
+
+def to_physical(grid, u_hat):
+    """Inverse transform onto the physical points; complex output."""
+    require_fft(grid)
+    u_hat = np.asarray(u_hat, dtype=complex)
+    phased = u_hat * np.exp(1j * grid.nodes * grid.x0)
+    return (math.sqrt(2.0 * math.pi) / grid.dx) * np.fft.ifft(phased)
+
+
+def from_physical(grid, u):
+    require_fft(grid)
+    u = np.asarray(u, dtype=complex)
+    return (grid.dx / math.sqrt(2.0 * math.pi)) * np.fft.fft(u) * np.exp(-1j * grid.nodes * grid.x0)
 
 
 def real_field(u, tol: float = 1e-10):
@@ -300,7 +349,7 @@ def energy_physical(state, problem, eps, spec=DEFAULT_SPEC, ceiling=ENERGY_CEILI
     ceiling.
     """
     grid = problem.grid
-    grid._require_fft()
+    require_fft(grid)
     dx = grid.dx
     ell = problem.symbol_values
     tau, gl_w = _laguerre_rule(spec.nodes)
@@ -308,10 +357,10 @@ def energy_physical(state, problem, eps, spec=DEFAULT_SPEC, ceiling=ENERGY_CEILI
     for k, tk in enumerate(tau):
         t = eps * float(tk)
         u_hat, du_hat = (np.asarray(v) for v in state(t))
-        u = grid.to_physical(u_hat)
-        du = grid.to_physical(du_hat)
-        gen_u = grid.to_physical(ell * u_hat)
-        f_phys = grid.to_physical(problem.forcing_values(t))
+        u = to_physical(grid, u_hat)
+        du = to_physical(grid, du_hat)
+        gen_u = to_physical(grid, ell * u_hat)
+        f_phys = to_physical(grid, problem.forcing_values(t))
         quad = (
             0.5 * eps * dx * float(np.sum(np.abs(du) ** 2))
             + 0.5 * dx * float(np.real(np.sum(np.conj(u) * gen_u)))
@@ -359,7 +408,7 @@ def viscous_residual(minimizer, t: float, h: float = 1e-3):
     d2 = (y_p - 2.0 * y_0 + y_m) / (h * h)
     d1 = (y_p - y_m) / (2.0 * h)
     A = minimizer.problem.matrix
-    fv = minimizer.problem.forcing.vector(float(t))
+    fv = forcing_vector(minimizer.problem.forcing, float(t))
     res = minimizer.eps * d2 - d1 - A @ y_0 + fv
     scale = max(
         float(np.linalg.norm(minimizer.eps * d2)),

@@ -14,6 +14,7 @@ from oracles import (
     bvp_selected,
     el_residual,
     energy_physical,
+    forcing_vector,
     random_symmetric,
     viscous_residual,
 )
@@ -171,14 +172,14 @@ def test_02_selection_matches_boundary_value_oracle():
         times, oracle = bvp_selected(
             prob.matrix,
             prob.initial,
-            lambda t, p=prob: p.forcing.vector(t),
+            lambda t, p=prob: forcing_vector(p.forcing, t),
             eps,
             window,
             h=1e-3,
         )
         keep = times <= 1.0 + 1e-12
         times, oracle = times[keep][::25], oracle[keep][::25]
-        mine = np.stack([minimizer(float(t)) for t in times])
+        mine = np.stack([minimizer.value(float(t)) for t in times])
         rel = float(np.abs(mine - oracle).max() / np.abs(oracle).max())
         worst = max(worst, rel)
     ok = worst <= ORACLE_SUP_RTOL
@@ -450,7 +451,7 @@ def test_10_weighted_poincare_holds_for_all_trajectories():
             (
                 f"state-minimizer eps={eps}",
                 eps,
-                lambda t, m=m: float(m(t) @ m(t)),
+                lambda t, m=m: float(m.value(t) @ m.value(t)),
                 lambda t, m=m: float(m.derivative(t) @ m.derivative(t)),
                 float(ode_prob.initial @ ode_prob.initial),
             )
@@ -460,7 +461,7 @@ def test_10_weighted_poincare_holds_for_all_trajectories():
         (
             "state-flow eps=0.05",
             0.05,
-            lambda t: float(flow(t) @ flow(t)),
+            lambda t: float(flow.value(t) @ flow.value(t)),
             lambda t: float(flow.derivative(t) @ flow.derivative(t)),
             float(ode_prob.initial @ ode_prob.initial),
         )

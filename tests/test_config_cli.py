@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import grid_points
 import wie.cli as cli
 from wie.config import ConfigError, parse_config, validate_config
 from wie.quadrature import DEFAULT_SPEC
@@ -65,6 +66,20 @@ def _write(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _assert_keeps_the_horizons_before_the_failure(tmp_path, raw, out, kept):
+    """A branch run whose horizon after `kept` failed writes the branch block and the
+    summary rows of a run of the kept horizons alone; with none kept, neither."""
+    report = json.loads((out / "report.json").read_text())
+    if not kept:
+        assert "branch" not in report["results"]
+        return
+    alone = tmp_path / "alone"
+    config = _write(tmp_path, {**raw, "horizons": kept}, name="alone.json")
+    assert cli.main(["run", config, "--out-dir", str(alone)]) == 0
+    assert report["results"] == json.loads((alone / "report.json").read_text())["results"]
+    assert (out / "summary.csv").read_bytes() == (alone / "summary.csv").read_bytes()
 
 
 class TestValidateConfig:
@@ -398,15 +413,15 @@ class TestCliRun:
         assert "-2" in failure["detail"]
 
     @pytest.mark.parametrize(
-        "quadrature, detail",
+        "quadrature, detail, kept",
         [
-            ({"max_panels": 8}, "exhausted its panel budget"),
-            ({"abs_tol": "1e-30", "rel_tol": "1e-20"}, "misses the contract"),
+            ({"max_panels": 8}, "exhausted its panel budget", ["1.0"]),
+            ({"abs_tol": "1e-30", "rel_tol": "1e-20"}, "misses the contract", []),
         ],
         ids=["panel-budget", "tight-contract"],
     )
     def test_branch_energy_missing_its_contract_is_a_failure_entry(
-        self, tmp_path, quadrature, detail
+        self, tmp_path, quadrature, detail, kept
     ):
         raw = {
             "schema_version": 1,
@@ -425,9 +440,9 @@ class TestCliRun:
         (failure,) = report["failures"]
         assert failure["verdict"] == "quadrature contract missed"
         assert failure["epsilon"] == 0.1
-        assert failure["detail"].startswith("branch divergence at eps=0.1, T=")
+        assert failure["detail"].startswith(f"branch divergence at eps=0.1, T={len(kept) + 1}:")
         assert detail in failure["detail"]
-        assert "branch" not in report["results"]
+        _assert_keeps_the_horizons_before_the_failure(tmp_path, raw, out, kept)
 
     def test_branch_energies_meet_the_contract_by_default(self, tmp_path):
         raw = {
@@ -446,8 +461,9 @@ class TestCliRun:
         assert len(report["results"]["branch"]["numeric_energies"]) == 3
 
     def test_branch_trajectory_past_the_cap_is_a_failure_entry(self, tmp_path, capsys):
-        # the eigenvalue -650 grows the selected trajectory past exp(700) before T = 2;
-        # pushed off the selected value, both horizons take the closed form instead
+        # the eigenvalue -650 grows the selected trajectory past exp(700) before T = 2,
+        # not before T = 0.5, whose row stands; pushed off the selected value, both
+        # horizons take the closed form instead
         raw = {
             "schema_version": 1,
             "mode": "branch-divergence",
@@ -470,13 +486,45 @@ class TestCliRun:
                 " at the requested time; shorten the horizon",
             }
         ]
-        assert "branch" not in report["results"]
+        _assert_keeps_the_horizons_before_the_failure(tmp_path, raw, out, [0.5])
         raw["delta"] = "1e-3"
         pushed = tmp_path / "pushed"
         assert cli.main(["run", _write(tmp_path, raw), "--out-dir", str(pushed)]) == 0
         branch = json.loads((pushed / "report.json").read_text())["results"]["branch"]
         assert branch["numeric_energies"] == [None, None]
         assert branch["log_energies"] == branch["closed_form_log"]
+
+    @pytest.mark.parametrize(
+        "horizons, kept",
+        [([0.5, 2.0], [0.5]), ([0.25, 0.5, 2.0, 3.0], [0.25, 0.5]), ([2.0, 3.0], [])],
+    )
+    def test_branch_keeps_the_horizons_before_the_first_failing_one(
+        self, tmp_path, capsys, horizons, kept
+    ):
+        # the selected trajectory of the eigenvalue -650 passes the cap between T = 0.5 and 2;
+        # the first failure ends the run, as its only failure entry, and the earlier rows stand
+        raw = {
+            "schema_version": 1,
+            "mode": "branch-divergence",
+            "matrix": [[-650, 0], [0, 1]],
+            "initial": [1, 1],
+            "epsilon": "1.8e-4",
+            "delta": 0,
+            "horizons": horizons,
+        }
+        out = tmp_path / "out"
+        assert cli.main(["run", _write(tmp_path, raw), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"WARNING 1 failure(s); see {out / 'report.json'}\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == [
+            {
+                "verdict": "exponent cap passed",
+                "epsilon": 1.8e-4,
+                "detail": "branch divergence at eps=0.00018, T=2: a mode grows past exp(700)"
+                " at the requested time; shorten the horizon",
+            }
+        ]
+        _assert_keeps_the_horizons_before_the_failure(tmp_path, raw, out, kept)
 
     @pytest.mark.parametrize(
         "density, code",
@@ -657,8 +705,9 @@ class TestFieldDump:
         assert block["kind"] == "uniform_fft"
         rebuilt = FrequencyGrid.uniform_fft(block["n"], block["dx"], block["x0"])
         grid = parse_config(str(GOLDEN / case / "config.json")).problem.grid
-        for name in ("nodes", "weights", "x"):
+        for name in ("nodes", "weights"):
             assert getattr(rebuilt, name).tobytes() == getattr(grid, name).tobytes(), name
+        assert grid_points(rebuilt).tobytes() == grid_points(grid).tobytes()
 
     def test_dump_samples_the_studys_last_rung(self, tmp_path, monkeypatch):
         # the run builds one rung per eps and the dump samples the last one, with the

@@ -386,7 +386,7 @@ def _block_study(p, nodes, ladder):
     grid = FrequencyGrid.explicit(nodes, np.ones(len(nodes)))
     prob = SpectralProblem(
         grid=grid,
-        symbol=symbols.custom(lambda xi: xi),
+        symbol=symbols.MultiplierSymbol("custom", lambda xi: xi),
         initial_hat=np.cos(grid.nodes) + 0.5j,
         forcing=ForcingTerm.from_multipliers([(p, lambda xi: np.exp(-0.5 * xi**2))]),
     )

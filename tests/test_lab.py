@@ -364,7 +364,7 @@ class TestSpectralStudy:
 
     def test_failing_rung_is_recorded_while_the_others_complete(self):
         # symbol xi^2 - 1 dips to -1: 1 + 4*eps*(-1) <= 1/2 refuses eps = 0.2 only
-        prob = _spectral_problem(symbol=symbols.custom(lambda xi: xi * xi - 1.0))
+        prob = _spectral_problem(symbol=symbols.MultiplierSymbol("custom", lambda xi: xi * xi - 1.0))
         report = convergence_study(prob, [0.2, 0.01, 0.001], 1.0)
         first, *rest = report.entries
         assert "1 + 4*eps*symbol <= 1/2" in first.failure
@@ -392,7 +392,7 @@ class TestSpectralStudy:
         grid = FrequencyGrid.uniform_fft(64, 0.25)
         prob = SpectralProblem(
             grid=grid,
-            symbol=symbols.custom(lambda xi: xi * xi - 650.0),
+            symbol=symbols.MultiplierSymbol("custom", lambda xi: xi * xi - 650.0),
             initial_hat=1e-300 * np.exp(-0.5 * grid.nodes**2).astype(complex),
         )
         report = convergence_study(prob, [0.2, 1.8e-4, 1e-5, 5e-6], 1.0)
@@ -412,7 +412,7 @@ class TestSpectralStudy:
             return flow(self, t)
 
         monkeypatch.setattr(lab._SpectralGap, "flow", flaky)
-        prob = _spectral_problem(symbol=symbols.custom(lambda xi: xi * xi - 1.0))
+        prob = _spectral_problem(symbol=symbols.MultiplierSymbol("custom", lambda xi: xi * xi - 1.0))
         report = convergence_study(prob, [0.2, 0.01, 0.001], 1.0)
         assert "1 + 4*eps*symbol <= 1/2" in report.entries[0].failure
         assert [e.failure for e in report.entries[1:]] == ["reference gave up"] * 2
@@ -425,7 +425,7 @@ class TestSpectralStudy:
         grid = FrequencyGrid.uniform_fft(64, 0.25)
         prob = SpectralProblem(
             grid=grid,
-            symbol=symbols.custom(lambda xi: xi * xi - 650.0),
+            symbol=symbols.MultiplierSymbol("custom", lambda xi: xi * xi - 650.0),
             initial_hat=1e-300 * np.exp(-0.5 * grid.nodes**2).astype(complex),
         )
         ladder = [1.8e-4, 1e-5]
@@ -552,14 +552,14 @@ def _uneven_grids(draw):
             for sign, offset in zip([1.0, -1.0, 1.0, -1.0], draw(offsets)[:size])
         ]
         scale = draw(st.floats(0.1, 3.0))
-        symbol = symbols.custom(lambda xi: scale * np.floor(np.abs(xi)))
+        symbol = symbols.MultiplierSymbol("custom", lambda xi: scale * np.floor(np.abs(xi)))
     elif kind == "constant":
         nodes = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
         value = draw(st.floats(0.0, 3.0))
-        symbol = symbols.custom(lambda xi: np.full(np.shape(xi), value))
+        symbol = symbols.MultiplierSymbol("custom", lambda xi: np.full(np.shape(xi), value))
     else:
         nodes = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12, unique=True))
-        symbol = symbols.custom(lambda xi: np.exp(0.5 * xi))  # not even: no value repeats
+        symbol = symbols.MultiplierSymbol("custom", lambda xi: np.exp(0.5 * xi))  # not even: no value repeats
     weights = draw(st.lists(st.floats(0.05, 2.0), min_size=len(nodes), max_size=len(nodes)))
     return symbol, nodes, weights
 
@@ -600,7 +600,7 @@ def test_a_large_group_folds_into_one_small_triangle():
     grid = FrequencyGrid.uniform_fft(4096, 0.25)
     prob = SpectralProblem(
         grid=grid,
-        symbol=symbols.custom(lambda xi: np.where(xi < 0.0, 1.0, xi * xi + 2.0)),
+        symbol=symbols.MultiplierSymbol("custom", lambda xi: np.where(xi < 0.0, 1.0, xi * xi + 2.0)),
         initial_hat=(1.0 + 0.5j * grid.nodes) * np.exp(-0.5 * grid.nodes**2),
         forcing=_gaussian_forcing(exponential_profile(0.5, -1.0)),
     )
@@ -730,7 +730,7 @@ def test_forced_rung_past_the_cap_fails_alone_in_a_shared_stack(monkeypatch):
     tiny = lambda xi: 1e-300 * np.exp(-0.5 * xi**2)  # noqa: E731
     prob = SpectralProblem(
         grid=grid,
-        symbol=symbols.custom(lambda xi: xi * xi - 650.0),
+        symbol=symbols.MultiplierSymbol("custom", lambda xi: xi * xi - 650.0),
         initial_hat=tiny(grid.nodes).astype(complex),
         forcing=ForcingTerm.from_multipliers([(exponential_profile(0.5, -1.0), tiny)]),
     )
@@ -775,7 +775,7 @@ def test_rung_past_the_cap_fails_alone_beside_a_power_part():
     parts = [(power_profile(0.5, 0.5), tiny), (exponential_profile(0.5, -1.0), tiny)]
     prob = SpectralProblem(
         grid=grid,
-        symbol=symbols.custom(lambda xi: xi * xi - 650.0),
+        symbol=symbols.MultiplierSymbol("custom", lambda xi: xi * xi - 650.0),
         initial_hat=tiny(grid.nodes).astype(complex),
         forcing=ForcingTerm.from_multipliers(parts),
     )
@@ -887,7 +887,7 @@ def test_bisecting_sweep_reports_the_full_walk(
     grid = FrequencyGrid.uniform_fft(n, dx)
     prob = SpectralProblem(
         grid=grid,
-        symbol=symbols.custom(lambda xi: np.abs(xi) ** power - shift),
+        symbol=symbols.MultiplierSymbol("custom", lambda xi: np.abs(xi) ** power - shift),
         initial_hat=scale * (1.0 - 0.5j) * np.exp(-0.5 * grid.nodes**2),
         forcing=ForcingTerm.from_multipliers(
             [
@@ -978,7 +978,7 @@ def test_second_order_bound_holds_between_samples(shift, parts, norm, ta, length
     xi = grid.nodes
     prob = SpectralProblem(
         grid=grid,
-        symbol=symbols.custom(lambda xi: np.abs(xi) - shift),
+        symbol=symbols.MultiplierSymbol("custom", lambda xi: np.abs(xi) - shift),
         initial_hat=(1.0 - 0.5j + xi) * np.exp(-0.5 * xi**2),
         forcing=ForcingTerm.from_multipliers(
             [
@@ -1195,7 +1195,7 @@ def test_the_screened_distance_bounds_what_the_screen_left_out(shift, parts, nor
     xi = grid.nodes
     prob = SpectralProblem(
         grid=grid,
-        symbol=symbols.custom(lambda xi: np.abs(xi) - shift),
+        symbol=symbols.MultiplierSymbol("custom", lambda xi: np.abs(xi) - shift),
         initial_hat=(1.0 - 0.5j + xi) * np.exp(-0.5 * xi**2),
         forcing=ForcingTerm.from_multipliers(
             [(g, lambda xi, v=v: np.exp(-0.5 * v * xi**2 + 1j * xi)) for g, v in zip(parts, (0.7, 1.9))]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import energy_ode, random_symmetric, viscous_residual
+from oracles import energy_ode, forcing_vector, random_symmetric, viscous_residual
 from wie import symbols
 from wie.forcing import (
     ForcingTerm,
@@ -135,7 +135,7 @@ class TestModalView:
         modal = prob
         np.testing.assert_array_equal(modal.symbol_values, prob.eigen.values)
         np.testing.assert_array_equal(modal.weights, np.ones(2))
-        direct = prob.eigen.project(forcing.vector(t))
+        direct = prob.eigen.project(forcing_vector(forcing, t))
         np.testing.assert_allclose(modal.forcing_values(t), direct, atol=1e-13)
 
     def test_an_ode_problem_is_the_spectral_problem_of_its_modes(self):
@@ -154,7 +154,7 @@ class TestModalView:
         ode = _problem([[2.0, 1.0], [1.0, 2.0]], [1.0, 0.0], vectors)
         grid = FrequencyGrid.explicit([0.5, 1.0], [1.0, 1.0])
         forcing = ForcingTerm.from_multipliers([(profile, lambda xi: np.ones_like(xi))])
-        spectral = SpectralProblem(grid, symbols.custom(lambda xi: xi), np.ones(2), forcing)
+        spectral = SpectralProblem(grid, symbols.MultiplierSymbol("custom", lambda xi: xi), np.ones(2), forcing)
         for prob, flow, dtype in (
             (ode, exact_solution(ode), np.float64),
             (spectral, semigroup_solution(spectral), np.complex128),
@@ -193,7 +193,7 @@ class TestSelectionInitial:
         forcing = ForcingTerm.from_vectors([(constant_profile(1.0), (0.3, -0.7))])
         m = selected_minimizer(_problem(A, [0.0, 0.0], forcing), 0.05)
         sp = m.spectrum
-        want = m.eigen.project(forcing.vector(0.0)) / sp.disc_sqrt / sp.fast
+        want = m.eigen.project(forcing_vector(forcing, 0.0)) / sp.disc_sqrt / sp.fast
         # the initial state is zero, so the corrected coefficient is minus the tail
         np.testing.assert_allclose(-m._solver.slow_initial, want, rtol=1e-10)
 
@@ -205,7 +205,7 @@ class TestSelectedMinimizer:
         y0 = rng.uniform(-1.0, 1.0, 3)
         forcing = ForcingTerm.from_vectors([(exponential_profile(1.0, -0.4), tuple(rng.uniform(-1, 1, 3)))])
         m = selected_minimizer(_problem(A, y0, forcing), 0.05)
-        np.testing.assert_allclose(m(0.0), y0, atol=1e-13)
+        np.testing.assert_allclose(m.value(0.0), y0, atol=1e-13)
 
     def test_satisfies_second_order_equation(self):
         rng = np.random.default_rng(11)
@@ -260,7 +260,7 @@ class TestSelectedMinimizer:
         for y in (selected_minimizer(prob, 0.05), exact_solution(prob)):
             for t in (0.0, 0.3, 1.1):
                 value, deriv = y.state(t)
-                np.testing.assert_array_equal(value, y(t))
+                np.testing.assert_array_equal(value, y.value(t))
                 np.testing.assert_array_equal(deriv, y.derivative(t))
 
 
@@ -278,10 +278,11 @@ class TestTimeBlocks:
         )
         return _problem(A, rng.uniform(-1.0, 1.0, 5), forcing)
 
-    def test_call_is_value(self):
+    def test_value_and_state_are_the_only_call_protocol(self):
+        # a trajectory, and the spectral solver it maps back, is read by value(t) or state(t)
         prob = self._problem()
         for y in (exact_solution(prob), selected_minimizer(prob, 0.05)):
-            assert type(y).__call__ is type(y).value
+            assert not callable(y) and not callable(y._solver)
 
 
 class TestExactEnergy:
@@ -336,7 +337,7 @@ class TestOneModalCore:
         system = _problem(np.diag(eigenvalues), y0, ForcingTerm.from_vectors(zip(profiles, vectors)))
         spectral = SpectralProblem(
             grid=FrequencyGrid.explicit(eigenvalues, np.ones(4)),
-            symbol=symbols.custom(lambda xi: xi),
+            symbol=symbols.MultiplierSymbol("custom", lambda xi: xi),
             initial_hat=y0,
             forcing=ForcingTerm.from_multipliers(
                 [(g, lambda xi, v=v: np.asarray(v)) for g, v in zip(profiles, vectors)]
@@ -363,7 +364,7 @@ class TestExactSolution:
         y = exact_solution(prob)
         t = 0.7
         np.testing.assert_allclose(
-            y(t), [math.exp(-t), -2.0 * math.exp(-3.0 * t)], rtol=1e-13
+            y.value(t), [math.exp(-t), -2.0 * math.exp(-3.0 * t)], rtol=1e-13
         )
 
     def test_constant_forcing_closed_form(self):
@@ -373,7 +374,7 @@ class TestExactSolution:
         y = exact_solution(prob)
         for t in (0.0, 0.3, 1.0, 2.5):
             want = (y0 - c / a) * math.exp(-a * t) + c / a
-            assert y(t)[0] == pytest.approx(want, rel=1e-11)
+            assert y.value(t)[0] == pytest.approx(want, rel=1e-11)
 
     def test_derivative_is_the_equation(self):
         rng = np.random.default_rng(23)
@@ -383,7 +384,7 @@ class TestExactSolution:
         prob = _problem(A, y0, forcing)
         y = exact_solution(prob)
         for t in (0.0, 0.4, 1.7):
-            want = -A @ y(t) + forcing.vector(t)
+            want = -A @ y.value(t) + forcing_vector(forcing, t)
             np.testing.assert_allclose(y.derivative(t), want, atol=1e-11)
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from wie.symbols import (
     EpsilonPolicy,
+    MultiplierSymbol,
     classical,
-    custom,
     fractional,
     from_table,
     zeroth_order,
@@ -58,8 +58,8 @@ class TestFactories:
         with pytest.raises(ValueError):
             from_table([0.0], [1.0])
 
-    def test_custom_wraps_callable(self):
-        sym = custom(lambda xi: np.abs(xi) + 1.0, name="shifted")
+    def test_symbol_wraps_callable(self):
+        sym = MultiplierSymbol("shifted", lambda xi: np.abs(xi) + 1.0)
         assert sym.name == "shifted"
         assert sym(-3.0) == pytest.approx(4.0)
 

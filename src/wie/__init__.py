@@ -8,10 +8,9 @@ that turns JSON configs into deterministic reports.
 """
 
 # config is not exported, but the CLI needs it, and importing it first keeps
-# the heap compact: `python3 -m wie.cli run` of the spectral-wide benchmark
-# config peaks at 41.3 MB resident (VmHWM, median of 8) this way and at
-# 42.3 MB when the CLI imports config after the solver modules (2-core
-# x86-64 VM, numpy 2.4.6)
+# the heap compact: a `wie run` of the spectral-wide benchmark config peaks
+# lower in resident memory (VmHWM) this way than when the CLI imports config
+# after the solver modules (measured figures are in the BENCH_*.json files)
 from . import config, symbols
 from .spectral import FrequencyGrid, SpectralProblem, minimizer_hat, semigroup_solution
 

@@ -348,8 +348,8 @@ _frequency_grid = _parser(
 def _samples(grid, re, im):
     if im is not None and len(im) != len(re):
         raise _Refused("", "real and imag have different lengths")
-    if len(re) != grid.nodes.size:
-        raise _Refused("", f"expected {grid.nodes.size} samples to match the grid, got {len(re)}")
+    if len(re) != grid.n:
+        raise _Refused("", f"expected {grid.n} samples to match the grid, got {len(re)}")
     arr = np.asarray(re, dtype=float).astype(complex)
     return arr if im is None else arr + 1j * np.asarray(im, dtype=float)
 

@@ -3,8 +3,9 @@
 The phi functions of exponential integrators (Hochbruck and Ostermann,
 Acta Numerica 2010) and the first and second divided differences of
 x -> exp(x t) over arrays of rates and blocks of times; _ExponentialGap,
-_slopes and _reach put them to the study sweep (wie.lab._SpectralGap).
-Imported where a forced stack or a profile integral is first built.
+_slopes and _reach put them to the study sweep (wie.lab._SpectralGap);
+_forced_modal_energy gives the energy under such forcing.  Imported where
+a forced stack, a profile integral or such an energy is first built.
 """
 
 from __future__ import annotations
@@ -341,6 +342,36 @@ class _ExponentialGap:
         bend *= self.norm
         bends.append(np.sqrt(np.vecdot(bend, bend)) + exp_r.reshape(exp_r.shape[:-1]) * self.reach)
         return first
+
+
+def _forced_modal_energy(ell, s, weights, c0, sq, gap_ss, b, rates, eps: float):
+    """wie.spectral._modal_energy of forced modes, its columns b at rates below p/2 = 1/(2 eps).
+
+    sq = |c0|^2/(p - 2 s) and gap_ss = p - 2 s; None when the sum is not finite.
+    """
+    p = 1.0 / eps
+    # every rate is below p/2 < f, so no denominator below vanishes
+    gap_rr = [[p - rj - rk for rk in rates] for rj in rates]
+    gap_rs = [(p - s) - r for r in rates]  # f - r_k, per mode
+    beta = [bk / (eps * g) for bk, g in zip(b, gap_rs)]
+    # A = int |u|^2, B_k = int exp(r_k t) u, C = int |sum beta_k exp(r_k t)|^2
+    A, B, C = sq, [], 0.0
+    for j, rj in enumerate(rates):
+        A = A + 2.0 * np.real(np.conj(c0) * beta[j]) / (gap_rs[j] * gap_ss)
+        inner = c0
+        for k, rk in enumerate(rates):
+            pair = np.real(np.conj(beta[j]) * beta[k])
+            A = A + pair * (2.0 * p - rj - rk - 2.0 * s) / (
+                gap_rr[j][k] * gap_rs[j] * gap_rs[k] * gap_ss
+            )
+            C = C + pair / gap_rr[j][k]
+            inner = inner + beta[k] / gap_rr[j][k]
+        B.append(inner / gap_rs[j])
+    cross = sum(np.real(beta_k * np.conj(B_k)) for beta_k, B_k in zip(beta, B))
+    drive = sum(np.real(np.conj(b_k) * B_k) for b_k, B_k in zip(b, B))
+    per_mode = 0.5 * eps * (s * s * A + 2.0 * s * cross + C) + 0.5 * ell * A - drive
+    value = float(np.sum(weights * per_mode))
+    return value if math.isfinite(value) else None
 
 
 def _slopes(stack, ell, a, decay, x, terms, bends) -> list:

@@ -189,11 +189,12 @@ class _GenericGap:
         """b at the times t, from grow() = exp(s t) and the flow's term duhamel(-ell, t)."""
         g = self.profile
         b = np.empty(a.shape)
-        for rows, tk in zip(b, t.ravel().tolist()):
-            for row, m in zip(rows, self.rungs):
-                r = m.roots
-                np.add(g.duhamel(r.slow, tk), g.shifted_tail(r.fast, tk, m.growth_rate), out=row)
-                row /= r.disc_sqrt
+        for k, m in enumerate(self.rungs):
+            r = m.roots
+            fast, z = r.fast, r.disc_sqrt  # formed on each read, so once per rung
+            for row, tk in zip(b[:, k], t.ravel().tolist()):
+                np.add(g.duhamel(r.slow, tk), g.shifted_tail(fast, tk, m.growth_rate), out=row)
+                row /= z
         b -= flow
         b -= grow() * self.tail0
         return b

@@ -254,8 +254,8 @@ def branch_divergence(
         raise ValueError(f"direction {i} out of range for a system of size {problem.size}")
     k = int(problem.distinct.inverse[i])  # the roots are per distinct eigenvalue
     lam = float(m.spectrum.slow[k])
-    mu = float(m.spectrum.fast[k])
     z = float(m.spectrum.disc_sqrt[k])
+    mu = (1.0 + z) / (2.0 * eps)  # m.spectrum.fast[k], from this z
     w = m.eigen.vectors[:, i]
     half_rate = 0.5 / eps
 

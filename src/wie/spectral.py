@@ -15,6 +15,7 @@ which is exactly where the estimates start to fail.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -53,42 +54,49 @@ _DISC_SQRT_FLOOR = 1.0 / math.sqrt(2.0)
 class FrequencyGrid(_ReadOnly):
     """Frequency nodes with quadrature weights, optionally FFT-backed.
 
-    A uniform_fft grid holds the nodes 2 pi fftfreq(n, dx) of n physical
-    samples at spacing dx from x0, each weighted 2 pi/(n dx), under the
-    unitary convention with angular frequency; an explicit grid holds the
-    nodes and weights it is given.
+    A uniform_fft grid keeps n physical samples at spacing dx from x0 and
+    forms on read its nodes 2 pi fftfreq(n, dx) and a read-only view of its
+    weights 2 pi/(n dx), under the unitary convention with angular
+    frequency; an explicit grid holds the n nodes and weights it is given.
     """
 
     def __init__(
         self,
         kind: str,
-        nodes: np.ndarray,
-        weights: np.ndarray,
+        nodes: Optional[np.ndarray] = None,
+        weights: Optional[np.ndarray] = None,
         n: Optional[int] = None,
         dx: Optional[float] = None,
         x0: Optional[float] = None,
     ):
-        vars(self).update(kind=kind, nodes=nodes, weights=weights, n=n, dx=dx, x0=x0)
+        vars(self).update(kind=kind, _nodes=nodes, _weights=weights, n=n, dx=dx, x0=x0)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        if self._nodes is not None:
+            return self._nodes
+        # fftfreq(n, dx) in numpy's own steps, bit for bit, without importing numpy.fft
+        k = np.arange(self.n)
+        k[(self.n + 1) // 2 :] -= self.n
+        return _TWO_PI * (k * (1.0 / (self.n * self.dx)))
+
+    @property
+    def weights(self) -> np.ndarray:
+        w = self._weights
+        return np.broadcast_to(_TWO_PI / (self.n * self.dx), (self.n,)) if w is None else w
 
     @classmethod
     def uniform_fft(cls, n: int, dx: float, x0: Optional[float] = None):
         if n < 2 or dx <= 0.0:
             raise ValueError("need n >= 2 samples and a positive spacing")
+        if n > sys.maxsize:
+            raise ValueError("Maximum allowed size exceeded")  # as np.arange(n) refuses it
         if x0 is None:
             x0 = -0.5 * n * dx
-        # fftfreq(n, dx) in numpy's own steps, bit for bit, without importing numpy.fft
-        k = np.arange(n)
-        k[(n + 1) // 2 :] -= n
-        nodes = _TWO_PI * (k * (1.0 / (n * dx)))
-        dxi = _TWO_PI / (n * dx)
-        return cls(
-            kind="uniform_fft",
-            nodes=nodes,
-            weights=np.full(n, dxi),
-            n=n,
-            dx=float(dx),
-            x0=x0 + 0.0,  # a -0.0 origin reads 0.0, as the first point x0 + 0*dx does
-        )
+        # a -0.0 origin reads 0.0, as the first point x0 + 0*dx does
+        grid = cls(kind="uniform_fft", n=n, dx=float(dx), x0=x0 + 0.0)
+        grid.weights  # numpy refuses a size it cannot hold here, as it would the nodes
+        return grid
 
     @classmethod
     def explicit(cls, nodes, weights):
@@ -98,7 +106,7 @@ class FrequencyGrid(_ReadOnly):
             raise ValueError("nodes and weights must be matching 1-d arrays")
         if np.any(weights <= 0.0):
             raise ValueError("weights must be positive")
-        return cls(kind="explicit", nodes=nodes, weights=weights)
+        return cls(kind="explicit", nodes=nodes, weights=weights, n=nodes.size)
 
 
 # ---- Problems ----
@@ -151,18 +159,19 @@ class SpectralProblem(_ReadOnly):
     ):
         if forcing.mode == "vector":
             raise ValueError("multiplier problems need frequency-side forcing")
-        u0 = initial_hat(grid.nodes) if callable(initial_hat) else initial_hat
+        xi = grid.nodes  # formed once: a uniform grid forms its nodes on each read
+        u0 = initial_hat(xi) if callable(initial_hat) else initial_hat
         u0 = np.asarray(u0, dtype=complex)
-        if u0.shape != grid.nodes.shape:
+        if u0.shape != xi.shape:
             raise ValueError("initial data does not match the grid")
         vars(self).update(
             grid=grid,
             symbol=symbol,
             initial_hat=u0,
             forcing=forcing,
-            symbol_values=np.asarray(symbol(grid.nodes)),
+            symbol_values=np.asarray(symbol(xi)),
             forcing_parts=tuple(
-                (p.profile, np.asarray(p.space_hat(grid.nodes), dtype=complex))
+                (p.profile, np.asarray(p.space_hat(xi), dtype=complex))
                 for p in forcing.parts
             ),
         )
@@ -178,7 +187,7 @@ class SpectralProblem(_ReadOnly):
 
     def forcing_values(self, t: float) -> np.ndarray:
         """f_hat(t, .) on the grid nodes, in the dtype of the data."""
-        out = np.zeros(self.grid.nodes.shape, dtype=self.initial_hat.dtype)
+        out = np.zeros_like(self.initial_hat)
         for profile, H in self.forcing_parts:
             out += profile(float(t)) * H
         return out
@@ -210,7 +219,8 @@ class RootData(NamedTuple):
     eigenvalues on the ODE path.  slow is written as
     -2*symbol/(1 + disc_sqrt), so it stays accurate when eps*symbol is
     tiny, and fast as (1 + disc_sqrt)/(2*eps); the two satisfy
-    slow + fast = 1/eps and slow*fast = -symbol/eps.  Construction through
+    slow + fast = 1/eps and slow*fast = -symbol/eps.  Only slow is kept;
+    disc_sqrt and fast are formed anew on each read.  Construction through
     root_data() verifies the whole inequality bundle and raises on any
     violation, unless check=False, so downstream code can lean on the
     estimates without rechecking.
@@ -219,19 +229,22 @@ class RootData(NamedTuple):
     eps: float
     symbol_values: np.ndarray
     lower_bound: float
-    disc_sqrt: np.ndarray
     slow: np.ndarray
-    fast: np.ndarray
+
+    @property
+    def disc_sqrt(self) -> np.ndarray:
+        return np.sqrt(1.0 + 4.0 * self.eps * self.symbol_values)
+
+    @property
+    def fast(self) -> np.ndarray:
+        return (1.0 + self.disc_sqrt) / (2.0 * self.eps)
 
 
 def _margins(rd: RootData):
     """(name, per-node margin) of each estimate in turn, each formed when it is asked for."""
-    eps = rd.eps
-    ell = rd.symbol_values
+    eps, ell, K, lam = rd
     z = rd.disc_sqrt
-    lam = rd.slow
-    mu = rd.fast
-    K = rd.lower_bound
+    mu = (1.0 + z) / (2.0 * eps)  # rd.fast, from the z at hand
     inv_eps = 1.0 / eps
     yield "disc_sqrt_floor", z - _DISC_SQRT_FLOOR
     cap = 0.25 * inv_eps
@@ -280,17 +293,10 @@ def inequality_report(rd: RootData, tol: float = 1e-9) -> dict:
 
 
 def root_data(symbol_values, eps: float, check: bool = True) -> RootData:
-    disc = admissible_discriminant(symbol_values, eps)
+    z = np.sqrt(admissible_discriminant(symbol_values, eps))
     ell = np.atleast_1d(np.asarray(symbol_values, dtype=float))
-    z = np.sqrt(disc)
-    rd = RootData(
-        eps=float(eps),
-        symbol_values=ell,
-        lower_bound=min(0.0, float(ell.min())),
-        disc_sqrt=z,
-        slow=-2.0 * ell / (1.0 + z),
-        fast=(1.0 + z) / (2.0 * eps),
-    )
+    rd = RootData(float(eps), ell, min(0.0, float(ell.min())), slow=-2.0 * ell / (1.0 + z))
+    del z  # the check forms its own
     if check:
         report = inequality_report(rd)
         broken = {k: v for k, v in report.items() if v["violations"]}
@@ -554,31 +560,9 @@ def _modal_energy(ell, slow, weights, c0, amplitudes, part_rates, eps: float):
         sq *= weights
         value = 0.5 * float(np.sum(sq))
         return value if math.isfinite(value) else None
-    # every kept rate is below p/2 < f, so no denominator below vanishes
-    gap_rr = [[p - rj - rk for rk in rates] for rj in rates]
-    gap_rs = [(p - s) - r for r in rates]  # f - r_k, per mode
+    from .kernels import _forced_modal_energy  # an unforced run never compiles it
     b = [b[:, k] for k in kept]
-    beta = [bk / (eps * g) for bk, g in zip(b, gap_rs)]
-    # A = int |u|^2, B_k = int exp(r_k t) u, C = int |sum beta_k exp(r_k t)|^2
-    A = sq
-    B = []
-    C = 0.0
-    for j, rj in enumerate(rates):
-        A = A + 2.0 * np.real(np.conj(c0) * beta[j]) / (gap_rs[j] * gap_ss)
-        inner = c0
-        for k, rk in enumerate(rates):
-            pair = np.real(np.conj(beta[j]) * beta[k])
-            A = A + pair * (2.0 * p - rj - rk - 2.0 * s) / (
-                gap_rr[j][k] * gap_rs[j] * gap_rs[k] * gap_ss
-            )
-            C = C + pair / gap_rr[j][k]
-            inner = inner + beta[k] / gap_rr[j][k]
-        B.append(inner / gap_rs[j])
-    cross = sum(np.real(beta[k] * np.conj(B[k])) for k in range(len(rates)))
-    drive = sum(np.real(np.conj(b[k]) * B[k]) for k in range(len(rates)))
-    per_mode = 0.5 * eps * (s * s * A + 2.0 * s * cross + C) + 0.5 * ell * A - drive
-    value = float(np.sum(weights * per_mode))
-    return value if math.isfinite(value) else None
+    return _forced_modal_energy(ell, s, weights, c0, sq, gap_ss, b, rates, eps)
 
 
 def energy_spectral(
@@ -661,7 +645,7 @@ class SpectralField(NamedTuple):
         if times.size == 1:
             row = solution.value(times.item())
             return cls(times=times, grid=grid, values=row.reshape(times.shape + row.shape))
-        vals = np.empty(times.shape + grid.nodes.shape, dtype=complex)
+        vals = np.empty(times.shape + (grid.n,), dtype=complex)
         for row, t in zip(vals, times):
             row[...] = solution.value(float(t))
         return cls(times=times, grid=grid, values=vals)
@@ -689,7 +673,7 @@ class SpectralField(NamedTuple):
             "meta_version": 2,
             "layout": "row-major, time index outermost",
             "dtype": "complex128 as interleaved float64 (re, im), little-endian",
-            "shape": [len(self.times), int(g.nodes.size)],
+            "shape": [len(self.times), int(g.n)],
             "times": self.times.tolist(),
             "frequency_grid": grid,
             "transform_convention": "unitary, angular frequency",

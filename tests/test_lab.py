@@ -1351,6 +1351,39 @@ class TestStackMemoryGuard:
         assert second_peak <= peak + len(rungs) + 0.5
 
 
+class TestStudyPeakGuard:
+    """The peak of a whole unforced study, grid and problem included, in units
+    of one float array of the grid's length (tracemalloc)."""
+
+    N = 1 << 16
+
+    def test_an_unforced_study_peaks_below_twelve_node_arrays(self):
+        # the grid forms its nodes on read and holds no weights, and each of the four
+        # rungs keeps one root array on the n//2 + 1 distinct values: the peak was 16.2
+        # node arrays when a grid held both arrays and a rung three root arrays
+        def study():
+            grid = FrequencyGrid.uniform_fft(self.N, 0.125)
+            prob = SpectralProblem(
+                grid=grid,
+                symbol=symbols.fractional(0.5),
+                initial_hat=lambda xi: np.exp(-0.5 * xi**2),
+            )
+            return convergence_study(prob, TestSpectralStudy.LADDER, 1.0, norm="sup_vl")
+
+        study()  # warm-up
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = study()
+            _after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verdicts["all_members_completed"]
+        assert len(report.entries) == 4
+        assert (peak - before) / (8 * self.N) < 12.0
+
+
 def test_fold_in_chunks_gives_the_bits_of_one_batch(monkeypatch):
     # LAPACK factors every matrix of a batch on its own
     prob = _spectral_problem(

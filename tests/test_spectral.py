@@ -1,6 +1,7 @@
 """Frequency-side machinery: grids, roots with their estimate bundle, flows."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -86,6 +87,30 @@ class TestFrequencyGrid:
         assert grid_points(g).tobytes() == stored.tobytes()
         meta = SpectralField(np.zeros(1), g, None).meta()["frequency_grid"]
         assert repr(meta["x0"]) == repr(float(stored[0]))
+
+    @pytest.mark.parametrize("n, dx", [(8, 0.5), (7, 0.3), (2, 1.0), (65536, 0.125), (4097, 0.01), (1001, 3.7)])
+    def test_nodes_and_weights_are_formed_on_read_bit_for_bit(self, n, dx):
+        # the grid keeps n, dx and x0 alone: its nodes are 2 pi fftfreq(n, dx) in
+        # numpy's own steps, and its weights a read-only view of 2 pi/(n dx)
+        g = FrequencyGrid.uniform_fft(n, dx)
+        assert set(vars(g)) == {"kind", "_nodes", "_weights", "n", "dx", "x0"}
+        assert g._nodes is None and g._weights is None
+        assert g.nodes.tobytes() == (2.0 * math.pi * np.fft.fftfreq(n, dx)).tobytes()
+        w = g.weights
+        assert w.tobytes() == np.full(n, 2.0 * math.pi / (n * dx)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            w *= 2.0
+
+    @pytest.mark.parametrize("n", [10**19, 2**62])
+    def test_a_size_numpy_cannot_hold_is_refused_as_arange_refuses_it(self, n):
+        # refused when the grid is made, as when it formed its nodes there, not when
+        # a problem first reads them
+        with pytest.raises(ValueError) as arange:
+            np.arange(n)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(arange.value))}$"):
+            FrequencyGrid.uniform_fft(n, 0.125)
 
     def test_plancherel_is_discrete_exact(self):
         g = _grid()
@@ -506,14 +531,15 @@ class TestMemoryGuard:
         return result, (after - before) / unit, (peak - before) / unit
 
     def test_rung_keeps_its_roots_on_the_distinct_values(self):
-        # an even symbol on an FFT grid: n//2 + 1 values; three root arrays of
-        # that length are 1.5 node arrays, per node they would be 3
+        # an even symbol on an FFT grid: n//2 + 1 values; the one root array kept,
+        # slow, is half a node array, where per node it would be one; disc_sqrt
+        # and fast are formed on read
         prob = _gaussian_problem(_grid(n=self.N, dx=0.125), symbol=symbols.fractional(0.5))
         prob.distinct  # the problem's map is kept by the problem, not by the rung
         m, retained, _peak = self._traced(lambda: minimizer_hat(prob, 1e-2))
         for name in ("slow", "fast", "disc_sqrt"):
             assert getattr(m.roots, name).size == self.N // 2 + 1
-        assert retained < 2.0
+        assert retained < 1.0
 
     def test_root_checks_hold_one_margin_at_a_time(self):
         # the roots, their discriminant and the temporaries of one margin stay
@@ -522,6 +548,21 @@ class TestMemoryGuard:
         root_data(values, 1e-2)  # warm-up
         _rd, _retained, peak = self._traced(lambda: root_data(values, 1e-2))
         assert peak < 10.0
+
+
+class TestRootsFormedOnRead:
+    @pytest.mark.parametrize("eps", [0.1, 1e-3, 0.37])
+    def test_fast_and_disc_sqrt_have_the_bits_of_their_formulas(self, eps):
+        # a negative, a zero and a large symbol value, against scalar IEEE arithmetic
+        values = [-0.1 / eps, -0.0, 0.0, 3.0e12]
+        rd = root_data(values, eps)
+        assert set(rd._fields) == {"eps", "symbol_values", "lower_bound", "slow"}
+        for i, ell in enumerate(values):
+            z = math.sqrt(1.0 + 4.0 * eps * ell)
+            fast = (1.0 + z) / (2.0 * eps)
+            assert rd.disc_sqrt[i].tobytes() == np.float64(z).tobytes()
+            assert rd.fast[i].tobytes() == np.float64(fast).tobytes()
+            assert rd.slow[i].tobytes() == np.float64(-2.0 * ell / (1.0 + z)).tobytes()
 
 
 def _one_node_problem(ell, c0, parts):

@@ -91,10 +91,10 @@ def test_no_run_imports_logging_dataclasses_copy_or_heapq(tmp_path, case):
 # adaptive fallbacks (wie.quadrature); with at most this many tokens compiled in all
 EVERY_RUN = {"wie", "wie.cli", "wie.config", "wie.contract", "wie.forcing", "wie.lab", "wie.spectral", "wie.symbols"}
 RUNS = {
-    "spectral_unforced_field": (set(), 22_950),
+    "spectral_unforced_field": (set(), 22_750),
     "spectral_forced_small": ({"wie.kernels"}, 25_850),
     "ode_forced_small": ({"wie.kernels", "wie.ode"}, 27_850),
-    "lemma_power_small": ({"wie.kummer"}, 24_700),
+    "lemma_power_small": ({"wie.kummer"}, 24_500),
 }
 
 

@@ -18,32 +18,13 @@ class AuditEntry(NamedTuple):
     counts: dict
     total_violations: int
 
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "counts": {k: dict(v) for k, v in self.counts.items()},
-            "total_violations": self.total_violations,
-        }
-
 
 class BoundAuditResult(NamedTuple):
     symbol_name: str
     lower_bound: float
+    clean: bool  # no entry counts a violation
     entries: tuple
     violating_triples: tuple
-
-    @property
-    def clean(self) -> bool:
-        return all(e.total_violations == 0 for e in self.entries)
-
-    def as_dict(self) -> dict:
-        return {
-            "symbol_name": self.symbol_name,
-            "lower_bound": self.lower_bound,
-            "clean": self.clean,
-            "entries": [e.as_dict() for e in self.entries],
-            "violating_triples": [list(t) for t in self.violating_triples],
-        }
 
 
 def bound_audit(
@@ -51,12 +32,11 @@ def bound_audit(
     ladder: Sequence[float],
     grid,
     tol: float = 1e-9,
-    max_triples: int = 100,
 ) -> BoundAuditResult:
     """Grind the whole root-estimate bundle over grid x ladder.
 
     Violations are data, not errors: the result carries counts per
-    inequality and eps, plus up to max_triples (frequency, eps, name)
+    inequality and eps, plus up to 100 (frequency, eps, name)
     witnesses.  An eps outside the admissible range is a policy error and
     root_data raises before any audit happens.
     """
@@ -73,12 +53,13 @@ def bound_audit(
         if total:
             for name, margin in root_margins(rd).items():
                 for idx in np.flatnonzero(np.asarray(margin) < -tol):
-                    if len(triples) < max_triples:
+                    if len(triples) < 100:
                         triples.append((float(nodes[idx]), float(eps), name))
         entries.append(AuditEntry(eps=eps, counts=counts, total_violations=total))
     return BoundAuditResult(
         symbol_name=symbol.name,
         lower_bound=lower,
+        clean=all(e.total_violations == 0 for e in entries),
         entries=tuple(entries),
         violating_triples=tuple(triples),
     )

@@ -50,7 +50,8 @@ _LOG_LEVELS = {
 
 
 def _jsonable(x):
-    """Plain JSON types only; non-finite floats become their repr strings."""
+    """Plain JSON types only: a named tuple becomes the object of its fields,
+    a non-finite float its repr string."""
     if isinstance(x, bool) or x is None or isinstance(x, (str, int)):
         return x
     if isinstance(x, float):
@@ -63,6 +64,8 @@ def _jsonable(x):
         return bool(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
+    if hasattr(x, "_asdict"):
+        return _jsonable(x._asdict())
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
@@ -147,16 +150,7 @@ def _certified(cfg: ExperimentConfig, epsilons) -> RunOutcome:
     certificates = []
     for eps in epsilons:
         try:
-            cert = certify_transformable(forcing, eps, gram=gram, spec=cfg.quadrature)
-            certificates.append(
-                {
-                    "epsilon": cert.epsilon_tested,
-                    "weighted_norm": cert.weighted_norm,
-                    "truncation_T": cert.truncation_T,
-                    "tail_bound": cert.tail_bound,
-                    "growth_rate": cert.growth.rate,
-                }
-            )
+            certificates.append(certify_transformable(forcing, eps, gram=gram, spec=cfg.quadrature))
         except TransformabilityError as exc:
             outcome.failures.append(
                 {"verdict": "transformability violated", "epsilon": eps, "detail": str(exc)}
@@ -185,8 +179,9 @@ def _run_study(cfg: ExperimentConfig):
         spec=cfg.quadrature,
         problem_id=cfg.problem_id,
     )
-    outcome.rung = report.minimizer
-    outcome.results["study"] = report.as_dict()
+    study = report._asdict()
+    outcome.rung = study.pop("minimizer")  # the field dump's, not a report key
+    outcome.results["study"] = study
     outcome.verdicts.update(report.verdicts)
     outcome.header = ("epsilon", "sup_error", "energy", "audit_violations", "failure")
     outcome.rows = [
@@ -250,7 +245,7 @@ def _run_branch(cfg: ExperimentConfig):
             return outcome
     mu = cfg.problem.eigen.values[cfg.direction]
     z = math.sqrt(float(admissible_discriminant(mu, cfg.epsilon)[0]))
-    outcome.results["branch"] = res.as_dict()
+    outcome.results["branch"] = res
     outcome.results["divergence_rate"] = z / cfg.epsilon
     if not outcome.failures:
         outcome.verdicts["log_energy_table_present"] = all(v is not None for v in res.log_energies)
@@ -264,7 +259,7 @@ def _run_branch(cfg: ExperimentConfig):
 def _run_audit(cfg: ExperimentConfig):
     from .audit import bound_audit  # only an audit run imports the audit
     res = bound_audit(cfg.symbol, cfg.epsilon_ladder, cfg.audit_grid, tol=cfg.audit_tol)
-    results = {"audit": res.as_dict()}
+    results = {"audit": res}
     verdicts = {"zero_violations": res.clean}
     header = ("epsilon", "total_violations")
     rows = [(e.eps, e.total_violations) for e in res.entries]

@@ -209,7 +209,8 @@ def _built(c: _Collector, path: str, values, build, *context):
     except _Refused as refused:
         field, message = refused.args
         return c.fail(f"{path}.{field}" if field else path, message)
-    except (ValueError, OverflowError) as exc:  # a value type refuses the whole object
+    # a value type refuses the whole object, or numpy an array of it too large to allocate
+    except (ValueError, OverflowError, MemoryError) as exc:
         return c.fail(path, str(exc))
 
 
@@ -507,6 +508,8 @@ def _spectral_steps(c, root, v):
             problem = SpectralProblem(grid=grid, symbol=v["symbol"], initial_hat=init, forcing=forcing)
         except ValueError as exc:
             c.fail("symbol", str(exc))
+        except MemoryError as exc:  # the grid's nodes, past what numpy can allocate
+            c.fail("frequency_grid", str(exc))
     _check_policy(c, root, v, "epsilon_ladder", None if problem is None else problem.symbol_values)
     return {"problem": problem}
 

@@ -355,11 +355,11 @@ class TransformabilityError(Exception):
 
 
 class TransformabilityCertificate(NamedTuple):
-    epsilon_tested: float
+    epsilon: float
     weighted_norm: float
     truncation_T: float
     tail_bound: float
-    growth: GrowthClass
+    growth_rate: float  # of the declared squared-norm growth
 
 
 def _envelope_tail(growth: GrowthClass, eps: float, T: float) -> float:
@@ -435,7 +435,7 @@ def certify_transformable(
     if growth.rate >= 1.0 / eps:
         raise TransformabilityError(growth.rate, eps)
     if forcing.is_zero:
-        return TransformabilityCertificate(eps, 0.0, 0.0, 0.0, growth)
+        return TransformabilityCertificate(eps, 0.0, 0.0, 0.0, growth.rate)
     weighted = _exponential_weighted_norm(forcing, eps, gram)
     if weighted is None:
         from .quadrature import weighted_halfline  # the fallback for power and sampled parts
@@ -447,4 +447,4 @@ def certify_transformable(
         if bound <= target:
             break
         T *= 2.0
-    return TransformabilityCertificate(eps, float(weighted), T, float(bound), growth)
+    return TransformabilityCertificate(eps, float(weighted), T, float(bound), growth.rate)

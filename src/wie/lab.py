@@ -5,8 +5,8 @@ the package exists to run: shrink the regularization along a ladder and
 watch the selected trajectory approach the first-order flow, and sweep the
 weighted decay profile of a forcing density (the root-estimate audit is
 wie.audit.bound_audit, the divergence demo wie.ode.branch_divergence).
-A study comes back as named tuples with as_dict() views so the report
-writer can serialize it without knowing their internals.
+A study comes back as named tuples whose fields are its report keys, so
+the report writer serializes it from the fields alone.
 """
 
 from __future__ import annotations
@@ -143,16 +143,6 @@ class LadderEntry(NamedTuple):
     failure: Optional[str] = None
     energy_source: Optional[str] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "sup_error": self.sup_error,
-            "energy": self.energy,
-            "energy_source": self.energy_source,
-            "audit_violations": self.audit_violations,
-            "failure": self.failure,
-        }
-
     @classmethod
     def failed(cls, eps: float, exc: Exception) -> "LadderEntry":
         return cls(eps, math.nan, math.nan, -1, failure=str(exc))
@@ -166,18 +156,7 @@ class ConvergenceReport(NamedTuple):
     fitted_rate: Optional[float]
     rate_half_width: Optional[float]
     verdicts: dict
-    minimizer: Optional[object] = None  # the last rung's, when it completed; not in as_dict
-
-    def as_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "norm": self.norm,
-            "horizon": self.horizon,
-            "entries": [e.as_dict() for e in self.entries],
-            "fitted_rate": self.fitted_rate,
-            "rate_half_width": self.rate_half_width,
-            "verdicts": dict(self.verdicts),
-        }
+    minimizer: Optional[object] = None  # the last rung's, when it completed; not a report key
 
 
 def _check_ladder(ladder) -> list:
@@ -546,10 +525,10 @@ class _SpectralGap:
 
     def _screen(self, stacks, sups, horizon: float) -> None:
         """Keep the values that could still move a rung's sup (sweep); then rebuild the stacks."""
-        # the column norms c_k of R, by hypot so that tiny data do not underflow; unforced, R_00
-        # alone, whose sign the square drops.  The bounds form in the work block, their tails in
-        # slow_sq, which narrow rebuilds
-        norms = (np.hypot.reduce(self.factor, axis=0) if self.second_order else self.factor[0])[:, 0]
+        # the column norms c_k of R that _use_second_order formed; unforced, R_00 alone, whose
+        # sign the square drops.  The bounds form in the work block, their tails in slow_sq,
+        # which narrow rebuilds
+        norms = (self.norms if self.second_order else self.factor[0])[:, 0]
         stacks, cut = [entry[:2] for entry in stacks], 0
         for group, stack in stacks:
             bound = np.multiply(stack.slow_sq, stack.eps * horizon, out=stack.alpha)

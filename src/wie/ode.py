@@ -199,18 +199,6 @@ class BranchDivergenceResult(NamedTuple):
     closed_form_log: tuple
     slopes: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "delta": self.delta,
-            "direction": self.direction,
-            "horizons": list(self.horizons),
-            "numeric_energies": list(self.numeric_energies),
-            "log_energies": list(self.log_energies),
-            "closed_form_log": list(self.closed_form_log),
-            "slopes": list(self.slopes),
-        }
-
 
 def _log_leading_term(delta: float, eps: float, z: float, horizon: float) -> Optional[float]:
     """log of (delta^2 eps / Z) (exp(Z T / eps) - 1), computed stably."""

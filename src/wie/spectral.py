@@ -57,7 +57,7 @@ class FrequencyGrid(_ReadOnly):
     A uniform_fft grid keeps n physical samples at spacing dx from x0 and
     forms on read its nodes 2 pi fftfreq(n, dx) and a read-only view of its
     weights 2 pi/(n dx), under the unitary convention with angular
-    frequency; an explicit grid holds the n nodes and weights it is given.
+    frequency; a grid given nodes and weights holds them, and n is their count.
     """
 
     def __init__(
@@ -69,6 +69,7 @@ class FrequencyGrid(_ReadOnly):
         dx: Optional[float] = None,
         x0: Optional[float] = None,
     ):
+        n = n if nodes is None else len(nodes)
         vars(self).update(kind=kind, _nodes=nodes, _weights=weights, n=n, dx=dx, x0=x0)
 
     @property
@@ -106,7 +107,7 @@ class FrequencyGrid(_ReadOnly):
             raise ValueError("nodes and weights must be matching 1-d arrays")
         if np.any(weights <= 0.0):
             raise ValueError("weights must be positive")
-        return cls(kind="explicit", nodes=nodes, weights=weights, n=nodes.size)
+        return cls(kind="explicit", nodes=nodes, weights=weights)
 
 
 # ---- Problems ----

@@ -86,7 +86,7 @@ def zeroth_order(mass: float, kernel_hat: Callable) -> MultiplierSymbol:
     return MultiplierSymbol("zeroth_order", f)
 
 
-def from_table(xi_points, values, name: str = "table") -> MultiplierSymbol:
+def from_table(xi_points, values) -> MultiplierSymbol:
     """One-dimensional symbol sampled on a grid, linearly interpolated.
 
     Evaluation clamps to the nearest table value outside the sampled range.
@@ -101,7 +101,7 @@ def from_table(xi_points, values, name: str = "table") -> MultiplierSymbol:
     x, v = x[order], v[order]
     if np.any(np.diff(x) == 0.0):
         raise ValueError("table points must be distinct")
-    return MultiplierSymbol(name, lambda p: np.interp(p, x, v))
+    return MultiplierSymbol("table", lambda p: np.interp(p, x, v))
 
 
 class EpsilonPolicy(_ReadOnly):

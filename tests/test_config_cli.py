@@ -611,6 +611,17 @@ class TestCliRun:
         assert cli.main(["validate", path]) == 2
         assert capsys.readouterr().err == "invalid: horizon: must be finite\n"
 
+    @pytest.mark.parametrize("name", ["spectral-grid-n-past-address-space", "audit-linspace-points-past-address-space"])
+    def test_array_past_the_address_space_is_a_config_error(self, tmp_path, capsys, name):
+        # 2^55 nodes are 2^58 bytes, past any user address space: numpy's MemoryError
+        # is a violation of the size, and run refuses the config as validate does
+        (entry,) = [e for e in ERROR_CORPUS if e["name"] == name]
+        path = _write(tmp_path, entry["config"])
+        for command in ("validate", "run"):
+            assert cli.main([command, path, "--out-dir", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == "".join(f"invalid: {v}\n" for v in entry["violations"])
+        assert not (tmp_path / "out").exists()
+
     def test_env_out_dir_and_flag_override(self, tmp_path, monkeypatch):
         cfg = _write(tmp_path, _ode_config())
         env_dir, flag_dir = tmp_path / "from_env", tmp_path / "from_flag"

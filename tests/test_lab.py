@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from scipy.special import erfcx
 
 from oracles import decimal_sup_distance, lemma_tail, random_symmetric
-from wie import kernels, lab, ode, symbols
-from wie.audit import bound_audit
+from wie import cli, kernels, lab, ode, symbols
+from wie.audit import BoundAuditResult, bound_audit
 from wie.config import parse_config, validate_config
 from wie.forcing import (
     ForcingTerm,
@@ -46,6 +46,11 @@ from wie.spectral import (
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's recipes)
+
+
+def _fields(report) -> str:
+    """The repr of a study's fields but its rung, whose repr holds an object address."""
+    return repr(report._replace(minimizer=None))
 
 
 def _spectral_problem(symbol=None, forcing=None, n=64):
@@ -221,11 +226,14 @@ class TestBranchDivergence:
         for T, closed in zip(result.horizons, result.closed_form_log):
             assert closed == ode._log_leading_term(delta, eps, z, T)
 
-    def test_as_dict_roundtrip(self):
-        prob = _scalar_problem(1.0)
-        d = branch_divergence(prob, 0.1, 1e-6, [1.0, 2.0]).as_dict()
+    def test_serializes_to_its_fields(self):
+        # each field a report key, each tuple a list
+        result = branch_divergence(_scalar_problem(1.0), 0.1, 1e-6, [1.0, 2.0])
+        d = cli._jsonable(result)
+        assert list(d) == list(result._fields)
         assert d["eps"] == 0.1
         assert d["horizons"] == [1.0, 2.0]
+        assert d["numeric_energies"] == list(result.numeric_energies)
         assert len(d["slopes"]) == 1
 
 
@@ -273,6 +281,17 @@ class TestConvergenceStudy:
         for entry in report.entries:
             assert entry.sup_error <= 1e-12
         assert report.verdicts["all_members_completed"]
+
+    def test_serializes_to_its_fields_once_it_drops_its_rung(self):
+        report = convergence_study(_scalar_problem(1.0), [0.1, 0.01], 1.0, problem_id="keys")
+        assert report.minimizer is not None
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli._jsonable(report)
+        d = cli._jsonable(report._replace(minimizer=None))
+        assert list(d) == list(report._fields)
+        assert d["minimizer"] is None and d["problem_id"] == "keys"
+        assert [list(e) for e in d["entries"]] == [list(lab.LadderEntry._fields)] * 2
+        assert d["entries"][0]["sup_error"] == report.entries[0].sup_error
 
     def test_failing_rung_is_recorded_not_raised(self):
         prob = _scalar_problem(-2.0)
@@ -338,7 +357,7 @@ class TestSpectralStudy:
         together = convergence_study(prob, self.LADDER, 1.0)
         for entry, eps in zip(together.entries, self.LADDER):
             (alone,) = convergence_study(prob, [eps], 1.0).entries
-            assert entry.as_dict() == alone.as_dict()
+            assert entry == alone
             assert entry.energy_source == "exact"
 
     @pytest.mark.parametrize("profile", [constant_profile(0.7), exponential_profile(0.5, -1.0)])
@@ -674,7 +693,7 @@ def test_stacked_study_gives_the_bits_of_one_rung_studies(
     assert sizes[0] == min(per_stack, len(ladder))
     for entry, eps in zip(together.entries, ladder):
         (alone,) = convergence_study(prob, [eps], 1.0, norm=norm, time_points=21).entries
-        assert repr(entry.as_dict()) == repr(alone.as_dict())
+        assert repr(entry) == repr(alone)
 
 
 @st.composite
@@ -718,7 +737,7 @@ def test_blocks_of_times_give_the_bits_of_one_time_blocks(prob, ladder, horizon,
     for width in (1, 2, time_points):
         with mock.patch.object(lab, "_STACK_VALUES", width * rows):
             report = convergence_study(prob, ladder, horizon, norm=norm, time_points=time_points)
-        studies.append(repr(report.as_dict()))
+        studies.append(_fields(report))
     assert studies[0] == studies[1] == studies[2]
 
 
@@ -763,7 +782,7 @@ def test_forced_rung_past_the_cap_fails_alone_in_a_shared_stack(monkeypatch):
     assert all(e.failure is None and 0.0 < e.sup_error < math.inf for e in inner)
     for entry, eps in zip(report.entries, ladder):
         (solo,) = convergence_study(prob, [eps], 1.0).entries
-        assert repr(entry.as_dict()) == repr(solo.as_dict())
+        assert repr(entry) == repr(solo)
 
 
 def test_rung_past_the_cap_fails_alone_beside_a_power_part():
@@ -786,7 +805,7 @@ def test_rung_past_the_cap_fails_alone_beside_a_power_part():
     assert all(e.failure is None and 0.0 < e.sup_error < math.inf for e in inner)
     for entry, eps in zip(report.entries, ladder):
         (solo,) = convergence_study(prob, [eps], 1.0).entries
-        assert repr(entry.as_dict()) == repr(solo.as_dict())
+        assert repr(entry) == repr(solo)
 
 
 def _walk_every_time(self, live, times):
@@ -898,9 +917,9 @@ def test_bisecting_sweep_reports_the_full_walk(
     )
     # stacks of one or two rungs, or one stack of every rung taking blocks of width times
     budget = (per_stack or len(ladder) * width) * prob.distinct.values.size
-    study = lambda: convergence_study(  # noqa: E731
-        prob, ladder, horizon, norm=norm, time_points=time_points
-    ).as_dict()
+    study = lambda: _fields(  # noqa: E731
+        convergence_study(prob, ladder, horizon, norm=norm, time_points=time_points)
+    )
     # data of 1e100 grown by exp(650) overflow to inf, and a forced gap to inf - inf, on
     # both sides alike
     with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(
@@ -909,7 +928,7 @@ def test_bisecting_sweep_reports_the_full_walk(
         bisected = study()
         with mock.patch.object(lab._SpectralGap, "sweep", _walk_every_time):
             walked = study()
-    assert repr(bisected) == repr(walked)
+    assert bisected == walked
 
 
 def test_growth_bound_rules_out_only_what_it_proves():
@@ -1129,7 +1148,7 @@ def test_a_planted_high_frequency_mode_stays_in_the_sweep():
         screened = convergence_study(prob, ladder, 1.0)
     with mock.patch.object(lab, "_SCREEN", 0.0):
         full = convergence_study(prob, ladder, 1.0)
-    assert repr(screened.as_dict()) == repr(full.as_dict())
+    assert _fields(screened) == _fields(full)
     # the planted mode sets each sup, and the screen cut the grid just past it
     for got, without in zip(screened.entries, bare.entries):
         assert got.sup_error > 10.0 * without.sup_error
@@ -1169,16 +1188,16 @@ def test_screened_sweep_gives_the_bits_of_the_unscreened_one(
     # with the screen's constant at 0 no value is screened.  Stacks of one or two rungs
     # take a time or two per block, so no grid fits one block, and the screen cuts each
     # of these grids; each sup keeps its bits
-    study = lambda: convergence_study(  # noqa: E731
-        prob, ladder, 1.0, norm=norm, time_points=time_points
-    ).as_dict()
+    study = lambda: _fields(  # noqa: E731
+        convergence_study(prob, ladder, 1.0, norm=norm, time_points=time_points)
+    )
     sizes = []
     with mock.patch.object(lab, "_STACK_VALUES", per_stack * prob.distinct.values.size):
         with _narrowing(sizes):
             screened = study()
         with mock.patch.object(lab, "_SCREEN", 0.0):
             full = study()
-    assert repr(screened) == repr(full)
+    assert screened == full
     assert any(size < every for size, every in sizes)
 
 
@@ -1460,7 +1479,7 @@ class TestOdeStudy:
         together = convergence_study(prob, self.LADDER, 1.0, norm=norm)
         for entry, eps in zip(together.entries, self.LADDER):
             (alone,) = convergence_study(prob, [eps], 1.0, norm=norm).entries
-            assert entry.as_dict() == alone.as_dict()
+            assert entry == alone
             assert entry.energy_source == "exact"
             (walked,) = _walk_every_time(gap, {0: minimizer_hat(prob, eps)}, times).values()
             assert entry.sup_error == walked
@@ -1602,10 +1621,17 @@ class TestBoundAudit:
         with pytest.raises(ValueError, match=r"1 \+ 4\*eps\*symbol <= 1/2"):
             bound_audit(table, [0.2], np.linspace(0.0, 8.0, 11))
 
-    def test_as_dict_shape(self):
+    def test_serializes_to_its_fields(self):
         result = bound_audit(symbols.classical(), [0.1], np.linspace(-2.0, 2.0, 5))
-        d = result.as_dict()
+        d = cli._jsonable(result)
+        assert list(d) == list(result._fields)
         assert d["clean"] is True
         assert d["symbol_name"] == "classical"
-        assert len(d["entries"]) == 1
-        assert set(d["entries"][0]) == {"eps", "counts", "total_violations"}
+        assert d["violating_triples"] == []
+        (entry,) = d["entries"]
+        assert list(entry) == ["eps", "counts", "total_violations"]
+        assert entry["counts"] == result.entries[0].counts
+
+    def test_witnesses_serialize_as_lists(self):
+        result = BoundAuditResult("table", -1.0, False, (), ((0.5, 0.1, "slow_bound"),))
+        assert cli._jsonable(result)["violating_triples"] == [[0.5, 0.1, "slow_bound"]]

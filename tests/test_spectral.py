@@ -832,6 +832,17 @@ class TestSpectralField:
         wide = SpectralField.sample(m, g, [0.1, 0.2]).to_bytes()
         assert bytes(field.to_bytes()) == bytes(wide)[: 16 * g.n]
 
+    def test_bare_grid_samples_and_describes_itself_as_explicit_does(self):
+        # the constructor takes n from the nodes it is given, as explicit does
+        nodes, weights = np.array([-1.0, 0.0, 0.5, 2.0]), np.array([0.5, 1.0, 1.0, 0.25])
+        bare, made = FrequencyGrid("explicit", nodes, weights), FrequencyGrid.explicit(nodes, weights)
+        assert bare.n == made.n == 4
+        prob = _gaussian_problem(made)
+        m = minimizer_hat(prob, 0.05)
+        fields = [SpectralField.sample(m, g, [0.1, 0.2]) for g in (bare, made)]
+        assert bytes(fields[0].to_bytes()) == bytes(fields[1].to_bytes())
+        assert fields[0].meta() == fields[1].meta()
+
     def test_problem_rejects_bad_inputs(self):
         g = _grid()
         with pytest.raises(ValueError, match="frequency-side"):

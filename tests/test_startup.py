@@ -91,10 +91,10 @@ def test_no_run_imports_logging_dataclasses_copy_or_heapq(tmp_path, case):
 # adaptive fallbacks (wie.quadrature); with at most this many tokens compiled in all
 EVERY_RUN = {"wie", "wie.cli", "wie.config", "wie.contract", "wie.forcing", "wie.lab", "wie.spectral", "wie.symbols"}
 RUNS = {
-    "spectral_unforced_field": (set(), 22_750),
-    "spectral_forced_small": ({"wie.kernels"}, 25_850),
-    "ode_forced_small": ({"wie.kernels", "wie.ode"}, 27_850),
-    "lemma_power_small": ({"wie.kummer"}, 24_500),
+    "spectral_unforced_field": (set(), 22_416),
+    "spectral_forced_small": ({"wie.kernels"}, 25_695),
+    "ode_forced_small": ({"wie.kernels", "wie.ode"}, 27_618),
+    "lemma_power_small": ({"wie.kummer"}, 24_182),
 }
 
 
@@ -189,7 +189,7 @@ VALUE_TYPES = {
     FrequencyGrid: _Case(
         ("kind", "nodes", "weights", "n", "dx", "x0"),
         ("uniform_fft", _NODES, np.ones(3), 3, 0.5, -0.75),
-        {"n": None, "dx": None, "x0": None},
+        {"n": 3, "dx": None, "x0": None},  # n from the nodes
         [
             (lambda: FrequencyGrid.uniform_fft(1, 0.5), "need n >= 2 samples and a positive"),
             (lambda: FrequencyGrid.uniform_fft(8, 0.0), "need n >= 2 samples and a positive"),
